@@ -20,13 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, ingest, lora_grid, report, retrieval
+from .errors import HarnessError
 from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 from .stats import ResamplePlan, paired_bootstrap_delta, pooled_pair_delta
 
 DEFAULT_REGIME = {"id": "01_base__neutral", "variant": "base", "prompt_mode": "neutral"}
 
 
-class WorkspaceError(ValueError):
+class WorkspaceError(HarnessError):
     pass
 
 
@@ -70,7 +71,12 @@ def load_workspace(root) -> WorkspaceConfig:
     config_path = root / "workspace.json"
     if not config_path.exists():
         raise WorkspaceError(f"workspace config not found: {config_path}")
-    raw = json.loads(config_path.read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(config_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(f"{config_path}: malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise WorkspaceError(f"{config_path}: expected a JSON object")
 
     def path_of(key, default=None):
         value = raw.get(key, default)
@@ -132,9 +138,8 @@ def _fmt(value, digits=6):
     return f"{value:.{digits}g}"
 
 
-def _regime_table_rows(ws: WorkspaceConfig, run_set, pairs):
+def _regime_table_rows(ws: WorkspaceConfig, run_set, pairs, costs):
     gold = {p.qa_id: p.gold_answer for p in pairs}
-    costs = _load_costs(ws)
     tables = {}
     for regime_id in run_set.regimes():
         tables[regime_id] = report.regime_table(
@@ -185,7 +190,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     if not problems:
         try:
             chunks, pairs, census = _load_dataset(ws)
-        except dataset.DatasetError as exc:
+        except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
         bad = dataset.check_supporting_ids(pairs, chunks)
@@ -194,7 +199,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         if ws.runs is not None and ws.runs.exists():
             try:
                 _load_runs(ws, {p.qa_id for p in pairs})
-            except ingest.IngestError as exc:
+            except HarnessError as exc:
                 problems.append(str(exc))
     if problems:
         for p in problems:
@@ -299,7 +304,7 @@ def cmd_score(ws: WorkspaceConfig, args) -> int:
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
     _, pairs, _ = _load_dataset(ws)
     run_set = _load_runs(ws, {p.qa_id for p in pairs})
-    tables = _regime_table_rows(ws, run_set, pairs)
+    tables = _regime_table_rows(ws, run_set, pairs, _load_costs(ws))
     for regime_id, rows in tables.items():
         _write_regime_csv(ws.out / f"stats_{regime_id}.csv", rows)
     _write_param_matched_deltas(ws, run_set, pairs)
@@ -309,7 +314,9 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
 
 def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
     """Paired bootstrap deltas for every param-matched (qv, full) pair found
-    in the run set, plus the pooled family-level delta per regime."""
+    in the run set, plus the pooled family-level delta per regime. Scores are
+    paired by qa_id; a pair, or the pairs pooled in a regime, covering
+    different qa_ids is an error rather than a delta over unmatched examples."""
     from .metrics import token_f1
 
     gold = {p.qa_id: p.gold_answer for p in pairs}
@@ -323,6 +330,45 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
     matched = lora_grid.param_matched_pairs(grid_configs)
     if not matched:
         return
+    rows = []
+    for regime_id in run_set.regimes():
+        f1_by_qa = {}
+        for pair in matched:
+            for cfg in (pair.qv_config, pair.full_config):
+                recs = grouped.get((cfg.display_id, regime_id))
+                if recs:
+                    f1_by_qa[cfg.display_id] = {
+                        r.qa_id: token_f1(r.predicted_answer, gold[r.qa_id]) for r in recs
+                    }
+        pooled_inputs = []
+        pooled_ids = None
+        for pair in matched:
+            qv_id, full_id = pair.qv_config.display_id, pair.full_config.display_id
+            a, b = f1_by_qa.get(qv_id), f1_by_qa.get(full_id)
+            if a is None or b is None:
+                continue
+            if a.keys() != b.keys():
+                raise WorkspaceError(
+                    f"regime {regime_id!r}: {qv_id!r} and {full_id!r} cover different "
+                    f"qa_ids ({len(a.keys() - b.keys())} only in {qv_id!r}, "
+                    f"{len(b.keys() - a.keys())} only in {full_id!r})"
+                )
+            qa_ids = sorted(a)
+            if pooled_ids is None:
+                pooled_ids = qa_ids
+            elif qa_ids != pooled_ids:
+                raise WorkspaceError(
+                    f"regime {regime_id!r}: cannot pool param-matched pairs over "
+                    f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
+                    f"the first pair)"
+                )
+            a_vec, b_vec = [a[q] for q in qa_ids], [b[q] for q in qa_ids]
+            est = paired_bootstrap_delta(a_vec, b_vec, ws.plan())
+            pooled_inputs.append((a_vec, b_vec))
+            rows.append([regime_id, pair.budget_label, qv_id, full_id, est])
+        if len(pooled_inputs) > 1:
+            est = pooled_pair_delta(pooled_inputs, ws.plan())
+            rows.append([regime_id, "pooled", "", "", est])
     out_path = ws.out / "param_matched.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -331,45 +377,16 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
             ["regime", "budget", "qv_config", "full_config",
              "delta_f1", "lo", "hi", "significant"]
         )
-        for regime_id in run_set.regimes():
-            vectors = {}
-            for pair in matched:
-                for cfg in (pair.qv_config, pair.full_config):
-                    recs = grouped.get((cfg.display_id, regime_id))
-                    if recs:
-                        ordered = sorted(recs, key=lambda r: r.qa_id)
-                        vectors[cfg.display_id] = [
-                            token_f1(r.predicted_answer, gold[r.qa_id]) for r in ordered
-                        ]
-            pooled_inputs = []
-            for pair in matched:
-                a = vectors.get(pair.qv_config.display_id)
-                b = vectors.get(pair.full_config.display_id)
-                if a is None or b is None:
-                    continue
-                est = paired_bootstrap_delta(a, b, ws.plan())
-                pooled_inputs.append((a, b))
-                writer.writerow(
-                    [
-                        regime_id,
-                        pair.budget_label,
-                        pair.qv_config.display_id,
-                        pair.full_config.display_id,
-                        _fmt(est.delta),
-                        _fmt(est.interval.lo),
-                        _fmt(est.interval.hi),
-                        int(est.significant),
-                    ]
-                )
-            if len(pooled_inputs) > 1:
-                est = pooled_pair_delta(pooled_inputs, ws.plan())
-                writer.writerow(
-                    [
-                        regime_id, "pooled", "", "",
-                        _fmt(est.delta), _fmt(est.interval.lo),
-                        _fmt(est.interval.hi), int(est.significant),
-                    ]
-                )
+        for *labels, est in rows:
+            writer.writerow(
+                [
+                    *labels,
+                    _fmt(est.delta),
+                    _fmt(est.interval.lo),
+                    _fmt(est.interval.hi),
+                    int(est.significant),
+                ]
+            )
 
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
@@ -381,8 +398,8 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             print(f"pareto: unknown cost axis {axis!r}", file=sys.stderr)
             return 1
     regimes = [args.regime] if args.regime else run_set.regimes()
-    tables = _regime_table_rows(ws, run_set, pairs)
     costs = _load_costs(ws)
+    tables = _regime_table_rows(ws, run_set, pairs, costs)
     for regime_id in regimes:
         rows = tables.get(regime_id)
         if rows is None:
@@ -415,11 +432,11 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
 def cmd_report(ws: WorkspaceConfig, args) -> int:
     _, pairs, _ = _load_dataset(ws)
     run_set = _load_runs(ws, {p.qa_id for p in pairs})
-    tables = _regime_table_rows(ws, run_set, pairs)
+    tables = _regime_table_rows(ws, run_set, pairs, _load_costs(ws))
     ws.out.mkdir(parents=True, exist_ok=True)
     for regime_id, rows in tables.items():
         _write_regime_csv(ws.out / f"regime_{regime_id}.csv", rows)
-        text = report.format_regime_table(rows)
+        text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
         (ws.out / f"regime_{regime_id}.txt").write_text(text, encoding="utf-8")
     summary = report.ablation_summary(tables)
     with open(ws.out / "ablation_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -537,13 +554,7 @@ def main(argv=None) -> int:
     try:
         ws = load_workspace(root)
         return _COMMANDS[args.command](ws, args)
-    except (
-        WorkspaceError,
-        dataset.DatasetError,
-        ingest.IngestError,
-        report.ReportError,
-        retrieval.RetrievalError,
-    ) as exc:
+    except HarnessError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

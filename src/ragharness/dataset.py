@@ -10,11 +10,13 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import HarnessError
+
 ANSWER_TYPES = ("exact", "normal")
 SPLITS = ("train", "eval", "test")
 
 
-class DatasetError(ValueError):
+class DatasetError(HarnessError):
     """Raised on schema violations while loading corpus or QA files."""
 
 

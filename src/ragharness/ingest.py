@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .errors import HarnessError
 
-class IngestError(ValueError):
+
+class IngestError(HarnessError):
     pass
 
 
@@ -30,7 +33,7 @@ class RunRecord:
     groundedness: int | None = None
 
     def __post_init__(self):
-        if self.latency < 0 or self.latency != self.latency:
+        if not math.isfinite(self.latency) or self.latency < 0:
             raise IngestError(
                 f"({self.config_id}, {self.regime_id}, {self.qa_id}): bad latency"
             )

@@ -5,26 +5,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import HarnessError
+
 SCHEMES = ("baseline", "qv_only", "full_attention")
 SCHEME_PROJECTIONS = {
     "qv_only": ("q", "v"),
     "full_attention": ("q", "k", "v", "o"),
 }
 
-# Training hyperparameters carried for provenance only; never executed here.
-TRAINING_METADATA = {
-    "num_train_epochs": 8,
-    "learning_rate": 2e-5,
-    "lora_dropout": 0.05,
-    "bias": "none",
-    "task_type": "CAUSAL_LM",
-    "precision": "bf16",
-    "warmup_fraction": 0.03,
-    "embed_top_k": 2,
-}
 
-
-class GridError(ValueError):
+class GridError(HarnessError):
     pass
 
 

@@ -7,6 +7,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 
+from .errors import HarnessError
 from .stats import Interval, ResamplePlan, bootstrap_ci
 
 # Characters that survive normalization so flags, paths, and versions keep
@@ -18,7 +19,7 @@ _DROP_TABLE = str.maketrans(
 _ARTICLES = {"a", "an", "the"}
 
 
-class MetricsError(ValueError):
+class MetricsError(HarnessError):
     pass
 
 

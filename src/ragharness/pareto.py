@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from math import isfinite
 
+from .errors import HarnessError
+
 COST_AXES = ("latency", "inference_vram", "training_time", "training_vram")
 
 
-class ParetoError(ValueError):
+class ParetoError(HarnessError):
     pass
 
 

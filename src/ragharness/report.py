@@ -9,6 +9,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import HarnessError
 from .ingest import RunSet
 from .metrics import ExampleScore, exact_match, token_f1
 from .pareto import CostVector, ParetoPoint, pareto_front
@@ -22,7 +23,7 @@ ERROR_CLASSES = (
 )
 
 
-class ReportError(ValueError):
+class ReportError(HarnessError):
     pass
 
 
@@ -293,15 +294,21 @@ def emit_front_data(points: list[ParetoPoint], front: list[ParetoPoint], destina
             )
 
 
-def format_regime_table(rows: list[RegimeRow]) -> str:
-    """Human-readable aligned text form of a regime table."""
+def format_regime_table(
+    rows: list[RegimeRow], level: float = 0.95, pass_threshold: int = 4
+) -> str:
+    """Human-readable aligned text form of a regime table. `level` and
+    `pass_threshold` label the interval and pass-rate columns."""
 
     def fmt_iv(iv: Interval | None) -> str:
         if iv is None:
             return "-"
         return f"[{iv.lo:.3f}, {iv.hi:.3f}]"
 
-    header = ["config", "F1", "F1 95% CI", "grnd@4", "corr@4", "lat (s)", "VRAM (GB)"]
+    header = [
+        "config", "F1", f"F1 {level * 100:g}% CI",
+        f"grnd@{pass_threshold}", f"corr@{pass_threshold}", "lat (s)", "VRAM (GB)",
+    ]
     body = []
     for r in rows:
         body.append(

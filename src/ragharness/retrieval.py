@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Chunk
+from .errors import HarnessError
 
 RETRIEVAL_VARIANTS = (
     "base",
@@ -30,7 +31,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 
-class RetrievalError(ValueError):
+class RetrievalError(HarnessError):
     pass
 
 

@@ -3,19 +3,30 @@ paired bootstrap deltas, and the pooled delta over matched config pairs.
 
 Every replicate draws its resample indices from a generator seeded by a
 stable hash of (master_seed, replicate), so results do not depend on
-execution order or parallelism.
+execution order or parallelism. The replicates' indices for one
+(master_seed, n_resamples, n) are drawn once per process into a matrix that
+later calls reuse, and each statistic is reduced over it in one vectorised
+pass with the same summation order as a per-replicate loop.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import HarnessError
+
 _MASK64 = (1 << 64) - 1
+# Index matrices kept per process. One command cycles through few sample
+# sizes (F1 at each config's n, judge pass rates at each judged n), so a few
+# entries stay hot, while a sweep over many seeds holds at most this many
+# R x n matrices.
+_INDEX_CACHE_SIZE = 4
 
 
-class StatsError(ValueError):
+class StatsError(HarnessError):
     pass
 
 
@@ -68,6 +79,19 @@ def _replicate_indices(plan: ResamplePlan, replicate: int, n: int) -> np.ndarray
     return rng.integers(0, n, size=n)
 
 
+@functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _index_matrix(master_seed: int, n_resamples: int, n: int) -> np.ndarray:
+    """(n_resamples, n) resample indices whose row r is
+    ``_replicate_indices(plan, r, n)``. Read-only, since every caller with
+    the same key shares it."""
+    plan = ResamplePlan(n_resamples=n_resamples, master_seed=master_seed)
+    idx = np.empty((n_resamples, n), dtype=np.intp)
+    for r in range(n_resamples):
+        idx[r] = _replicate_indices(plan, r, n)
+    idx.flags.writeable = False
+    return idx
+
+
 def _check_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -86,10 +110,7 @@ def _percentile_interval(replicate_stats: np.ndarray, level: float) -> Interval:
 def bootstrap_ci(values, plan: ResamplePlan) -> Interval:
     """Percentile bootstrap interval around the mean of `values`."""
     arr = _check_values(values)
-    n = arr.size
-    means = np.empty(plan.n_resamples)
-    for r in range(plan.n_resamples):
-        means[r] = arr[_replicate_indices(plan, r, n)].mean()
+    means = arr[_index_matrix(plan.master_seed, plan.n_resamples, arr.size)].mean(axis=1)
     return _percentile_interval(means, plan.level)
 
 
@@ -100,10 +121,7 @@ def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
     if a.shape != b.shape:
         raise StatsError(f"length mismatch: {a.shape} vs {b.shape}")
     diff = a - b
-    n = diff.size
-    deltas = np.empty(plan.n_resamples)
-    for r in range(plan.n_resamples):
-        deltas[r] = diff[_replicate_indices(plan, r, n)].mean()
+    deltas = diff[_index_matrix(plan.master_seed, plan.n_resamples, diff.size)].mean(axis=1)
     interval = _percentile_interval(deltas, plan.level)
     significant = interval.lo > 0.0 or interval.hi < 0.0
     return DeltaEstimate(
@@ -129,10 +147,13 @@ def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
             raise StatsError("all pairs must share the same example index set")
         diffs.append(a - b)
     diff_matrix = np.stack(diffs)  # (n_pairs, n_examples)
-    deltas = np.empty(plan.n_resamples)
-    for r in range(plan.n_resamples):
-        idx = _replicate_indices(plan, r, n)
-        deltas[r] = diff_matrix[:, idx].mean(axis=1).mean()
+    idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
+    # The gather is a per-replicate diff_matrix[:, idx[r]] with a replicate
+    # axis added, so each pair mean sums in the same order as it does for a
+    # single replicate. The mean over pairs then runs along a contiguous
+    # axis, which sums like the 1-D mean of one replicate's pair means.
+    pair_means = diff_matrix[:, idx].mean(axis=2)  # (n_pairs, n_resamples)
+    deltas = np.ascontiguousarray(pair_means.T).mean(axis=1)
     interval = _percentile_interval(deltas, plan.level)
     significant = interval.lo > 0.0 or interval.hi < 0.0
     return DeltaEstimate(

@@ -1,9 +1,14 @@
+import json
 import shutil
 
 import pytest
 
 from ragharness.cli import load_workspace, main
+from ragharness.ingest import file_checksum
 from tests.conftest import SMOKE_WORKSPACE
+
+QV = "3B r8 qv_only"
+FULL = "3B r4 full_attention"
 
 
 @pytest.fixture()
@@ -15,6 +20,36 @@ def workspace(tmp_path):
 
 def run(workspace, *argv):
     return main(["--workspace", str(workspace), *argv])
+
+
+def run_file(workspace, config):
+    return workspace / "runs" / f"{config.replace(' ', '_')}__01_base__neutral.jsonl"
+
+
+def read_run(workspace, config):
+    text = run_file(workspace, config).read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def write_run(workspace, config, records):
+    """Write a config's run file and record its checksum in the manifest."""
+    path = run_file(workspace, config)
+    path.write_text(
+        "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
+    )
+    manifest_path = workspace / "runs" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    files = {e["path"]: e for e in manifest["files"]}
+    files[path.name] = {"path": path.name, "sha256": file_checksum(path)}
+    manifest["files"] = list(files.values())
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def one_line_error(capsys, command):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"{command}: ")
+    return err
 
 
 def test_unknown_subcommand_exits_2(workspace, capsys):
@@ -113,3 +148,69 @@ def test_idempotent_outputs(workspace):
         assert run(workspace, *cmd) == 0
     for p in sorted((workspace / "out").iterdir()):
         assert p.read_bytes() == snapshot[p.name], p.name
+
+
+def test_report_labels_follow_knobs(workspace):
+    path = workspace / "workspace.json"
+    config = json.loads(path.read_text(encoding="utf-8"))
+    config.update(level=0.9, pass_threshold=3, resamples=50)
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert run(workspace, "report") == 0
+    text = (workspace / "out" / "regime_01_base__neutral.txt").read_text(encoding="utf-8")
+    header = text.splitlines()[0].split()
+    assert header[:9] == ["config", "F1", "F1", "90%", "CI", "grnd@3", "corr@3", "lat", "(s)"]
+
+
+@pytest.mark.parametrize(
+    "dropped", [{QV: "qa000", FULL: "qa001"}, {QV: "qa000"}], ids=["same_size", "other_size"]
+)
+def test_param_matched_rejects_unaligned_coverage(workspace, capsys, dropped):
+    for config, qa_id in dropped.items():
+        records = read_run(workspace, config)
+        write_run(workspace, config, [r for r in records if r["qa_id"] != qa_id])
+    assert run(workspace, "stats") == 1
+    err = one_line_error(capsys, "stats")
+    assert "'01_base__neutral'" in err and QV in err and FULL in err
+
+
+def test_param_matched_rejects_pooling_unaligned_pairs(workspace, capsys):
+    # A second pair (3B r16 qv_only, 3B r8 full_attention) that lacks qa000.
+    for source, config in ((QV, "3B r16 qv_only"), (FULL, "3B r8 full_attention")):
+        records = [dict(r, config=config) for r in read_run(workspace, source)]
+        write_run(workspace, config, [r for r in records if r["qa_id"] != "qa000"])
+    assert run(workspace, "stats") == 1
+    assert "cannot pool" in one_line_error(capsys, "stats")
+
+
+def _inf_latency(workspace):
+    records = read_run(workspace, QV)
+    records[0]["latency_s"] = float("inf")
+    write_run(workspace, QV, records)
+
+
+def _config_text(text):
+    def write(workspace):
+        (workspace / "workspace.json").write_text(text, encoding="utf-8")
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, message",
+    [
+        (None, ["pareto", "--axes", "training_vram"], "training_vram"),
+        (_inf_latency, ["validate"], "bad latency"),
+        (_inf_latency, ["pareto"], "bad latency"),
+        (_config_text("{"), ["validate"], "malformed JSON"),
+        (_config_text("[]"), ["validate"], "expected a JSON object"),
+    ],
+    ids=[
+        "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
+        "bad_json", "json_not_object",
+    ],
+)
+def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
+    if mutate is not None:
+        mutate(workspace)
+    assert run(workspace, *argv) == 1
+    assert message in one_line_error(capsys, argv[0])

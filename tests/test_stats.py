@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from ragharness.stats import (
+    _INDEX_CACHE_SIZE,
     Interval,
     ResamplePlan,
     StatsError,
+    _index_matrix,
     _replicate_indices,
     bootstrap_ci,
     paired_bootstrap_delta,
@@ -26,6 +28,21 @@ def reference_bootstrap(values, plan):
     alpha = (1 - plan.level) / 2
     lo, hi = np.quantile(np.asarray(stats), [alpha, 1 - alpha])
     return float(lo), float(hi)
+
+
+def reference_pooled(pairs, plan):
+    """Loop-based pooled resampler: per replicate, the mean over pairs of each
+    pair's resampled mean difference."""
+    diff_matrix = np.stack([np.asarray(a, float) - np.asarray(b, float) for a, b in pairs])
+    n = diff_matrix.shape[1]
+    deltas = []
+    for r in range(plan.n_resamples):
+        rng = np.random.default_rng(subseed(plan.master_seed, r))
+        idx = rng.integers(0, n, size=n)
+        deltas.append(diff_matrix[:, idx].mean(axis=1).mean())
+    alpha = (1 - plan.level) / 2
+    lo, hi = np.quantile(np.asarray(deltas), [alpha, 1 - alpha])
+    return float(diff_matrix.mean(axis=1).mean()), float(lo), float(hi)
 
 
 def test_interval_validation():
@@ -141,3 +158,51 @@ def test_input_validation():
         pooled_pair_delta([], plan)
     with pytest.raises(StatsError):
         pooled_pair_delta([([1.0, 2.0], [1.0, 2.0]), ([1.0], [1.0])], plan)
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+@pytest.mark.parametrize("n_resamples", [1, 200])
+def test_vectorised_bootstrap_is_bit_exact(n, n_resamples):
+    rng = np.random.default_rng(100 + n)
+    plan = ResamplePlan(n_resamples=n_resamples, master_seed=n)
+    values = rng.normal(size=n)
+    iv = bootstrap_ci(values, plan)
+    assert (iv.lo, iv.hi) == reference_bootstrap(values, plan)
+    other = rng.normal(size=n)
+    est = paired_bootstrap_delta(values, other, plan)
+    assert (est.interval.lo, est.interval.hi) == reference_bootstrap(values - other, plan)
+    for n_pairs in (1, 3, 9):
+        pairs = [(rng.random(size=n), rng.random(size=n)) for _ in range(n_pairs)]
+        pooled = pooled_pair_delta(pairs, plan)
+        assert (pooled.delta, pooled.interval.lo, pooled.interval.hi) == reference_pooled(
+            pairs, plan
+        ), n_pairs
+
+
+def test_index_cache_warm_equals_cold():
+    values = np.random.default_rng(8).normal(size=45)
+    plan = ResamplePlan(n_resamples=150, master_seed=31)
+    _index_matrix.cache_clear()
+    cold = bootstrap_ci(values, plan)
+    hits = _index_matrix.cache_info().hits
+    warm = bootstrap_ci(values, plan)
+    assert _index_matrix.cache_info().hits == hits + 1
+    assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
+
+
+def test_index_matrix_rows_and_read_only():
+    plan = ResamplePlan(n_resamples=20, master_seed=4)
+    idx = _index_matrix(plan.master_seed, plan.n_resamples, 13)
+    assert idx.dtype == np.intp
+    for r in range(plan.n_resamples):
+        assert np.array_equal(idx[r], _replicate_indices(plan, r, 13))
+    assert not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 0
+
+
+def test_index_cache_stays_bounded():
+    values = np.random.default_rng(9).normal(size=30)
+    for seed in range(20):
+        bootstrap_ci(values, ResamplePlan(n_resamples=50, master_seed=1000 + seed))
+        assert _index_matrix.cache_info().currsize <= _INDEX_CACHE_SIZE
