@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,33 @@ DEFAULT_REGIME = {"id": "01_base__neutral", "variant": "base", "prompt_mode": "n
 
 class WorkspaceError(HarnessError):
     pass
+
+
+def _parse_regimes(config_path: Path, specs, retrieve_top_n: int, eval_top_k: int):
+    """(id, RetrievalRegime) per regime spec; each spec needs a unique string
+    id and a known variant."""
+    if not isinstance(specs, list):
+        raise WorkspaceError(f"{config_path}: regimes must be a list")
+    regimes = []
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
+            raise WorkspaceError(f"{config_path}: regime {i} needs a string 'id'")
+        where = f"{config_path}: regime {spec['id']!r}"
+        if any(spec["id"] == regime_id for regime_id, _ in regimes):
+            raise WorkspaceError(f"{where}: duplicate id")
+        if "variant" not in spec:
+            raise WorkspaceError(f"{where}: missing 'variant'")
+        try:
+            regime = retrieval.RetrievalRegime(
+                retrieval_variant=spec["variant"],
+                prompt_mode=spec.get("prompt_mode", "neutral"),
+                retrieve_top_n=retrieve_top_n,
+                eval_top_k=eval_top_k,
+            )
+        except retrieval.RetrievalError as exc:
+            raise WorkspaceError(f"{where}: {exc}") from exc
+        regimes.append((spec["id"], regime))
+    return regimes
 
 
 @dataclass
@@ -51,6 +78,8 @@ class WorkspaceConfig:
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
+    # (id, RetrievalRegime) per entry of `regimes`, checked on construction.
+    retrieval_regimes: list = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.eval_top_k > self.retrieve_top_n:
@@ -59,6 +88,12 @@ class WorkspaceConfig:
             raise WorkspaceError("level must be in (0, 1)")
         if self.regimes is None:
             self.regimes = [dict(DEFAULT_REGIME)]
+        self.retrieval_regimes = _parse_regimes(
+            self.root / "workspace.json",
+            self.regimes,
+            self.retrieve_top_n,
+            self.eval_top_k,
+        )
 
     def plan(self) -> ResamplePlan:
         return ResamplePlan(
@@ -66,21 +101,35 @@ class WorkspaceConfig:
         )
 
 
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise WorkspaceError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_workspace(root) -> WorkspaceConfig:
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.exists():
         raise WorkspaceError(f"workspace config not found: {config_path}")
-    try:
-        raw = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(f"{config_path}: malformed JSON: {exc}") from exc
+    raw = _read_json(config_path)
     if not isinstance(raw, dict):
         raise WorkspaceError(f"{config_path}: expected a JSON object")
 
     def path_of(key, default=None):
         value = raw.get(key, default)
         return root / value if value is not None else None
+
+    def knob(key, default, kind):
+        value = raw.get(key, default)
+        try:
+            return kind(value)
+        except (TypeError, ValueError) as exc:
+            noun = "an integer" if kind is int else "a number"
+            raise WorkspaceError(
+                f"{config_path}: {key} must be {noun}, got {value!r}"
+            ) from exc
 
     return WorkspaceConfig(
         root=root,
@@ -94,13 +143,13 @@ def load_workspace(root) -> WorkspaceConfig:
         costs=path_of("costs"),
         labels=path_of("labels"),
         regimes=raw.get("regimes"),
-        retrieve_top_n=int(raw.get("retrieve_top_n", 20)),
-        eval_top_k=int(raw.get("eval_top_k", 2)),
-        k_rrf=float(raw.get("k_rrf", 60)),
-        resamples=int(raw.get("resamples", 1000)),
-        level=float(raw.get("level", 0.95)),
-        pass_threshold=int(raw.get("pass_threshold", 4)),
-        seed=int(raw.get("seed", 0)),
+        retrieve_top_n=knob("retrieve_top_n", 20, int),
+        eval_top_k=knob("eval_top_k", 2, int),
+        k_rrf=knob("k_rrf", 60, float),
+        resamples=knob("resamples", 1000, int),
+        level=knob("level", 0.95, float),
+        pass_threshold=knob("pass_threshold", 4, int),
+        seed=knob("seed", 0, int),
     )
 
 
@@ -215,33 +264,45 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
 def _load_embeddings(ws: WorkspaceConfig):
     if ws.embeddings is None or not ws.embeddings.exists():
         return None, {}
-    raw = json.loads(ws.embeddings.read_text(encoding="utf-8"))
-    dim = int(raw["dim"])
-    table = retrieval.EmbeddingTable(
-        vectors={cid: np.asarray(v, dtype=float) for cid, v in raw["chunks"].items()},
-        dim=dim,
-    )
-    queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
-    return table, queries
+    raw = _read_json(ws.embeddings)
+    if not isinstance(raw, dict):
+        raise WorkspaceError(f"{ws.embeddings}: expected a JSON object")
+    try:
+        dim = int(raw["dim"])
+        vectors = {cid: np.asarray(v, dtype=float) for cid, v in raw["chunks"].items()}
+        queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
+    except KeyError as exc:
+        raise WorkspaceError(f"{ws.embeddings}: missing key {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise WorkspaceError(f"{ws.embeddings}: bad value: {exc}") from exc
+    return retrieval.EmbeddingTable(vectors=vectors, dim=dim), queries
+
+
+def _load_rerank(ws: WorkspaceConfig) -> dict:
+    """Per-question rerank scores: {qa_id: {chunk_id: number}}."""
+    if ws.rerank_scores is None or not ws.rerank_scores.exists():
+        return {}
+    rerank = _read_json(ws.rerank_scores)
+    if not isinstance(rerank, dict) or not all(
+        isinstance(scores, dict)
+        and all(isinstance(v, (int, float)) for v in scores.values())
+        for scores in rerank.values()
+    ):
+        raise WorkspaceError(
+            f"{ws.rerank_scores}: expected {{qa_id: {{chunk_id: number}}}}"
+        )
+    return rerank
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     chunks, pairs, _ = _load_dataset(ws)
     index = retrieval.build_sparse_index(chunks)
     table, queries = _load_embeddings(ws)
-    rerank = {}
-    if ws.rerank_scores is not None and ws.rerank_scores.exists():
-        rerank = json.loads(ws.rerank_scores.read_text(encoding="utf-8"))
+    rerank = _load_rerank(ws)
     test_pairs = [p for p in pairs if p.split == "test"]
     ws.out.mkdir(parents=True, exist_ok=True)
-    for spec in ws.regimes:
-        regime = retrieval.RetrievalRegime(
-            retrieval_variant=spec["variant"],
-            prompt_mode=spec.get("prompt_mode", "neutral"),
-            retrieve_top_n=ws.retrieve_top_n,
-            eval_top_k=ws.eval_top_k,
-        )
-        out_path = ws.out / f"contexts_{spec['id']}.jsonl"
+    for regime_id, regime in ws.retrieval_regimes:
+        out_path = ws.out / f"contexts_{regime_id}.jsonl"
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             for pair in test_pairs:
                 sparse = retrieval.score_sparse(index, pair.question, ws.retrieve_top_n)
@@ -260,7 +321,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
                     json.dumps(
                         {
                             "qa_id": pair.qa_id,
-                            "regime": spec["id"],
+                            "regime": regime_id,
                             "context_ids": context,
                         },
                         sort_keys=True,
@@ -313,21 +374,17 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
 
 
 def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
-    """Paired bootstrap deltas for every param-matched (qv, full) pair found
-    in the run set, plus the pooled family-level delta per regime. Scores are
-    paired by qa_id; a pair, or the pairs pooled in a regime, covering
-    different qa_ids is an error rather than a delta over unmatched examples."""
+    """Paired bootstrap deltas for every param-matched (qv, full) pair among
+    the run set's config ids, in grid order, plus the pooled family-level
+    delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
+    in a regime, covering different qa_ids is an error rather than a delta
+    over unmatched examples."""
     from .metrics import token_f1
 
     gold = {p.qa_id: p.gold_answer for p in pairs}
     grouped = run_set.by_config_regime()
     config_ids = {cid for cid, _ in grouped}
-    grid_configs = [
-        c
-        for c in lora_grid.enumerate_grid(("3B", "8B"), (4, 8, 16, 32, 64))
-        if c.display_id in config_ids
-    ]
-    matched = lora_grid.param_matched_pairs(grid_configs)
+    matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
         return
     rows = []

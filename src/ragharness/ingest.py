@@ -111,6 +111,16 @@ def _read_jsonl(path: Path):
                 raise IngestError(f"{path}:{lineno}: malformed line: {exc}") from exc
 
 
+# What reading a missing or unconvertible field of an input row raises.
+_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
+
+
+def _field_error(path, lineno: int, exc: Exception) -> IngestError:
+    if isinstance(exc, KeyError):
+        return IngestError(f"{path}:{lineno}: missing field {exc}")
+    return IngestError(f"{path}:{lineno}: bad field value: {exc}")
+
+
 def load_runs(path, qa_ids=None) -> RunSet:
     """Load a run-set directory. `qa_ids`, when given, is the set of valid
     test-split ids; records referencing anything else are rejected."""
@@ -118,10 +128,17 @@ def load_runs(path, qa_ids=None) -> RunSet:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise IngestError(f"manifest not found: {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{manifest_path}: malformed JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise IngestError(f"{manifest_path}: expected a JSON object")
     records: list[RunRecord] = []
     seen: set[tuple[str, str, str]] = set()
     for entry in manifest.get("files", []):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
         file_path = root / entry["path"]
         if not file_path.exists():
             raise IngestError(f"manifest references missing file: {file_path}")
@@ -143,8 +160,10 @@ def load_runs(path, qa_ids=None) -> RunSet:
                     context_chunk_ids=tuple(rec.get("context_ids", ())),
                     eval_top_k=int(rec.get("top_k", 2)),
                 )
-            except KeyError as exc:
-                raise IngestError(f"{file_path}:{lineno}: missing field {exc}") from exc
+            except HarnessError:
+                raise
+            except _FIELD_ERRORS as exc:
+                raise _field_error(file_path, lineno, exc) from exc
             key = (record.config_id, record.regime_id, record.qa_id)
             if key in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
@@ -170,8 +189,10 @@ def attach_judge_scores(run_set: RunSet, path) -> RunSet:
                     groundedness=int(rec["groundedness"]),
                 )
             )
-        except KeyError as exc:
-            raise IngestError(f"{path}:{lineno}: missing field {exc}") from exc
+        except HarnessError:
+            raise
+        except _FIELD_ERRORS as exc:
+            raise _field_error(path, lineno, exc) from exc
     by_key = {(s.config_id, s.regime_id, s.qa_id): s for s in scores}
     joined: list[RunRecord] = []
     matched: set[tuple[str, str, str]] = set()
@@ -194,26 +215,28 @@ def load_cost_profile(path, grid_ids=None) -> dict:
     configs outside the known grid."""
     profiles: dict[str, CostProfile] = {}
     for lineno, rec in _read_jsonl(Path(path)):
-        config_id = str(rec["config"])
+        try:
+            config_id = str(rec["config"])
+            profile = CostProfile(
+                config_id=config_id,
+                inference_vram=_optional_float(rec.get("inf_vram_gb")),
+                training_time=_optional_float(rec.get("train_min")),
+                training_vram=_optional_float(rec.get("train_vram_gb")),
+                inference_vram_by_regime={
+                    k: float(v) for k, v in rec.get("inf_vram_by_regime", {}).items()
+                },
+            )
+        except HarnessError:
+            raise
+        except _FIELD_ERRORS as exc:
+            raise _field_error(path, lineno, exc) from exc
         if config_id in profiles:
             raise IngestError(f"{path}:{lineno}: duplicate config {config_id!r}")
         if grid_ids is not None and config_id not in grid_ids:
             raise IngestError(f"{path}:{lineno}: unknown config {config_id!r}")
-        profiles[config_id] = CostProfile(
-            config_id=config_id,
-            inference_vram=(
-                float(rec["inf_vram_gb"]) if rec.get("inf_vram_gb") is not None else None
-            ),
-            training_time=(
-                float(rec["train_min"]) if rec.get("train_min") is not None else None
-            ),
-            training_vram=(
-                float(rec["train_vram_gb"])
-                if rec.get("train_vram_gb") is not None
-                else None
-            ),
-            inference_vram_by_regime={
-                k: float(v) for k, v in rec.get("inf_vram_by_regime", {}).items()
-            },
-        )
+        profiles[config_id] = profile
     return profiles
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)

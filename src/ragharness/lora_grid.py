@@ -3,6 +3,7 @@ tie, trainable-parameter counting, and rank-halving param-matched pairs."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import HarnessError
@@ -106,6 +107,31 @@ def enumerate_grid(base_models, ranks, schemes=("qv_only", "full_attention")) ->
                     GeneratorConfig(base_model=base, scheme=scheme, rank=rank)
                 )
     return configs
+
+
+_ADAPTER_ID = re.compile(r"(.+) r([1-9][0-9]*) (qv_only|full_attention)")
+
+
+def _natural_key(text: str) -> list:
+    """Digit runs compare as numbers, so 8B sorts before 13B."""
+    parts = re.split(r"([0-9]+)", text)
+    return [int(part) if i % 2 else part for i, part in enumerate(parts)]
+
+
+def grid_from_display_ids(display_ids) -> list[GeneratorConfig]:
+    """The adapter configs named by ``display_ids`` in grid order: base models
+    in natural order, then ascending rank, qv_only before full_attention.
+    Ids that do not name an adapter config are ignored."""
+    configs = []
+    for display_id in display_ids:
+        match = _ADAPTER_ID.fullmatch(display_id)
+        if match:
+            base, rank, scheme = match.groups()
+            configs.append(GeneratorConfig(base_model=base, scheme=scheme, rank=int(rank)))
+    return sorted(
+        configs,
+        key=lambda c: (_natural_key(c.base_model), c.rank, SCHEMES.index(c.scheme)),
+    )
 
 
 def trainable_params(dims: ModelDims, rank: int, scheme: str) -> int:

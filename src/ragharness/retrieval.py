@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import string
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,11 +114,20 @@ class RetrievalRegime:
 
 @dataclass
 class SparseIndex:
-    """Inverted index with the statistics BM25 needs."""
+    """BM25 inverted index as flat arrays.
 
-    postings: dict  # term -> list[(chunk_id, tf)] sorted by chunk_id
-    doc_len: dict  # chunk_id -> token count
-    df: dict  # term -> document frequency
+    ``chunk_ids`` is sorted ascending, so a chunk's position is its tie rank.
+    The postings of term id ``t`` are ``doc_pos[start[t]:start[t + 1]]``
+    (ascending positions) with term frequencies ``tf`` at the same offsets.
+    """
+
+    chunk_ids: list  # sorted ascending
+    term_ids: dict  # term -> term id
+    start: np.ndarray  # CSR offsets into doc_pos/tf, one per term id plus one
+    doc_pos: np.ndarray
+    tf: np.ndarray
+    idf: np.ndarray  # per term id
+    length_norm: np.ndarray  # k1 * (1 - b + b * dl / avgdl) per position
     n_docs: int
     avgdl: float
     k1: float
@@ -133,24 +143,41 @@ def build_sparse_index(
         raise RetrievalError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise RetrievalError(f"b must be in [0, 1], got {b}")
-    postings: dict[str, dict[str, int]] = {}
-    doc_len: dict[str, int] = {}
-    for chunk in corpus:
+    chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
+    term_ids: dict[str, int] = {}
+    terms: list[int] = []
+    positions: list[int] = []
+    freqs: list[int] = []
+    doc_len = np.empty(len(chunks), dtype=np.int64)
+    for pos, chunk in enumerate(chunks):
         tokens = tokenize(chunk.text)
-        doc_len[chunk.chunk_id] = len(tokens)
-        for tok in tokens:
-            postings.setdefault(tok, {}).setdefault(chunk.chunk_id, 0)
-            postings[tok][chunk.chunk_id] += 1
-    sorted_postings = {
-        term: sorted(by_doc.items()) for term, by_doc in postings.items()
-    }
-    df = {term: len(by_doc) for term, by_doc in sorted_postings.items()}
-    n_docs = len(corpus)
-    avgdl = sum(doc_len.values()) / n_docs
+        doc_len[pos] = len(tokens)
+        counts = Counter(tokens)
+        terms.extend(term_ids.setdefault(term, len(term_ids)) for term in counts)
+        freqs.extend(counts.values())
+        positions.extend([pos] * len(counts))
+    terms = np.array(terms, dtype=np.int64)
+    # Stable, so each term's postings keep ascending positions.
+    order = np.argsort(terms, kind="stable")
+    df = np.bincount(terms, minlength=len(term_ids))
+    start = np.zeros(len(term_ids) + 1, dtype=np.int64)
+    np.cumsum(df, out=start[1:])
+    n_docs = len(chunks)
+    avgdl = int(doc_len.sum()) / n_docs
+    # +1 inside the log keeps IDF positive for very common terms, so a zero
+    # score always means "no query term present". math.log, not np.log, which
+    # may differ in the last bit.
+    idf = np.array(
+        [math.log((n_docs - d + 0.5) / (d + 0.5) + 1.0) for d in df.tolist()]
+    )
     return SparseIndex(
-        postings=sorted_postings,
-        doc_len=doc_len,
-        df=df,
+        chunk_ids=[chunk.chunk_id for chunk in chunks],
+        term_ids=term_ids,
+        start=start,
+        doc_pos=np.array(positions, dtype=np.int64)[order],
+        tf=np.array(freqs, dtype=np.int64)[order],
+        idf=idf,
+        length_norm=k1 * (1.0 - b + b * doc_len / avgdl),
         n_docs=n_docs,
         avgdl=avgdl,
         k1=k1,
@@ -158,41 +185,43 @@ def build_sparse_index(
     )
 
 
-def bm25_idf(index: SparseIndex, term: str) -> float:
-    # +1 inside the log keeps IDF positive for very common terms, so a zero
-    # score always means "no query term present".
-    df = index.df.get(term, 0)
-    return math.log((index.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-
-
 def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
-    """Top `limit` chunks by Okapi BM25; zero-scoring chunks are omitted."""
+    """Top `limit` chunks by Okapi BM25; zero-scoring chunks are omitted.
+
+    Each query token, repeats included, adds its term's contribution in query
+    order with the same operations as a per-chunk loop, so scores are the
+    same floats; ties break by ascending chunk_id.
+    """
     if limit < 1:
         raise RetrievalError("limit must be >= 1")
-    scores: dict[str, float] = {}
+    scores = np.zeros(index.n_docs)
+    k1_plus_1 = index.k1 + 1.0
     for term in tokenize(query):
-        if term not in index.postings:
+        tid = index.term_ids.get(term)
+        if tid is None:
             continue
-        idf = bm25_idf(index, term)
-        for chunk_id, tf in index.postings[term]:
-            dl = index.doc_len[chunk_id]
-            denom = tf + index.k1 * (1.0 - index.b + index.b * dl / index.avgdl)
-            scores[chunk_id] = scores.get(chunk_id, 0.0) + idf * tf * (
-                index.k1 + 1.0
-            ) / denom
-    ordered = sorted(
-        ((cid, s) for cid, s in scores.items() if s != 0.0),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return RankedList(entries=ordered[:limit])
+        lo, hi = index.start[tid], index.start[tid + 1]
+        pos, tf = index.doc_pos[lo:hi], index.tf[lo:hi]
+        scores[pos] += index.idf[tid] * tf * k1_plus_1 / (tf + index.length_norm[pos])
+    hit = np.flatnonzero(scores)
+    # A stable sort of ascending positions keeps equal scores in chunk_id order.
+    top = hit[np.argsort(-scores[hit], kind="stable")[:limit]]
+    ids = [index.chunk_ids[i] for i in top.tolist()]
+    return RankedList(entries=list(zip(ids, scores[top].tolist())))
 
 
 @dataclass
 class EmbeddingTable:
-    """Chunk embeddings sharing one dimension; query vectors live elsewhere."""
+    """Chunk embeddings sharing one dimension; query vectors live elsewhere.
+
+    ``unit`` holds each vector scaled to unit norm (zero vectors stay zero),
+    one row per entry of the ascending ``chunk_ids``.
+    """
 
     vectors: dict  # chunk_id -> np.ndarray
     dim: int
+    chunk_ids: list = field(init=False, repr=False)
+    unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for cid, vec in self.vectors.items():
@@ -204,6 +233,12 @@ class EmbeddingTable:
             if not np.all(np.isfinite(vec)):
                 raise RetrievalError(f"vector for {cid!r} has non-finite values")
             self.vectors[cid] = vec
+        self.chunk_ids = sorted(self.vectors)
+        self.unit = np.empty((len(self.chunk_ids), self.dim))
+        # Row by row: a norm taken along an axis of the matrix may round
+        # differently from np.linalg.norm of one vector.
+        for row, cid in zip(self.unit, self.chunk_ids):
+            row[:] = _unit(self.vectors[cid])
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -211,17 +246,37 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
+# Every unit row and the unit query have norm at most ~1, so a matrix-vector
+# product differs from the per-row dot by at most about dim * 2**-52; this
+# margin keeps every row the exact scores could rank into the top `limit`.
+_SHORTLIST_MARGIN = 1e-9
+
+
 def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
-    """Top `limit` chunks by cosine similarity, ties by ascending chunk_id."""
+    """Top `limit` chunks by cosine similarity, ties by ascending chunk_id.
+
+    One matrix-vector product shortlists the candidates; each is rescored
+    with a per-row dot product, so scores are the same floats as scoring
+    every chunk on its own.
+    """
+    if limit < 1:
+        raise RetrievalError("limit must be >= 1")
     query_vector = np.asarray(query_vector, dtype=float)
     if query_vector.shape != (table.dim,):
         raise RetrievalError(
             f"query dimension {query_vector.shape} does not match table ({table.dim},)"
         )
+    if not np.all(np.isfinite(query_vector)):
+        raise RetrievalError("query vector has non-finite values")
     q = _unit(query_vector)
-    scored = [
-        (cid, float(np.dot(q, _unit(vec)))) for cid, vec in table.vectors.items()
-    ]
+    n = len(table.chunk_ids)
+    if n > limit:
+        approx = table.unit @ q
+        kth = np.partition(approx, n - limit)[n - limit]
+        rows = np.flatnonzero(approx >= kth - _SHORTLIST_MARGIN).tolist()
+    else:
+        rows = range(n)
+    scored = [(table.chunk_ids[i], float(np.dot(q, table.unit[i]))) for i in rows]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return RankedList(entries=scored[:limit])
 

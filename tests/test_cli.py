@@ -188,11 +188,35 @@ def _inf_latency(workspace):
     write_run(workspace, QV, records)
 
 
-def _config_text(text):
+def _edit_json(name, edit):
     def write(workspace):
-        (workspace / "workspace.json").write_text(text, encoding="utf-8")
+        path = workspace / name
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
 
     return write
+
+
+def _file_text(name, text):
+    def write(workspace):
+        (workspace / name).write_text(text, encoding="utf-8")
+
+    return write
+
+
+def _judge_correctness(value):
+    def write(workspace):
+        path = workspace / "judge.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[0]["correctness"] = value
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+
+    return write
+
+
+def _regime_without_id(config):
+    del config["regimes"][0]["id"]
 
 
 @pytest.mark.parametrize(
@@ -201,12 +225,49 @@ def _config_text(text):
         (None, ["pareto", "--axes", "training_vram"], "training_vram"),
         (_inf_latency, ["validate"], "bad latency"),
         (_inf_latency, ["pareto"], "bad latency"),
-        (_config_text("{"), ["validate"], "malformed JSON"),
-        (_config_text("[]"), ["validate"], "expected a JSON object"),
+        (_file_text("workspace.json", "{"), ["validate"], "malformed JSON"),
+        (_file_text("workspace.json", "[]"), ["validate"], "expected a JSON object"),
+        (_file_text("embeddings.json", "{"), ["retrieve"], "embeddings.json: malformed JSON"),
+        (_edit_json("embeddings.json", lambda e: e.pop("dim")), ["retrieve"], "missing key 'dim'"),
+        (_file_text("rerank.json", "[1"), ["retrieve"], "rerank.json: malformed JSON"),
+        (_edit_json("workspace.json", _regime_without_id), ["validate"], "needs a string 'id'"),
+        (_edit_json("workspace.json", _regime_without_id), ["retrieve"], "needs a string 'id'"),
+        (
+            _edit_json("workspace.json", lambda c: c["regimes"][0].update(variant="bogus")),
+            ["validate"],
+            "unknown retrieval variant 'bogus'",
+        ),
+        (_judge_correctness("high"), ["validate"], "judge.jsonl:1: bad field value"),
+        (_judge_correctness(None), ["stats"], "judge.jsonl:1: bad field value"),
+        (
+            _edit_json("workspace.json", lambda c: c.update(retrieve_top_n="twenty")),
+            ["validate"],
+            "retrieve_top_n must be an integer, got 'twenty'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(level=[0.9])),
+            ["report"],
+            "level must be a number",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c["regimes"].append(dict(c["regimes"][0]))),
+            ["retrieve"],
+            "duplicate id",
+        ),
+        (
+            _edit_json("rerank.json", lambda r: r["qa000"].update(chunk000="high")),
+            ["retrieve"],
+            "rerank.json: expected",
+        ),
+        (_file_text("runs/manifest.json", "{"), ["score"], "manifest.json: malformed JSON"),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
         "bad_json", "json_not_object",
+        "embeddings_bad_json", "embeddings_without_dim", "rerank_bad_json",
+        "regime_without_id_validate", "regime_without_id_retrieve", "unknown_variant",
+        "judge_non_numeric", "judge_null", "knob_non_numeric", "knob_wrong_type",
+        "duplicate_regime_id", "rerank_non_numeric", "manifest_bad_json",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -214,3 +275,18 @@ def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, messag
         mutate(workspace)
     assert run(workspace, *argv) == 1
     assert message in one_line_error(capsys, argv[0])
+
+
+def test_param_matched_pairs_follow_config_ids(workspace):
+    """A base and a rank outside the 3B/8B, r4-r64 grid still get a delta,
+    and the 3B rows keep their place after the smaller base."""
+    for source, config in ((QV, "1B r128 qv_only"), (FULL, "1B r64 full_attention")):
+        write_run(workspace, config, [dict(r, config=config) for r in read_run(workspace, source)])
+    assert run(workspace, "stats") == 0
+    text = (workspace / "out" / "param_matched.csv").read_text(encoding="utf-8")
+    rows = [line.split(",")[:4] for line in text.splitlines()[1:]]
+    assert rows == [
+        ["01_base__neutral", "512d", "1B r128 qv_only", "1B r64 full_attention"],
+        ["01_base__neutral", "32d", QV, FULL],
+        ["01_base__neutral", "pooled", "", ""],
+    ]

@@ -5,6 +5,7 @@ from ragharness.lora_grid import (
     GridError,
     ModelDims,
     enumerate_grid,
+    grid_from_display_ids,
     param_matched_pairs,
     trainable_params,
 )
@@ -111,3 +112,15 @@ def test_enumerate_grid_rejects_bad_inputs():
         enumerate_grid(("3B",), (0,))
     with pytest.raises(GridError):
         enumerate_grid(("3B",), (4,), schemes=("baseline",))
+
+
+def test_grid_from_display_ids_orders_like_the_grid():
+    grid = enumerate_grid(("3B", "8B"), STANDARD_RANKS)
+    shuffled = [c.display_id for c in reversed(grid)] + ["gpt-x", "3B r0 qv_only"]
+    adapters = [c for c in grid if c.scheme != "baseline"]
+    assert grid_from_display_ids(shuffled) == adapters
+    ids = ["13B r8 qv_only", "8B r128 qv_only", "1B r2 full_attention", "8B r64 full_attention"]
+    assert [c.display_id for c in grid_from_display_ids(ids)] == [
+        "1B r2 full_attention", "8B r64 full_attention", "8B r128 qv_only", "13B r8 qv_only",
+    ]
+    assert [p.budget_label for p in param_matched_pairs(grid_from_display_ids(ids))] == ["512d"]

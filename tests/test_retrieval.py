@@ -109,6 +109,158 @@ def test_dense_dimension_mismatch():
         score_dense(table, np.ones(5), limit=1)
 
 
+def loop_bm25(chunks, query, limit, k1=1.2, b=0.75):
+    """Reference: BM25 over dict postings, one chunk at a time, in the
+    operation order the array index must reproduce bit for bit."""
+    postings, doc_len = {}, {}
+    for chunk in chunks:
+        tokens = tokenize(chunk.text)
+        doc_len[chunk.chunk_id] = len(tokens)
+        for tok in tokens:
+            by_doc = postings.setdefault(tok, {})
+            by_doc[chunk.chunk_id] = by_doc.get(chunk.chunk_id, 0) + 1
+    n_docs = len(chunks)
+    avgdl = sum(doc_len.values()) / n_docs
+    scores = {}
+    for term in tokenize(query):
+        if term not in postings:
+            continue
+        df = len(postings[term])
+        idf = math.log((n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        for cid, tf in sorted(postings[term].items()):
+            denom = tf + k1 * (1.0 - b + b * doc_len[cid] / avgdl)
+            scores[cid] = scores.get(cid, 0.0) + idf * tf * (k1 + 1.0) / denom
+    ordered = sorted(
+        ((cid, s) for cid, s in scores.items() if s != 0.0),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return ordered[:limit]
+
+
+def _unit(vec):
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def loop_dense(vectors, query, limit):
+    """Reference: cosine against every chunk, each normalised on its own."""
+    q = _unit(np.asarray(query, dtype=float))
+    scored = [
+        (cid, float(np.dot(q, _unit(np.asarray(vec, dtype=float)))))
+        for cid, vec in vectors.items()
+    ]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:limit]
+
+
+def cuts_a_tie(entries, full):
+    """True when the entry after the cut scores the same as the last kept."""
+    return 0 < len(entries) < len(full) and full[len(entries)][1] == entries[-1][1]
+
+
+def test_bm25_bit_exact_against_loop_reference():
+    rng = random.Random(29)
+    cut_ties = 0
+    for trial in range(300):
+        n = rng.randint(1, 30)
+        chunks = make_corpus(rng, n)
+        rng.shuffle(chunks)  # the index must not rely on corpus order
+        index = build_sparse_index(chunks)
+        # Repeated and unknown terms included.
+        query = " ".join(rng.choices(VOCAB + ["zzz"], k=rng.randint(1, 6)))
+        full = loop_bm25(chunks, query, n)
+        for limit in (1, rng.randint(1, n), n, n + 5):
+            got = score_sparse(index, query, limit).entries
+            assert got == loop_bm25(chunks, query, limit), (trial, query, limit)
+            cut_ties += cuts_a_tie(got, full)
+    assert cut_ties >= 20  # the seed exercises cuts through tie groups
+
+
+def test_bm25_limit_cuts_through_a_tie_group():
+    chunks = [
+        Chunk(chunk_id=cid, doc_id="d", text="pod node")
+        for cid in ("c3", "c1", "c4", "c2")
+    ] + [Chunk(chunk_id="c0", doc_id="d", text="node port")]
+    index = build_sparse_index(chunks)
+    for query in ("pod", "pod pod", "zzz pod node"):
+        got = score_sparse(index, query, limit=2).entries
+        assert got == loop_bm25(chunks, query, 2)
+    assert score_sparse(index, "pod", limit=2).ids() == ["c1", "c2"]
+    # A repeated term counts twice, exactly as the loop adds it twice.
+    once = score_sparse(index, "pod", limit=1).entries[0][1]
+    assert score_sparse(index, "pod pod", limit=1).entries[0][1] == once + once
+
+
+def test_bm25_idf_is_math_log():
+    """(n_docs, df) = (29, 29), (62, 30) and (100, 2) are points where a
+    vectorised np.log has been seen to differ from math.log in the last bit."""
+    rng = random.Random(3)
+    for n_docs, df in ((29, 29), (62, 30), (100, 2)):
+        chunks = [
+            Chunk(
+                chunk_id=f"c{i:03d}",
+                doc_id="d",
+                text=" ".join(["pod"] * (i < df) + rng.choices(VOCAB[1:], k=rng.randint(1, 9))),
+            )
+            for i in range(n_docs)
+        ]
+        index = build_sparse_index(chunks)
+        got = score_sparse(index, "pod node", limit=n_docs).entries
+        assert got == loop_bm25(chunks, "pod node", n_docs)
+
+
+def tie_heavy_vectors(rng, n, dim):
+    """Duplicates, scaled copies and zero vectors among random ones."""
+    base = rng.integers(-2, 3, size=(max(1, n // 3), dim)).astype(float)
+    vectors = {}
+    for i in rng.permutation(n):
+        kind = rng.random()
+        if kind < 0.15:
+            vec = np.zeros(dim)
+        elif kind < 0.6:
+            vec = base[rng.integers(len(base))] * rng.choice([0.5, 1.0, 3.0])
+        else:
+            vec = rng.normal(size=dim)
+        vectors[f"c{i:03d}"] = vec
+    return vectors, base
+
+
+def test_dense_bit_exact_against_loop_reference():
+    rng = np.random.default_rng(31)
+    cut_ties = 0
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        dim = int(rng.choice([1, 3, 5, 8, 64]))
+        vectors, base = tie_heavy_vectors(rng, n, dim)
+        table = EmbeddingTable(vectors=dict(vectors), dim=dim)
+        queries = [rng.normal(size=dim), np.zeros(dim), base[0], -base[-1]]
+        for query in queries:
+            full = loop_dense(vectors, query, n)
+            for limit in (1, int(rng.integers(1, n + 1)), n, n + 5):
+                got = score_dense(table, query, limit).entries
+                assert got == loop_dense(vectors, query, limit), (trial, limit)
+                cut_ties += cuts_a_tie(got, full)
+    assert cut_ties > 50  # the seed exercises cuts through tie groups
+
+
+def test_dense_zero_query_and_zero_vectors_tie_by_chunk_id():
+    vectors = {"c2": np.zeros(3), "c0": np.array([1.0, 0, 0]), "c1": np.zeros(3)}
+    table = EmbeddingTable(vectors=dict(vectors), dim=3)
+    got = score_dense(table, np.zeros(3), limit=2)
+    assert got.entries == [("c0", 0.0), ("c1", 0.0)] == loop_dense(vectors, np.zeros(3), 2)
+    got = score_dense(table, np.array([-1.0, 0, 0]), limit=3)
+    assert got.entries == loop_dense(vectors, np.array([-1.0, 0, 0]), 3)
+    assert got.ids() == ["c1", "c2", "c0"]
+
+
+def test_dense_rejects_bad_limit_and_non_finite_query():
+    table = EmbeddingTable(vectors={"c0": np.ones(4)}, dim=4)
+    with pytest.raises(RetrievalError, match="limit"):
+        score_dense(table, np.ones(4), limit=0)
+    with pytest.raises(RetrievalError, match="non-finite"):
+        score_dense(table, np.array([1.0, np.nan, 0.0, 0.0]), limit=1)
+
+
 def ranked(ids):
     return RankedList(entries=[(cid, float(len(ids) - i)) for i, cid in enumerate(ids)])
 
