@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataset, ingest, lora_grid, report, retrieval
-from .errors import HarnessError
+from . import dataset, ingest, lora_grid, metrics, report, retrieval
+from .errors import HarnessError, as_int
 from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 from .stats import ResamplePlan, paired_bootstrap_delta, pooled_pair_delta
 
@@ -124,7 +124,7 @@ def load_workspace(root) -> WorkspaceConfig:
     def knob(key, default, kind):
         value = raw.get(key, default)
         try:
-            return kind(value)
+            return as_int(value, key) if kind is int else kind(value)
         except (TypeError, ValueError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise WorkspaceError(
@@ -187,12 +187,19 @@ def _fmt(value, digits=6):
     return f"{value:.{digits}g}"
 
 
-def _regime_table_rows(ws: WorkspaceConfig, run_set, pairs, costs):
+def _score_runs(ws: WorkspaceConfig):
+    """The run set and its records scored once, grouped by (config, regime)."""
+    _, pairs, _ = _load_dataset(ws)
     gold = {p.qa_id: p.gold_answer for p in pairs}
+    run_set = _load_runs(ws, set(gold))
+    return run_set, metrics.score_runs(run_set, gold)
+
+
+def _regime_table_rows(ws: WorkspaceConfig, run_set, scored, costs):
     tables = {}
     for regime_id in run_set.regimes():
         tables[regime_id] = report.regime_table(
-            run_set, regime_id, gold, costs, ws.plan(), ws.pass_threshold
+            scored, regime_id, costs, ws.plan(), ws.pass_threshold
         )
     return tables
 
@@ -232,7 +239,7 @@ def _write_regime_csv(path: Path, rows) -> None:
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
     problems = []
-    chunks = pairs = None
+    chunks = pairs = run_set = None
     for label, path in (("corpus", ws.corpus), ("qa", ws.qa)):
         if path is None or not path.exists():
             problems.append(f"missing {label} file: {path}")
@@ -247,7 +254,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
             problems.append(f"unresolved supporting_chunk_ids for: {bad[:5]}")
         if ws.runs is not None and ws.runs.exists():
             try:
-                _load_runs(ws, {p.qa_id for p in pairs})
+                run_set = _load_runs(ws, {p.qa_id for p in pairs})
             except HarnessError as exc:
                 problems.append(str(exc))
     if problems:
@@ -258,6 +265,13 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         f"validate: ok ({len(chunks)} chunks, {census.total_rows} QA rows, "
         f"test={census.rows('test')})"
     )
+    if run_set is not None:
+        unscored = sum(1 for rec in run_set.records if rec.groundedness is None)
+        print(
+            f"validate: judge coverage: {len(run_set.unmatched_scores)} judge rows "
+            f"match no record, {unscored} of {len(run_set.records)} records "
+            f"have no judge score"
+        )
     return 0
 
 
@@ -268,7 +282,7 @@ def _load_embeddings(ws: WorkspaceConfig):
     if not isinstance(raw, dict):
         raise WorkspaceError(f"{ws.embeddings}: expected a JSON object")
     try:
-        dim = int(raw["dim"])
+        dim = as_int(raw["dim"], "dim")
         vectors = {cid: np.asarray(v, dtype=float) for cid, v in raw["chunks"].items()}
         queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
     except KeyError as exc:
@@ -333,26 +347,23 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
-    _, pairs, _ = _load_dataset(ws)
-    gold = {p.qa_id: p.gold_answer for p in pairs}
-    run_set = _load_runs(ws, set(gold))
-    from .metrics import exact_match, token_f1
-
+    run_set, scored = _score_runs(ws)
     ws.out.mkdir(parents=True, exist_ok=True)
     out_path = ws.out / "scores.jsonl"
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in sorted(
-            run_set.records, key=lambda r: (r.regime_id, r.config_id, r.qa_id)
+        for score in sorted(
+            (s for scores in scored.values() for s in scores),
+            key=lambda s: (s.regime_id, s.config_id, s.qa_id),
         ):
             fh.write(
                 json.dumps(
                     {
-                        "config": rec.config_id,
-                        "regime": rec.regime_id,
-                        "qa_id": rec.qa_id,
-                        "f1": round(token_f1(rec.predicted_answer, gold[rec.qa_id]), 6),
-                        "em": int(exact_match(rec.predicted_answer, gold[rec.qa_id])),
-                        "latency_s": rec.latency,
+                        "config": score.config_id,
+                        "regime": score.regime_id,
+                        "qa_id": score.qa_id,
+                        "f1": round(score.f1, 6),
+                        "em": int(score.exact_match),
+                        "latency_s": score.latency,
                     },
                     sort_keys=True,
                 )
@@ -363,40 +374,32 @@ def cmd_score(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
-    _, pairs, _ = _load_dataset(ws)
-    run_set = _load_runs(ws, {p.qa_id for p in pairs})
-    tables = _regime_table_rows(ws, run_set, pairs, _load_costs(ws))
+    run_set, scored = _score_runs(ws)
+    tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
     for regime_id, rows in tables.items():
         _write_regime_csv(ws.out / f"stats_{regime_id}.csv", rows)
-    _write_param_matched_deltas(ws, run_set, pairs)
+    _write_param_matched_deltas(ws, run_set.regimes(), scored)
     print(f"stats: wrote {len(tables)} regime tables under {ws.out}")
     return 0
 
 
-def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
+def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
     """Paired bootstrap deltas for every param-matched (qv, full) pair among
     the run set's config ids, in grid order, plus the pooled family-level
     delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
     in a regime, covering different qa_ids is an error rather than a delta
     over unmatched examples."""
-    from .metrics import token_f1
-
-    gold = {p.qa_id: p.gold_answer for p in pairs}
-    grouped = run_set.by_config_regime()
-    config_ids = {cid for cid, _ in grouped}
+    config_ids = {cid for cid, _ in scored}
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
         return
     rows = []
-    for regime_id in run_set.regimes():
-        f1_by_qa = {}
-        for pair in matched:
-            for cfg in (pair.qv_config, pair.full_config):
-                recs = grouped.get((cfg.display_id, regime_id))
-                if recs:
-                    f1_by_qa[cfg.display_id] = {
-                        r.qa_id: token_f1(r.predicted_answer, gold[r.qa_id]) for r in recs
-                    }
+    for regime_id in regimes:
+        f1_by_qa = {
+            cid: {s.qa_id: s.f1 for s in scores}
+            for (cid, rid), scores in scored.items()
+            if rid == regime_id
+        }
         pooled_inputs = []
         pooled_ids = None
         for pair in matched:
@@ -447,8 +450,7 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, run_set, pairs) -> None:
 
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
-    _, pairs, _ = _load_dataset(ws)
-    run_set = _load_runs(ws, {p.qa_id for p in pairs})
+    run_set, scored = _score_runs(ws)
     axes = tuple(args.axes.split(","))
     for axis in axes:
         if axis not in COST_AXES:
@@ -456,7 +458,7 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             return 1
     regimes = [args.regime] if args.regime else run_set.regimes()
     costs = _load_costs(ws)
-    tables = _regime_table_rows(ws, run_set, pairs, costs)
+    tables = _regime_table_rows(ws, run_set, scored, costs)
     for regime_id in regimes:
         rows = tables.get(regime_id)
         if rows is None:
@@ -487,9 +489,8 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_report(ws: WorkspaceConfig, args) -> int:
-    _, pairs, _ = _load_dataset(ws)
-    run_set = _load_runs(ws, {p.qa_id for p in pairs})
-    tables = _regime_table_rows(ws, run_set, pairs, _load_costs(ws))
+    run_set, scored = _score_runs(ws)
+    tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
     ws.out.mkdir(parents=True, exist_ok=True)
     for regime_id, rows in tables.items():
         _write_regime_csv(ws.out / f"regime_{regime_id}.csv", rows)
@@ -514,10 +515,10 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
                 ]
             )
     _write_json(ws.out / "scheme_wins.json", report.scheme_wins(summary))
+    # load_runs rejects mixed top_k within a (config, regime).
     by_k = {}
-    for (config_id, regime_id), recs in run_set.by_config_regime().items():
-        k = recs[0].eval_top_k
-        by_k.setdefault(k, set()).add(regime_id)
+    for rec in run_set.records:
+        by_k.setdefault(rec.eval_top_k, set()).add(rec.regime_id)
     if len(by_k) >= 2:
         k_tables = {
             k: [row for rid in regimes for row in tables[rid]]
@@ -533,15 +534,17 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
                      _fmt(r.best_latency), ";".join(r.front_configs)]
                 )
     if ws.labels is not None and ws.labels.exists():
-        labels = []
-        for lineno, rec in ingest._read_jsonl(ws.labels):
-            labels.append(
-                report.ErrorLabel(
+        labels = [
+            label
+            for _, label in ingest.read_rows(
+                ws.labels,
+                lambda rec: report.ErrorLabel(
                     qa_id=str(rec["qa_id"]),
                     config_id=str(rec["config"]),
                     error_class=str(rec["class"]),
-                )
+                ),
             )
+        ]
         _write_json(ws.out / "error_counts.json", report.error_counts(labels))
     print(f"report: wrote tables for {len(tables)} regimes under {ws.out}")
     return 0

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import HarnessError
+from .errors import HarnessError, as_int
 
 
 class IngestError(HarnessError):
@@ -81,12 +81,6 @@ class RunSet:
     manifest: dict
     unmatched_scores: list[JudgeScore] = field(default_factory=list)
 
-    def by_config_regime(self) -> dict:
-        grouped: dict[tuple[str, str], list[RunRecord]] = {}
-        for rec in self.records:
-            grouped.setdefault((rec.config_id, rec.regime_id), []).append(rec)
-        return grouped
-
     def regimes(self) -> list[str]:
         return sorted({rec.regime_id for rec in self.records})
 
@@ -99,26 +93,43 @@ def file_checksum(path) -> str:
     return digest.hexdigest()
 
 
-def _read_jsonl(path: Path):
+def read_rows(path, build):
+    """Yield (lineno, build(row)) for each row of a JSON-lines file. A blank
+    line is skipped; a malformed line, a row that is not an object, and a
+    missing or unconvertible field are IngestErrors naming file:line. Typed
+    errors from `build` pass through."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield lineno, json.loads(line)
+                row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise IngestError(f"{path}:{lineno}: malformed line: {exc}") from exc
+            if not isinstance(row, dict):
+                raise IngestError(f"{path}:{lineno}: expected a JSON object")
+            try:
+                item = build(row)
+            except HarnessError:
+                raise
+            except KeyError as exc:
+                raise IngestError(f"{path}:{lineno}: missing field {exc}") from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise IngestError(f"{path}:{lineno}: bad field value: {exc}") from exc
+            yield lineno, item
 
 
-# What reading a missing or unconvertible field of an input row raises.
-_FIELD_ERRORS = (AttributeError, KeyError, TypeError, ValueError)
-
-
-def _field_error(path, lineno: int, exc: Exception) -> IngestError:
-    if isinstance(exc, KeyError):
-        return IngestError(f"{path}:{lineno}: missing field {exc}")
-    return IngestError(f"{path}:{lineno}: bad field value: {exc}")
+def _run_record(rec: dict) -> RunRecord:
+    return RunRecord(
+        config_id=str(rec["config"]),
+        regime_id=str(rec["regime"]),
+        qa_id=str(rec["qa_id"]),
+        predicted_answer=str(rec["answer"]),
+        latency=float(rec["latency_s"]),
+        context_chunk_ids=tuple(rec.get("context_ids", ())),
+        eval_top_k=as_int(rec.get("top_k", 2), "top_k"),
+    )
 
 
 def load_runs(path, qa_ids=None) -> RunSet:
@@ -136,6 +147,7 @@ def load_runs(path, qa_ids=None) -> RunSet:
         raise IngestError(f"{manifest_path}: expected a JSON object")
     records: list[RunRecord] = []
     seen: set[tuple[str, str, str]] = set()
+    top_k: dict[tuple[str, str], int] = {}
     for entry in manifest.get("files", []):
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
@@ -149,25 +161,17 @@ def load_runs(path, qa_ids=None) -> RunSet:
                 raise IngestError(
                     f"checksum mismatch for {file_path}: {actual} != {expected}"
                 )
-        for lineno, rec in _read_jsonl(file_path):
-            try:
-                record = RunRecord(
-                    config_id=str(rec["config"]),
-                    regime_id=str(rec["regime"]),
-                    qa_id=str(rec["qa_id"]),
-                    predicted_answer=str(rec["answer"]),
-                    latency=float(rec["latency_s"]),
-                    context_chunk_ids=tuple(rec.get("context_ids", ())),
-                    eval_top_k=int(rec.get("top_k", 2)),
-                )
-            except HarnessError:
-                raise
-            except _FIELD_ERRORS as exc:
-                raise _field_error(file_path, lineno, exc) from exc
+        for lineno, record in read_rows(file_path, _run_record):
             key = (record.config_id, record.regime_id, record.qa_id)
             if key in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
             seen.add(key)
+            k = top_k.setdefault(key[:2], record.eval_top_k)
+            if record.eval_top_k != k:
+                raise IngestError(
+                    f"{file_path}:{lineno}: top_k {record.eval_top_k} differs from "
+                    f"top_k {k} earlier in ({record.config_id}, {record.regime_id})"
+                )
             if qa_ids is not None and record.qa_id not in qa_ids:
                 raise IngestError(f"{file_path}:{lineno}: unknown qa_id {record.qa_id!r}")
             records.append(record)
@@ -177,22 +181,19 @@ def load_runs(path, qa_ids=None) -> RunSet:
 def attach_judge_scores(run_set: RunSet, path) -> RunSet:
     """Left-join judge scores onto run records. Unmatched score rows are
     collected, not fatal; re-attaching the same file is idempotent."""
-    scores: list[JudgeScore] = []
-    for lineno, rec in _read_jsonl(Path(path)):
-        try:
-            scores.append(
-                JudgeScore(
-                    config_id=str(rec["config"]),
-                    regime_id=str(rec["regime"]),
-                    qa_id=str(rec["qa_id"]),
-                    correctness=int(rec["correctness"]),
-                    groundedness=int(rec["groundedness"]),
-                )
-            )
-        except HarnessError:
-            raise
-        except _FIELD_ERRORS as exc:
-            raise _field_error(path, lineno, exc) from exc
+    scores = [
+        score
+        for _, score in read_rows(
+            path,
+            lambda rec: JudgeScore(
+                config_id=str(rec["config"]),
+                regime_id=str(rec["regime"]),
+                qa_id=str(rec["qa_id"]),
+                correctness=as_int(rec["correctness"], "correctness"),
+                groundedness=as_int(rec["groundedness"], "groundedness"),
+            ),
+        )
+    ]
     by_key = {(s.config_id, s.regime_id, s.qa_id): s for s in scores}
     joined: list[RunRecord] = []
     matched: set[tuple[str, str, str]] = set()
@@ -214,22 +215,20 @@ def load_cost_profile(path, grid_ids=None) -> dict:
     """Load cost profiles keyed by config id. `grid_ids`, when given, rejects
     configs outside the known grid."""
     profiles: dict[str, CostProfile] = {}
-    for lineno, rec in _read_jsonl(Path(path)):
-        try:
-            config_id = str(rec["config"])
-            profile = CostProfile(
-                config_id=config_id,
-                inference_vram=_optional_float(rec.get("inf_vram_gb")),
-                training_time=_optional_float(rec.get("train_min")),
-                training_vram=_optional_float(rec.get("train_vram_gb")),
-                inference_vram_by_regime={
-                    k: float(v) for k, v in rec.get("inf_vram_by_regime", {}).items()
-                },
-            )
-        except HarnessError:
-            raise
-        except _FIELD_ERRORS as exc:
-            raise _field_error(path, lineno, exc) from exc
+    rows = read_rows(
+        path,
+        lambda rec: CostProfile(
+            config_id=str(rec["config"]),
+            inference_vram=_optional_float(rec.get("inf_vram_gb")),
+            training_time=_optional_float(rec.get("train_min")),
+            training_vram=_optional_float(rec.get("train_vram_gb")),
+            inference_vram_by_regime={
+                k: float(v) for k, v in rec.get("inf_vram_by_regime", {}).items()
+            },
+        ),
+    )
+    for lineno, profile in rows:
+        config_id = profile.config_id
         if config_id in profiles:
             raise IngestError(f"{path}:{lineno}: duplicate config {config_id!r}")
         if grid_ids is not None and config_id not in grid_ids:

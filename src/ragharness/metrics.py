@@ -1,5 +1,5 @@
-"""Per-example and per-configuration quality metrics: answer normalization,
-token-level F1, exact match, and judge pass-rate aggregation."""
+"""Per-record quality metrics: answer normalization, token-level F1, exact
+match, judge pass rates, and the one pass that scores a run set."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import HarnessError
-from .stats import Interval, ResamplePlan, bootstrap_ci
 
 # Characters that survive normalization so flags, paths, and versions keep
 # their shape ("--windows-line-endings", "/etc/kubernetes", "v1.29").
@@ -78,9 +77,14 @@ def pass_at_threshold(scores, threshold: int = 4) -> float:
 
 @dataclass(frozen=True)
 class ExampleScore:
+    """The scores of one run record: one line of ``scores.jsonl``."""
+
+    config_id: str
+    regime_id: str
     qa_id: str
     f1: float
     exact_match: bool
+    latency: float
     correctness: int | None = None
     groundedness: int | None = None
 
@@ -93,64 +97,25 @@ class ExampleScore:
                 raise MetricsError(f"{name} out of 1..5: {val}")
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    config_id: str
-    regime_id: str
-    n: int
-    f1_mean: float
-    f1_interval: Interval
-    em_rate: float
-    mean_latency: float
-    grnd_pass: float | None = None
-    grnd_interval: Interval | None = None
-    corr_pass: float | None = None
-    corr_interval: Interval | None = None
-    judge_n: int = 0
-
-
-def summarize_config(
-    config_id: str,
-    regime_id: str,
-    records: list[ExampleScore],
-    latencies: dict,
-    plan: ResamplePlan,
-    pass_threshold: int = 4,
-) -> MetricSummary:
-    """Aggregate per-example scores into one config row; intervals come from
-    the bootstrap. `latencies` maps qa_id -> seconds and must cover every
-    record."""
-    if not records:
-        raise MetricsError("records must be nonempty")
-    missing = [r.qa_id for r in records if r.qa_id not in latencies]
-    if missing:
-        raise MetricsError(f"latency missing for qa_ids: {missing[:5]}")
-    f1s = [r.f1 for r in records]
-    f1_mean = sum(f1s) / len(f1s)
-    em_rate = sum(1 for r in records if r.exact_match) / len(records)
-    mean_latency = sum(latencies[r.qa_id] for r in records) / len(records)
-
-    judged = [r for r in records if r.groundedness is not None and r.correctness is not None]
-    grnd_pass = grnd_interval = corr_pass = corr_interval = None
-    if judged:
-        grnd_flags = [1.0 if r.groundedness >= pass_threshold else 0.0 for r in judged]
-        corr_flags = [1.0 if r.correctness >= pass_threshold else 0.0 for r in judged]
-        grnd_pass = sum(grnd_flags) / len(grnd_flags)
-        corr_pass = sum(corr_flags) / len(corr_flags)
-        grnd_interval = bootstrap_ci(grnd_flags, plan)
-        corr_interval = bootstrap_ci(corr_flags, plan)
-
-    return MetricSummary(
-        config_id=config_id,
-        regime_id=regime_id,
-        n=len(records),
-        f1_mean=f1_mean,
-        f1_interval=bootstrap_ci(f1s, plan),
-        em_rate=em_rate,
-        mean_latency=mean_latency,
-        grnd_pass=grnd_pass,
-        grnd_interval=grnd_interval,
-        corr_pass=corr_pass,
-        corr_interval=corr_interval,
-        judge_n=len(judged),
-    )
+def score_runs(run_set, gold_answers: dict) -> dict:
+    """Score every record of a `RunSet` once against `gold_answers` (qa_id ->
+    answer): {(config_id, regime_id): [ExampleScore, ...]}, each list in
+    record order, since bootstrap resampling is by position."""
+    scored: dict[tuple[str, str], list[ExampleScore]] = {}
+    for rec in run_set.records:
+        gold = gold_answers.get(rec.qa_id)
+        if gold is None:
+            raise MetricsError(f"no gold answer for qa_id {rec.qa_id!r}")
+        scored.setdefault((rec.config_id, rec.regime_id), []).append(
+            ExampleScore(
+                config_id=rec.config_id,
+                regime_id=rec.regime_id,
+                qa_id=rec.qa_id,
+                f1=token_f1(rec.predicted_answer, gold),
+                exact_match=exact_match(rec.predicted_answer, gold),
+                latency=rec.latency,
+                correctness=rec.correctness,
+                groundedness=rec.groundedness,
+            )
+        )
+    return scored

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import HarnessError
-from .ingest import RunSet
-from .metrics import ExampleScore, exact_match, token_f1
+from .metrics import pass_at_threshold
 from .pareto import CostVector, ParetoPoint, pareto_front
 from .stats import Interval, ResamplePlan, bootstrap_ci
 
@@ -73,54 +72,38 @@ def config_scheme(config_id: str) -> str:
 
 
 def regime_table(
-    run_set: RunSet,
+    scored: dict,
     regime_id: str,
-    gold_answers: dict,
     cost_profiles: dict,
     plan: ResamplePlan,
     pass_threshold: int = 4,
 ) -> list[RegimeRow]:
-    """One row per config present in the regime, sorted by config id."""
-    grouped = {
-        key: recs
-        for key, recs in run_set.by_config_regime().items()
-        if key[1] == regime_id
-    }
-    if not grouped:
+    """One row per config present in the regime, sorted by config id.
+    `scored` maps (config_id, regime_id) -> [ExampleScore, ...], as
+    `metrics.score_runs` returns it."""
+    config_ids = sorted(cid for cid, rid in scored if rid == regime_id)
+    if not config_ids:
         raise ReportError(f"regime {regime_id!r} absent from run set")
     rows: list[RegimeRow] = []
-    for (config_id, _), recs in sorted(grouped.items()):
-        scores = []
-        for rec in recs:
-            gold = gold_answers.get(rec.qa_id)
-            if gold is None:
-                raise ReportError(f"no gold answer for qa_id {rec.qa_id!r}")
-            scores.append(
-                ExampleScore(
-                    qa_id=rec.qa_id,
-                    f1=token_f1(rec.predicted_answer, gold),
-                    exact_match=exact_match(rec.predicted_answer, gold),
-                    correctness=rec.correctness,
-                    groundedness=rec.groundedness,
-                )
-            )
+    for config_id in config_ids:
+        scores = scored[(config_id, regime_id)]
         f1s = [s.f1 for s in scores]
         f1_mean = sum(f1s) / len(f1s)
         em_rate = sum(1 for s in scores if s.exact_match) / len(scores)
-        latency = sum(r.latency for r in recs) / len(recs)
+        latency = sum(s.latency for s in scores) / len(scores)
         judged = [s for s in scores if s.groundedness is not None]
         grnd_pass = grnd_interval = corr_pass = corr_interval = None
         if judged:
-            grnd_flags = [
-                1.0 if s.groundedness >= pass_threshold else 0.0 for s in judged
-            ]
-            corr_flags = [
-                1.0 if s.correctness >= pass_threshold else 0.0 for s in judged
-            ]
-            grnd_pass = sum(grnd_flags) / len(grnd_flags)
-            corr_pass = sum(corr_flags) / len(corr_flags)
-            grnd_interval = bootstrap_ci(grnd_flags, plan)
-            corr_interval = bootstrap_ci(corr_flags, plan)
+            grnd = [s.groundedness for s in judged]
+            corr = [s.correctness for s in judged]
+            grnd_pass = pass_at_threshold(grnd, pass_threshold)
+            corr_pass = pass_at_threshold(corr, pass_threshold)
+            grnd_interval = bootstrap_ci(
+                [1.0 if g >= pass_threshold else 0.0 for g in grnd], plan
+            )
+            corr_interval = bootstrap_ci(
+                [1.0 if c >= pass_threshold else 0.0 for c in corr], plan
+            )
         profile = cost_profiles.get(config_id)
         vram = profile.inference_vram_for(regime_id) if profile else None
         rows.append(
@@ -135,7 +118,7 @@ def regime_table(
                 corr_interval=corr_interval,
                 inference_vram=vram,
                 em_rate=em_rate,
-                n=len(recs),
+                n=len(scores),
             )
         )
     return rows

@@ -1,8 +1,10 @@
 import json
 import shutil
+import sys
 
 import pytest
 
+from ragharness import metrics
 from ragharness.cli import load_workspace, main
 from ragharness.ingest import file_checksum
 from tests.conftest import SMOKE_WORKSPACE
@@ -61,6 +63,28 @@ def test_unknown_subcommand_exits_2(workspace, capsys):
 def test_validate_ok(workspace, capsys):
     assert run(workspace, "validate") == 0
     assert "validate: ok" in capsys.readouterr().out
+
+
+def test_validate_reports_judge_coverage(workspace, capsys):
+    judge = workspace / "judge.jsonl"
+    rows = judge.read_text(encoding="utf-8").splitlines()
+    stray = json.dumps({"config": "8B baseline", "regime": "01_base__neutral",
+                        "qa_id": "qa000", "correctness": 3, "groundedness": 3})
+    judge.write_text("\n".join(rows[1:] + [stray]) + "\n", encoding="utf-8")
+    assert run(workspace, "validate") == 0
+    out = capsys.readouterr().out
+    assert "1 judge rows match no record, 1 of 120 records have no judge score" in out
+    assert not (workspace / "out").exists()
+
+
+def test_stats_scores_each_record_once(workspace, monkeypatch):
+    calls = []
+    token_f1 = metrics.token_f1
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ragharness") and getattr(module, "token_f1", None) is token_f1:
+            monkeypatch.setattr(module, "token_f1", lambda *a: calls.append(a) or token_f1(*a))
+    assert run(workspace, "stats") == 0
+    assert len(calls) == 4 * 30
 
 
 def test_validate_empty_workspace(tmp_path, capsys):
@@ -215,6 +239,23 @@ def _judge_correctness(value):
     return write
 
 
+def _labels(text):
+    def write(workspace):
+        (workspace / "labels.jsonl").write_text(text, encoding="utf-8")
+        _edit_json("workspace.json", lambda c: c.update(labels="labels.jsonl"))(workspace)
+
+    return write
+
+
+def _edit_run(edit):
+    def write(workspace):
+        records = read_run(workspace, QV)
+        edit(records[-1])
+        write_run(workspace, QV, records)
+
+    return write
+
+
 def _regime_without_id(config):
     del config["regimes"][0]["id"]
 
@@ -260,6 +301,28 @@ def _regime_without_id(config):
             "rerank.json: expected",
         ),
         (_file_text("runs/manifest.json", "{"), ["score"], "manifest.json: malformed JSON"),
+        (
+            _labels('{"qa_id": "qa000", "config": "3B baseline"}\n'),
+            ["report"],
+            "labels.jsonl:1: missing field 'class'",
+        ),
+        (_labels("[1, 2]\n"), ["report"], "labels.jsonl:1: expected a JSON object"),
+        (
+            _judge_correctness(4.7),
+            ["validate"],
+            "judge.jsonl:1: bad field value: correctness must be an integer, got 4.7",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(retrieve_top_n=10.9)),
+            ["validate"],
+            "retrieve_top_n must be an integer, got 10.9",
+        ),
+        (
+            _edit_run(lambda r: r.update(top_k=2.5)),
+            ["score"],
+            "bad field value: top_k must be an integer, got 2.5",
+        ),
+        (_edit_run(lambda r: r.update(top_k=4)), ["report"], "top_k 4 differs from top_k 2"),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -268,6 +331,8 @@ def _regime_without_id(config):
         "regime_without_id_validate", "regime_without_id_retrieve", "unknown_variant",
         "judge_non_numeric", "judge_null", "knob_non_numeric", "knob_wrong_type",
         "duplicate_regime_id", "rerank_non_numeric", "manifest_bad_json",
+        "labels_missing_field", "labels_not_object", "judge_fractional", "knob_fractional",
+        "top_k_fractional", "mixed_top_k",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ragharness.errors import as_int
 from ragharness.ingest import (
     CostProfile,
     IngestError,
@@ -137,6 +138,15 @@ def test_judge_score_range():
         JudgeScore("c", "r", "q", correctness=0, groundedness=4)
     with pytest.raises(IngestError):
         JudgeScore("c", "r", "q", correctness=4, groundedness=6)
+
+
+def test_as_int_rejects_fractions_and_keeps_integral_values():
+    assert as_int(4, "k") == 4
+    assert as_int(4.0, "k") == 4
+    assert as_int("4", "k") == 4
+    for bad in (4.7, -0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            as_int(bad, "k")
 
 
 def test_load_cost_profile(tmp_path):

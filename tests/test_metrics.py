@@ -3,16 +3,16 @@ from collections import Counter
 
 import pytest
 
+from ragharness.ingest import RunRecord, RunSet
 from ragharness.metrics import (
     ExampleScore,
     MetricsError,
     exact_match,
     normalize_answer,
     pass_at_threshold,
-    summarize_config,
+    score_runs,
     token_f1,
 )
-from ragharness.stats import ResamplePlan
 
 WORDS = ["the", "port", "6443", "--flag", "kubectl", "edit", "a", "node", "pod.spec"]
 
@@ -101,39 +101,31 @@ def test_pass_at_threshold():
         pass_at_threshold([6])
 
 
-def test_summarize_config_means_match_direct_recomputation():
+def test_score_runs_scores_each_record_once_in_record_order():
+    gold = {"q0": "port 6443", "q1": "use --force"}
     records = [
-        ExampleScore(qa_id=f"q{i}", f1=0.1 * i, exact_match=i % 2 == 0,
-                     correctness=5 if i > 4 else 2, groundedness=4 if i > 2 else 1)
-        for i in range(10)
+        RunRecord("cfgA", "01", "q1", "use --force", 0.7, correctness=5, groundedness=4),
+        RunRecord("cfgB", "01", "q0", "port 6444", 0.5),
+        RunRecord("cfgA", "01", "q0", "the port 6443", 0.6),
     ]
-    latencies = {f"q{i}": 0.5 + 0.01 * i for i in range(10)}
-    summary = summarize_config(
-        "cfg", "regime", records, latencies, ResamplePlan(n_resamples=50)
+    scored = score_runs(RunSet(records=records, manifest={}), gold)
+    assert list(scored) == [("cfgA", "01"), ("cfgB", "01")]
+    first, second = scored[("cfgA", "01")]
+    assert (first.qa_id, second.qa_id) == ("q1", "q0")
+    assert first == ExampleScore(
+        config_id="cfgA", regime_id="01", qa_id="q1", f1=1.0, exact_match=True,
+        latency=0.7, correctness=5, groundedness=4,
     )
-    assert summary.f1_mean == pytest.approx(sum(0.1 * i for i in range(10)) / 10)
-    assert summary.em_rate == 0.5
-    assert summary.mean_latency == pytest.approx(sum(latencies.values()) / 10)
-    assert summary.grnd_pass == pytest.approx(0.7)
-    assert summary.corr_pass == pytest.approx(0.5)
-    assert summary.judge_n == 10
-    assert summary.f1_interval.lo <= summary.f1_mean <= summary.f1_interval.hi
+    assert second.exact_match and second.correctness is None
+    (other,) = scored[("cfgB", "01")]
+    assert other.f1 == token_f1("port 6444", "port 6443")
+    assert not other.exact_match
 
 
-def test_summarize_config_without_judge_scores():
-    records = [ExampleScore(qa_id="q0", f1=0.5, exact_match=False)]
-    summary = summarize_config(
-        "cfg", "regime", records, {"q0": 0.6}, ResamplePlan(n_resamples=10)
-    )
-    assert summary.grnd_pass is None
-    assert summary.grnd_interval is None
-    assert summary.judge_n == 0
-
-
-def test_summarize_config_missing_latency():
-    records = [ExampleScore(qa_id="q0", f1=0.5, exact_match=False)]
-    with pytest.raises(MetricsError, match="latency missing"):
-        summarize_config("cfg", "r", records, {}, ResamplePlan(n_resamples=10))
+def test_score_runs_rejects_a_record_without_gold():
+    records = [RunRecord("cfg", "01", "q9", "anything", 0.5)]
+    with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
+        score_runs(RunSet(records=records, manifest={}), {"q0": "port"})
 
 
 def test_counter_equivalence_sanity():

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from ragharness.ingest import RunRecord, RunSet
+from ragharness.metrics import ExampleScore, score_runs, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
     ERROR_CLASSES,
@@ -56,11 +57,9 @@ def make_run_set():
 
 def test_regime_table_means_match_direct_recomputation():
     run_set, gold = make_run_set()
-    rows = regime_table(run_set, "01", gold, {}, ResamplePlan(n_resamples=50))
+    rows = regime_table(score_runs(run_set, gold), "01", {}, ResamplePlan(n_resamples=50))
     assert [r.config_id for r in rows] == ["cfgA", "cfgB"]
     cfg_a = rows[0]
-    from ragharness.metrics import token_f1
-
     expected = sum(
         token_f1(rec.predicted_answer, gold[rec.qa_id])
         for rec in run_set.records
@@ -73,10 +72,46 @@ def test_regime_table_means_match_direct_recomputation():
     assert rows[1].grnd_pass == 0.0
 
 
+def scored_row(i, **judge):
+    return ExampleScore(
+        config_id="cfg", regime_id="r", qa_id=f"q{i}", f1=0.1 * i,
+        exact_match=i % 2 == 0, latency=0.5 + 0.01 * i, **judge,
+    )
+
+
+def test_regime_table_pass_rates_match_direct_recomputation():
+    scores = [
+        scored_row(i, correctness=5 if i > 4 else 2, groundedness=4 if i > 2 else 1)
+        for i in range(10)
+    ]
+    (row,) = regime_table({("cfg", "r"): scores}, "r", {}, ResamplePlan(n_resamples=50))
+    assert row.n == 10
+    assert row.f1 == pytest.approx(sum(0.1 * i for i in range(10)) / 10)
+    assert row.em_rate == 0.5
+    assert row.latency == pytest.approx(sum(0.5 + 0.01 * i for i in range(10)) / 10)
+    assert row.grnd_pass == 0.7
+    assert row.corr_pass == 0.5
+    assert row.f1_interval.lo <= row.f1 <= row.f1_interval.hi
+    assert row.grnd_interval.lo <= row.grnd_pass <= row.grnd_interval.hi
+    (strict,) = regime_table(
+        {("cfg", "r"): scores}, "r", {}, ResamplePlan(n_resamples=50), pass_threshold=5
+    )
+    assert strict.grnd_pass == 0.0
+    assert strict.corr_pass == 0.5
+
+
+def test_regime_table_without_judge_scores():
+    (row,) = regime_table({("cfg", "r"): [scored_row(5)]}, "r", {}, ResamplePlan(n_resamples=10))
+    assert row.f1 == 0.5
+    assert row.f1_interval is not None
+    assert row.grnd_pass is None and row.grnd_interval is None
+    assert row.corr_pass is None and row.corr_interval is None
+
+
 def test_regime_table_absent_regime():
     run_set, gold = make_run_set()
     with pytest.raises(ReportError, match="absent"):
-        regime_table(run_set, "99", gold, {}, ResamplePlan(n_resamples=10))
+        regime_table(score_runs(run_set, gold), "99", {}, ResamplePlan(n_resamples=10))
 
 
 def test_ablation_summary_published_fixture(regime_tables):
