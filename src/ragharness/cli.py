@@ -31,7 +31,9 @@ class WorkspaceError(HarnessError):
     pass
 
 
-def _parse_regimes(config_path: Path, specs, retrieve_top_n: int, eval_top_k: int):
+def _parse_regimes(
+    config_path: Path, specs, retrieve_top_n: int, eval_top_k: int, k_rrf: float
+):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
     id and a known variant."""
     if not isinstance(specs, list):
@@ -51,6 +53,7 @@ def _parse_regimes(config_path: Path, specs, retrieve_top_n: int, eval_top_k: in
                 prompt_mode=spec.get("prompt_mode", "neutral"),
                 retrieve_top_n=retrieve_top_n,
                 eval_top_k=eval_top_k,
+                k_rrf=k_rrf,
             )
         except retrieval.RetrievalError as exc:
             raise WorkspaceError(f"{where}: {exc}") from exc
@@ -93,6 +96,7 @@ class WorkspaceConfig:
             self.regimes,
             self.retrieve_top_n,
             self.eval_top_k,
+            self.k_rrf,
         )
 
     def plan(self) -> ResamplePlan:
@@ -125,7 +129,7 @@ def load_workspace(root) -> WorkspaceConfig:
         value = raw.get(key, default)
         try:
             return as_int(value, key) if kind is int else kind(value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise WorkspaceError(
                 f"{config_path}: {key} must be {noun}, got {value!r}"
@@ -162,10 +166,10 @@ def _load_dataset(ws: WorkspaceConfig):
 def _load_runs(ws: WorkspaceConfig, qa_ids):
     if ws.runs is None:
         raise WorkspaceError("workspace defines no run-set directory")
-    run_set = ingest.load_runs(ws.runs, qa_ids=qa_ids)
-    if ws.judge_scores is not None and ws.judge_scores.exists():
-        run_set = ingest.attach_judge_scores(run_set, ws.judge_scores)
-    return run_set
+    judge = ws.judge_scores
+    return ingest.load_runs(
+        ws.runs, qa_ids=qa_ids, judge_path=judge if judge and judge.exists() else None
+    )
 
 
 def _load_costs(ws: WorkspaceConfig) -> dict:
@@ -257,6 +261,11 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
                 run_set = _load_runs(ws, {p.qa_id for p in pairs})
             except HarnessError as exc:
                 problems.append(str(exc))
+    for load in (_load_embeddings, _load_rerank):
+        try:
+            load(ws)
+        except HarnessError as exc:
+            problems.append(str(exc))
     if problems:
         for p in problems:
             print(f"validate: {p}", file=sys.stderr)
@@ -287,7 +296,7 @@ def _load_embeddings(ws: WorkspaceConfig):
         queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
     except KeyError as exc:
         raise WorkspaceError(f"{ws.embeddings}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
         raise WorkspaceError(f"{ws.embeddings}: bad value: {exc}") from exc
     return retrieval.EmbeddingTable(vectors=vectors, dim=dim), queries
 
@@ -516,14 +525,12 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
             )
     _write_json(ws.out / "scheme_wins.json", report.scheme_wins(summary))
     # load_runs rejects mixed top_k within a (config, regime).
-    by_k = {}
-    for rec in run_set.records:
-        by_k.setdefault(rec.eval_top_k, set()).add(rec.regime_id)
-    if len(by_k) >= 2:
-        k_tables = {
-            k: [row for rid in regimes for row in tables[rid]]
-            for k, regimes in by_k.items()
-        }
+    top_k = {(rec.config_id, rec.regime_id): rec.eval_top_k for rec in run_set.records}
+    k_tables = {}
+    for regime_id in sorted(tables):
+        for row in tables[regime_id]:
+            k_tables.setdefault(top_k[row.config_id, regime_id], []).append(row)
+    if len(k_tables) >= 2:
         rows = report.topk_summary(k_tables)
         with open(ws.out / "topk_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")

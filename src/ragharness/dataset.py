@@ -6,11 +6,11 @@ are kept on the record but otherwise ignored.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError
+from .errors import HarnessError, as_int
+from .ingest import read_rows
 
 ANSWER_TYPES = ("exact", "normal")
 SPLITS = ("train", "eval", "test")
@@ -79,19 +79,25 @@ class SplitCensus:
         return self.per_split.get(split, {}).get(answer_type, 0)
 
 
-def _iter_records(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: malformed record: {exc}") from exc
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}:{lineno}: record is not an object")
-            yield lineno, record
+_CHUNK_FIELDS = {"chunk_id", "doc_id", "text", "token_count"}
+_QA_FIELDS = {
+    "qa_id",
+    "question",
+    "gold_answer",
+    "answer_type",
+    "split",
+    "supporting_chunk_ids",
+}
+
+
+def _chunk(rec: dict) -> Chunk:
+    return Chunk(
+        chunk_id=str(rec["chunk_id"]),
+        doc_id=str(rec.get("doc_id", "")),
+        text=str(rec["text"]),
+        token_count=as_int(rec.get("token_count", 0), "token_count"),
+        extra={k: v for k, v in rec.items() if k not in _CHUNK_FIELDS},
+    )
 
 
 def load_corpus(path) -> list[Chunk]:
@@ -101,18 +107,7 @@ def load_corpus(path) -> list[Chunk]:
         raise DatasetError(f"corpus file not found: {path}")
     chunks: list[Chunk] = []
     seen: set[str] = set()
-    for lineno, rec in _iter_records(path):
-        known = {"chunk_id", "doc_id", "text", "token_count"}
-        try:
-            chunk = Chunk(
-                chunk_id=str(rec["chunk_id"]),
-                doc_id=str(rec.get("doc_id", "")),
-                text=str(rec["text"]),
-                token_count=int(rec.get("token_count", 0)),
-                extra={k: v for k, v in rec.items() if k not in known},
-            )
-        except KeyError as exc:
-            raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
+    for lineno, chunk in read_rows(path, _chunk, DatasetError):
         if chunk.chunk_id in seen:
             raise DatasetError(
                 f"{path}:{lineno}: duplicate chunk_id {chunk.chunk_id!r}"
@@ -120,6 +115,25 @@ def load_corpus(path) -> list[Chunk]:
         seen.add(chunk.chunk_id)
         chunks.append(chunk)
     return chunks
+
+
+def _qa_pair(rec: dict) -> QaPair:
+    support = rec.get("supporting_chunk_ids")
+    if support is not None and not (
+        isinstance(support, list) and all(isinstance(cid, str) for cid in support)
+    ):
+        raise DatasetError(
+            f"supporting_chunk_ids must be a list of strings, got {support!r}"
+        )
+    return QaPair(
+        qa_id=str(rec["qa_id"]),
+        question=str(rec["question"]),
+        gold_answer=str(rec["gold_answer"]),
+        answer_type=str(rec["answer_type"]),
+        split=str(rec["split"]),
+        supporting_chunk_ids=tuple(support) if support is not None else None,
+        extra={k: v for k, v in rec.items() if k not in _QA_FIELDS},
+    )
 
 
 def load_qa(path) -> tuple[list[QaPair], SplitCensus]:
@@ -130,30 +144,7 @@ def load_qa(path) -> tuple[list[QaPair], SplitCensus]:
     pairs: list[QaPair] = []
     seen: set[str] = set()
     census: dict[str, dict[str, int]] = {}
-    known = {
-        "qa_id",
-        "question",
-        "gold_answer",
-        "answer_type",
-        "split",
-        "supporting_chunk_ids",
-    }
-    for lineno, rec in _iter_records(path):
-        support = rec.get("supporting_chunk_ids")
-        try:
-            pair = QaPair(
-                qa_id=str(rec["qa_id"]),
-                question=str(rec["question"]),
-                gold_answer=str(rec["gold_answer"]),
-                answer_type=str(rec["answer_type"]),
-                split=str(rec["split"]),
-                supporting_chunk_ids=tuple(support) if support is not None else None,
-                extra={k: v for k, v in rec.items() if k not in known},
-            )
-        except KeyError as exc:
-            raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
-        except DatasetError as exc:
-            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, pair in read_rows(path, _qa_pair, DatasetError):
         if pair.qa_id in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate qa_id {pair.qa_id!r}")
         seen.add(pair.qa_id)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import HarnessError, as_int
@@ -78,7 +78,7 @@ class CostProfile:
 @dataclass
 class RunSet:
     records: list[RunRecord]
-    manifest: dict
+    # Judge rows that match no record, in file order.
     unmatched_scores: list[JudgeScore] = field(default_factory=list)
 
     def regimes(self) -> list[str]:
@@ -93,11 +93,11 @@ def file_checksum(path) -> str:
     return digest.hexdigest()
 
 
-def read_rows(path, build):
+def read_rows(path, build, error=IngestError):
     """Yield (lineno, build(row)) for each row of a JSON-lines file. A blank
-    line is skipped; a malformed line, a row that is not an object, and a
-    missing or unconvertible field are IngestErrors naming file:line. Typed
-    errors from `build` pass through."""
+    line is skipped; a malformed line, a row that is not an object, a missing
+    or unconvertible field and a typed error raised by `build` are `error`s
+    naming file:line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -106,35 +106,62 @@ def read_rows(path, build):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise IngestError(f"{path}:{lineno}: malformed line: {exc}") from exc
+                raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
             if not isinstance(row, dict):
-                raise IngestError(f"{path}:{lineno}: expected a JSON object")
+                raise error(f"{path}:{lineno}: expected a JSON object")
             try:
                 item = build(row)
-            except HarnessError:
-                raise
             except KeyError as exc:
-                raise IngestError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise IngestError(f"{path}:{lineno}: bad field value: {exc}") from exc
+                raise error(f"{path}:{lineno}: missing field {exc}") from exc
+            except HarnessError as exc:
+                raise error(f"{path}:{lineno}: {exc}") from exc
+            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+                raise error(f"{path}:{lineno}: bad field value: {exc}") from exc
             yield lineno, item
 
 
-def _run_record(rec: dict) -> RunRecord:
-    return RunRecord(
+def _judge_score(rec: dict) -> JudgeScore:
+    return JudgeScore(
         config_id=str(rec["config"]),
         regime_id=str(rec["regime"]),
         qa_id=str(rec["qa_id"]),
+        correctness=as_int(rec["correctness"], "correctness"),
+        groundedness=as_int(rec["groundedness"], "groundedness"),
+    )
+
+
+def _run_record(rec: dict, judged: dict) -> RunRecord:
+    """A run record with the judge score of its key popped from `judged`."""
+    key = (str(rec["config"]), str(rec["regime"]), str(rec["qa_id"]))
+    score = judged.pop(key, None)
+    return RunRecord(
+        config_id=key[0],
+        regime_id=key[1],
+        qa_id=key[2],
         predicted_answer=str(rec["answer"]),
         latency=float(rec["latency_s"]),
         context_chunk_ids=tuple(rec.get("context_ids", ())),
         eval_top_k=as_int(rec.get("top_k", 2), "top_k"),
+        correctness=score.correctness if score else None,
+        groundedness=score.groundedness if score else None,
     )
 
 
-def load_runs(path, qa_ids=None) -> RunSet:
+def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     """Load a run-set directory. `qa_ids`, when given, is the set of valid
-    test-split ids; records referencing anything else are rejected."""
+    test-split ids; records referencing anything else are rejected.
+
+    Judge scores from `judge_path`, when given, are joined onto the records by
+    (config, regime, qa_id) as each record is built; a second judge row for a
+    key is an error, and rows that match no record end up in
+    `RunSet.unmatched_scores`."""
+    judged: dict[tuple[str, str, str], JudgeScore] = {}
+    if judge_path is not None:
+        for lineno, score in read_rows(judge_path, _judge_score):
+            key = (score.config_id, score.regime_id, score.qa_id)
+            if key in judged:
+                raise IngestError(f"{judge_path}:{lineno}: duplicate judge score {key}")
+            judged[key] = score
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -161,7 +188,7 @@ def load_runs(path, qa_ids=None) -> RunSet:
                 raise IngestError(
                     f"checksum mismatch for {file_path}: {actual} != {expected}"
                 )
-        for lineno, record in read_rows(file_path, _run_record):
+        for lineno, record in read_rows(file_path, lambda rec: _run_record(rec, judged)):
             key = (record.config_id, record.regime_id, record.qa_id)
             if key in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
@@ -175,40 +202,7 @@ def load_runs(path, qa_ids=None) -> RunSet:
             if qa_ids is not None and record.qa_id not in qa_ids:
                 raise IngestError(f"{file_path}:{lineno}: unknown qa_id {record.qa_id!r}")
             records.append(record)
-    return RunSet(records=records, manifest=manifest)
-
-
-def attach_judge_scores(run_set: RunSet, path) -> RunSet:
-    """Left-join judge scores onto run records. Unmatched score rows are
-    collected, not fatal; re-attaching the same file is idempotent."""
-    scores = [
-        score
-        for _, score in read_rows(
-            path,
-            lambda rec: JudgeScore(
-                config_id=str(rec["config"]),
-                regime_id=str(rec["regime"]),
-                qa_id=str(rec["qa_id"]),
-                correctness=as_int(rec["correctness"], "correctness"),
-                groundedness=as_int(rec["groundedness"], "groundedness"),
-            ),
-        )
-    ]
-    by_key = {(s.config_id, s.regime_id, s.qa_id): s for s in scores}
-    joined: list[RunRecord] = []
-    matched: set[tuple[str, str, str]] = set()
-    for rec in run_set.records:
-        key = (rec.config_id, rec.regime_id, rec.qa_id)
-        score = by_key.get(key)
-        if score is None:
-            joined.append(rec)
-        else:
-            matched.add(key)
-            joined.append(
-                replace(rec, correctness=score.correctness, groundedness=score.groundedness)
-            )
-    unmatched = [s for s in scores if (s.config_id, s.regime_id, s.qa_id) not in matched]
-    return RunSet(records=joined, manifest=run_set.manifest, unmatched_scores=unmatched)
+    return RunSet(records=records, unmatched_scores=list(judged.values()))
 
 
 def load_cost_profile(path, grid_ids=None) -> dict:

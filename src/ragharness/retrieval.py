@@ -100,6 +100,7 @@ class RetrievalRegime:
     prompt_mode: str = "neutral"  # metadata tag only
     retrieve_top_n: int = 20
     eval_top_k: int = 2
+    k_rrf: float = DEFAULT_K_RRF
 
     def __post_init__(self):
         if self.retrieval_variant not in RETRIEVAL_VARIANTS:
@@ -110,6 +111,10 @@ class RetrievalRegime:
             raise RetrievalError("retrieve_top_n and eval_top_k must be positive")
         if self.eval_top_k > self.retrieve_top_n:
             raise RetrievalError("eval_top_k must not exceed retrieve_top_n")
+        if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
+            raise RetrievalError(
+                f"k_rrf must be positive and finite, got {self.k_rrf!r}"
+            )
 
 
 @dataclass
@@ -336,7 +341,7 @@ def select_context(
     lists = [rl for rl in (dense, sparse) if rl is not None]
     if not lists:
         raise RetrievalError(f"{variant} regime requires at least one channel")
-    fused = fuse_rrf(lists)
+    fused = fuse_rrf(lists, regime.k_rrf)
     candidates = fused.ranked.ids()[: regime.retrieve_top_n]
     if variant == "reranker_off":
         return candidates[: regime.eval_top_k]

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 import sys
@@ -229,14 +230,22 @@ def _file_text(name, text):
     return write
 
 
-def _judge_correctness(value):
+def _edit_rows(name, edit):
     def write(workspace):
-        path = workspace / "judge.jsonl"
+        path = workspace / name
         rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        rows[0]["correctness"] = value
+        edit(rows)
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
 
     return write
+
+
+def _judge_correctness(value):
+    return _edit_rows("judge.jsonl", lambda rows: rows[0].update(correctness=value))
+
+
+def _first_qa_support(value):
+    return _edit_rows("qa.jsonl", lambda rows: rows[0].update(supporting_chunk_ids=value))
 
 
 def _labels(text):
@@ -323,6 +332,33 @@ def _regime_without_id(config):
             "bad field value: top_k must be an integer, got 2.5",
         ),
         (_edit_run(lambda r: r.update(top_k=4)), ["report"], "top_k 4 differs from top_k 2"),
+        (_file_text("embeddings.json", "{"), ["validate"], "embeddings.json: malformed JSON"),
+        (_file_text("rerank.json", "[1"), ["validate"], "rerank.json: malformed JSON"),
+        (
+            _edit_rows("judge.jsonl", lambda rows: rows.insert(1, dict(rows[0], correctness=1))),
+            ["validate"],
+            "judge.jsonl:2: duplicate judge score ('3B baseline', '01_base__neutral', 'qa000')",
+        ),
+        (
+            _edit_rows("corpus.jsonl", lambda rows: rows[0].update(token_count="abc")),
+            ["validate"],
+            "corpus.jsonl:1: bad field value",
+        ),
+        (
+            _first_qa_support(5),
+            ["validate"],
+            "qa.jsonl:1: supporting_chunk_ids must be a list of strings, got 5",
+        ),
+        (
+            _first_qa_support("chunk000"),
+            ["validate"],
+            "qa.jsonl:1: supporting_chunk_ids must be a list of strings, got 'chunk000'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(k_rrf=0)),
+            ["validate"],
+            "k_rrf must be positive and finite, got 0.0",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -333,6 +369,8 @@ def _regime_without_id(config):
         "duplicate_regime_id", "rerank_non_numeric", "manifest_bad_json",
         "labels_missing_field", "labels_not_object", "judge_fractional", "knob_fractional",
         "top_k_fractional", "mixed_top_k",
+        "embeddings_bad_json_validate", "rerank_bad_json_validate", "judge_duplicate_row",
+        "token_count_non_numeric", "support_number", "support_string", "k_rrf_zero",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -355,3 +393,23 @@ def test_param_matched_pairs_follow_config_ids(workspace):
         ["01_base__neutral", "32d", QV, FULL],
         ["01_base__neutral", "pooled", "", ""],
     ]
+
+
+def test_k_rrf_reaches_every_regime(workspace):
+    _edit_json("workspace.json", lambda c: c.update(k_rrf=1))(workspace)
+    ws = load_workspace(workspace)
+    assert [regime.k_rrf for _, regime in ws.retrieval_regimes] == [1.0]
+
+
+def test_topk_tables_follow_each_configs_own_top_k(workspace):
+    write_run(
+        workspace,
+        "3B baseline",
+        [dict(r, top_k=4) for r in read_run(workspace, "3B baseline")],
+    )
+    assert run(workspace, "report") == 0
+    with open(workspace / "out" / "topk_summary.csv", encoding="utf-8") as fh:
+        rows = {row["k"]: row for row in csv.DictReader(fh)}
+    assert rows["4"]["best_config"] == "3B baseline"
+    assert rows["4"]["front"] == "3B baseline"
+    assert "3B baseline" not in rows["2"]["front"].split(";")

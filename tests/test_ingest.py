@@ -7,7 +7,6 @@ from ragharness.ingest import (
     CostProfile,
     IngestError,
     JudgeScore,
-    attach_judge_scores,
     file_checksum,
     load_cost_profile,
     load_runs,
@@ -96,41 +95,41 @@ def score_row(qa_id, config="cfgA", regime="01", corr=5, grnd=4):
     }
 
 
-def test_attach_judge_scores_full_join(tmp_path):
+def test_load_runs_joins_judge_scores(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("q1")])
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1", corr=2, grnd=2)])
-    run_set = attach_judge_scores(load_runs(runs), scores)
+    run_set = load_runs(runs, judge_path=scores)
     by_id = {r.qa_id: r for r in run_set.records}
     assert by_id["q0"].correctness == 5
     assert by_id["q1"].groundedness == 2
     assert run_set.unmatched_scores == []
 
 
-def test_attach_judge_scores_unmatched_reported_not_fatal(tmp_path):
+def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")])
     scores = tmp_path / "judge.jsonl"
-    write_scores(scores, [score_row("q0"), score_row("ghost")])
-    run_set = attach_judge_scores(load_runs(runs), scores)
-    assert len(run_set.unmatched_scores) == 1
-    assert run_set.unmatched_scores[0].qa_id == "ghost"
+    write_scores(scores, [score_row("ghost"), score_row("q0"), score_row("phantom")])
+    run_set = load_runs(runs, judge_path=scores)
+    assert [s.qa_id for s in run_set.unmatched_scores] == ["ghost", "phantom"]
+    assert run_set.records[0].correctness == 5
 
 
-def test_attach_judge_scores_idempotent(tmp_path):
-    runs = write_run_set(tmp_path, [record("q0"), record("q1")])
-    scores = tmp_path / "judge.jsonl"
-    write_scores(scores, [score_row("q0")])
-    once = attach_judge_scores(load_runs(runs), scores)
-    twice = attach_judge_scores(once, scores)
-    assert once.records == twice.records
-
-
-def test_attach_judge_scores_empty_file_leaves_run_set(tmp_path):
+def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")])
     scores = tmp_path / "judge.jsonl"
     scores.write_text("", encoding="utf-8")
-    run_set = attach_judge_scores(load_runs(runs), scores)
+    run_set = load_runs(runs, judge_path=scores)
     assert run_set.records[0].correctness is None
+    assert run_set.records == load_runs(runs).records
+
+
+def test_load_runs_rejects_duplicate_judge_row(tmp_path):
+    runs = write_run_set(tmp_path, [record("q0")])
+    scores = tmp_path / "judge.jsonl"
+    write_scores(scores, [score_row("q0"), score_row("q1"), score_row("q0", corr=1)])
+    with pytest.raises(IngestError, match=r"judge.jsonl:3: duplicate judge score"):
+        load_runs(runs, judge_path=scores)
 
 
 def test_judge_score_range():

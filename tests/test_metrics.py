@@ -108,7 +108,7 @@ def test_score_runs_scores_each_record_once_in_record_order():
         RunRecord("cfgB", "01", "q0", "port 6444", 0.5),
         RunRecord("cfgA", "01", "q0", "the port 6443", 0.6),
     ]
-    scored = score_runs(RunSet(records=records, manifest={}), gold)
+    scored = score_runs(RunSet(records=records), gold)
     assert list(scored) == [("cfgA", "01"), ("cfgB", "01")]
     first, second = scored[("cfgA", "01")]
     assert (first.qa_id, second.qa_id) == ("q1", "q0")
@@ -125,7 +125,7 @@ def test_score_runs_scores_each_record_once_in_record_order():
 def test_score_runs_rejects_a_record_without_gold():
     records = [RunRecord("cfg", "01", "q9", "anything", 0.5)]
     with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
-        score_runs(RunSet(records=records, manifest={}), {"q0": "port"})
+        score_runs(RunSet(records=records), {"q0": "port"})
 
 
 def test_counter_equivalence_sanity():

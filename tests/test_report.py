@@ -52,7 +52,7 @@ def make_run_set():
                     groundedness=4 if config == "cfgA" else 3,
                 )
             )
-    return RunSet(records=records, manifest={}), gold
+    return RunSet(records=records), gold
 
 
 def test_regime_table_means_match_direct_recomputation():

@@ -305,6 +305,25 @@ def test_regime_validation():
         RetrievalRegime(retrieval_variant="bogus")
     with pytest.raises(RetrievalError):
         RetrievalRegime(retrieval_variant="base", eval_top_k=30, retrieve_top_n=20)
+    for k_rrf in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(RetrievalError, match="k_rrf"):
+            RetrievalRegime(retrieval_variant="base", k_rrf=k_rrf)
+
+
+def test_select_context_fuses_with_the_regimes_k_rrf():
+    """"b" sits at rank 4 in both lists and "a" at rank 1 in one: 2/(k+4)
+    beats 1/(k+1) at k=60 but not at k=1."""
+    dense = ranked(["a", "c1", "c2", "b"])
+    sparse = ranked(["d1", "d2", "d3", "b"])
+    picked = {
+        k_rrf: select_context(
+            RetrievalRegime("reranker_off", retrieve_top_n=4, eval_top_k=1, k_rrf=k_rrf),
+            dense=dense,
+            sparse=sparse,
+        )
+        for k_rrf in (1.0, 60.0)
+    }
+    assert picked == {1.0: ["a"], 60.0: ["b"]}
 
 
 def test_select_context_channel_requirements():
