@@ -16,13 +16,17 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import dataset, ingest, lora_grid, metrics, report, retrieval
+from . import dataset, ingest, lora_grid, metrics, retrieval
 from .errors import HarnessError, as_int
 from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
-from .stats import ResamplePlan, paired_bootstrap_delta, pooled_pair_delta
+
+# numpy loads with `stats`, `report` and the retrieval scorers, so each is
+# imported only inside the commands that build arrays: grid, score and a
+# validate without embeddings start without numpy.
+if TYPE_CHECKING:
+    from .stats import ResamplePlan
 
 DEFAULT_REGIME = {"id": "01_base__neutral", "variant": "base", "prompt_mode": "neutral"}
 
@@ -100,6 +104,8 @@ class WorkspaceConfig:
         )
 
     def plan(self) -> ResamplePlan:
+        from .stats import ResamplePlan
+
         return ResamplePlan(
             n_resamples=self.resamples, level=self.level, master_seed=self.seed
         )
@@ -128,6 +134,8 @@ def load_workspace(root) -> WorkspaceConfig:
     def knob(key, default, kind):
         value = raw.get(key, default)
         try:
+            if isinstance(value, bool):
+                raise TypeError(key)
             return as_int(value, key) if kind is int else kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
@@ -163,19 +171,27 @@ def _load_dataset(ws: WorkspaceConfig):
     return chunks, pairs, census
 
 
+def _input(ws: WorkspaceConfig, key: str) -> Path | None:
+    """The path workspace.json gives for `key`, or None when it names none.
+    A named path that does not exist is an error, never a skipped input."""
+    path = getattr(ws, key)
+    if path is not None and not path.exists():
+        raise WorkspaceError(f"{key} not found: {path}")
+    return path
+
+
 def _load_runs(ws: WorkspaceConfig, qa_ids):
-    if ws.runs is None:
+    runs = _input(ws, "runs")
+    if runs is None:
         raise WorkspaceError("workspace defines no run-set directory")
-    judge = ws.judge_scores
     return ingest.load_runs(
-        ws.runs, qa_ids=qa_ids, judge_path=judge if judge and judge.exists() else None
+        runs, qa_ids=qa_ids, judge_path=_input(ws, "judge_scores")
     )
 
 
 def _load_costs(ws: WorkspaceConfig) -> dict:
-    if ws.costs is not None and ws.costs.exists():
-        return ingest.load_cost_profile(ws.costs)
-    return {}
+    path = _input(ws, "costs")
+    return ingest.load_cost_profile(path) if path is not None else {}
 
 
 def _write_json(path: Path, payload) -> None:
@@ -200,6 +216,8 @@ def _score_runs(ws: WorkspaceConfig):
 
 
 def _regime_table_rows(ws: WorkspaceConfig, run_set, scored, costs):
+    from . import report
+
     tables = {}
     for regime_id in run_set.regimes():
         tables[regime_id] = report.regime_table(
@@ -256,12 +274,16 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         bad = dataset.check_supporting_ids(pairs, chunks)
         if bad:
             problems.append(f"unresolved supporting_chunk_ids for: {bad[:5]}")
-        if ws.runs is not None and ws.runs.exists():
+        if ws.runs is not None:
             try:
                 run_set = _load_runs(ws, {p.qa_id for p in pairs})
             except HarnessError as exc:
                 problems.append(str(exc))
-    for load in (_load_embeddings, _load_rerank):
+    # `report` parses the labels and loads numpy to do so, so validate only
+    # checks that a named labels file exists.
+    for load in (
+        _load_costs, _load_embeddings, _load_rerank, lambda ws: _input(ws, "labels")
+    ):
         try:
             load(ws)
         except HarnessError as exc:
@@ -285,35 +307,37 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
 
 
 def _load_embeddings(ws: WorkspaceConfig):
-    if ws.embeddings is None or not ws.embeddings.exists():
+    path = _input(ws, "embeddings")
+    if path is None:
         return None, {}
-    raw = _read_json(ws.embeddings)
+    import numpy as np
+
+    raw = _read_json(path)
     if not isinstance(raw, dict):
-        raise WorkspaceError(f"{ws.embeddings}: expected a JSON object")
+        raise WorkspaceError(f"{path}: expected a JSON object")
     try:
         dim = as_int(raw["dim"], "dim")
         vectors = {cid: np.asarray(v, dtype=float) for cid, v in raw["chunks"].items()}
         queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
     except KeyError as exc:
-        raise WorkspaceError(f"{ws.embeddings}: missing key {exc}") from exc
+        raise WorkspaceError(f"{path}: missing key {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise WorkspaceError(f"{ws.embeddings}: bad value: {exc}") from exc
+        raise WorkspaceError(f"{path}: bad value: {exc}") from exc
     return retrieval.EmbeddingTable(vectors=vectors, dim=dim), queries
 
 
 def _load_rerank(ws: WorkspaceConfig) -> dict:
     """Per-question rerank scores: {qa_id: {chunk_id: number}}."""
-    if ws.rerank_scores is None or not ws.rerank_scores.exists():
+    path = _input(ws, "rerank_scores")
+    if path is None:
         return {}
-    rerank = _read_json(ws.rerank_scores)
+    rerank = _read_json(path)
     if not isinstance(rerank, dict) or not all(
         isinstance(scores, dict)
         and all(isinstance(v, (int, float)) for v in scores.values())
         for scores in rerank.values()
     ):
-        raise WorkspaceError(
-            f"{ws.rerank_scores}: expected {{qa_id: {{chunk_id: number}}}}"
-        )
+        raise WorkspaceError(f"{path}: expected {{qa_id: {{chunk_id: number}}}}")
     return rerank
 
 
@@ -398,6 +422,8 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
     delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
     in a regime, covering different qa_ids is an error rather than a delta
     over unmatched examples."""
+    from .stats import paired_bootstrap_delta, pooled_pair_delta
+
     config_ids = {cid for cid, _ in scored}
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
@@ -459,6 +485,8 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
 
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
+    from . import report
+
     run_set, scored = _score_runs(ws)
     axes = tuple(args.axes.split(","))
     for axis in axes:
@@ -498,6 +526,9 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_report(ws: WorkspaceConfig, args) -> int:
+    from . import report
+
+    labels_path = _input(ws, "labels")
     run_set, scored = _score_runs(ws)
     tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
     ws.out.mkdir(parents=True, exist_ok=True)
@@ -540,11 +571,11 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
                     [r.eval_top_k, r.best_config, _fmt(r.best_f1),
                      _fmt(r.best_latency), ";".join(r.front_configs)]
                 )
-    if ws.labels is not None and ws.labels.exists():
+    if labels_path is not None:
         labels = [
             label
             for _, label in ingest.read_rows(
-                ws.labels,
+                labels_path,
                 lambda rec: report.ErrorLabel(
                     qa_id=str(rec["qa_id"]),
                     config_id=str(rec["config"]),

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_int
+from .errors import HarnessError, as_id_list, as_int
 from .ingest import read_rows
 
 ANSWER_TYPES = ("exact", "normal")
@@ -118,20 +118,15 @@ def load_corpus(path) -> list[Chunk]:
 
 
 def _qa_pair(rec: dict) -> QaPair:
-    support = rec.get("supporting_chunk_ids")
-    if support is not None and not (
-        isinstance(support, list) and all(isinstance(cid, str) for cid in support)
-    ):
-        raise DatasetError(
-            f"supporting_chunk_ids must be a list of strings, got {support!r}"
-        )
     return QaPair(
         qa_id=str(rec["qa_id"]),
         question=str(rec["question"]),
         gold_answer=str(rec["gold_answer"]),
         answer_type=str(rec["answer_type"]),
         split=str(rec["split"]),
-        supporting_chunk_ids=tuple(support) if support is not None else None,
+        supporting_chunk_ids=as_id_list(
+            rec.get("supporting_chunk_ids"), "supporting_chunk_ids"
+        ),
         extra={k: v for k, v in rec.items() if k not in _QA_FIELDS},
     )
 

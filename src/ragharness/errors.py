@@ -1,5 +1,5 @@
 """The common base of every error the harness raises on bad input, and the
-integer check every loader shares."""
+integer and id-list checks every loader shares."""
 
 from __future__ import annotations
 
@@ -9,9 +9,23 @@ class HarnessError(ValueError):
 
 
 def as_int(value, name: str) -> int:
-    """``int(value)``, except that a float with a fractional part (or an
-    infinite or NaN one) is a ValueError naming `name` instead of being
-    truncated. Callers turn the ValueError into their own typed error."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)``, except that a boolean, or a float with a fractional part
+    (or an infinite or NaN one), is a ValueError naming `name` instead of
+    being read as 0/1 or truncated. Callers turn the ValueError into their own
+    typed error."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_id_list(value, name: str) -> tuple[str, ...] | None:
+    """A JSON list of string ids as a tuple; None (an absent field) stays
+    None. Anything else, a bare string included, is a HarnessError naming
+    `name`, never a tuple of characters."""
+    if value is None:
+        return None
+    if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+        raise HarnessError(f"{name} must be a list of strings, got {value!r}")
+    return tuple(value)

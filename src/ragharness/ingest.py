@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_int
+from .errors import HarnessError, as_id_list, as_int
 
 
 class IngestError(HarnessError):
@@ -140,7 +140,7 @@ def _run_record(rec: dict, judged: dict) -> RunRecord:
         qa_id=key[2],
         predicted_answer=str(rec["answer"]),
         latency=float(rec["latency_s"]),
-        context_chunk_ids=tuple(rec.get("context_ids", ())),
+        context_chunk_ids=as_id_list(rec.get("context_ids"), "context_ids") or (),
         eval_top_k=as_int(rec.get("top_k", 2), "top_k"),
         correctness=score.correctness if score else None,
         groundedness=score.groundedness if score else None,

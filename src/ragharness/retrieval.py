@@ -4,6 +4,10 @@ selection.
 
 All ties are broken by ascending chunk_id so that identical inputs always
 yield identical outputs.
+
+numpy is imported inside the index builder and the channel scorers only:
+every workspace load builds a `RetrievalRegime`, and the commands that never
+score a channel should not pay for numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ import math
 import string
 from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dataset import Chunk
 from .errors import HarnessError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 RETRIEVAL_VARIANTS = (
     "base",
@@ -148,6 +154,8 @@ def build_sparse_index(
         raise RetrievalError(f"k1 must be positive, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise RetrievalError(f"b must be in [0, 1], got {b}")
+    import numpy as np
+
     chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
     term_ids: dict[str, int] = {}
     terms: list[int] = []
@@ -199,6 +207,8 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
     """
     if limit < 1:
         raise RetrievalError("limit must be >= 1")
+    import numpy as np
+
     scores = np.zeros(index.n_docs)
     k1_plus_1 = index.k1 + 1.0
     for term in tokenize(query):
@@ -229,6 +239,8 @@ class EmbeddingTable:
     unit: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
+
         for cid, vec in self.vectors.items():
             vec = np.asarray(vec, dtype=float)
             if vec.shape != (self.dim,):
@@ -247,6 +259,8 @@ class EmbeddingTable:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     norm = np.linalg.norm(vec)
     return vec / norm if norm > 0 else vec
 
@@ -266,6 +280,8 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
     """
     if limit < 1:
         raise RetrievalError("limit must be >= 1")
+    import numpy as np
+
     query_vector = np.asarray(query_vector, dtype=float)
     if query_vector.shape != (table.dim,):
         raise RetrievalError(

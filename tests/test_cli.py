@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -359,6 +362,47 @@ def _regime_without_id(config):
             ["validate"],
             "k_rrf must be positive and finite, got 0.0",
         ),
+        (
+            _judge_correctness(True),
+            ["validate"],
+            "judge.jsonl:1: bad field value: correctness must be an integer, got True",
+        ),
+        (
+            _edit_run(lambda r: r.update(top_k=True)),
+            ["score"],
+            "bad field value: top_k must be an integer, got True",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(seed=True)),
+            ["validate"],
+            "seed must be an integer, got True",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(k_rrf=True)),
+            ["validate"],
+            "k_rrf must be a number, got True",
+        ),
+        (
+            _edit_json("embeddings.json", lambda e: e.update(dim=True)),
+            ["retrieve"],
+            "embeddings.json: bad value: dim must be an integer, got True",
+        ),
+        (
+            _edit_run(lambda r: r.update(context_ids="chunk000")),
+            ["score"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: "
+            "context_ids must be a list of strings, got 'chunk000'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(judge_scores="typo.jsonl")),
+            ["validate"],
+            "judge_scores not found: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(judge_scores="typo.jsonl")),
+            ["stats"],
+            "judge_scores not found: ",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -371,6 +415,8 @@ def _regime_without_id(config):
         "top_k_fractional", "mixed_top_k",
         "embeddings_bad_json_validate", "rerank_bad_json_validate", "judge_duplicate_row",
         "token_count_non_numeric", "support_number", "support_string", "k_rrf_zero",
+        "judge_bool", "top_k_bool", "knob_bool", "float_knob_bool", "embeddings_dim_bool",
+        "context_ids_string", "judge_path_typo_validate", "judge_path_typo_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -413,3 +459,57 @@ def test_topk_tables_follow_each_configs_own_top_k(workspace):
     assert rows["4"]["best_config"] == "3B baseline"
     assert rows["4"]["front"] == "3B baseline"
     assert "3B baseline" not in rows["2"]["front"].split(";")
+
+
+@pytest.mark.parametrize(
+    "key, command",
+    [
+        ("runs", "score"),
+        ("judge_scores", "pareto"),
+        ("costs", "stats"),
+        ("labels", "report"),
+        ("embeddings", "retrieve"),
+        ("rerank_scores", "retrieve"),
+    ],
+)
+def test_named_input_that_does_not_exist_exits_1(workspace, capsys, key, command):
+    _edit_json("workspace.json", lambda c: c.update({key: "typo.jsonl"}))(workspace)
+    for argv in (["validate"], [command]):
+        assert run(workspace, *argv) == 1
+        err = one_line_error(capsys, argv[0])
+        assert f"{key} not found: {workspace / 'typo.jsonl'}" in err
+    assert not (workspace / "out").exists()
+
+
+def test_input_left_out_of_workspace_json_is_not_used(workspace):
+    _edit_json("workspace.json", lambda c: c.pop("judge_scores"))(workspace)
+    assert run(workspace, "stats") == 0
+    with open(workspace / "out" / "stats_01_base__neutral.csv", encoding="utf-8") as fh:
+        assert {row["grnd_pass"] for row in csv.DictReader(fh)} == {""}
+
+
+NUMPY_LOADED = (
+    "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
+    "print('numpy' in sys.modules); sys.exit(code)"
+)
+
+
+def test_commands_without_arrays_never_import_numpy(workspace, tmp_path):
+    """grid, score, and validate on a workspace without embeddings start and
+    finish without numpy, each in a fresh interpreter; retrieve loads it."""
+    bare = shutil.copytree(workspace, tmp_path / "bare")
+    _edit_json("workspace.json", lambda c: c.pop("embeddings"))(bare)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def numpy_loaded(*argv):
+        out = subprocess.run(
+            [sys.executable, "-c", NUMPY_LOADED, *argv],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        return out.splitlines()[-1] == "True"
+
+    assert not numpy_loaded("grid")
+    assert not numpy_loaded("--workspace", str(workspace), "score")
+    assert not numpy_loaded("--workspace", str(bare), "validate")
+    assert numpy_loaded("--workspace", str(workspace), "retrieve")

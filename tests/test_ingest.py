@@ -143,7 +143,7 @@ def test_as_int_rejects_fractions_and_keeps_integral_values():
     assert as_int(4, "k") == 4
     assert as_int(4.0, "k") == 4
     assert as_int("4", "k") == 4
-    for bad in (4.7, -0.5, float("inf"), float("nan")):
+    for bad in (4.7, -0.5, float("inf"), float("nan"), True, False):
         with pytest.raises(ValueError, match="k must be an integer"):
             as_int(bad, "k")
 
