@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,12 +20,15 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset, ingest, lora_grid, metrics, retrieval
-from .errors import HarnessError, as_int
+from .errors import HarnessError, as_float, as_int
 from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 
-# numpy loads with `stats`, `report` and the retrieval scorers, so each is
-# imported only inside the commands that build arrays: grid, score and a
-# validate without embeddings start without numpy.
+# numpy loads with `stats` and the retrieval scorers, so each is imported
+# only where arrays are built: in `retrieve` (the index, the scorers and
+# `_load_embeddings`) and in the bootstrap behind stats, pareto and report.
+# `report` builds several dataclasses on import, so it too is imported only
+# where it is used. grid, score and validate never load numpy; validate
+# checks the embeddings and the error labels as plain JSON.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
@@ -134,9 +138,7 @@ def load_workspace(root) -> WorkspaceConfig:
     def knob(key, default, kind):
         value = raw.get(key, default)
         try:
-            if isinstance(value, bool):
-                raise TypeError(key)
-            return as_int(value, key) if kind is int else kind(value)
+            return as_int(value, key) if kind is int else as_float(value, key)
         except (TypeError, ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise WorkspaceError(
@@ -279,11 +281,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
                 run_set = _load_runs(ws, {p.qa_id for p in pairs})
             except HarnessError as exc:
                 problems.append(str(exc))
-    # `report` parses the labels and loads numpy to do so, so validate only
-    # checks that a named labels file exists.
-    for load in (
-        _load_costs, _load_embeddings, _load_rerank, lambda ws: _input(ws, "labels")
-    ):
+    for load in (_load_costs, _read_embeddings, _load_rerank, _load_labels):
         try:
             load(ws)
         except HarnessError as exc:
@@ -306,38 +304,72 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-def _load_embeddings(ws: WorkspaceConfig):
+def _finite_numbers(values) -> bool:
+    """Whether every value is a finite JSON number: a boolean, a string or an
+    integer too large for a float is not. Both passes run at C speed, which
+    matters for embeddings tables of thousands of vectors."""
+    try:
+        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:
+        return False
+
+
+def _read_embeddings(ws: WorkspaceConfig):
+    """(dim, {chunk_id: vector}, {qa_id: vector}) from the embeddings file, or
+    None when workspace.json names none. Each vector, chunk or query, is a
+    JSON list of exactly `dim` finite numbers; nothing here needs numpy."""
     path = _input(ws, "embeddings")
     if path is None:
-        return None, {}
-    import numpy as np
-
+        return None
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise WorkspaceError(f"{path}: expected a JSON object")
     try:
         dim = as_int(raw["dim"], "dim")
-        vectors = {cid: np.asarray(v, dtype=float) for cid, v in raw["chunks"].items()}
-        queries = {qid: np.asarray(v, dtype=float) for qid, v in raw["queries"].items()}
+        chunks, queries = raw["chunks"], raw["queries"]
     except KeyError as exc:
         raise WorkspaceError(f"{path}: missing key {exc}") from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise WorkspaceError(f"{path}: bad value: {exc}") from exc
+    if dim < 1:
+        raise WorkspaceError(f"{path}: bad value: dim must be positive, got {dim}")
+    for kind, vectors in (("chunk", chunks), ("query", queries)):
+        if not isinstance(vectors, dict):
+            raise WorkspaceError(f"{path}: bad value: {kind} vectors must be an object")
+        for vid, vec in vectors.items():
+            if not (isinstance(vec, list) and len(vec) == dim and _finite_numbers(vec)):
+                raise WorkspaceError(
+                    f"{path}: bad value: {kind} vector {vid!r} must be a list of "
+                    f"{dim} finite numbers"
+                )
+    return dim, chunks, queries
+
+
+def _load_embeddings(ws: WorkspaceConfig):
+    """The chunk table and the query vectors as arrays, read through
+    `_read_embeddings`; (None, {}) when workspace.json names no embeddings."""
+    read = _read_embeddings(ws)
+    if read is None:
+        return None, {}
+    import numpy as np
+
+    dim, chunks, queries = read
+    vectors = {cid: np.asarray(v, dtype=float) for cid, v in chunks.items()}
+    queries = {qid: np.asarray(v, dtype=float) for qid, v in queries.items()}
     return retrieval.EmbeddingTable(vectors=vectors, dim=dim), queries
 
 
 def _load_rerank(ws: WorkspaceConfig) -> dict:
-    """Per-question rerank scores: {qa_id: {chunk_id: number}}."""
+    """Per-question rerank scores: {qa_id: {chunk_id: finite number}}."""
     path = _input(ws, "rerank_scores")
     if path is None:
         return {}
     rerank = _read_json(path)
     if not isinstance(rerank, dict) or not all(
-        isinstance(scores, dict)
-        and all(isinstance(v, (int, float)) for v in scores.values())
+        isinstance(scores, dict) and _finite_numbers(scores.values())
         for scores in rerank.values()
     ):
-        raise WorkspaceError(f"{path}: expected {{qa_id: {{chunk_id: number}}}}")
+        raise WorkspaceError(f"{path}: expected {{qa_id: {{chunk_id: finite number}}}}")
     return rerank
 
 
@@ -525,10 +557,30 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
+def _load_labels(ws: WorkspaceConfig) -> list | None:
+    """The error labels workspace.json names, or None when it names none."""
+    path = _input(ws, "labels")
+    if path is None:
+        return None
+    from . import report
+
+    return [
+        label
+        for _, label in ingest.read_rows(
+            path,
+            lambda rec: report.ErrorLabel(
+                qa_id=str(rec["qa_id"]),
+                config_id=str(rec["config"]),
+                error_class=str(rec["class"]),
+            ),
+        )
+    ]
+
+
 def cmd_report(ws: WorkspaceConfig, args) -> int:
     from . import report
 
-    labels_path = _input(ws, "labels")
+    labels = _load_labels(ws)
     run_set, scored = _score_runs(ws)
     tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
     ws.out.mkdir(parents=True, exist_ok=True)
@@ -571,18 +623,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
                     [r.eval_top_k, r.best_config, _fmt(r.best_f1),
                      _fmt(r.best_latency), ";".join(r.front_configs)]
                 )
-    if labels_path is not None:
-        labels = [
-            label
-            for _, label in ingest.read_rows(
-                labels_path,
-                lambda rec: report.ErrorLabel(
-                    qa_id=str(rec["qa_id"]),
-                    config_id=str(rec["config"]),
-                    error_class=str(rec["class"]),
-                ),
-            )
-        ]
+    if labels is not None:
         _write_json(ws.out / "error_counts.json", report.error_counts(labels))
     print(f"report: wrote tables for {len(tables)} regimes under {ws.out}")
     return 0

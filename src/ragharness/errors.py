@@ -1,5 +1,5 @@
 """The common base of every error the harness raises on bad input, and the
-integer and id-list checks every loader shares."""
+integer, float and id-list checks every loader shares."""
 
 from __future__ import annotations
 
@@ -18,6 +18,14 @@ def as_int(value, name: str) -> int:
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value, name: str) -> float:
+    """``float(value)``, except that a boolean is a ValueError naming `name`
+    instead of being read as 0.0/1.0; the float twin of `as_int`."""
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def as_id_list(value, name: str) -> tuple[str, ...] | None:

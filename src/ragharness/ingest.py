@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_id_list, as_int
+from .errors import HarnessError, as_float, as_id_list, as_int
 
 
 class IngestError(HarnessError):
@@ -139,7 +139,7 @@ def _run_record(rec: dict, judged: dict) -> RunRecord:
         regime_id=key[1],
         qa_id=key[2],
         predicted_answer=str(rec["answer"]),
-        latency=float(rec["latency_s"]),
+        latency=as_float(rec["latency_s"], "latency_s"),
         context_chunk_ids=as_id_list(rec.get("context_ids"), "context_ids") or (),
         eval_top_k=as_int(rec.get("top_k", 2), "top_k"),
         correctness=score.correctness if score else None,
@@ -213,11 +213,12 @@ def load_cost_profile(path, grid_ids=None) -> dict:
         path,
         lambda rec: CostProfile(
             config_id=str(rec["config"]),
-            inference_vram=_optional_float(rec.get("inf_vram_gb")),
-            training_time=_optional_float(rec.get("train_min")),
-            training_vram=_optional_float(rec.get("train_vram_gb")),
+            inference_vram=_optional_float(rec, "inf_vram_gb"),
+            training_time=_optional_float(rec, "train_min"),
+            training_vram=_optional_float(rec, "train_vram_gb"),
             inference_vram_by_regime={
-                k: float(v) for k, v in rec.get("inf_vram_by_regime", {}).items()
+                k: as_float(v, "inf_vram_by_regime")
+                for k, v in rec.get("inf_vram_by_regime", {}).items()
             },
         ),
     )
@@ -231,5 +232,6 @@ def load_cost_profile(path, grid_ids=None) -> dict:
     return profiles
 
 
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+def _optional_float(rec: dict, key: str) -> float | None:
+    value = rec.get(key)
+    return None if value is None else as_float(value, key)

@@ -8,11 +8,16 @@ import csv
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import HarnessError
 from .metrics import pass_at_threshold
 from .pareto import CostVector, ParetoPoint, pareto_front
-from .stats import Interval, ResamplePlan, bootstrap_ci
+
+# `stats` loads numpy, so it is imported only inside `regime_table`: error
+# labels and the other tables load without it.
+if TYPE_CHECKING:
+    from .stats import Interval, ResamplePlan
 
 ERROR_CLASSES = (
     "retrieval_miss",
@@ -81,6 +86,8 @@ def regime_table(
     """One row per config present in the regime, sorted by config id.
     `scored` maps (config_id, regime_id) -> [ExampleScore, ...], as
     `metrics.score_runs` returns it."""
+    from .stats import bootstrap_ci
+
     config_ids = sorted(cid for cid, rid in scored if rid == regime_id)
     if not config_ids:
         raise ReportError(f"regime {regime_id!r} absent from run set")

@@ -268,6 +268,10 @@ def _edit_run(edit):
     return write
 
 
+def _embedding(table, vid, edit):
+    return _edit_json("embeddings.json", lambda e: edit(e[table][vid]))
+
+
 def _regime_without_id(config):
     del config["regimes"][0]["id"]
 
@@ -403,6 +407,56 @@ def _regime_without_id(config):
             ["stats"],
             "judge_scores not found: ",
         ),
+        (
+            _embedding("queries", "qa000", lambda v: v.pop()),
+            ["validate"],
+            "bad value: query vector 'qa000' must be a list of 8 finite numbers",
+        ),
+        (
+            _embedding("queries", "qa000", lambda v: v.__setitem__(3, float("nan"))),
+            ["validate"],
+            "bad value: query vector 'qa000' must be a list of 8 finite numbers",
+        ),
+        (
+            _embedding("chunks", "chunk000", lambda v: v.__setitem__(0, True)),
+            ["retrieve"],
+            "bad value: chunk vector 'chunk000' must be a list of 8 finite numbers",
+        ),
+        (
+            _embedding("chunks", "chunk000", lambda v: v.__setitem__(0, "0.5")),
+            ["validate"],
+            "bad value: chunk vector 'chunk000' must be a list of 8 finite numbers",
+        ),
+        (
+            _file_text("embeddings.json", '{"dim": -1, "chunks": {}, "queries": {}}'),
+            ["retrieve"],
+            "embeddings.json: bad value: dim must be positive, got -1",
+        ),
+        (
+            _edit_run(lambda r: r.update(latency_s=True)),
+            ["validate"],
+            "bad field value: latency_s must be a number, got True",
+        ),
+        (
+            _edit_rows("costs.jsonl", lambda rows: rows[0].update(inf_vram_gb=True)),
+            ["validate"],
+            "costs.jsonl:1: bad field value: inf_vram_gb must be a number, got True",
+        ),
+        (
+            _edit_json("rerank.json", lambda r: r["qa000"].update(chunk000=True)),
+            ["validate"],
+            "rerank.json: expected",
+        ),
+        (
+            _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "typo"}\n'),
+            ["validate"],
+            "labels.jsonl:1: unknown error class 'typo'",
+        ),
+        (
+            _labels('{"qa_id": "qa000", "config": "3B baseline"}\n'),
+            ["validate"],
+            "labels.jsonl:1: missing field 'class'",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -417,6 +471,10 @@ def _regime_without_id(config):
         "token_count_non_numeric", "support_number", "support_string", "k_rrf_zero",
         "judge_bool", "top_k_bool", "knob_bool", "float_knob_bool", "embeddings_dim_bool",
         "context_ids_string", "judge_path_typo_validate", "judge_path_typo_stats",
+        "query_dim_validate", "query_nan_validate", "chunk_component_bool",
+        "chunk_component_string", "embeddings_negative_dim", "latency_bool",
+        "cost_bool", "rerank_bool", "labels_unknown_class_validate",
+        "labels_missing_field_validate",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -494,11 +552,13 @@ NUMPY_LOADED = (
 )
 
 
-def test_commands_without_arrays_never_import_numpy(workspace, tmp_path):
-    """grid, score, and validate on a workspace without embeddings start and
-    finish without numpy, each in a fresh interpreter; retrieve loads it."""
-    bare = shutil.copytree(workspace, tmp_path / "bare")
-    _edit_json("workspace.json", lambda c: c.pop("embeddings"))(bare)
+def test_commands_without_arrays_never_import_numpy(workspace):
+    """grid, score, and validate on a workspace with embeddings and error
+    labels start and finish without numpy, each in a fresh interpreter;
+    retrieve loads it."""
+    _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
+        workspace
+    )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -511,5 +571,5 @@ def test_commands_without_arrays_never_import_numpy(workspace, tmp_path):
 
     assert not numpy_loaded("grid")
     assert not numpy_loaded("--workspace", str(workspace), "score")
-    assert not numpy_loaded("--workspace", str(bare), "validate")
+    assert not numpy_loaded("--workspace", str(workspace), "validate")
     assert numpy_loaded("--workspace", str(workspace), "retrieve")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ragharness.errors import as_int
+from ragharness.errors import as_float, as_int
 from ragharness.ingest import (
     CostProfile,
     IngestError,
@@ -146,6 +146,11 @@ def test_as_int_rejects_fractions_and_keeps_integral_values():
     for bad in (4.7, -0.5, float("inf"), float("nan"), True, False):
         with pytest.raises(ValueError, match="k must be an integer"):
             as_int(bad, "k")
+    assert as_float(4, "x") == 4.0
+    assert as_float("2.5", "x") == 2.5
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="x must be a number, got"):
+            as_float(bad, "x")
 
 
 def test_load_cost_profile(tmp_path):

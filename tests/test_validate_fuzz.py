@@ -1,8 +1,11 @@
 """Bounded fuzzing of `validate`: one mutated field or row in the smoke
-workspace's corpus, QA, run or judge file gives exit 0, or exit 1 with one
-line on stderr, never a traceback."""
+workspace's corpus, QA, run, judge, cost or error-label file, or one mutated
+field of its embeddings or rerank scores, gives exit 0, or exit 1 with one
+line on stderr, never a traceback. When `validate` accepts mutated embeddings
+or rerank scores, `retrieve` must accept them too."""
 
 import contextlib
+import copy
 import io
 import json
 import shutil
@@ -17,15 +20,27 @@ from ragharness.ingest import file_checksum
 from tests.conftest import SMOKE_WORKSPACE
 
 RUN_FILE = "runs/3B_r8_qv_only__01_base__neutral.jsonl"
-TARGETS = ("corpus.jsonl", "qa.jsonl", RUN_FILE, "judge.jsonl")
+LABELS = "labels.jsonl"
+LABEL_ROWS = [
+    {"qa_id": "qa000", "config": "3B baseline", "class": "retrieval_miss"},
+    {"qa_id": "qa001", "config": "3B r8 qv_only", "class": "overclaiming"},
+]
+TARGETS = ("corpus.jsonl", "qa.jsonl", RUN_FILE, "judge.jsonl", "costs.jsonl", LABELS)
 ROWS = {
     name: [
         json.loads(line)
         for line in (SMOKE_WORKSPACE / name).read_text(encoding="utf-8").splitlines()
     ]
     for name in TARGETS
+    if name != LABELS
+}
+ROWS[LABELS] = LABEL_ROWS
+DOCUMENTS = {
+    name: json.loads((SMOKE_WORKSPACE / name).read_text(encoding="utf-8"))
+    for name in ("embeddings.json", "rerank.json")
 }
 KINDS = ("type", "sign", "fraction", "duplicate", "missing", "non_object")
+FIELD_KINDS = ("type", "sign", "fraction", "missing")
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)
@@ -43,6 +58,15 @@ def _is_number(value):
     return isinstance(value, (int, float))
 
 
+def _mutate(draw, value, kind):
+    """`value` changed by one of the value kinds, drawing what it needs."""
+    if kind == "type":
+        return draw(VALUES)
+    if kind == "sign":
+        return -value if _is_number(value) else -1
+    return value + 0.5 if _is_number(value) else 0.5
+
+
 @st.composite
 def mutated_file(draw):
     """(file name, its rows) with one field or row of one row mutated."""
@@ -51,25 +75,55 @@ def mutated_file(draw):
     i = draw(st.integers(0, len(rows) - 1))
     field = draw(st.sampled_from(sorted(rows[i])))
     kind = draw(st.sampled_from(KINDS))
-    value = rows[i][field]
-    if kind == "type":
-        rows[i][field] = draw(VALUES)
-    elif kind == "sign":
-        rows[i][field] = -value if _is_number(value) else -1
-    elif kind == "fraction":
-        rows[i][field] = value + 0.5 if _is_number(value) else 0.5
-    elif kind == "duplicate":
+    if kind == "duplicate":
         rows.insert(i + 1, dict(rows[i]))
     elif kind == "missing":
         del rows[i][field]
-    else:
+    elif kind == "non_object":
         rows[i] = draw(NON_OBJECTS)
+    else:
+        rows[i][field] = _mutate(draw, rows[i][field], kind)
     return name, rows
 
 
-def _write(ws: Path, name, rows):
+def _paths(node, path=()):
+    """The key path of every value below `node`, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, path + (key,))
+
+
+PATHS = {name: list(_paths(doc)) for name, doc in DOCUMENTS.items()}
+
+
+@st.composite
+def mutated_document(draw):
+    """(file name, its document) with one field, one whole vector or score
+    table, or one vector component or score changed or removed."""
+    name = draw(st.sampled_from(sorted(DOCUMENTS)))
+    doc = copy.deepcopy(DOCUMENTS[name])
+    *parent_path, key = draw(st.sampled_from(PATHS[name]))
+    parent = doc
+    for step in parent_path:
+        parent = parent[step]
+    kind = draw(st.sampled_from(FIELD_KINDS))
+    if kind == "missing":
+        del parent[key]
+    else:
+        parent[key] = _mutate(draw, parent[key], kind)
+    return name, doc
+
+
+def _write(ws: Path, name, content):
     path = ws / name
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    if isinstance(content, list):
+        path.write_text(
+            "".join(json.dumps(row) + "\n" for row in content), encoding="utf-8"
+        )
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
     if name == RUN_FILE:
         manifest_path = ws / "runs" / "manifest.json"
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
@@ -79,21 +133,42 @@ def _write(ws: Path, name, rows):
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
-@settings(max_examples=80, derandomize=True, deadline=None, database=None)
-@given(mutated_file())
-def test_validate_mutated_row_exits_cleanly(mutation):
-    name, rows = mutation
+def _run(ws: Path, command):
+    """(exit code, stderr lines) of one command run in-process."""
     out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--workspace", str(ws), command])
+    return code, err.getvalue().splitlines()
+
+
+def _check_mutation(mutation, then_retrieve=False):
+    name, content = mutation
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
         shutil.copytree(SMOKE_WORKSPACE, ws)
-        _write(ws, name, rows)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["--workspace", str(ws), "validate"])
-    if code == 0:
-        assert err.getvalue() == ""
-    else:
-        assert code == 1
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1, err.getvalue()
-        assert lines[0].startswith("validate: ")
+        config = json.loads((ws / "workspace.json").read_text(encoding="utf-8"))
+        config["labels"] = LABELS
+        (ws / "workspace.json").write_text(json.dumps(config), encoding="utf-8")
+        _write(ws, LABELS, LABEL_ROWS)
+        _write(ws, name, content)
+        code, err = _run(ws, "validate")
+        if code == 0:
+            assert err == []
+            if then_retrieve:
+                assert _run(ws, "retrieve") == (0, [])
+        else:
+            assert code == 1
+            assert len(err) == 1, err
+            assert err[0].startswith("validate: ")
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(mutated_file())
+def test_validate_mutated_row_exits_cleanly(mutation):
+    _check_mutation(mutation)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(mutated_document())
+def test_validate_mutated_embeddings_or_rerank_exits_cleanly(mutation):
+    _check_mutation(mutation, then_retrieve=True)
