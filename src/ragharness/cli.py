@@ -10,12 +10,11 @@ unchanged inputs rewrites byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -69,19 +68,28 @@ def _parse_regimes(
     return regimes
 
 
+def _is_path(f) -> bool:
+    """Whether a WorkspaceConfig field is a path, which is the case exactly
+    when its default is one or None; every knob defaults to a number."""
+    return f.default is None or isinstance(f.default, Path)
+
+
 @dataclass
 class WorkspaceConfig:
+    """A workspace's inputs, output directory and knobs, with the defaults
+    of workspace.json. Each path is taken relative to `root` on construction;
+    an optional input left as None is not used."""
+
     root: Path
-    corpus: Path
-    qa: Path
-    out: Path
+    corpus: Path = Path("corpus.jsonl")
+    qa: Path = Path("qa.jsonl")
+    out: Path = Path("out")
     embeddings: Path | None = None
     rerank_scores: Path | None = None
     runs: Path | None = None
     judge_scores: Path | None = None
     costs: Path | None = None
     labels: Path | None = None
-    regimes: list = None
     retrieve_top_n: int = 20
     eval_top_k: int = 2
     k_rrf: float = 60.0
@@ -89,19 +97,22 @@ class WorkspaceConfig:
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
-    # (id, RetrievalRegime) per entry of `regimes`, checked on construction.
+    # The regime specs of workspace.json; None stands for DEFAULT_REGIME alone.
+    regimes: InitVar[list | None] = None
+    # (id, RetrievalRegime) per regime spec, checked on construction.
     retrieval_regimes: list = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, regimes):
+        for f in fields(self):
+            if _is_path(f) and getattr(self, f.name) is not None:
+                setattr(self, f.name, self.root / getattr(self, f.name))
         if self.eval_top_k > self.retrieve_top_n:
             raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
         if not 0.0 < self.level < 1.0:
             raise WorkspaceError("level must be in (0, 1)")
-        if self.regimes is None:
-            self.regimes = [dict(DEFAULT_REGIME)]
         self.retrieval_regimes = _parse_regimes(
             self.root / "workspace.json",
-            self.regimes,
+            [DEFAULT_REGIME] if regimes is None else regimes,
             self.retrieve_top_n,
             self.eval_top_k,
             self.k_rrf,
@@ -115,62 +126,36 @@ class WorkspaceConfig:
         )
 
 
-def _read_json(path: Path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise WorkspaceError(f"{path}: malformed JSON: {exc}") from exc
-
-
 def load_workspace(root) -> WorkspaceConfig:
+    """The workspace config of `root`: each path or knob workspace.json
+    gives, checked, and WorkspaceConfig's default for each it leaves out."""
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.exists():
         raise WorkspaceError(f"workspace config not found: {config_path}")
-    raw = _read_json(config_path)
-    if not isinstance(raw, dict):
-        raise WorkspaceError(f"{config_path}: expected a JSON object")
-
-    def path_of(key, default=None):
-        value = raw.get(key, default)
-        return root / value if value is not None else None
-
-    def knob(key, default, kind):
-        value = raw.get(key, default)
+    raw = ingest.read_json(config_path, WorkspaceError)
+    given = {}
+    for f in fields(WorkspaceConfig):
+        if f.name == "root" or not f.init or f.name not in raw:
+            continue
+        value = raw[f.name]
+        if _is_path(f):
+            # null leaves out an optional input; a required one needs a path.
+            if not (isinstance(value, str) or (value is None and f.default is None)):
+                raise WorkspaceError(
+                    f"{config_path}: {f.name} must be a path string, got {value!r}"
+                )
+            given[f.name] = value
+            continue
+        kind = type(f.default)
         try:
-            return as_int(value, key) if kind is int else as_float(value, key)
+            given[f.name] = as_int(value, f.name) if kind is int else as_float(value, f.name)
         except (TypeError, ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise WorkspaceError(
-                f"{config_path}: {key} must be {noun}, got {value!r}"
+                f"{config_path}: {f.name} must be {noun}, got {value!r}"
             ) from exc
-
-    return WorkspaceConfig(
-        root=root,
-        corpus=path_of("corpus", "corpus.jsonl"),
-        qa=path_of("qa", "qa.jsonl"),
-        out=path_of("out", "out"),
-        embeddings=path_of("embeddings"),
-        rerank_scores=path_of("rerank_scores"),
-        runs=path_of("runs"),
-        judge_scores=path_of("judge_scores"),
-        costs=path_of("costs"),
-        labels=path_of("labels"),
-        regimes=raw.get("regimes"),
-        retrieve_top_n=knob("retrieve_top_n", 20, int),
-        eval_top_k=knob("eval_top_k", 2, int),
-        k_rrf=knob("k_rrf", 60, float),
-        resamples=knob("resamples", 1000, int),
-        level=knob("level", 0.95, float),
-        pass_threshold=knob("pass_threshold", 4, int),
-        seed=knob("seed", 0, int),
-    )
-
-
-def _load_dataset(ws: WorkspaceConfig):
-    chunks = dataset.load_corpus(ws.corpus)
-    pairs, census = dataset.load_qa(ws.qa)
-    return chunks, pairs, census
+    return WorkspaceConfig(root=root, regimes=raw.get("regimes"), **given)
 
 
 def _input(ws: WorkspaceConfig, key: str) -> Path | None:
@@ -196,80 +181,78 @@ def _load_costs(ws: WorkspaceConfig) -> dict:
     return ingest.load_cost_profile(path) if path is not None else {}
 
 
-def _write_json(path: Path, payload) -> None:
+def _write_text(path: Path, chunks) -> None:
+    """Write the strings of `chunks` to `path` as UTF-8 with LF line ends,
+    creating its directory; every non-CSV output goes through here."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.writelines(chunks)
 
 
-def _fmt(value, digits=6):
-    if value is None:
-        return ""
-    return f"{value:.{digits}g}"
+def _write_json(path: Path, payload) -> None:
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    """One JSON object per line, keys sorted; `rows` may be a generator."""
+    _write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def _score_runs(ws: WorkspaceConfig):
-    """The run set and its records scored once, grouped by (config, regime)."""
-    _, pairs, _ = _load_dataset(ws)
+    """The run set and its records scored once, grouped by (config, regime).
+    Scoring needs the gold answers alone, so the corpus is not read."""
+    pairs, _ = dataset.load_qa(ws.qa)
     gold = {p.qa_id: p.gold_answer for p in pairs}
     run_set = _load_runs(ws, set(gold))
     return run_set, metrics.score_runs(run_set, gold)
 
 
-def _regime_table_rows(ws: WorkspaceConfig, run_set, scored, costs):
+def _regime_tables(ws: WorkspaceConfig):
+    """(run set, scores, cost profiles, {regime_id: regime table}): the run
+    set scored once and one table per regime of it, in regime order; what
+    stats, pareto and report share."""
     from . import report
 
-    tables = {}
-    for regime_id in run_set.regimes():
-        tables[regime_id] = report.regime_table(
-            scored, regime_id, costs, ws.plan(), ws.pass_threshold
-        )
-    return tables
+    run_set, scored = _score_runs(ws)
+    costs = _load_costs(ws)
+    plan = ws.plan()
+    tables = {
+        regime_id: report.regime_table(scored, regime_id, costs, plan, ws.pass_threshold)
+        for regime_id in run_set.regimes()
+    }
+    return run_set, scored, costs, tables
 
 
-def _write_regime_csv(path: Path, rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "config", "n", "f1", "f1_lo", "f1_hi", "em",
-                "grnd_pass", "grnd_lo", "grnd_hi",
-                "corr_pass", "corr_lo", "corr_hi",
-                "latency", "inference_vram",
-            ]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.config_id,
-                    r.n,
-                    _fmt(r.f1),
-                    _fmt(r.f1_interval.lo if r.f1_interval else None),
-                    _fmt(r.f1_interval.hi if r.f1_interval else None),
-                    _fmt(r.em_rate),
-                    _fmt(r.grnd_pass),
-                    _fmt(r.grnd_interval.lo if r.grnd_interval else None),
-                    _fmt(r.grnd_interval.hi if r.grnd_interval else None),
-                    _fmt(r.corr_pass),
-                    _fmt(r.corr_interval.lo if r.corr_interval else None),
-                    _fmt(r.corr_interval.hi if r.corr_interval else None),
-                    _fmt(r.latency),
-                    _fmt(r.inference_vram),
-                ]
-            )
+_REGIME_COLUMNS = [
+    "config", "n", "f1", "f1_lo", "f1_hi", "em",
+    "grnd_pass", "grnd_lo", "grnd_hi",
+    "corr_pass", "corr_lo", "corr_hi",
+    "latency", "inference_vram",
+]
+
+
+def _regime_csv_row(r) -> list:
+    def bounds(interval):
+        return [interval.lo, interval.hi] if interval else [None, None]
+
+    return [
+        r.config_id, r.n, r.f1, *bounds(r.f1_interval), r.em_rate,
+        r.grnd_pass, *bounds(r.grnd_interval),
+        r.corr_pass, *bounds(r.corr_interval),
+        r.latency, r.inference_vram,
+    ]
 
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
     problems = []
     chunks = pairs = run_set = None
     for label, path in (("corpus", ws.corpus), ("qa", ws.qa)):
-        if path is None or not path.exists():
+        if not path.exists():
             problems.append(f"missing {label} file: {path}")
     if not problems:
         try:
-            chunks, pairs, census = _load_dataset(ws)
+            chunks = dataset.load_corpus(ws.corpus)
+            pairs, census = dataset.load_qa(ws.qa)
         except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
@@ -321,9 +304,7 @@ def _read_embeddings(ws: WorkspaceConfig):
     path = _input(ws, "embeddings")
     if path is None:
         return None
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise WorkspaceError(f"{path}: expected a JSON object")
+    raw = ingest.read_json(path, WorkspaceError)
     try:
         dim = as_int(raw["dim"], "dim")
         chunks, queries = raw["chunks"], raw["queries"]
@@ -364,8 +345,8 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
     path = _input(ws, "rerank_scores")
     if path is None:
         return {}
-    rerank = _read_json(path)
-    if not isinstance(rerank, dict) or not all(
+    rerank = ingest.read_json(path, WorkspaceError)
+    if not all(
         isinstance(scores, dict) and _finite_numbers(scores.values())
         for scores in rerank.values()
     ):
@@ -374,76 +355,64 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
-    chunks, pairs, _ = _load_dataset(ws)
+    chunks = dataset.load_corpus(ws.corpus)
+    pairs, _ = dataset.load_qa(ws.qa)
     index = retrieval.build_sparse_index(chunks)
     table, queries = _load_embeddings(ws)
     rerank = _load_rerank(ws)
     test_pairs = [p for p in pairs if p.split == "test"]
-    ws.out.mkdir(parents=True, exist_ok=True)
+
+    def contexts(regime_id, regime):
+        for pair in test_pairs:
+            sparse = retrieval.score_sparse(index, pair.question, ws.retrieve_top_n)
+            dense = None
+            if table is not None and pair.qa_id in queries:
+                dense = retrieval.score_dense(table, queries[pair.qa_id], ws.retrieve_top_n)
+            context = retrieval.select_context(
+                regime, dense=dense, sparse=sparse, rerank_scores=rerank.get(pair.qa_id)
+            )
+            yield {"qa_id": pair.qa_id, "regime": regime_id, "context_ids": context}
+
     for regime_id, regime in ws.retrieval_regimes:
         out_path = ws.out / f"contexts_{regime_id}.jsonl"
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for pair in test_pairs:
-                sparse = retrieval.score_sparse(index, pair.question, ws.retrieve_top_n)
-                dense = None
-                if table is not None and pair.qa_id in queries:
-                    dense = retrieval.score_dense(
-                        table, queries[pair.qa_id], ws.retrieve_top_n
-                    )
-                context = retrieval.select_context(
-                    regime,
-                    dense=dense,
-                    sparse=sparse,
-                    rerank_scores=rerank.get(pair.qa_id),
-                )
-                fh.write(
-                    json.dumps(
-                        {
-                            "qa_id": pair.qa_id,
-                            "regime": regime_id,
-                            "context_ids": context,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _write_jsonl(out_path, contexts(regime_id, regime))
         print(f"retrieve: wrote {out_path}")
     return 0
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
     run_set, scored = _score_runs(ws)
-    ws.out.mkdir(parents=True, exist_ok=True)
     out_path = ws.out / "scores.jsonl"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for score in sorted(
-            (s for scores in scored.values() for s in scores),
-            key=lambda s: (s.regime_id, s.config_id, s.qa_id),
-        ):
-            fh.write(
-                json.dumps(
-                    {
-                        "config": score.config_id,
-                        "regime": score.regime_id,
-                        "qa_id": score.qa_id,
-                        "f1": round(score.f1, 6),
-                        "em": int(score.exact_match),
-                        "latency_s": score.latency,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
+    _write_jsonl(
+        out_path,
+        (
+            {
+                "config": score.config_id,
+                "regime": score.regime_id,
+                "qa_id": score.qa_id,
+                "f1": round(score.f1, 6),
+                "em": int(score.exact_match),
+                "latency_s": score.latency,
+            }
+            for score in sorted(
+                (s for scores in scored.values() for s in scores),
+                key=lambda s: (s.regime_id, s.config_id, s.qa_id),
             )
+        ),
+    )
     print(f"score: wrote {out_path} ({len(run_set.records)} records)")
     return 0
 
 
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
-    run_set, scored = _score_runs(ws)
-    tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
+    from . import report
+
+    _, scored, _, tables = _regime_tables(ws)
     for regime_id, rows in tables.items():
-        _write_regime_csv(ws.out / f"stats_{regime_id}.csv", rows)
-    _write_param_matched_deltas(ws, run_set.regimes(), scored)
+        report.write_csv(
+            ws.out / f"stats_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
+        )
+    _write_param_matched_deltas(ws, list(tables), scored)
     print(f"stats: wrote {len(tables)} regime tables under {ws.out}")
     return 0
 
@@ -454,6 +423,7 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
     delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
     in a regime, covering different qa_ids is an error rather than a delta
     over unmatched examples."""
+    from . import report
     from .stats import paired_bootstrap_delta, pooled_pair_delta
 
     config_ids = {cid for cid, _ in scored}
@@ -496,39 +466,27 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
         if len(pooled_inputs) > 1:
             est = pooled_pair_delta(pooled_inputs, ws.plan())
             rows.append([regime_id, "pooled", "", "", est])
-    out_path = ws.out / "param_matched.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["regime", "budget", "qv_config", "full_config",
-             "delta_f1", "lo", "hi", "significant"]
-        )
-        for *labels, est in rows:
-            writer.writerow(
-                [
-                    *labels,
-                    _fmt(est.delta),
-                    _fmt(est.interval.lo),
-                    _fmt(est.interval.hi),
-                    int(est.significant),
-                ]
-            )
+    report.write_csv(
+        ws.out / "param_matched.csv",
+        ["regime", "budget", "qv_config", "full_config",
+         "delta_f1", "lo", "hi", "significant"],
+        (
+            [*labels, est.delta, est.interval.lo, est.interval.hi, int(est.significant)]
+            for *labels, est in rows
+        ),
+    )
 
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     from . import report
 
-    run_set, scored = _score_runs(ws)
     axes = tuple(args.axes.split(","))
     for axis in axes:
         if axis not in COST_AXES:
             print(f"pareto: unknown cost axis {axis!r}", file=sys.stderr)
             return 1
-    regimes = [args.regime] if args.regime else run_set.regimes()
-    costs = _load_costs(ws)
-    tables = _regime_table_rows(ws, run_set, scored, costs)
-    for regime_id in regimes:
+    _, _, costs, tables = _regime_tables(ws)
+    for regime_id in [args.regime] if args.regime else tables:
         rows = tables.get(regime_id)
         if rows is None:
             print(f"pareto: regime {regime_id!r} not in run set", file=sys.stderr)
@@ -551,7 +509,6 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             )
         front = pareto_front(points, axes)
         out_path = ws.out / f"front_{regime_id}_{'_'.join(axes)}.csv"
-        out_path.parent.mkdir(parents=True, exist_ok=True)
         report.emit_front_data(points, front, out_path, axes)
         print(f"pareto: wrote {out_path} ({len(front)} on front)")
     return 0
@@ -581,31 +538,30 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     from . import report
 
     labels = _load_labels(ws)
-    run_set, scored = _score_runs(ws)
-    tables = _regime_table_rows(ws, run_set, scored, _load_costs(ws))
-    ws.out.mkdir(parents=True, exist_ok=True)
+    run_set, _, _, tables = _regime_tables(ws)
     for regime_id, rows in tables.items():
-        _write_regime_csv(ws.out / f"regime_{regime_id}.csv", rows)
-        text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
-        (ws.out / f"regime_{regime_id}.txt").write_text(text, encoding="utf-8")
-    summary = report.ablation_summary(tables)
-    with open(ws.out / "ablation_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["regime", "best_f1_config", "best_f1",
-             "best_grnd_config", "best_grnd", "same_point"]
+        report.write_csv(
+            ws.out / f"regime_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
         )
-        for row in summary:
-            writer.writerow(
-                [
-                    row.regime_id,
-                    row.best_f1_config,
-                    _fmt(row.best_f1_row.f1),
-                    row.best_grnd_config or "",
-                    _fmt(row.best_grnd_row.grnd_pass if row.best_grnd_row else None),
-                    int(row.same_point),
-                ]
-            )
+        text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
+        _write_text(ws.out / f"regime_{regime_id}.txt", [text])
+    summary = report.ablation_summary(tables)
+    report.write_csv(
+        ws.out / "ablation_summary.csv",
+        ["regime", "best_f1_config", "best_f1",
+         "best_grnd_config", "best_grnd", "same_point"],
+        (
+            [
+                row.regime_id,
+                row.best_f1_config,
+                row.best_f1_row.f1,
+                row.best_grnd_config,
+                row.best_grnd_row.grnd_pass if row.best_grnd_row else None,
+                int(row.same_point),
+            ]
+            for row in summary
+        ),
+    )
     _write_json(ws.out / "scheme_wins.json", report.scheme_wins(summary))
     # load_runs rejects mixed top_k within a (config, regime).
     top_k = {(rec.config_id, rec.regime_id): rec.eval_top_k for rec in run_set.records}
@@ -614,15 +570,15 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
         for row in tables[regime_id]:
             k_tables.setdefault(top_k[row.config_id, regime_id], []).append(row)
     if len(k_tables) >= 2:
-        rows = report.topk_summary(k_tables)
-        with open(ws.out / "topk_summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "best_config", "best_f1", "latency", "front"])
-            for r in rows:
-                writer.writerow(
-                    [r.eval_top_k, r.best_config, _fmt(r.best_f1),
-                     _fmt(r.best_latency), ";".join(r.front_configs)]
-                )
+        report.write_csv(
+            ws.out / "topk_summary.csv",
+            ["k", "best_config", "best_f1", "latency", "front"],
+            (
+                [r.eval_top_k, r.best_config, r.best_f1, r.best_latency,
+                 ";".join(r.front_configs)]
+                for r in report.topk_summary(k_tables)
+            ),
+        )
     if labels is not None:
         _write_json(ws.out / "error_counts.json", report.error_counts(labels))
     print(f"report: wrote tables for {len(tables)} regimes under {ws.out}")

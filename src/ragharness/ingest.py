@@ -66,10 +66,19 @@ class CostProfile:
     inference_vram_by_regime: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        for name in ("inference_vram", "training_time", "training_vram"):
-            val = getattr(self, name)
-            if val is not None and val < 0:
-                raise IngestError(f"{self.config_id}: negative {name}")
+        costs = {
+            name: getattr(self, name)
+            for name in ("inference_vram", "training_time", "training_vram")
+        }
+        costs.update(
+            (f"inference_vram for regime {regime_id!r}", val)
+            for regime_id, val in self.inference_vram_by_regime.items()
+        )
+        for name, val in costs.items():
+            if val is not None and not (math.isfinite(val) and val >= 0):
+                raise IngestError(
+                    f"{self.config_id}: {name} must be finite and >= 0, got {val!r}"
+                )
 
     def inference_vram_for(self, regime_id: str) -> float | None:
         return self.inference_vram_by_regime.get(regime_id, self.inference_vram)
@@ -93,14 +102,34 @@ def file_checksum(path) -> str:
     return digest.hexdigest()
 
 
+def read_json(path, error=IngestError) -> dict:
+    """The JSON object that makes up a whole file. Bytes that are not UTF-8,
+    malformed JSON and a document that is not an object are `error`s naming
+    the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: malformed JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{path}: expected a JSON object")
+    return doc
+
+
 def read_rows(path, build, error=IngestError):
-    """Yield (lineno, build(row)) for each row of a JSON-lines file. A blank
-    line is skipped; a malformed line, a row that is not an object, a missing
-    or unconvertible field and a typed error raised by `build` are `error`s
-    naming file:line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    """Yield (lineno, build(row)) for each row of a JSON-lines file; lines end
+    at LF. A blank line is skipped; a line that is not UTF-8, a malformed
+    line, a row that is not an object, a missing or unconvertible field and a
+    typed error raised by `build` are `error`s naming file:line."""
+    # Each line is decoded on its own, so an undecodable byte is reported on
+    # its own line rather than somewhere in the block a text reader decodes.
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             try:
@@ -166,12 +195,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise IngestError(f"manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{manifest_path}: malformed JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise IngestError(f"{manifest_path}: expected a JSON object")
+    manifest = read_json(manifest_path)
     records: list[RunRecord] = []
     seen: set[tuple[str, str, str]] = set()
     top_k: dict[tuple[str, str], int] = {}

@@ -49,11 +49,21 @@ class RegimeRow:
 @dataclass(frozen=True)
 class AblationSummaryRow:
     regime_id: str
-    best_f1_config: str
     best_f1_row: RegimeRow
-    best_grnd_config: str | None
+    # None when no config in the regime has judge scores.
     best_grnd_row: RegimeRow | None
-    same_point: bool
+
+    @property
+    def best_f1_config(self) -> str:
+        return self.best_f1_row.config_id
+
+    @property
+    def best_grnd_config(self) -> str | None:
+        return self.best_grnd_row.config_id if self.best_grnd_row else None
+
+    @property
+    def same_point(self) -> bool:
+        return self.best_f1_config == self.best_grnd_config
 
 
 @dataclass(frozen=True)
@@ -147,32 +157,14 @@ def ablation_summary(tables: dict) -> list[AblationSummaryRow]:
         rows = tables[regime_id]
         if not rows:
             raise ReportError(f"regime table {regime_id!r} is empty")
-        best_f1 = _best(rows, lambda r: r.f1)
         judged = [r for r in rows if r.grnd_pass is not None]
-        if judged:
-            best_grnd = _best(judged, lambda r: r.grnd_pass)
-            same = best_f1.config_id == best_grnd.config_id
-            summary.append(
-                AblationSummaryRow(
-                    regime_id=regime_id,
-                    best_f1_config=best_f1.config_id,
-                    best_f1_row=best_f1,
-                    best_grnd_config=best_grnd.config_id,
-                    best_grnd_row=best_grnd,
-                    same_point=same,
-                )
+        summary.append(
+            AblationSummaryRow(
+                regime_id=regime_id,
+                best_f1_row=_best(rows, lambda r: r.f1),
+                best_grnd_row=_best(judged, lambda r: r.grnd_pass) if judged else None,
             )
-        else:
-            summary.append(
-                AblationSummaryRow(
-                    regime_id=regime_id,
-                    best_f1_config=best_f1.config_id,
-                    best_f1_row=best_f1,
-                    best_grnd_config=None,
-                    best_grnd_row=None,
-                    same_point=False,
-                )
-            )
+        )
     return summary
 
 
@@ -263,25 +255,46 @@ def error_counts(labels: list[ErrorLabel]) -> dict:
     }
 
 
+def write_csv(path, header, rows) -> None:
+    """Write one CSV table under `path`, creating its directory: UTF-8, LF
+    line ends, a float cell to 6 significant digits, a None cell empty, and
+    any other cell as `csv` writes it. Every CSV file the harness writes goes
+    through here, so reruns with unchanged inputs give identical bytes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(value) for value in row] for row in rows)
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return value
+
+
 def emit_front_data(points: list[ParetoPoint], front: list[ParetoPoint], destination, axes) -> None:
     """Write plot-ready comma-separated rows {config, regime, quality, active
     cost axes, on_front}. Rows sorted by config id; column order fixed."""
     axes = tuple(axes)
     on_front = {(p.config_id, p.regime_id) for p in front}
-    path = Path(destination)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["config", "regime", "quality", *axes, "on_front"])
-        for p in sorted(points, key=lambda p: (p.config_id, p.regime_id)):
-            writer.writerow(
-                [
-                    p.config_id,
-                    p.regime_id,
-                    f"{p.quality:.6g}",
-                    *(f"{p.costs.get(ax):.6g}" for ax in axes),
-                    int((p.config_id, p.regime_id) in on_front),
-                ]
-            )
+    write_csv(
+        destination,
+        ["config", "regime", "quality", *axes, "on_front"],
+        (
+            [
+                p.config_id,
+                p.regime_id,
+                p.quality,
+                *(p.costs.get(ax) for ax in axes),
+                int((p.config_id, p.regime_id) in on_front),
+            ]
+            for p in sorted(points, key=lambda p: (p.config_id, p.regime_id))
+        ),
+    )
 
 
 def format_regime_table(

@@ -81,12 +81,6 @@ class RankedList:
     def ids(self) -> list[str]:
         return [cid for cid, _ in self.entries]
 
-    def rank_of(self, chunk_id: str) -> int | None:
-        for rank, (cid, _) in enumerate(self.entries, start=1):
-            if cid == chunk_id:
-                return rank
-        return None
-
 
 @dataclass
 class FusedCandidates:

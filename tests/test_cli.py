@@ -233,6 +233,19 @@ def _file_text(name, text):
     return write
 
 
+def _not_utf8(name, line):
+    """Put the bytes ff fe, which never start UTF-8 text, at the head of
+    line `line` of `name`."""
+
+    def write(workspace):
+        path = workspace / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = b"\xff\xfe" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+
+    return write
+
+
 def _edit_rows(name, edit):
     def write(workspace):
         path = workspace / name
@@ -241,6 +254,10 @@ def _edit_rows(name, edit):
         path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
 
     return write
+
+
+def _first_cost(**fields):
+    return _edit_rows("costs.jsonl", lambda rows: rows[0].update(fields))
 
 
 def _judge_correctness(value):
@@ -457,6 +474,40 @@ def _regime_without_id(config):
             ["validate"],
             "labels.jsonl:1: missing field 'class'",
         ),
+        (
+            _first_cost(inf_vram_gb=float("nan")),
+            ["validate"],
+            "costs.jsonl:1: 3B baseline: inference_vram must be finite and >= 0, got nan",
+        ),
+        (
+            _first_cost(train_min=float("-inf")),
+            ["stats"],
+            "costs.jsonl:1: 3B baseline: training_time must be finite and >= 0, got -inf",
+        ),
+        (
+            _first_cost(inf_vram_by_regime={"01_base__neutral": -5}),
+            ["validate"],
+            "inference_vram for regime '01_base__neutral' must be finite and >= 0, got -5.0",
+        ),
+        (
+            _first_cost(inf_vram_by_regime={"01_base__neutral": float("inf")}),
+            ["stats"],
+            "inference_vram for regime '01_base__neutral' must be finite and >= 0, got inf",
+        ),
+        (_not_utf8("workspace.json", 1), ["validate"], "workspace.json: not UTF-8: "),
+        (_not_utf8("judge.jsonl", 1), ["validate"], "judge.jsonl:1: not UTF-8: "),
+        (_not_utf8("judge.jsonl", 40), ["stats"], "judge.jsonl:40: not UTF-8: "),
+        (_not_utf8("runs/manifest.json", 1), ["score"], "manifest.json: not UTF-8: "),
+        (
+            _edit_json("workspace.json", lambda c: c.update(runs=5)),
+            ["validate"],
+            "runs must be a path string, got 5",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(corpus=None)),
+            ["validate"],
+            "corpus must be a path string, got None",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -475,6 +526,10 @@ def _regime_without_id(config):
         "chunk_component_string", "embeddings_negative_dim", "latency_bool",
         "cost_bool", "rerank_bool", "labels_unknown_class_validate",
         "labels_missing_field_validate",
+        "cost_nan_validate", "cost_minus_inf_stats",
+        "cost_override_negative_validate", "cost_override_inf_stats",
+        "workspace_not_utf8_validate", "judge_not_utf8_validate", "judge_not_utf8_stats",
+        "manifest_not_utf8", "path_not_string", "required_path_null",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -482,6 +537,18 @@ def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, messag
         mutate(workspace)
     assert run(workspace, *argv) == 1
     assert message in one_line_error(capsys, argv[0])
+
+
+def test_only_validate_and_retrieve_read_the_corpus(workspace, capsys):
+    assert run(workspace, "score") == 0
+    scores = (workspace / "out" / "scores.jsonl").read_bytes()
+    (workspace / "corpus.jsonl").write_text("{\n", encoding="utf-8")
+    for command in ("validate", "retrieve"):
+        assert run(workspace, command) == 1
+        assert "corpus.jsonl:1: malformed line" in one_line_error(capsys, command)
+    for command in ("score", "stats", "pareto", "report"):
+        assert run(workspace, command) == 0
+    assert (workspace / "out" / "scores.jsonl").read_bytes() == scores
 
 
 def test_param_matched_pairs_follow_config_ids(workspace):
@@ -546,30 +613,31 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
         assert {row["grnd_pass"] for row in csv.DictReader(fh)} == {""}
 
 
-NUMPY_LOADED = (
+MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('numpy' in sys.modules); sys.exit(code)"
+    "print('loaded:', *sorted({'numpy', 'ragharness.report'} & set(sys.modules))); "
+    "sys.exit(code)"
 )
 
 
 def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
-    retrieve loads it."""
+    retrieve loads it. score does not import `report` either."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
 
-    def numpy_loaded(*argv):
+    def loaded(*argv):
         out = subprocess.run(
-            [sys.executable, "-c", NUMPY_LOADED, *argv],
+            [sys.executable, "-c", MODULES_LOADED, *argv],
             env=env, capture_output=True, text=True, check=True,
         ).stdout
-        return out.splitlines()[-1] == "True"
+        return set(out.splitlines()[-1].split()[1:])
 
-    assert not numpy_loaded("grid")
-    assert not numpy_loaded("--workspace", str(workspace), "score")
-    assert not numpy_loaded("--workspace", str(workspace), "validate")
-    assert numpy_loaded("--workspace", str(workspace), "retrieve")
+    assert "numpy" not in loaded("grid")
+    assert loaded("--workspace", str(workspace), "score") == set()
+    assert "numpy" not in loaded("--workspace", str(workspace), "validate")
+    assert "numpy" in loaded("--workspace", str(workspace), "retrieve")

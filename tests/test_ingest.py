@@ -186,5 +186,8 @@ def test_cost_profile_regime_override():
     )
     assert profile.inference_vram_for("01_base__neutral") == 10.0
     assert profile.inference_vram_for("05_dense_only__neutral") == 9.0
-    with pytest.raises(IngestError):
-        CostProfile(config_id="a", inference_vram=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(IngestError, match="must be finite and >= 0"):
+            CostProfile(config_id="a", inference_vram=bad)
+        with pytest.raises(IngestError, match="inference_vram for regime 'r'"):
+            CostProfile(config_id="a", inference_vram_by_regime={"r": bad})

@@ -20,6 +20,7 @@ from ragharness.report import (
     regime_table,
     scheme_wins,
     topk_summary,
+    write_csv,
 )
 from ragharness.stats import ResamplePlan
 
@@ -246,6 +247,20 @@ def test_emit_front_data_empty(tmp_path):
     dest = tmp_path / "front.csv"
     emit_front_data([], [], dest, ("latency",))
     assert dest.read_text(encoding="utf-8") == "config,regime,quality,latency,on_front\n"
+
+
+def test_write_csv_cell_rule(tmp_path):
+    """A float to 6 significant digits, None empty, anything else as `csv`
+    writes it; UTF-8, LF line ends, the directory created."""
+    dest = tmp_path / "new" / "table.csv"
+    write_csv(
+        dest,
+        ["float", "none", "int", "text", "bool"],
+        [[0.123456789, None, 10**7, "a,b", True], [2.0, None, 0, "é", False]],
+    )
+    assert dest.read_bytes() == (
+        'float,none,int,text,bool\n0.123457,,10000000,"a,b",True\n2,,0,é,False\n'
+    ).encode("utf-8")
 
 
 def test_format_regime_table_alignment(regime_tables):
