@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -70,7 +70,8 @@ def _parse_regimes(
 
 def _is_path(f) -> bool:
     """Whether a WorkspaceConfig field is a path, which is the case exactly
-    when its default is one or None; every knob defaults to a number."""
+    when its default is one or None; every knob defaults to a number, and the
+    regime specs to a list."""
     return f.default is None or isinstance(f.default, Path)
 
 
@@ -97,12 +98,14 @@ class WorkspaceConfig:
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
-    # The regime specs of workspace.json; None stands for DEFAULT_REGIME alone.
-    regimes: InitVar[list | None] = None
+    # The regime specs of workspace.json. Not an InitVar: dataclasses finds a
+    # string-annotated InitVar through sys.modules[cls.__module__], which is
+    # another module when this one runs as __main__ under, say, cProfile.
+    regimes: list = field(default_factory=lambda: [DEFAULT_REGIME], repr=False)
     # (id, RetrievalRegime) per regime spec, checked on construction.
     retrieval_regimes: list = field(init=False, repr=False)
 
-    def __post_init__(self, regimes):
+    def __post_init__(self):
         for f in fields(self):
             if _is_path(f) and getattr(self, f.name) is not None:
                 setattr(self, f.name, self.root / getattr(self, f.name))
@@ -112,7 +115,7 @@ class WorkspaceConfig:
             raise WorkspaceError("level must be in (0, 1)")
         self.retrieval_regimes = _parse_regimes(
             self.root / "workspace.json",
-            [DEFAULT_REGIME] if regimes is None else regimes,
+            self.regimes,
             self.retrieve_top_n,
             self.eval_top_k,
             self.k_rrf,
@@ -131,12 +134,13 @@ def load_workspace(root) -> WorkspaceConfig:
     gives, checked, and WorkspaceConfig's default for each it leaves out."""
     root = Path(root)
     config_path = root / "workspace.json"
-    if not config_path.exists():
+    if not config_path.is_file():
         raise WorkspaceError(f"workspace config not found: {config_path}")
     raw = ingest.read_json(config_path, WorkspaceError)
-    given = {}
+    # null regimes, like none, stands for DEFAULT_REGIME alone.
+    given = {} if raw.get("regimes") is None else {"regimes": raw["regimes"]}
     for f in fields(WorkspaceConfig):
-        if f.name == "root" or not f.init or f.name not in raw:
+        if f.name in ("root", "regimes") or not f.init or f.name not in raw:
             continue
         value = raw[f.name]
         if _is_path(f):
@@ -155,24 +159,43 @@ def load_workspace(root) -> WorkspaceConfig:
             raise WorkspaceError(
                 f"{config_path}: {f.name} must be {noun}, got {value!r}"
             ) from exc
-    return WorkspaceConfig(root=root, regimes=raw.get("regimes"), **given)
+    return WorkspaceConfig(root=root, **given)
 
 
 def _input(ws: WorkspaceConfig, key: str) -> Path | None:
     """The path workspace.json gives for `key`, or None when it names none.
-    A named path that does not exist is an error, never a skipped input."""
+    A named path that does not exist, or that is not a regular file (not a
+    directory, for the run set), is an error, never a skipped input."""
     path = getattr(ws, key)
-    if path is not None and not path.exists():
+    if path is None:
+        return None
+    if not path.exists():
         raise WorkspaceError(f"{key} not found: {path}")
+    if key == "runs" and not path.is_dir():
+        raise WorkspaceError(f"{key} is not a directory: {path}")
+    if key != "runs" and not path.is_file():
+        raise WorkspaceError(f"{key} is not a regular file: {path}")
     return path
 
 
-def _load_runs(ws: WorkspaceConfig, qa_ids):
+def _check_out(ws: WorkspaceConfig) -> None:
+    """Fail before anything is written when the output directory, or the
+    nearest of its ancestors that exists, is not a directory."""
+    for path in (ws.out, *ws.out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise WorkspaceError(f"out is not a directory: {path}")
+            return
+
+
+def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True):
+    """The run set, with the judge scores joined when `judged` and
+    workspace.json names them."""
     runs = _input(ws, "runs")
     if runs is None:
         raise WorkspaceError("workspace defines no run-set directory")
     return ingest.load_runs(
-        runs, qa_ids=qa_ids, judge_path=_input(ws, "judge_scores")
+        runs, qa_ids=qa_ids, judge_path=_input(ws, "judge_scores") if judged else None
     )
 
 
@@ -194,16 +217,20 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_jsonl(path: Path, rows) -> None:
-    """One JSON object per line, keys sorted; `rows` may be a generator."""
-    _write_text(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    """One JSON object per line, keys sorted; `rows` may be a generator. One
+    encoder serves the whole file: `json.dumps` with `sort_keys` would build
+    a new one per row."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    _write_text(path, (encode(row) + "\n" for row in rows))
 
 
-def _score_runs(ws: WorkspaceConfig):
+def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     """The run set and its records scored once, grouped by (config, regime).
-    Scoring needs the gold answers alone, so the corpus is not read."""
-    pairs, _ = dataset.load_qa(ws.qa)
+    Scoring needs the gold answers alone, so the corpus is not read, nor the
+    judge scores unless `judged`."""
+    pairs, _ = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs}
-    run_set = _load_runs(ws, set(gold))
+    run_set = _load_runs(ws, set(gold), judged)
     return run_set, metrics.score_runs(run_set, gold)
 
 
@@ -251,8 +278,8 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
             problems.append(f"missing {label} file: {path}")
     if not problems:
         try:
-            chunks = dataset.load_corpus(ws.corpus)
-            pairs, census = dataset.load_qa(ws.qa)
+            chunks = dataset.load_corpus(_input(ws, "corpus"))
+            pairs, census = dataset.load_qa(_input(ws, "qa"))
         except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
@@ -355,8 +382,8 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
-    chunks = dataset.load_corpus(ws.corpus)
-    pairs, _ = dataset.load_qa(ws.qa)
+    chunks = dataset.load_corpus(_input(ws, "corpus"))
+    pairs, _ = dataset.load_qa(_input(ws, "qa"))
     index = retrieval.build_sparse_index(chunks)
     table, queries = _load_embeddings(ws)
     rerank = _load_rerank(ws)
@@ -381,7 +408,8 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
-    run_set, scored = _score_runs(ws)
+    # scores.jsonl has no judge column, so the judge scores are not read.
+    run_set, scored = _score_runs(ws, judged=False)
     out_path = ws.out / "scores.jsonl"
     _write_jsonl(
         out_path,
@@ -648,6 +676,7 @@ def main(argv=None) -> int:
     root = args.workspace or os.environ.get("RAGHARNESS_WORKSPACE") or "."
     try:
         ws = load_workspace(root)
+        _check_out(ws)
         return _COMMANDS[args.command](ws, args)
     except HarnessError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)

@@ -75,9 +75,6 @@ class SplitCensus:
     def rows(self, split: str) -> int:
         return self.per_split.get(split, {"rows": 0})["rows"]
 
-    def count(self, split: str, answer_type: str) -> int:
-        return self.per_split.get(split, {}).get(answer_type, 0)
-
 
 _CHUNK_FIELDS = {"chunk_id", "doc_id", "text", "token_count"}
 _QA_FIELDS = {
@@ -103,7 +100,7 @@ def _chunk(rec: dict) -> Chunk:
 def load_corpus(path) -> list[Chunk]:
     """Load a corpus file, preserving record order and rejecting duplicates."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"corpus file not found: {path}")
     chunks: list[Chunk] = []
     seen: set[str] = set()
@@ -134,7 +131,7 @@ def _qa_pair(rec: dict) -> QaPair:
 def load_qa(path) -> tuple[list[QaPair], SplitCensus]:
     """Load a QA file and compute its split census."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise DatasetError(f"QA file not found: {path}")
     pairs: list[QaPair] = []
     seen: set[str] = set()

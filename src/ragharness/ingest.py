@@ -193,7 +193,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
             judged[key] = score
     root = Path(path)
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise IngestError(f"manifest not found: {manifest_path}")
     manifest = read_json(manifest_path)
     records: list[RunRecord] = []
@@ -203,7 +203,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
         file_path = root / entry["path"]
-        if not file_path.exists():
+        if not file_path.is_file():
             raise IngestError(f"manifest references missing file: {file_path}")
         expected = entry.get("sha256")
         if expected:
@@ -229,9 +229,9 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     return RunSet(records=records, unmatched_scores=list(judged.values()))
 
 
-def load_cost_profile(path, grid_ids=None) -> dict:
-    """Load cost profiles keyed by config id. `grid_ids`, when given, rejects
-    configs outside the known grid."""
+def load_cost_profile(path) -> dict:
+    """Load cost profiles keyed by config id; a config listed twice is an
+    error."""
     profiles: dict[str, CostProfile] = {}
     rows = read_rows(
         path,
@@ -250,8 +250,6 @@ def load_cost_profile(path, grid_ids=None) -> dict:
         config_id = profile.config_id
         if config_id in profiles:
             raise IngestError(f"{path}:{lineno}: duplicate config {config_id!r}")
-        if grid_ids is not None and config_id not in grid_ids:
-            raise IngestError(f"{path}:{lineno}: unknown config {config_id!r}")
         profiles[config_id] = profile
     return profiles
 

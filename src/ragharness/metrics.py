@@ -6,6 +6,7 @@ from __future__ import annotations
 import string
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import HarnessError
 
@@ -16,15 +17,21 @@ _DROP_TABLE = str.maketrans(
     {ch: " " for ch in string.punctuation if ch not in _KEEP}
 )
 _ARTICLES = {"a", "an", "the"}
+# Entries per memo below. Run sets repeat each gold answer once per (config,
+# regime) and many answers across configs, so each distinct string, and each
+# distinct (answer, gold) pair, is worked out once per process; the bound
+# keeps a paper-scale run set from holding every string it has seen.
+_MEMO_ENTRIES = 1 << 14
 
 
 class MetricsError(HarnessError):
     pass
 
 
+@lru_cache(maxsize=_MEMO_ENTRIES)
 def normalize_answer(text: str) -> tuple[str, ...]:
     """Lowercase, drop English articles, strip punctuation (keeping internal
-    ``- _ . / :``), collapse whitespace. Idempotent."""
+    ``- _ . / :``), collapse whitespace. Idempotent; memoised per string."""
     keep = "".join(_KEEP)
     lowered = text.lower().translate(_DROP_TABLE)
     tokens = []
@@ -44,6 +51,12 @@ def token_f1(prediction: str, gold: str) -> float:
 
     Both empty -> 1.0; exactly one empty or no overlap -> 0.0.
     """
+    return _pair_f1(prediction, gold)
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _pair_f1(prediction: str, gold: str) -> float:
+    """`token_f1`, memoised per distinct (prediction, gold) pair."""
     pred = normalize_answer(prediction)
     ref = normalize_answer(gold)
     if not pred and not ref:
@@ -59,6 +72,7 @@ def token_f1(prediction: str, gold: str) -> float:
 
 
 def exact_match(prediction: str, gold: str) -> bool:
+    """Normalised equality; it reuses the tokens `token_f1` memoised."""
     return normalize_answer(prediction) == normalize_answer(gold)
 
 

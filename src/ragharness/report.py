@@ -189,7 +189,6 @@ class TopKRow:
     eval_top_k: int
     best_config: str
     best_f1: float
-    best_f1_interval: Interval | None
     best_latency: float
     front_configs: tuple[str, ...]
 
@@ -219,7 +218,6 @@ def topk_summary(tables_by_k: dict) -> list[TopKRow]:
                 eval_top_k=k,
                 best_config=best.config_id,
                 best_f1=best.f1,
-                best_f1_interval=best.f1_interval,
                 best_latency=best.latency,
                 front_configs=tuple(sorted(p.config_id for p in front)),
             )

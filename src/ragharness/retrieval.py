@@ -90,9 +90,6 @@ class FusedCandidates:
     provenance: dict  # chunk_id -> list[(list_index, rank)]
     k_rrf: float
 
-    def recompute_score(self, chunk_id: str) -> float:
-        return sum(1.0 / (self.k_rrf + rank) for _, rank in self.provenance[chunk_id])
-
 
 @dataclass(frozen=True)
 class RetrievalRegime:

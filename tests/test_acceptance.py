@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from ragharness import metrics
 from ragharness.cli import main
 from ragharness.lora_grid import (
     ModelDims,
@@ -16,7 +17,7 @@ from ragharness.lora_grid import (
     param_matched_pairs,
     trainable_params,
 )
-from ragharness.metrics import normalize_answer, token_f1
+from ragharness.metrics import exact_match, normalize_answer, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
     ErrorLabel,
@@ -131,6 +132,40 @@ def test_criterion_06_token_f1_oracle():
     assert token_f1("one two three four five", "one two three") == pytest.approx(
         0.75, abs=1e-15
     )
+
+
+def test_criterion_06_memoised_scores_equal_the_uncached_oracle():
+    """F1 and EM stay exact through the memos while entries are evicted:
+    more distinct strings and pairs than a memo holds, each seen repeatedly,
+    against normalisation without the memo."""
+    words = ["port", "6443", "--flag", "the", "a", "node.spec", "kubectl", "Apply."]
+    rng = random.Random(606)
+    golds = [" ".join(rng.choices(words, k=rng.randint(0, 5)) + [f"g{i}"]) for i in range(50)]
+    size = metrics._MEMO_ENTRIES * 5 // 4
+    # Every fifth answer restates a gold in another case with an article and
+    # a full stop, so exact matches occur too.
+    answers = [
+        f"The {golds[i % 50].upper()}." if i % 5 == 0
+        else " ".join(rng.choices(words, k=rng.randint(0, 6)) + [f"n{i}"])
+        for i in range(size)
+    ]
+    pairs = [
+        (answer, golds[i % 50] if i % 5 == 0 else rng.choice(golds))
+        for i, answer in enumerate(answers)
+    ]
+    draws = pairs + pairs + rng.choices(pairs, k=size // 2)
+    plain = normalize_answer.__wrapped__
+    matches = 0
+    for pred, gold in draws:
+        pred_tokens, gold_tokens = plain(pred), plain(gold)
+        assert token_f1(pred, gold) == oracle_f1(pred_tokens, gold_tokens)
+        assert exact_match(pred, gold) == (pred_tokens == gold_tokens)
+        matches += pred_tokens == gold_tokens
+    assert matches >= len(draws) // 6
+    for memo in (normalize_answer, metrics._pair_f1):
+        info = memo.cache_info()
+        assert info.currsize == info.maxsize and info.misses > info.maxsize
+        assert info.hits > 0
 
 
 def test_criterion_07_rrf_oracle():

@@ -508,6 +508,46 @@ def _regime_without_id(config):
             ["validate"],
             "corpus must be a path string, got None",
         ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(judge_scores="runs")),
+            ["validate"],
+            "judge_scores is not a regular file: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(judge_scores="runs")),
+            ["stats"],
+            "judge_scores is not a regular file: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(costs="runs")),
+            ["stats"],
+            "costs is not a regular file: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(corpus="runs")),
+            ["validate"],
+            "corpus is not a regular file: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(qa="runs")),
+            ["stats"],
+            "qa is not a regular file: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(runs="corpus.jsonl")),
+            ["validate"],
+            "runs is not a directory: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(out="corpus.jsonl")),
+            ["score"],
+            "out is not a directory: ",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(out="corpus.jsonl/out")),
+            ["retrieve"],
+            "out is not a directory: ",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -530,6 +570,9 @@ def _regime_without_id(config):
         "cost_override_negative_validate", "cost_override_inf_stats",
         "workspace_not_utf8_validate", "judge_not_utf8_validate", "judge_not_utf8_stats",
         "manifest_not_utf8", "path_not_string", "required_path_null",
+        "judge_directory_validate", "judge_directory_stats", "costs_directory_stats",
+        "corpus_directory_validate", "qa_directory_stats", "runs_file_validate",
+        "out_file_score", "out_under_file_retrieve",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -549,6 +592,18 @@ def test_only_validate_and_retrieve_read_the_corpus(workspace, capsys):
     for command in ("score", "stats", "pareto", "report"):
         assert run(workspace, command) == 0
     assert (workspace / "out" / "scores.jsonl").read_bytes() == scores
+
+
+def test_score_does_not_read_the_judge_scores(workspace, capsys):
+    assert run(workspace, "score") == 0
+    scores = (workspace / "out" / "scores.jsonl").read_bytes()
+    (workspace / "judge.jsonl").write_text("{\n", encoding="utf-8")
+    assert run(workspace, "score") == 0
+    assert (workspace / "out" / "scores.jsonl").read_bytes() == scores
+    capsys.readouterr()
+    for command in ("validate", "stats", "pareto", "report"):
+        assert run(workspace, command) == 1
+        assert "judge.jsonl:1: malformed line" in one_line_error(capsys, command)
 
 
 def test_param_matched_pairs_follow_config_ids(workspace):
@@ -641,3 +696,16 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     assert loaded("--workspace", str(workspace), "score") == set()
     assert "numpy" not in loaded("--workspace", str(workspace), "validate")
     assert "numpy" in loaded("--workspace", str(workspace), "retrieve")
+
+
+def test_validate_runs_under_cprofile(workspace, tmp_path):
+    """Run as __main__ under another tool, the CLI still reads the regime
+    specs of workspace.json as specs rather than as a path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile"),
+         "-m", "ragharness.cli", "--workspace", str(workspace), "validate"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "validate: ok" in proc.stdout

@@ -75,8 +75,8 @@ def test_load_qa_census(tmp_path):
     pairs, census = load_qa(path)
     assert len(pairs) == 2
     assert census.rows("test") == 1
-    assert census.count("test", "exact") == 1
-    assert census.count("train", "normal") == 1
+    assert census.per_split["test"]["exact"] == 1
+    assert census.per_split["train"]["normal"] == 1
     assert census.total_rows == 2
 
 

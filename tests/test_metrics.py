@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from ragharness import metrics
 from ragharness.ingest import RunRecord, RunSet
 from ragharness.metrics import (
     ExampleScore,
@@ -126,6 +127,13 @@ def test_score_runs_rejects_a_record_without_gold():
     records = [RunRecord("cfg", "01", "q9", "anything", 0.5)]
     with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
         score_runs(RunSet(records=records), {"q0": "port"})
+
+
+def test_every_memo_is_bounded():
+    memos = [obj for obj in vars(metrics).values() if hasattr(obj, "cache_info")]
+    assert {memo.__name__ for memo in memos} == {"normalize_answer", "_pair_f1"}
+    for memo in memos:
+        assert memo.cache_info().maxsize == metrics._MEMO_ENTRIES
 
 
 def test_counter_equivalence_sanity():
