@@ -18,16 +18,16 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import dataset, ingest, lora_grid, metrics, retrieval
+from . import dataset, ingest, metrics, retrieval
 from .errors import HarnessError, as_float, as_int
-from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 
 # numpy loads with `stats` and the retrieval scorers, so each is imported
 # only where arrays are built: in `retrieve` (the index, the scorers and
 # `_load_embeddings`) and in the bootstrap behind stats, pareto and report.
-# `report` builds several dataclasses on import, so it too is imported only
-# where it is used. grid, score and validate never load numpy; validate
-# checks the embeddings and the error labels as plain JSON.
+# `report`, `pareto` and `lora_grid` build dataclasses on import, so they
+# too are imported only where they are used. grid, score and validate never
+# load numpy; validate checks the embeddings and the error labels as plain
+# JSON.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
@@ -113,6 +113,12 @@ class WorkspaceConfig:
             raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
         if not 0.0 < self.level < 1.0:
             raise WorkspaceError("level must be in (0, 1)")
+        if self.resamples < 1:
+            raise WorkspaceError(f"resamples must be >= 1, got {self.resamples}")
+        if not 1 <= self.pass_threshold <= 5:
+            raise WorkspaceError(
+                f"pass_threshold must be in 1..5, got {self.pass_threshold}"
+            )
         self.retrieval_regimes = _parse_regimes(
             self.root / "workspace.json",
             self.regimes,
@@ -244,7 +250,9 @@ def _regime_tables(ws: WorkspaceConfig):
     costs = _load_costs(ws)
     plan = ws.plan()
     tables = {
-        regime_id: report.regime_table(scored, regime_id, costs, plan, ws.pass_threshold)
+        regime_id: report.regime_table(
+            run_set.runs, scored, regime_id, costs, plan, ws.pass_threshold
+        )
         for regime_id in run_set.regimes()
     }
     return run_set, scored, costs, tables
@@ -305,10 +313,10 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         f"test={census.rows('test')})"
     )
     if run_set is not None:
-        unscored = sum(1 for rec in run_set.records if rec.groundedness is None)
+        unscored = sum(run.groundedness.count(None) for run in run_set.runs.values())
         print(
             f"validate: judge coverage: {len(run_set.unmatched_scores)} judge rows "
-            f"match no record, {unscored} of {len(run_set.records)} records "
+            f"match no record, {unscored} of {run_set.n_records()} records "
             f"have no judge score"
         )
     return 0
@@ -400,69 +408,82 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
             )
             yield {"qa_id": pair.qa_id, "regime": regime_id, "context_ids": context}
 
+    # The sparse channel is always there; the dense one and the rerank
+    # scores only for the questions their files cover.
+    no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
+    unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
     for regime_id, regime in ws.retrieval_regimes:
         out_path = ws.out / f"contexts_{regime_id}.jsonl"
         _write_jsonl(out_path, contexts(regime_id, regime))
         print(f"retrieve: wrote {out_path}")
+        print(
+            f"retrieve: {regime_id}: of {len(test_pairs)} test questions, "
+            f"{no_dense if 'dense' in regime.channels else 0} ran with fewer channels "
+            f"than {regime.retrieval_variant!r} names and "
+            f"{unranked if regime.reranks else 0} without the rerank scores it names"
+        )
     return 0
+
+
+def _score_lines(run_set, scored):
+    """The lines of scores.jsonl, sorted by (regime, config, qa_id). Each is
+    the line `_write_jsonl` would write for {config, regime, qa_id, f1
+    rounded to 6 places, em as 0/1, latency_s}, built from the columns with
+    the primitives `json` encodes strings and finite floats with, keys in
+    sorted order."""
+    quote = json.encoder.encode_basestring_ascii
+    for key in sorted(run_set.runs, key=lambda k: (k[1], k[0])):
+        run = run_set.runs[key]
+        f1s, exact = scored[key]
+        head = f'{{"config": {quote(run.config_id)}, "em": '
+        tail = f', "regime": {quote(run.regime_id)}}}\n'
+        for i in sorted(range(len(run)), key=run.qa_ids.__getitem__):
+            yield (
+                f'{head}{int(exact[i])}, "f1": {round(f1s[i], 6)!r}, '
+                f'"latency_s": {run.latencies[i]!r}, "qa_id": {quote(run.qa_ids[i])}{tail}'
+            )
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
     # scores.jsonl has no judge column, so the judge scores are not read.
     run_set, scored = _score_runs(ws, judged=False)
     out_path = ws.out / "scores.jsonl"
-    _write_jsonl(
-        out_path,
-        (
-            {
-                "config": score.config_id,
-                "regime": score.regime_id,
-                "qa_id": score.qa_id,
-                "f1": round(score.f1, 6),
-                "em": int(score.exact_match),
-                "latency_s": score.latency,
-            }
-            for score in sorted(
-                (s for scores in scored.values() for s in scores),
-                key=lambda s: (s.regime_id, s.config_id, s.qa_id),
-            )
-        ),
-    )
-    print(f"score: wrote {out_path} ({len(run_set.records)} records)")
+    _write_text(out_path, _score_lines(run_set, scored))
+    print(f"score: wrote {out_path} ({run_set.n_records()} records)")
     return 0
 
 
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
     from . import report
 
-    _, scored, _, tables = _regime_tables(ws)
+    run_set, scored, _, tables = _regime_tables(ws)
     for regime_id, rows in tables.items():
         report.write_csv(
             ws.out / f"stats_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
         )
-    _write_param_matched_deltas(ws, list(tables), scored)
+    _write_param_matched_deltas(ws, list(tables), run_set, scored)
     print(f"stats: wrote {len(tables)} regime tables under {ws.out}")
     return 0
 
 
-def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
+def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, run_set, scored) -> None:
     """Paired bootstrap deltas for every param-matched (qv, full) pair among
     the run set's config ids, in grid order, plus the pooled family-level
     delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
     in a regime, covering different qa_ids is an error rather than a delta
     over unmatched examples."""
-    from . import report
+    from . import lora_grid, report
     from .stats import paired_bootstrap_delta, pooled_pair_delta
 
-    config_ids = {cid for cid, _ in scored}
+    config_ids = {cid for cid, _ in run_set.runs}
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
         return
     rows = []
     for regime_id in regimes:
         f1_by_qa = {
-            cid: {s.qa_id: s.f1 for s in scores}
-            for (cid, rid), scores in scored.items()
+            cid: dict(zip(run.qa_ids, scored[cid, rid][0]))
+            for (cid, rid), run in run_set.runs.items()
             if rid == regime_id
         }
         pooled_inputs = []
@@ -507,6 +528,7 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, scored) -> None:
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     from . import report
+    from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 
     axes = tuple(args.axes.split(","))
     for axis in axes:
@@ -591,12 +613,11 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
         ),
     )
     _write_json(ws.out / "scheme_wins.json", report.scheme_wins(summary))
-    # load_runs rejects mixed top_k within a (config, regime).
-    top_k = {(rec.config_id, rec.regime_id): rec.eval_top_k for rec in run_set.records}
     k_tables = {}
     for regime_id in sorted(tables):
         for row in tables[regime_id]:
-            k_tables.setdefault(top_k[row.config_id, regime_id], []).append(row)
+            k = run_set.runs[row.config_id, regime_id].eval_top_k
+            k_tables.setdefault(k, []).append(row)
     if len(k_tables) >= 2:
         report.write_csv(
             ws.out / "topk_summary.csv",
@@ -614,6 +635,8 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_grid(ws, args) -> int:
+    from . import lora_grid
+
     bases = tuple(args.bases.split(","))
     ranks = tuple(int(r) for r in args.ranks.split(","))
     grid = lora_grid.enumerate_grid(bases, ranks)

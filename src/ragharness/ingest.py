@@ -21,27 +21,6 @@ class IngestError(HarnessError):
 
 
 @dataclass(frozen=True)
-class RunRecord:
-    config_id: str
-    regime_id: str
-    qa_id: str
-    predicted_answer: str
-    latency: float
-    context_chunk_ids: tuple[str, ...] = ()
-    eval_top_k: int = 2
-    correctness: int | None = None
-    groundedness: int | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.latency) or self.latency < 0:
-            raise IngestError(
-                f"({self.config_id}, {self.regime_id}, {self.qa_id}): bad latency"
-            )
-        if self.eval_top_k < 1:
-            raise IngestError("eval_top_k must be positive")
-
-
-@dataclass(frozen=True)
 class JudgeScore:
     config_id: str
     regime_id: str
@@ -50,10 +29,14 @@ class JudgeScore:
     groundedness: int
 
     def __post_init__(self):
-        for name in ("correctness", "groundedness"):
-            val = getattr(self, name)
-            if not 1 <= val <= 5:
-                raise IngestError(f"{name} out of 1..5: {val}")
+        _check_judge("correctness", self.correctness)
+        _check_judge("groundedness", self.groundedness)
+
+
+def _check_judge(name: str, val: int) -> int:
+    if not 1 <= val <= 5:
+        raise IngestError(f"{name} out of 1..5: {val}")
+    return val
 
 
 @dataclass(frozen=True)
@@ -85,13 +68,37 @@ class CostProfile:
 
 
 @dataclass
+class Run:
+    """The records of one (config, regime) as columns, each in record order:
+    the order of the run files in the manifest, then of the lines in each.
+    `correctness` and `groundedness` hold None where no judge row matched."""
+
+    config_id: str
+    regime_id: str
+    eval_top_k: int
+    qa_ids: list[str] = field(default_factory=list)
+    answers: list[str] = field(default_factory=list)
+    latencies: list[float] = field(default_factory=list)
+    context_ids: list[tuple[str, ...]] = field(default_factory=list)
+    correctness: list[int | None] = field(default_factory=list)
+    groundedness: list[int | None] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.qa_ids)
+
+
+@dataclass
 class RunSet:
-    records: list[RunRecord]
+    # (config_id, regime_id) -> Run, in the order each pair is first seen.
+    runs: dict[tuple[str, str], Run]
     # Judge rows that match no record, in file order.
     unmatched_scores: list[JudgeScore] = field(default_factory=list)
 
     def regimes(self) -> list[str]:
-        return sorted({rec.regime_id for rec in self.records})
+        return sorted({regime_id for _, regime_id in self.runs})
+
+    def n_records(self) -> int:
+        return sum(map(len, self.runs.values()))
 
 
 def file_checksum(path) -> str:
@@ -122,72 +129,84 @@ def read_rows(path, build, error=IngestError):
     at LF. A blank line is skipped; a line that is not UTF-8, a malformed
     line, a row that is not an object, a missing or unconvertible field and a
     typed error raised by `build` are `error`s naming file:line."""
+    with open(path, "rb") as fh:
+        yield from _parse_rows(path, fh, build, error)
+
+
+def _parse_rows(path, lines, build, error):
+    """`read_rows` over `lines`, an iterable of the file's raw lines."""
+    scan = json.JSONDecoder().scan_once
     # Each line is decoded on its own, so an undecodable byte is reported on
     # its own line rather than somewhere in the block a text reader decodes.
-    with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
-            if not line:
-                continue
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+        if not line:
+            continue
+        # The scanner skips json.loads' per-call set-up; a line it does not
+        # parse to its end goes to json.loads, which words the error.
+        try:
+            row, end = scan(line, 0)
+        except (StopIteration, ValueError):
+            end = None
+        if end != len(line):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
-            if not isinstance(row, dict):
-                raise error(f"{path}:{lineno}: expected a JSON object")
-            try:
-                item = build(row)
-            except KeyError as exc:
-                raise error(f"{path}:{lineno}: missing field {exc}") from exc
-            except HarnessError as exc:
-                raise error(f"{path}:{lineno}: {exc}") from exc
-            except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-                raise error(f"{path}:{lineno}: bad field value: {exc}") from exc
-            yield lineno, item
+        if not isinstance(row, dict):
+            raise error(f"{path}:{lineno}: expected a JSON object")
+        try:
+            item = build(row)
+        except KeyError as exc:
+            raise error(f"{path}:{lineno}: missing field {exc}") from exc
+        except HarnessError as exc:
+            raise error(f"{path}:{lineno}: {exc}") from exc
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise error(f"{path}:{lineno}: bad field value: {exc}") from exc
+        yield lineno, item
 
 
-def _judge_score(rec: dict) -> JudgeScore:
-    return JudgeScore(
-        config_id=str(rec["config"]),
-        regime_id=str(rec["regime"]),
-        qa_id=str(rec["qa_id"]),
-        correctness=as_int(rec["correctness"], "correctness"),
-        groundedness=as_int(rec["groundedness"], "groundedness"),
+def _judge_row(rec: dict):
+    """((config, regime, qa_id), (correctness, groundedness)) of a judge row."""
+    return (str(rec["config"]), str(rec["regime"]), str(rec["qa_id"])), (
+        _check_judge("correctness", as_int(rec["correctness"], "correctness")),
+        _check_judge("groundedness", as_int(rec["groundedness"], "groundedness")),
     )
 
 
-def _run_record(rec: dict, judged: dict) -> RunRecord:
-    """A run record with the judge score of its key popped from `judged`."""
+def _run_row(rec: dict):
+    """(key, answer, latency, context_ids, top_k) of a run row, where key is
+    (config, regime, qa_id)."""
     key = (str(rec["config"]), str(rec["regime"]), str(rec["qa_id"]))
-    score = judged.pop(key, None)
-    return RunRecord(
-        config_id=key[0],
-        regime_id=key[1],
-        qa_id=key[2],
-        predicted_answer=str(rec["answer"]),
-        latency=as_float(rec["latency_s"], "latency_s"),
-        context_chunk_ids=as_id_list(rec.get("context_ids"), "context_ids") or (),
-        eval_top_k=as_int(rec.get("top_k", 2), "top_k"),
-        correctness=score.correctness if score else None,
-        groundedness=score.groundedness if score else None,
-    )
+    answer = str(rec["answer"])
+    latency = as_float(rec["latency_s"], "latency_s")
+    context = as_id_list(rec.get("context_ids"), "context_ids") or ()
+    top_k = as_int(rec.get("top_k", 2), "top_k")
+    if not math.isfinite(latency) or latency < 0:
+        raise IngestError(f"({key[0]}, {key[1]}, {key[2]}): bad latency")
+    if top_k < 1:
+        raise IngestError("eval_top_k must be positive")
+    return key, answer, latency, context, top_k
+
+
+_UNJUDGED = (None, None)
 
 
 def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
-    """Load a run-set directory. `qa_ids`, when given, is the set of valid
-    test-split ids; records referencing anything else are rejected.
+    """Load a run-set directory into one `Run` per (config, regime).
+    `qa_ids`, when given, is the set of valid test-split ids; records
+    referencing anything else are rejected.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
-    (config, regime, qa_id) as each record is built; a second judge row for a
+    (config, regime, qa_id) as each record is read; a second judge row for a
     key is an error, and rows that match no record end up in
     `RunSet.unmatched_scores`."""
-    judged: dict[tuple[str, str, str], JudgeScore] = {}
+    judged: dict[tuple[str, str, str], tuple[int, int]] = {}
     if judge_path is not None:
-        for lineno, score in read_rows(judge_path, _judge_score):
-            key = (score.config_id, score.regime_id, score.qa_id)
+        for lineno, (key, score) in read_rows(judge_path, _judge_row):
             if key in judged:
                 raise IngestError(f"{judge_path}:{lineno}: duplicate judge score {key}")
             judged[key] = score
@@ -195,38 +214,52 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise IngestError(f"manifest not found: {manifest_path}")
-    manifest = read_json(manifest_path)
-    records: list[RunRecord] = []
+    files = read_json(manifest_path).get("files", [])
+    if not isinstance(files, list):
+        raise IngestError(f"{manifest_path}: files must be a list, got {files!r}")
+    runs: dict[tuple[str, str], Run] = {}
     seen: set[tuple[str, str, str]] = set()
-    top_k: dict[tuple[str, str], int] = {}
-    for entry in manifest.get("files", []):
+    for entry in files:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
         file_path = root / entry["path"]
         if not file_path.is_file():
             raise IngestError(f"manifest references missing file: {file_path}")
+        # One read serves the checksum and the rows.
+        data = file_path.read_bytes()
         expected = entry.get("sha256")
         if expected:
-            actual = file_checksum(file_path)
+            actual = hashlib.sha256(data).hexdigest()
             if actual != expected:
                 raise IngestError(
                     f"checksum mismatch for {file_path}: {actual} != {expected}"
                 )
-        for lineno, record in read_rows(file_path, lambda rec: _run_record(rec, judged)):
-            key = (record.config_id, record.regime_id, record.qa_id)
+        rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
+        for lineno, (key, answer, latency, context, top_k) in rows:
             if key in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
             seen.add(key)
-            k = top_k.setdefault(key[:2], record.eval_top_k)
-            if record.eval_top_k != k:
+            run = runs.get(key[:2])
+            if run is None:
+                run = runs[key[:2]] = Run(key[0], key[1], top_k)
+            elif top_k != run.eval_top_k:
                 raise IngestError(
-                    f"{file_path}:{lineno}: top_k {record.eval_top_k} differs from "
-                    f"top_k {k} earlier in ({record.config_id}, {record.regime_id})"
+                    f"{file_path}:{lineno}: top_k {top_k} differs from "
+                    f"top_k {run.eval_top_k} earlier in ({key[0]}, {key[1]})"
                 )
-            if qa_ids is not None and record.qa_id not in qa_ids:
-                raise IngestError(f"{file_path}:{lineno}: unknown qa_id {record.qa_id!r}")
-            records.append(record)
-    return RunSet(records=records, unmatched_scores=list(judged.values()))
+            if qa_ids is not None and key[2] not in qa_ids:
+                raise IngestError(f"{file_path}:{lineno}: unknown qa_id {key[2]!r}")
+            correctness, groundedness = judged.pop(key, _UNJUDGED)
+            run.qa_ids.append(key[2])
+            run.answers.append(answer)
+            run.latencies.append(latency)
+            run.context_ids.append(context)
+            run.correctness.append(correctness)
+            run.groundedness.append(groundedness)
+    return RunSet(
+        runs=runs,
+        unmatched_scores=[JudgeScore(*key, *score) for key, score in judged.items()],
+    )
 
 
 def load_cost_profile(path) -> dict:

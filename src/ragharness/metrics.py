@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import HarnessError
@@ -89,47 +88,19 @@ def pass_at_threshold(scores, threshold: int = 4) -> float:
     return sum(1 for s in scores if s >= threshold) / len(scores)
 
 
-@dataclass(frozen=True)
-class ExampleScore:
-    """The scores of one run record: one line of ``scores.jsonl``."""
-
-    config_id: str
-    regime_id: str
-    qa_id: str
-    f1: float
-    exact_match: bool
-    latency: float
-    correctness: int | None = None
-    groundedness: int | None = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.f1 <= 1.0:
-            raise MetricsError(f"f1 out of [0, 1]: {self.f1}")
-        for name in ("correctness", "groundedness"):
-            val = getattr(self, name)
-            if val is not None and not 1 <= val <= 5:
-                raise MetricsError(f"{name} out of 1..5: {val}")
-
-
 def score_runs(run_set, gold_answers: dict) -> dict:
     """Score every record of a `RunSet` once against `gold_answers` (qa_id ->
-    answer): {(config_id, regime_id): [ExampleScore, ...]}, each list in
-    record order, since bootstrap resampling is by position."""
-    scored: dict[tuple[str, str], list[ExampleScore]] = {}
-    for rec in run_set.records:
-        gold = gold_answers.get(rec.qa_id)
-        if gold is None:
-            raise MetricsError(f"no gold answer for qa_id {rec.qa_id!r}")
-        scored.setdefault((rec.config_id, rec.regime_id), []).append(
-            ExampleScore(
-                config_id=rec.config_id,
-                regime_id=rec.regime_id,
-                qa_id=rec.qa_id,
-                f1=token_f1(rec.predicted_answer, gold),
-                exact_match=exact_match(rec.predicted_answer, gold),
-                latency=rec.latency,
-                correctness=rec.correctness,
-                groundedness=rec.groundedness,
-            )
+    answer): {(config_id, regime_id): (f1s, exact_matches)}, two lists
+    aligned with that `Run`'s columns, since bootstrap resampling is by
+    position."""
+    scored: dict[tuple[str, str], tuple[list[float], list[bool]]] = {}
+    for key, run in run_set.runs.items():
+        golds = [gold_answers.get(qa_id) for qa_id in run.qa_ids]
+        if None in golds:
+            qa_id = run.qa_ids[golds.index(None)]
+            raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
+        scored[key] = (
+            list(map(token_f1, run.answers, golds)),
+            list(map(exact_match, run.answers, golds)),
         )
     return scored

@@ -87,32 +87,31 @@ def config_scheme(config_id: str) -> str:
 
 
 def regime_table(
+    runs: dict,
     scored: dict,
     regime_id: str,
     cost_profiles: dict,
     plan: ResamplePlan,
     pass_threshold: int = 4,
 ) -> list[RegimeRow]:
-    """One row per config present in the regime, sorted by config id.
-    `scored` maps (config_id, regime_id) -> [ExampleScore, ...], as
-    `metrics.score_runs` returns it."""
+    """One row per config present in the regime, sorted by config id. `runs`
+    maps (config_id, regime_id) -> `ingest.Run`, as `RunSet.runs` holds
+    them, and `scored` maps the same keys to (f1s, exact_matches), as
+    `metrics.score_runs` returns them. Every sum runs in record order."""
     from .stats import bootstrap_ci
 
-    config_ids = sorted(cid for cid, rid in scored if rid == regime_id)
+    config_ids = sorted(cid for cid, rid in runs if rid == regime_id)
     if not config_ids:
         raise ReportError(f"regime {regime_id!r} absent from run set")
     rows: list[RegimeRow] = []
     for config_id in config_ids:
-        scores = scored[(config_id, regime_id)]
-        f1s = [s.f1 for s in scores]
-        f1_mean = sum(f1s) / len(f1s)
-        em_rate = sum(1 for s in scores if s.exact_match) / len(scores)
-        latency = sum(s.latency for s in scores) / len(scores)
-        judged = [s for s in scores if s.groundedness is not None]
+        run = runs[(config_id, regime_id)]
+        f1s, exact = scored[(config_id, regime_id)]
+        n = len(f1s)
+        grnd = [g for g in run.groundedness if g is not None]
         grnd_pass = grnd_interval = corr_pass = corr_interval = None
-        if judged:
-            grnd = [s.groundedness for s in judged]
-            corr = [s.correctness for s in judged]
+        if grnd:
+            corr = [c for c in run.correctness if c is not None]
             grnd_pass = pass_at_threshold(grnd, pass_threshold)
             corr_pass = pass_at_threshold(corr, pass_threshold)
             grnd_interval = bootstrap_ci(
@@ -126,16 +125,16 @@ def regime_table(
         rows.append(
             RegimeRow(
                 config_id=config_id,
-                f1=f1_mean,
-                latency=latency,
+                f1=sum(f1s) / n,
+                latency=sum(run.latencies) / n,
                 f1_interval=bootstrap_ci(f1s, plan),
                 grnd_pass=grnd_pass,
                 grnd_interval=grnd_interval,
                 corr_pass=corr_pass,
                 corr_interval=corr_interval,
                 inference_vram=vram,
-                em_rate=em_rate,
-                n=len(scores),
+                em_rate=sum(exact) / n,
+                n=n,
             )
         )
     return rows

@@ -113,6 +113,17 @@ class RetrievalRegime:
                 f"k_rrf must be positive and finite, got {self.k_rrf!r}"
             )
 
+    @property
+    def channels(self) -> tuple[str, ...]:
+        """The channels the variant names; a fused variant runs on whichever
+        of them a question has."""
+        single = {"dense_only": ("dense",), "sparse_only": ("sparse",)}
+        return single.get(self.retrieval_variant, ("dense", "sparse"))
+
+    @property
+    def reranks(self) -> bool:
+        return self.retrieval_variant != "reranker_off"
+
 
 @dataclass
 class SparseIndex:

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ragharness import metrics
+from ragharness import cli, metrics
 from ragharness.cli import load_workspace, main
-from ragharness.ingest import file_checksum
+from ragharness.ingest import Run, RunSet, file_checksum
 from tests.conftest import SMOKE_WORKSPACE
 
 QV = "3B r8 qv_only"
@@ -121,10 +122,73 @@ def test_retrieve_writes_contexts(workspace):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 30
 
 
+def test_retrieve_counts_the_fallback_per_regime(workspace, capsys):
+    """A test question without a query vector runs on BM25 alone under a
+    fused regime, and one without rerank scores keeps the unreranked order;
+    retrieve says how many of each there were per regime, on stdout only."""
+    _edit_json("embeddings.json", lambda e: e["queries"].pop("qa000"))(workspace)
+    _edit_json("rerank.json", lambda r: r.pop("qa001"))(workspace)
+    regimes = [
+        {"id": "base", "variant": "base"},
+        {"id": "off", "variant": "reranker_off"},
+        {"id": "sparse", "variant": "sparse_only"},
+    ]
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
+    assert run(workspace, "retrieve") == 0
+    out = capsys.readouterr().out
+    for regime_id, variant, short, unranked in (
+        ("base", "base", 1, 1), ("off", "reranker_off", 1, 0), ("sparse", "sparse_only", 0, 1)
+    ):
+        assert (
+            f"retrieve: {regime_id}: of 30 test questions, {short} ran with fewer "
+            f"channels than {variant!r} names and {unranked} without the rerank "
+            f"scores it names\n"
+        ) in out
+    assert sorted(p.name for p in (workspace / "out").iterdir()) == [
+        "contexts_base.jsonl", "contexts_off.jsonl", "contexts_sparse.jsonl"
+    ]
+
+
 def test_score_writes_per_example_metrics(workspace):
     assert run(workspace, "score") == 0
     lines = (workspace / "out" / "scores.jsonl").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 120  # 4 configs x 30 questions
+
+
+def test_score_lines_equal_json_dumps():
+    """Each line of scores.jsonl, built from the columns, is the line
+    json.dumps(row, sort_keys=True) gives, ids with non-ASCII, quotes and
+    control characters and odd latencies included, in (regime, config,
+    qa_id) order."""
+    rng = random.Random(1313)
+    alphabet = ["a", "Z", "7", " ", '"', "\\", "/", "\n", "\t", "\x00", "\x1f", "\x7f",
+                "é", "€", "\u2028", "\U0001f600", "\ud800"]
+
+    def ident():
+        return "".join(rng.choices(alphabet, k=rng.randint(0, 5)))
+
+    runs, scored, expected = {}, {}, []
+    for _ in range(12):
+        config, regime = ident(), ident()
+        if (config, regime) in runs:
+            continue
+        qa_ids = list(dict.fromkeys(ident() for _ in range(rng.randint(1, 9))))
+        latencies = [
+            rng.choice([1, 1.0, 1e-7, 123456789.0, 0.0, rng.random(), rng.expovariate(1e-3)])
+            for _ in qa_ids
+        ]
+        f1s = [rng.choice([0.0, 1.0, 1 / 3, 2 / 3, rng.random()]) for _ in qa_ids]
+        exact = [rng.random() < 0.5 for _ in qa_ids]
+        runs[(config, regime)] = Run(config, regime, 2, qa_ids=qa_ids, latencies=latencies)
+        scored[(config, regime)] = (f1s, exact)
+        expected += [
+            {"config": config, "regime": regime, "qa_id": q, "f1": round(f1, 6),
+             "em": int(em), "latency_s": latency}
+            for q, f1, em, latency in zip(qa_ids, f1s, exact, latencies)
+        ]
+    expected.sort(key=lambda r: (r["regime"], r["config"], r["qa_id"]))
+    lines = list(cli._score_lines(RunSet(runs=runs), scored))
+    assert lines == [json.dumps(row, sort_keys=True) + "\n" for row in expected]
 
 
 def test_stats_writes_tables_and_deltas(workspace):
@@ -548,6 +612,31 @@ def _regime_without_id(config):
             ["retrieve"],
             "out is not a directory: ",
         ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m.update(files=5)),
+            ["validate"],
+            "manifest.json: files must be a list, got 5",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m.update(files=None)),
+            ["stats"],
+            "manifest.json: files must be a list, got None",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(resamples=0)),
+            ["validate"],
+            "resamples must be >= 1, got 0",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(pass_threshold=9)),
+            ["validate"],
+            "pass_threshold must be in 1..5, got 9",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(pass_threshold=0)),
+            ["score"],
+            "pass_threshold must be in 1..5, got 0",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -573,6 +662,9 @@ def _regime_without_id(config):
         "judge_directory_validate", "judge_directory_stats", "costs_directory_stats",
         "corpus_directory_validate", "qa_directory_stats", "runs_file_validate",
         "out_file_score", "out_under_file_retrieve",
+        "manifest_files_int_validate", "manifest_files_null_stats",
+        "resamples_zero_validate", "pass_threshold_nine_validate",
+        "pass_threshold_zero_score",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -670,7 +762,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *sorted({'numpy', 'ragharness.report'} & set(sys.modules))); "
+    "print('loaded:', *sorted({'numpy', 'ragharness.report', 'ragharness.pareto', "
+    "'ragharness.lora_grid'} & set(sys.modules))); "
     "sys.exit(code)"
 )
 
@@ -678,7 +771,8 @@ MODULES_LOADED = (
 def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
-    retrieve loads it. score does not import `report` either."""
+    retrieve loads it. score does not import `report`, `pareto` or
+    `lora_grid` either."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -10,7 +11,9 @@ from ragharness.ingest import (
     file_checksum,
     load_cost_profile,
     load_runs,
+    read_rows,
 )
+from ragharness.metrics import exact_match, score_runs, token_f1
 
 
 def write_run_set(root, records, tamper=False):
@@ -45,9 +48,9 @@ def test_load_runs_roundtrip(tmp_path):
     runs = write_run_set(tmp_path, records)
     first = load_runs(runs)
     second = load_runs(runs)
-    assert first.records == second.records
-    assert len(first.records) == 5
-    assert first.records[0].context_chunk_ids == ("c1", "c2")
+    assert first.runs == second.runs
+    assert first.n_records() == 5
+    assert first.runs[("cfgA", "01")].context_ids[0] == ("c1", "c2")
 
 
 def test_load_runs_checksum_mismatch(tmp_path):
@@ -100,9 +103,10 @@ def test_load_runs_joins_judge_scores(tmp_path):
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1", corr=2, grnd=2)])
     run_set = load_runs(runs, judge_path=scores)
-    by_id = {r.qa_id: r for r in run_set.records}
-    assert by_id["q0"].correctness == 5
-    assert by_id["q1"].groundedness == 2
+    run = run_set.runs[("cfgA", "01")]
+    assert run.qa_ids == ["q0", "q1"]
+    assert run.correctness == [5, 2]
+    assert run.groundedness == [4, 2]
     assert run_set.unmatched_scores == []
 
 
@@ -112,7 +116,7 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     write_scores(scores, [score_row("ghost"), score_row("q0"), score_row("phantom")])
     run_set = load_runs(runs, judge_path=scores)
     assert [s.qa_id for s in run_set.unmatched_scores] == ["ghost", "phantom"]
-    assert run_set.records[0].correctness == 5
+    assert run_set.runs[("cfgA", "01")].correctness == [5]
 
 
 def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
@@ -120,8 +124,8 @@ def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
     scores = tmp_path / "judge.jsonl"
     scores.write_text("", encoding="utf-8")
     run_set = load_runs(runs, judge_path=scores)
-    assert run_set.records[0].correctness is None
-    assert run_set.records == load_runs(runs).records
+    assert run_set.runs[("cfgA", "01")].correctness == [None]
+    assert run_set.runs == load_runs(runs).runs
 
 
 def test_load_runs_rejects_duplicate_judge_row(tmp_path):
@@ -130,6 +134,98 @@ def test_load_runs_rejects_duplicate_judge_row(tmp_path):
     write_scores(scores, [score_row("q0"), score_row("q1"), score_row("q0", corr=1)])
     with pytest.raises(IngestError, match=r"judge.jsonl:3: duplicate judge score"):
         load_runs(runs, judge_path=scores)
+
+
+def test_columns_equal_a_per_line_reference(tmp_path):
+    """Rows of six (config, regime) pairs, shuffled across three run files,
+    with half of them judged: each Run's columns hold exactly what a
+    per-line json.loads reads, in record order, and the scores are those of
+    token_f1 and exact_match row by row."""
+    rng = random.Random(1212)
+    words = ["port", "6443", "--flag", "the", "node.spec", "Apply.", "café", "\"quoted\""]
+    qa_ids = [f"q{i}" for i in range(30)]
+    gold = {q: " ".join(rng.choices(words, k=3)) for q in qa_ids}
+    rows = []
+    for config in ("cfgA", "cfgB", "cfgC"):
+        for regime in ("01", "02"):
+            for q in qa_ids:
+                row = {
+                    "config": config, "regime": regime, "qa_id": q,
+                    "answer": " ".join(rng.choices(words, k=rng.randint(0, 4))),
+                    "latency_s": rng.choice([1, 0, 1e-7, 123456789.0, rng.random() * 9]),
+                }
+                if regime == "02":
+                    row["top_k"] = 3
+                if rng.random() < 0.8:
+                    row["context_ids"] = rng.sample(["c1", "c2", "c3"], rng.randint(0, 3))
+                rows.append(row)
+    rng.shuffle(rows)
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    files = []
+    for i, part in enumerate((rows[:50], rows[50:51], rows[51:])):
+        path = runs / f"part{i}.jsonl"
+        # Spacing around and inside a line, blank lines and CRLF ends read
+        # the same as a compact line.
+        lines = [
+            rng.choice(["", " ", "\t"])
+            + json.dumps(row, separators=rng.choice([(",", ":"), (", ", ": ")]))
+            + rng.choice(["\n", "\r\n", "  \n", "\n\n"])
+            for row in part
+        ]
+        path.write_bytes("".join(lines).encode("utf-8"))
+        files.append({"path": path.name, "sha256": file_checksum(path)})
+    (runs / "manifest.json").write_text(json.dumps({"files": files}), encoding="utf-8")
+    judge_rows = [
+        score_row(r["qa_id"], r["config"], r["regime"], rng.randint(1, 5), rng.randint(1, 5))
+        for r in rng.sample(rows, len(rows) // 2)
+    ] + [score_row("q0", "cfgZ")]
+    judge = tmp_path / "judge.jsonl"
+    write_scores(judge, judge_rows)
+
+    run_set = load_runs(runs, qa_ids=set(qa_ids), judge_path=judge)
+    scored = score_runs(run_set, gold)
+
+    reference = {}
+    for entry in files:
+        for line in (runs / entry["path"]).read_text(encoding="utf-8").splitlines():
+            if line.strip():
+                row = json.loads(line)
+                reference.setdefault((row["config"], row["regime"]), []).append(row)
+    judged = {(j["config"], j["regime"], j["qa_id"]): j for j in judge_rows}
+    assert list(run_set.runs) == list(reference)
+    assert run_set.n_records() == len(rows)
+    for key, ref in reference.items():
+        run = run_set.runs[key]
+        verdicts = [judged.get((*key, r["qa_id"])) for r in ref]
+        assert (run.config_id, run.regime_id, run.eval_top_k) == (*key, ref[0].get("top_k", 2))
+        assert run.qa_ids == [r["qa_id"] for r in ref]
+        assert run.answers == [r["answer"] for r in ref]
+        assert run.latencies == [float(r["latency_s"]) for r in ref]
+        assert all(type(v) is float for v in run.latencies)
+        assert run.context_ids == [tuple(r.get("context_ids", ())) for r in ref]
+        assert run.correctness == [v and v["correctness"] for v in verdicts]
+        assert run.groundedness == [v and v["groundedness"] for v in verdicts]
+        f1s, exact = scored[key]
+        assert f1s == [token_f1(r["answer"], gold[r["qa_id"]]) for r in ref]
+        assert exact == [exact_match(r["answer"], gold[r["qa_id"]]) for r in ref]
+    assert {s.config_id for s in run_set.unmatched_scores} == {"cfgZ"}
+
+
+@pytest.mark.parametrize(
+    "line",
+    ['{"a": 1} x', '{"a": 1}{"a": 2}', '{"a": }', "\ufeff{}", "{", "nan x", "[1"],
+    ids=["trailing_word", "two_objects", "no_value", "bom", "open_object", "nan_word",
+         "open_array"],
+)
+def test_read_rows_words_a_malformed_line_as_json_loads_does(tmp_path, line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text('{"ok": 1}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(line)
+    with pytest.raises(IngestError) as got:
+        list(read_rows(path, dict))
+    assert str(got.value) == f"{path}:2: malformed line: {expected.value}"
 
 
 def test_judge_score_range():

@@ -4,9 +4,8 @@ from collections import Counter
 import pytest
 
 from ragharness import metrics
-from ragharness.ingest import RunRecord, RunSet
+from ragharness.ingest import Run, RunSet
 from ragharness.metrics import (
-    ExampleScore,
     MetricsError,
     exact_match,
     normalize_answer,
@@ -102,31 +101,26 @@ def test_pass_at_threshold():
         pass_at_threshold([6])
 
 
+def run_of(config, qa_ids, answers):
+    return Run(config, "01", 2, qa_ids=qa_ids, answers=answers)
+
+
 def test_score_runs_scores_each_record_once_in_record_order():
     gold = {"q0": "port 6443", "q1": "use --force"}
-    records = [
-        RunRecord("cfgA", "01", "q1", "use --force", 0.7, correctness=5, groundedness=4),
-        RunRecord("cfgB", "01", "q0", "port 6444", 0.5),
-        RunRecord("cfgA", "01", "q0", "the port 6443", 0.6),
-    ]
-    scored = score_runs(RunSet(records=records), gold)
+    runs = {
+        ("cfgA", "01"): run_of("cfgA", ["q1", "q0"], ["use --force", "the port 6443"]),
+        ("cfgB", "01"): run_of("cfgB", ["q0"], ["port 6444"]),
+    }
+    scored = score_runs(RunSet(runs=runs), gold)
     assert list(scored) == [("cfgA", "01"), ("cfgB", "01")]
-    first, second = scored[("cfgA", "01")]
-    assert (first.qa_id, second.qa_id) == ("q1", "q0")
-    assert first == ExampleScore(
-        config_id="cfgA", regime_id="01", qa_id="q1", f1=1.0, exact_match=True,
-        latency=0.7, correctness=5, groundedness=4,
-    )
-    assert second.exact_match and second.correctness is None
-    (other,) = scored[("cfgB", "01")]
-    assert other.f1 == token_f1("port 6444", "port 6443")
-    assert not other.exact_match
+    assert scored[("cfgA", "01")] == ([1.0, 1.0], [True, True])
+    assert scored[("cfgB", "01")] == ([token_f1("port 6444", "port 6443")], [False])
 
 
 def test_score_runs_rejects_a_record_without_gold():
-    records = [RunRecord("cfg", "01", "q9", "anything", 0.5)]
+    runs = {("cfg", "01"): run_of("cfg", ["q0", "q9"], ["port", "anything"])}
     with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
-        score_runs(RunSet(records=records), {"q0": "port"})
+        score_runs(RunSet(runs=runs), {"q0": "port"})
 
 
 def test_every_memo_is_bounded():

@@ -4,8 +4,8 @@ from collections import Counter
 
 import pytest
 
-from ragharness.ingest import RunRecord, RunSet
-from ragharness.metrics import ExampleScore, score_runs, token_f1
+from ragharness.ingest import Run, RunSet
+from ragharness.metrics import score_runs, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
     ERROR_CLASSES,
@@ -39,32 +39,33 @@ def make_run_set():
         "cfgA": {"q0": "port 6443", "q1": "use --force", "q2": "node"},
         "cfgB": {"q0": "port 6444", "q1": "unknown", "q2": "it restarts"},
     }
-    records = []
+    runs = {}
     for config, by_qa in answers.items():
-        for i, (qa_id, answer) in enumerate(sorted(by_qa.items())):
-            records.append(
-                RunRecord(
-                    config_id=config,
-                    regime_id="01",
-                    qa_id=qa_id,
-                    predicted_answer=answer,
-                    latency=0.5 + 0.1 * i,
-                    correctness=5 if config == "cfgA" else 2,
-                    groundedness=4 if config == "cfgA" else 3,
-                )
-            )
-    return RunSet(records=records), gold
+        qa_ids = sorted(by_qa)
+        runs[(config, "01")] = Run(
+            config_id=config,
+            regime_id="01",
+            eval_top_k=2,
+            qa_ids=qa_ids,
+            answers=[by_qa[q] for q in qa_ids],
+            latencies=[0.5 + 0.1 * i for i in range(len(qa_ids))],
+            context_ids=[()] * len(qa_ids),
+            correctness=[5 if config == "cfgA" else 2] * len(qa_ids),
+            groundedness=[4 if config == "cfgA" else 3] * len(qa_ids),
+        )
+    return RunSet(runs=runs), gold
 
 
 def test_regime_table_means_match_direct_recomputation():
     run_set, gold = make_run_set()
-    rows = regime_table(score_runs(run_set, gold), "01", {}, ResamplePlan(n_resamples=50))
+    rows = regime_table(
+        run_set.runs, score_runs(run_set, gold), "01", {}, ResamplePlan(n_resamples=50)
+    )
     assert [r.config_id for r in rows] == ["cfgA", "cfgB"]
     cfg_a = rows[0]
+    run = run_set.runs[("cfgA", "01")]
     expected = sum(
-        token_f1(rec.predicted_answer, gold[rec.qa_id])
-        for rec in run_set.records
-        if rec.config_id == "cfgA"
+        token_f1(answer, gold[qa_id]) for qa_id, answer in zip(run.qa_ids, run.answers)
     ) / 3
     assert cfg_a.f1 == pytest.approx(expected)
     assert cfg_a.em_rate == pytest.approx(2 / 3)
@@ -73,19 +74,29 @@ def test_regime_table_means_match_direct_recomputation():
     assert rows[1].grnd_pass == 0.0
 
 
-def scored_row(i, **judge):
-    return ExampleScore(
-        config_id="cfg", regime_id="r", qa_id=f"q{i}", f1=0.1 * i,
-        exact_match=i % 2 == 0, latency=0.5 + 0.01 * i, **judge,
+def scored_run(indices, correctness=None, groundedness=None):
+    """({key: Run}, {key: (f1s, exact_matches)}) for one config in regime
+    "r", record i having F1 0.1 * i, an exact match when i is even and
+    latency 0.5 + 0.01 * i; a judge column left out is unjudged."""
+    unjudged = [None] * len(indices)
+    run = Run(
+        "cfg", "r", 2,
+        qa_ids=[f"q{i}" for i in indices],
+        latencies=[0.5 + 0.01 * i for i in indices],
+        correctness=correctness or unjudged,
+        groundedness=groundedness or unjudged,
     )
+    scores = ([0.1 * i for i in indices], [i % 2 == 0 for i in indices])
+    return {("cfg", "r"): run}, {("cfg", "r"): scores}
 
 
 def test_regime_table_pass_rates_match_direct_recomputation():
-    scores = [
-        scored_row(i, correctness=5 if i > 4 else 2, groundedness=4 if i > 2 else 1)
-        for i in range(10)
-    ]
-    (row,) = regime_table({("cfg", "r"): scores}, "r", {}, ResamplePlan(n_resamples=50))
+    runs, scored = scored_run(
+        range(10),
+        correctness=[5 if i > 4 else 2 for i in range(10)],
+        groundedness=[4 if i > 2 else 1 for i in range(10)],
+    )
+    (row,) = regime_table(runs, scored, "r", {}, ResamplePlan(n_resamples=50))
     assert row.n == 10
     assert row.f1 == pytest.approx(sum(0.1 * i for i in range(10)) / 10)
     assert row.em_rate == 0.5
@@ -95,14 +106,14 @@ def test_regime_table_pass_rates_match_direct_recomputation():
     assert row.f1_interval.lo <= row.f1 <= row.f1_interval.hi
     assert row.grnd_interval.lo <= row.grnd_pass <= row.grnd_interval.hi
     (strict,) = regime_table(
-        {("cfg", "r"): scores}, "r", {}, ResamplePlan(n_resamples=50), pass_threshold=5
+        runs, scored, "r", {}, ResamplePlan(n_resamples=50), pass_threshold=5
     )
     assert strict.grnd_pass == 0.0
     assert strict.corr_pass == 0.5
 
 
 def test_regime_table_without_judge_scores():
-    (row,) = regime_table({("cfg", "r"): [scored_row(5)]}, "r", {}, ResamplePlan(n_resamples=10))
+    (row,) = regime_table(*scored_run([5]), "r", {}, ResamplePlan(n_resamples=10))
     assert row.f1 == 0.5
     assert row.f1_interval is not None
     assert row.grnd_pass is None and row.grnd_interval is None
@@ -112,7 +123,9 @@ def test_regime_table_without_judge_scores():
 def test_regime_table_absent_regime():
     run_set, gold = make_run_set()
     with pytest.raises(ReportError, match="absent"):
-        regime_table(score_runs(run_set, gold), "99", {}, ResamplePlan(n_resamples=10))
+        regime_table(
+            run_set.runs, score_runs(run_set, gold), "99", {}, ResamplePlan(n_resamples=10)
+        )
 
 
 def test_ablation_summary_published_fixture(regime_tables):
