@@ -233,9 +233,10 @@ def _write_jsonl(path: Path, rows) -> None:
 def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     """The run set and its records scored once, grouped by (config, regime).
     Scoring needs the gold answers alone, so the corpus is not read, nor the
-    judge scores unless `judged`."""
+    judge scores unless `judged`. A record of a question outside the test
+    split is an error."""
     pairs, _ = dataset.load_qa(_input(ws, "qa"))
-    gold = {p.qa_id: p.gold_answer for p in pairs}
+    gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
     run_set = _load_runs(ws, set(gold), judged)
     return run_set, metrics.score_runs(run_set, gold)
 
@@ -280,7 +281,7 @@ def _regime_csv_row(r) -> list:
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
     problems = []
-    chunks = pairs = run_set = None
+    chunks = pairs = run_set = test_ids = None
     for label, path in (("corpus", ws.corpus), ("qa", ws.qa)):
         if not path.exists():
             problems.append(f"missing {label} file: {path}")
@@ -291,19 +292,23 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
+        test_ids = {p.qa_id for p in pairs if p.split == "test"}
         bad = dataset.check_supporting_ids(pairs, chunks)
         if bad:
             problems.append(f"unresolved supporting_chunk_ids for: {bad[:5]}")
         if ws.runs is not None:
             try:
-                run_set = _load_runs(ws, {p.qa_id for p in pairs})
+                run_set = _load_runs(ws, test_ids)
             except HarnessError as exc:
                 problems.append(str(exc))
     for load in (_load_costs, _read_embeddings, _load_rerank, _load_labels):
         try:
-            load(ws)
+            loaded = load(ws)
         except HarnessError as exc:
             problems.append(str(exc))
+            continue
+        if load is _read_embeddings and test_ids is not None:
+            problems.extend(_channel_gaps(ws, test_ids, loaded))
     if problems:
         for p in problems:
             print(f"validate: {p}", file=sys.stderr)
@@ -320,6 +325,24 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
             f"have no judge score"
         )
     return 0
+
+
+def _channel_gaps(ws: WorkspaceConfig, test_ids: set, embeddings) -> list[str]:
+    """One line per regime under which some test question has none of the
+    channels its variant fuses, which `retrieve` rejects. BM25 serves every
+    question, the dense channel those `embeddings` has a query vector for."""
+    queries = embeddings[2] if embeddings is not None else {}
+    have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
+    gaps = []
+    for regime_id, regime in ws.retrieval_regimes:
+        lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
+        if lacking:
+            gaps.append(
+                f"regime {regime_id!r}: {lacking} of {len(test_ids)} test questions "
+                f"have no channel that {regime.retrieval_variant!r} fuses "
+                f"({', '.join(regime.channels)})"
+            )
+    return gaps
 
 
 def _finite_numbers(values) -> bool:
@@ -640,7 +663,7 @@ def cmd_grid(ws, args) -> int:
     bases = tuple(args.bases.split(","))
     ranks = tuple(int(r) for r in args.ranks.split(","))
     grid = lora_grid.enumerate_grid(bases, ranks)
-    print(f"{'base':<6}{'scheme':<16}{'rank':<6}{'alpha':<6}config")
+    print("base  scheme          rank  alpha config")
     for cfg in grid:
         rank = "" if cfg.rank is None else cfg.rank
         alpha = "" if cfg.lora_alpha is None else cfg.lora_alpha

@@ -119,6 +119,8 @@ def read_json(path, error=IngestError) -> dict:
         raise error(f"{path}: not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise error(f"{path}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise error(f"{path}: malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: expected a JSON object")
     return doc
@@ -149,13 +151,15 @@ def _parse_rows(path, lines, build, error):
         # parse to its end goes to json.loads, which words the error.
         try:
             row, end = scan(line, 0)
-        except (StopIteration, ValueError):
+        except (StopIteration, ValueError, RecursionError):
             end = None
         if end != len(line):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
+            except RecursionError as exc:
+                raise error(f"{path}:{lineno}: malformed line: nested too deeply") from exc
         if not isinstance(row, dict):
             raise error(f"{path}:{lineno}: expected a JSON object")
         try:
@@ -248,7 +252,10 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
                     f"top_k {run.eval_top_k} earlier in ({key[0]}, {key[1]})"
                 )
             if qa_ids is not None and key[2] not in qa_ids:
-                raise IngestError(f"{file_path}:{lineno}: unknown qa_id {key[2]!r}")
+                raise IngestError(
+                    f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
+                    f"(not a test-split question)"
+                )
             correctness, groundedness = judged.pop(key, _UNJUDGED)
             run.qa_ids.append(key[2])
             run.answers.append(answer)

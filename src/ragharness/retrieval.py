@@ -24,18 +24,23 @@ from .errors import HarnessError
 if TYPE_CHECKING:
     import numpy as np
 
-RETRIEVAL_VARIANTS = (
-    "base",
-    "reranker_off",
-    "dense_only",
-    "sparse_only",
-    "hybrid_bm25",
-)
+# What each retrieval variant does: the channels it fuses, in fusion order,
+# and whether it reorders the fused candidates by rerank score. BM25 is the
+# only sparse channel, so base and hybrid_bm25 behave alike.
+VARIANTS = {
+    "base": (("dense", "sparse"), True),
+    "reranker_off": (("dense", "sparse"), False),
+    "dense_only": (("dense",), True),
+    "sparse_only": (("sparse",), True),
+    "hybrid_bm25": (("dense", "sparse"), True),
+}
+RETRIEVAL_VARIANTS = tuple(VARIANTS)
 PROMPT_MODES = ("neutral", "explicit_grounded")
 
 DEFAULT_K_RRF = 60.0
-DEFAULT_K1 = 1.2
-DEFAULT_B = 0.75
+# Okapi BM25 term-frequency saturation and length normalisation.
+BM25_K1 = 1.2
+BM25_B = 0.75
 
 
 class RetrievalError(HarnessError):
@@ -88,7 +93,6 @@ class FusedCandidates:
 
     ranked: RankedList
     provenance: dict  # chunk_id -> list[(list_index, rank)]
-    k_rrf: float
 
 
 @dataclass(frozen=True)
@@ -115,14 +119,13 @@ class RetrievalRegime:
 
     @property
     def channels(self) -> tuple[str, ...]:
-        """The channels the variant names; a fused variant runs on whichever
-        of them a question has."""
-        single = {"dense_only": ("dense",), "sparse_only": ("sparse",)}
-        return single.get(self.retrieval_variant, ("dense", "sparse"))
+        """The channels the variant fuses; it runs on whichever of them a
+        question has."""
+        return VARIANTS[self.retrieval_variant][0]
 
     @property
     def reranks(self) -> bool:
-        return self.retrieval_variant != "reranker_off"
+        return VARIANTS[self.retrieval_variant][1]
 
 
 @dataclass
@@ -142,20 +145,11 @@ class SparseIndex:
     idf: np.ndarray  # per term id
     length_norm: np.ndarray  # k1 * (1 - b + b * dl / avgdl) per position
     n_docs: int
-    avgdl: float
-    k1: float
-    b: float
 
 
-def build_sparse_index(
-    corpus: list[Chunk], k1: float = DEFAULT_K1, b: float = DEFAULT_B
-) -> SparseIndex:
+def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
     if not corpus:
         raise RetrievalError("cannot index an empty corpus")
-    if k1 <= 0:
-        raise RetrievalError(f"k1 must be positive, got {k1}")
-    if not 0.0 <= b <= 1.0:
-        raise RetrievalError(f"b must be in [0, 1], got {b}")
     import numpy as np
 
     chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
@@ -192,11 +186,8 @@ def build_sparse_index(
         doc_pos=np.array(positions, dtype=np.int64)[order],
         tf=np.array(freqs, dtype=np.int64)[order],
         idf=idf,
-        length_norm=k1 * (1.0 - b + b * doc_len / avgdl),
+        length_norm=BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl),
         n_docs=n_docs,
-        avgdl=avgdl,
-        k1=k1,
-        b=b,
     )
 
 
@@ -212,7 +203,7 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
     import numpy as np
 
     scores = np.zeros(index.n_docs)
-    k1_plus_1 = index.k1 + 1.0
+    k1_plus_1 = BM25_K1 + 1.0
     for term in tokenize(query):
         tid = index.term_ids.get(term)
         if tid is None:
@@ -319,21 +310,7 @@ def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> FusedCand
         for cid, contribs in provenance.items()
     }
     ordered = sorted(fused.items(), key=lambda item: (-item[1], item[0]))
-    return FusedCandidates(
-        ranked=RankedList(entries=ordered), provenance=provenance, k_rrf=k_rrf
-    )
-
-
-def _apply_rerank(
-    candidates: list[str], rerank_scores: dict | None, eval_top_k: int
-) -> list[str]:
-    if rerank_scores is None:
-        return candidates[:eval_top_k]
-    reordered = sorted(
-        candidates,
-        key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid),
-    )
-    return reordered[:eval_top_k]
+    return FusedCandidates(ranked=RankedList(entries=ordered), provenance=provenance)
 
 
 def select_context(
@@ -342,25 +319,20 @@ def select_context(
     sparse: RankedList | None = None,
     rerank_scores: dict | None = None,
 ) -> list[str]:
-    """Pick the eval_top_k context chunk ids for one question under a regime."""
-    variant = regime.retrieval_variant
-    if variant == "dense_only":
-        if dense is None:
-            raise RetrievalError("dense_only regime requires the dense channel")
-        candidates = dense.ids()[: regime.retrieve_top_n]
-        return _apply_rerank(candidates, rerank_scores, regime.eval_top_k)
-    if variant == "sparse_only":
-        if sparse is None:
-            raise RetrievalError("sparse_only regime requires the sparse channel")
-        candidates = sparse.ids()[: regime.retrieve_top_n]
-        return _apply_rerank(candidates, rerank_scores, regime.eval_top_k)
-    # Fused regimes accept whichever channels are present; at least one is
-    # required. With a single channel they degrade to that channel's order.
-    lists = [rl for rl in (dense, sparse) if rl is not None]
+    """Pick the eval_top_k context chunk ids for one question under a regime.
+
+    Of the channels the variant fuses, those the question has are fused by RRF
+    (one alone keeps its order) and cut to retrieve_top_n. A reranking variant
+    then sorts them by rerank score, unscored ones last, ties by chunk_id; a
+    question with no or an empty rerank map keeps the unreranked order.
+    """
+    given = {"dense": dense, "sparse": sparse}
+    lists = [given[name] for name in regime.channels if given[name] is not None]
     if not lists:
-        raise RetrievalError(f"{variant} regime requires at least one channel")
-    fused = fuse_rrf(lists, regime.k_rrf)
-    candidates = fused.ranked.ids()[: regime.retrieve_top_n]
-    if variant == "reranker_off":
-        return candidates[: regime.eval_top_k]
-    return _apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+        need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
+        raise RetrievalError(f"{regime.retrieval_variant} regime requires {need} channel")
+    ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf).ranked
+    candidates = ranked.ids()[: regime.retrieve_top_n]
+    if regime.reranks and rerank_scores:
+        candidates.sort(key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid))
+    return candidates[: regime.eval_top_k]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ragharness import cli, metrics
+from ragharness import cli, metrics, retrieval
 from ragharness.cli import load_workspace, main
 from ragharness.ingest import Run, RunSet, file_checksum
 from tests.conftest import SMOKE_WORKSPACE
@@ -147,6 +147,22 @@ def test_retrieve_counts_the_fallback_per_regime(workspace, capsys):
     assert sorted(p.name for p in (workspace / "out").iterdir()) == [
         "contexts_base.jsonl", "contexts_off.jsonl", "contexts_sparse.jsonl"
     ]
+
+
+def test_empty_rerank_map_keeps_the_unreranked_order(workspace, tmp_path):
+    """A question whose rerank map is {} gets the contexts of a question the
+    rerank file leaves out, under every variant."""
+    regimes = [{"id": v, "variant": v} for v in retrieval.RETRIEVAL_VARIANTS]
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
+    left_out = tmp_path / "left_out"
+    shutil.copytree(workspace, left_out)
+    _edit_json("rerank.json", lambda r: r.update(qa000={}))(workspace)
+    _edit_json("rerank.json", lambda r: r.pop("qa000"))(left_out)
+    for ws in (workspace, left_out):
+        assert run(ws, "retrieve") == 0
+    for variant in retrieval.RETRIEVAL_VARIANTS:
+        name = f"contexts_{variant}.jsonl"
+        assert (workspace / "out" / name).read_bytes() == (left_out / "out" / name).read_bytes()
 
 
 def test_score_writes_per_example_metrics(workspace):
@@ -355,6 +371,24 @@ def _embedding(table, vid, edit):
 
 def _regime_without_id(config):
     del config["regimes"][0]["id"]
+
+
+def _dense_only_without_query_vector(workspace):
+    _edit_json("embeddings.json", lambda e: e["queries"].pop("qa000"))(workspace)
+    regimes = [{"id": "d", "variant": "dense_only"}]
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
+
+
+def _append_line(name, line):
+    def write(workspace):
+        with open(workspace / name, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    return write
+
+
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
 
 
 @pytest.mark.parametrize(
@@ -637,6 +671,32 @@ def _regime_without_id(config):
             ["score"],
             "pass_threshold must be in 1..5, got 0",
         ),
+        (
+            _dense_only_without_query_vector,
+            ["validate"],
+            "regime 'd': 1 of 30 test questions have no channel that 'dense_only' "
+            "fuses (dense)",
+        ),
+        (
+            _append_line("judge.jsonl", DEEP_ARRAY),
+            ["validate"],
+            "judge.jsonl:121: malformed line: nested too deeply",
+        ),
+        (
+            _file_text("workspace.json", '{"seed": ' + DEEP_ARRAY + "}"),
+            ["validate"],
+            "workspace.json: malformed JSON: nested too deeply",
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+            ["validate"],
+            f"{FIRST_RUN_FILE}:1: unknown qa_id 'qa000' (not a test-split question)",
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+            ["stats"],
+            f"{FIRST_RUN_FILE}:1: unknown qa_id 'qa000' (not a test-split question)",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -665,6 +725,9 @@ def _regime_without_id(config):
         "manifest_files_int_validate", "manifest_files_null_stats",
         "resamples_zero_validate", "pass_threshold_nine_validate",
         "pass_threshold_zero_score",
+        "dense_only_without_query_vector_validate", "judge_deeply_nested_validate",
+        "workspace_deeply_nested_validate", "run_outside_test_split_validate",
+        "run_outside_test_split_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from ragharness.dataset import Chunk
 from ragharness.retrieval import (
+    RETRIEVAL_VARIANTS,
     EmbeddingTable,
     RankedList,
     RetrievalError,
@@ -359,6 +361,97 @@ def test_select_context_rerank_reorders():
         retrieval_variant="reranker_off", retrieve_top_n=4, eval_top_k=2
     )
     assert select_context(off, sparse=sparse, rerank_scores={"d": 9.0}) == ["a", "b"]
+
+
+def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
+    if rerank_scores is None:
+        return candidates[:eval_top_k]
+    reordered = sorted(
+        candidates,
+        key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid),
+    )
+    return reordered[:eval_top_k]
+
+
+def reference_select_context(regime, dense=None, sparse=None, rerank_scores=None):
+    """Context selection written out per variant, one branch each for
+    dense_only, sparse_only and the fused variants."""
+    variant = regime.retrieval_variant
+    if variant == "dense_only":
+        if dense is None:
+            raise RetrievalError("dense_only regime requires the dense channel")
+        candidates = dense.ids()[: regime.retrieve_top_n]
+        return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+    if variant == "sparse_only":
+        if sparse is None:
+            raise RetrievalError("sparse_only regime requires the sparse channel")
+        candidates = sparse.ids()[: regime.retrieve_top_n]
+        return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+    lists = [rl for rl in (dense, sparse) if rl is not None]
+    if not lists:
+        raise RetrievalError(f"{variant} regime requires at least one channel")
+    fused = fuse_rrf(lists, regime.k_rrf)
+    candidates = fused.ranked.ids()[: regime.retrieve_top_n]
+    if variant == "reranker_off":
+        return candidates[: regime.eval_top_k]
+    return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+
+
+def _outcome(select, *args, **kwargs):
+    try:
+        return select(*args, **kwargs)
+    except RetrievalError as exc:
+        return f"error: {exc}"
+
+
+def test_select_context_equals_the_per_variant_reference():
+    """Every variant, every channel set, rerank maps absent, partial and
+    full, and k_rrf 1 and 60 over random ranked lists: the same context, or
+    the same error, as the per-variant reference."""
+    rng = random.Random(17)
+    universe = [f"c{i:02d}" for i in range(14)]
+    reranked = errors = 0
+    for trial in range(150):
+        dense = ranked(rng.sample(universe, rng.randint(1, len(universe))))
+        sparse = ranked(rng.sample(universe, rng.randint(1, len(universe))))
+        # Five possible scores, so some rerank ties break by chunk_id.
+        values = [rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0]) for _ in universe]
+        full = dict(zip(universe, values))
+        partial = dict(rng.sample(sorted(full.items()), rng.randint(1, len(universe) - 1)))
+        top_n = rng.randint(1, 16)
+        top_k = rng.randint(1, top_n)
+        channel_sets = ({}, {"dense": dense}, {"sparse": sparse}, {"dense": dense, "sparse": sparse})
+        cases = itertools.product(
+            RETRIEVAL_VARIANTS, (1.0, 60.0), channel_sets, (None, partial, full)
+        )
+        for variant, k_rrf, channels, rerank_scores in cases:
+            regime = RetrievalRegime(variant, retrieve_top_n=top_n, eval_top_k=top_k, k_rrf=k_rrf)
+            args = dict(channels, rerank_scores=rerank_scores)
+            got = _outcome(select_context, regime, **args)
+            want = _outcome(reference_select_context, regime, **args)
+            assert got == want, (trial, variant, k_rrf, sorted(channels), rerank_scores)
+            failed = isinstance(got, str)
+            errors += failed
+            reranked += rerank_scores is not None and regime.reranks and not failed
+    assert errors and reranked
+
+
+def test_select_context_empty_rerank_map_is_no_rerank_map():
+    """A question whose rerank map is {} keeps the unreranked order under
+    every reranking variant, as a question without one does; ascending
+    chunk_id order differs from the channel order here."""
+    dense = ranked(["d", "b", "c", "a"])
+    sparse = ranked(["c", "d", "a", "b"])
+    variants = [v for v in RETRIEVAL_VARIANTS if RetrievalRegime(v).reranks]
+    assert len(variants) == 4
+    for variant in variants:
+        regime = RetrievalRegime(variant, retrieve_top_n=4, eval_top_k=2)
+        for channels in ({"dense": dense}, {"sparse": sparse}, {"dense": dense, "sparse": sparse}):
+            if not channels.keys() & set(regime.channels):
+                continue
+            empty = select_context(regime, **channels, rerank_scores={})
+            assert empty == select_context(regime, **channels), (variant, sorted(channels))
+            assert empty != ["a", "b"], (variant, sorted(channels))
 
 
 @settings(max_examples=50, deadline=None)
