@@ -32,6 +32,9 @@ if TYPE_CHECKING:
     from .stats import ResamplePlan
 
 DEFAULT_REGIME = {"id": "01_base__neutral", "variant": "base", "prompt_mode": "neutral"}
+# The largest seed: the bootstrap hashes the seed as one 64-bit word
+# (stats.subseed), so a wider one would alias a seed in range.
+_SEED_MAX = (1 << 64) - 1
 
 
 class WorkspaceError(HarnessError):
@@ -108,7 +111,17 @@ class WorkspaceConfig:
     def __post_init__(self):
         for f in fields(self):
             if _is_path(f) and getattr(self, f.name) is not None:
-                setattr(self, f.name, self.root / getattr(self, f.name))
+                path = self.root / getattr(self, f.name)
+                # A path the system cannot look up at all (a name too long,
+                # a directory without search permission) fails here, so that
+                # no later existence check raises.
+                try:
+                    path.exists()
+                except OSError as exc:
+                    raise WorkspaceError(
+                        f"{f.name}: cannot look up {path}: {exc.strerror}"
+                    ) from exc
+                setattr(self, f.name, path)
         if self.eval_top_k > self.retrieve_top_n:
             raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
         if not 0.0 < self.level < 1.0:
@@ -119,6 +132,8 @@ class WorkspaceConfig:
             raise WorkspaceError(
                 f"pass_threshold must be in 1..5, got {self.pass_threshold}"
             )
+        if not 0 <= self.seed <= _SEED_MAX:
+            raise WorkspaceError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
         self.retrieval_regimes = _parse_regimes(
             self.root / "workspace.json",
             self.regimes,
@@ -554,9 +569,12 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
 
     axes = tuple(args.axes.split(","))
-    for axis in axes:
+    for i, axis in enumerate(axes):
         if axis not in COST_AXES:
             print(f"pareto: unknown cost axis {axis!r}", file=sys.stderr)
+            return 1
+        if axis in axes[:i]:
+            print(f"pareto: repeated cost axis {axis!r}", file=sys.stderr)
             return 1
     _, _, costs, tables = _regime_tables(ws)
     for regime_id in [args.regime] if args.regime else tables:

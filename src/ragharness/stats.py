@@ -3,15 +3,20 @@ paired bootstrap deltas, and the pooled delta over matched config pairs.
 
 Every replicate draws its resample indices from a generator seeded by a
 stable hash of (master_seed, replicate), so results do not depend on
-execution order or parallelism. The replicates' indices for one
+execution order or parallelism. Each replicate's generator is seeded once per
+process: its state just after seeding is kept per (master_seed, n_resamples)
+and restored before each draw. The replicates' indices for one
 (master_seed, n_resamples, n) are drawn once per process into a matrix that
 later calls reuse, and each statistic is reduced over it in one vectorised
-pass with the same summation order as a per-replicate loop.
+pass with the same summation order as a per-replicate loop. The interval ends
+are numpy's default ``linear`` quantiles (Hyndman & Fan 1996, type 7),
+computed directly from the sorted replicates with numpy's arithmetic.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +29,9 @@ _MASK64 = (1 << 64) - 1
 # entries stay hot, while a sweep over many seeds holds at most this many
 # R x n matrices.
 _INDEX_CACHE_SIZE = 4
+# Seeded replicate states kept per process. A command uses one
+# (master_seed, n_resamples); each entry holds n_resamples small state dicts.
+_STATE_CACHE_SIZE = 4
 
 
 class StatsError(HarnessError):
@@ -64,6 +72,10 @@ class ResamplePlan:
             raise StatsError("n_resamples must be >= 1")
         if not 0.0 < self.level < 1.0:
             raise StatsError("level must be in (0, 1)")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise StatsError(
+                f"master_seed must be in 0..{_MASK64}, got {self.master_seed}"
+            )
 
 
 def subseed(master_seed: int, replicate: int) -> int:
@@ -79,15 +91,29 @@ def _replicate_indices(plan: ResamplePlan, replicate: int, n: int) -> np.ndarray
     return rng.integers(0, n, size=n)
 
 
+@functools.lru_cache(maxsize=_STATE_CACHE_SIZE)
+def _seeded_states(master_seed: int, n_resamples: int) -> tuple[dict, ...]:
+    """The PCG64 state of each replicate's generator just after seeding, as
+    ``_replicate_indices`` seeds it. Seeding costs about three times a
+    restore, so it is done once per (master_seed, n_resamples). Only the
+    state dicts are shared, never a generator, and nothing writes to them."""
+    return tuple(
+        np.random.default_rng(subseed(master_seed, r)).bit_generator.state
+        for r in range(n_resamples)
+    )
+
+
 @functools.lru_cache(maxsize=_INDEX_CACHE_SIZE)
 def _index_matrix(master_seed: int, n_resamples: int, n: int) -> np.ndarray:
     """(n_resamples, n) resample indices whose row r is
     ``_replicate_indices(plan, r, n)``. Read-only, since every caller with
     the same key shares it."""
-    plan = ResamplePlan(n_resamples=n_resamples, master_seed=master_seed)
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
     idx = np.empty((n_resamples, n), dtype=np.intp)
-    for r in range(n_resamples):
-        idx[r] = _replicate_indices(plan, r, n)
+    for r, state in enumerate(_seeded_states(master_seed, n_resamples)):
+        bit_generator.state = state
+        idx[r] = rng.integers(0, n, size=n)
     idx.flags.writeable = False
     return idx
 
@@ -101,10 +127,31 @@ def _check_values(values) -> np.ndarray:
     return arr
 
 
+def _linear_quantile(ordered: np.ndarray, q: float) -> float:
+    """``np.quantile(ordered, q)`` for a sorted 1-D float array and q in
+    [0, 1], with numpy's ``linear`` arithmetic step by step in Python
+    floats, so the result is the same float."""
+    last = ordered.size - 1
+    virtual = last * q
+    if virtual >= last:
+        # numpy takes index -1 for both neighbours, and gamma from it.
+        prev, nxt, gamma = last, last, virtual + 1.0
+    else:
+        prev = math.floor(virtual)
+        nxt, gamma = prev + 1, virtual - prev
+    a, b = ordered.item(prev), ordered.item(nxt)
+    d = b - a
+    return a + d * gamma if gamma < 0.5 else b - d * (1.0 - gamma)
+
+
 def _percentile_interval(replicate_stats: np.ndarray, level: float) -> Interval:
     alpha = (1.0 - level) / 2.0
-    lo, hi = np.quantile(replicate_stats, [alpha, 1.0 - alpha])
-    return Interval(lo=float(lo), hi=float(hi), level=level)
+    ordered = np.sort(replicate_stats)
+    return Interval(
+        lo=_linear_quantile(ordered, alpha),
+        hi=_linear_quantile(ordered, 1.0 - alpha),
+        level=level,
+    )
 
 
 def bootstrap_ci(values, plan: ResamplePlan) -> Interval:

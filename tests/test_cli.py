@@ -697,6 +697,27 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
             ["stats"],
             f"{FIRST_RUN_FILE}:1: unknown qa_id 'qa000' (not a test-split question)",
         ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(seed=-1)),
+            ["validate"],
+            "seed must be in 0..18446744073709551615, got -1",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(seed=2**64)),
+            ["stats"],
+            "seed must be in 0..18446744073709551615, got 18446744073709551616",
+        ),
+        (None, ["pareto", "--axes", "latency,latency"], "repeated cost axis 'latency'"),
+        (
+            _edit_json("workspace.json", lambda c: c.update(corpus="a" * 300)),
+            ["validate"],
+            "corpus: cannot look up",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(out="o/" * 3000)),
+            ["score"],
+            "out: cannot look up",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -727,7 +748,8 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "pass_threshold_zero_score",
         "dense_only_without_query_vector_validate", "judge_deeply_nested_validate",
         "workspace_deeply_nested_validate", "run_outside_test_split_validate",
-        "run_outside_test_split_stats",
+        "run_outside_test_split_stats", "seed_negative_validate", "seed_2_64_stats",
+        "repeated_axis_pareto", "path_name_too_long_validate", "path_too_long_score",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -1,15 +1,19 @@
 import concurrent.futures
+import sys
 
 import numpy as np
 import pytest
 
 from ragharness.stats import (
     _INDEX_CACHE_SIZE,
+    _STATE_CACHE_SIZE,
     Interval,
     ResamplePlan,
     StatsError,
     _index_matrix,
+    _percentile_interval,
     _replicate_indices,
+    _seeded_states,
     bootstrap_ci,
     paired_bootstrap_delta,
     pooled_pair_delta,
@@ -158,6 +162,10 @@ def test_input_validation():
         pooled_pair_delta([], plan)
     with pytest.raises(StatsError):
         pooled_pair_delta([([1.0, 2.0], [1.0, 2.0]), ([1.0], [1.0])], plan)
+    for seed in (-1, 2**64):
+        with pytest.raises(StatsError, match="master_seed must be in"):
+            ResamplePlan(master_seed=seed)
+    assert ResamplePlan(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("n", [1, 7, 60])
@@ -206,3 +214,66 @@ def test_index_cache_stays_bounded():
     for seed in range(20):
         bootstrap_ci(values, ResamplePlan(n_resamples=50, master_seed=1000 + seed))
         assert _index_matrix.cache_info().currsize <= _INDEX_CACHE_SIZE
+
+
+def test_percentile_interval_is_np_quantile():
+    """The direct percentiles are the floats np.quantile gives, over random,
+    tied, constant and near-constant replicate statistics."""
+    rng = np.random.default_rng(12)
+    levels = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+    for case in range(6000):
+        n = int(rng.integers(1, 1201))
+        kind = case % 4
+        if kind == 0:
+            x = rng.normal(size=n)
+        elif kind == 1:
+            x = rng.integers(0, 4, size=n).astype(float)
+        elif kind == 2:
+            x = np.full(n, rng.normal())
+        else:
+            x = 0.3 + 1e-12 * rng.normal(size=n)
+        level = levels[case % len(levels)]
+        alpha = (1 - level) / 2
+        lo, hi = np.quantile(x, [alpha, 1 - alpha])
+        iv = _percentile_interval(x, level)
+        assert (iv.lo, iv.hi) == (lo, hi), (case, n, level)
+
+
+def test_index_matrix_from_threads_matches_replicates():
+    """Cold caches filled from more threads than cores: every row is still
+    the replicate's own draw, so no generator state leaks between calls."""
+    plan = ResamplePlan(n_resamples=40, master_seed=77)
+    sizes = list(range(3, 51, 3))
+    _index_matrix.cache_clear()
+    _seeded_states.cache_clear()
+
+    def rows_match(start):
+        for n in sizes[start:] + sizes[:start]:
+            idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
+            for r in range(plan.n_resamples):
+                if not np.array_equal(idx[r], _replicate_indices(plan, r, n)):
+                    return False
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(rows_match, 2 * w) for w in range(8)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_seeded_states_bounded_and_warm_equals_cold():
+    values = np.random.default_rng(10).normal(size=25)
+    for seed in range(20):
+        plan = ResamplePlan(n_resamples=40, master_seed=2000 + seed)
+        _index_matrix.cache_clear()
+        cold = bootstrap_ci(values, plan)
+        hits = _seeded_states.cache_info().hits
+        _index_matrix.cache_clear()
+        warm = bootstrap_ci(values, plan)
+        assert _seeded_states.cache_info().hits == hits + 1
+        assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
+        assert _seeded_states.cache_info().currsize <= _STATE_CACHE_SIZE

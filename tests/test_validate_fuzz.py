@@ -1,8 +1,9 @@
 """Bounded fuzzing of `validate`: one mutated field or row in the smoke
-workspace's corpus, QA, run, judge, cost or error-label file, or one mutated
-field of its embeddings or rerank scores, gives exit 0, or exit 1 with one
-line on stderr, never a traceback. When `validate` accepts mutated embeddings
-or rerank scores, `retrieve` must accept them too."""
+workspace's corpus, QA, run, judge, cost or error-label file, one mutated
+field of its embeddings or rerank scores, or one knob, regime-spec field or
+input path of its workspace.json replaced by any JSON value, gives exit 0, or
+exit 1 with one line on stderr, never a traceback. When `validate` accepts
+mutated embeddings or rerank scores, `retrieve` must accept them too."""
 
 import contextlib
 import copy
@@ -96,6 +97,10 @@ def _paths(node, path=()):
 
 
 PATHS = {name: list(_paths(doc)) for name, doc in DOCUMENTS.items()}
+CONFIG = json.loads((SMOKE_WORKSPACE / "workspace.json").read_text(encoding="utf-8"))
+CONFIG["labels"] = LABELS
+CONFIG_FIELDS = sorted(key for key in CONFIG if key != "regimes")
+REGIME_FIELDS = sorted(CONFIG["regimes"][0])
 
 
 @st.composite
@@ -114,6 +119,19 @@ def mutated_document(draw):
     else:
         parent[key] = _mutate(draw, parent[key], kind)
     return name, doc
+
+
+@st.composite
+def mutated_config(draw):
+    """("workspace.json", the smoke config) with one knob or input path, or
+    one field of its regime spec, set to an arbitrary JSON value."""
+    config = copy.deepcopy(CONFIG)
+    if draw(st.booleans()):
+        parent, key = config, draw(st.sampled_from(CONFIG_FIELDS))
+    else:
+        parent, key = config["regimes"][0], draw(st.sampled_from(REGIME_FIELDS))
+    parent[key] = draw(VALUES)
+    return "workspace.json", config
 
 
 def _write(ws: Path, name, content):
@@ -146,9 +164,7 @@ def _check_mutation(mutation, then_retrieve=False):
     with tempfile.TemporaryDirectory() as tmp:
         ws = Path(tmp) / "ws"
         shutil.copytree(SMOKE_WORKSPACE, ws)
-        config = json.loads((ws / "workspace.json").read_text(encoding="utf-8"))
-        config["labels"] = LABELS
-        (ws / "workspace.json").write_text(json.dumps(config), encoding="utf-8")
+        _write(ws, "workspace.json", CONFIG)
         _write(ws, LABELS, LABEL_ROWS)
         _write(ws, name, content)
         code, err = _run(ws, "validate")
@@ -172,3 +188,9 @@ def test_validate_mutated_row_exits_cleanly(mutation):
 @given(mutated_document())
 def test_validate_mutated_embeddings_or_rerank_exits_cleanly(mutation):
     _check_mutation(mutation, then_retrieve=True)
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(mutated_config())
+def test_validate_mutated_workspace_config_exits_cleanly(mutation):
+    _check_mutation(mutation)
