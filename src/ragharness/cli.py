@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset, ingest, metrics, retrieval
-from .errors import HarnessError, as_float, as_int
+from .errors import HarnessError, as_file_id, as_float, as_int
 
 # numpy loads with `stats` and the retrieval scorers, so each is imported
 # only where arrays are built: in `retrieve` (the index, the scorers and
@@ -45,7 +45,7 @@ def _parse_regimes(
     config_path: Path, specs, retrieve_top_n: int, eval_top_k: int, k_rrf: float
 ):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
-    id and a known variant."""
+    id that can stand in an output file name, and a known variant."""
     if not isinstance(specs, list):
         raise WorkspaceError(f"{config_path}: regimes must be a list")
     regimes = []
@@ -53,6 +53,7 @@ def _parse_regimes(
         if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
             raise WorkspaceError(f"{config_path}: regime {i} needs a string 'id'")
         where = f"{config_path}: regime {spec['id']!r}"
+        as_file_id(spec["id"], f"{where}: id")
         if any(spec["id"] == regime_id for regime_id, _ in regimes):
             raise WorkspaceError(f"{where}: duplicate id")
         if "variant" not in spec:
@@ -227,10 +228,14 @@ def _load_costs(ws: WorkspaceConfig) -> dict:
 
 def _write_text(path: Path, chunks) -> None:
     """Write the strings of `chunks` to `path` as UTF-8 with LF line ends,
-    creating its directory; every non-CSV output goes through here."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(chunks)
+    creating its directory; every non-CSV output goes through here. A file
+    the system cannot write is a WorkspaceError."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise WorkspaceError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: Path, payload) -> None:
@@ -246,32 +251,36 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def _score_runs(ws: WorkspaceConfig, judged: bool = True):
-    """The run set and its records scored once, grouped by (config, regime).
-    Scoring needs the gold answers alone, so the corpus is not read, nor the
-    judge scores unless `judged`. A record of a question outside the test
-    split is an error."""
+    """The run set with every record scored once. Scoring needs the gold
+    answers alone, so the corpus is not read, nor the judge scores unless
+    `judged`. A record of a question outside the test split is an error."""
     pairs, _ = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
     run_set = _load_runs(ws, set(gold), judged)
-    return run_set, metrics.score_runs(run_set, gold)
+    metrics.score_runs(run_set, gold)
+    return run_set
 
 
 def _regime_tables(ws: WorkspaceConfig):
-    """(run set, scores, cost profiles, {regime_id: regime table}): the run
-    set scored once and one table per regime of it, in regime order; what
-    stats, pareto and report share."""
+    """(run set, cost profiles, {regime_id: regime table}): the run set
+    scored once and one table per regime of it, in regime order; what stats,
+    pareto and report share."""
     from . import report
 
-    run_set, scored = _score_runs(ws)
+    run_set = _score_runs(ws)
     costs = _load_costs(ws)
     plan = ws.plan()
     tables = {
-        regime_id: report.regime_table(
-            run_set.runs, scored, regime_id, costs, plan, ws.pass_threshold
-        )
-        for regime_id in run_set.regimes()
+        regime_id: report.regime_table(runs, costs, plan, ws.pass_threshold)
+        for regime_id, runs in run_set.runs.items()
     }
-    return run_set, scored, costs, tables
+    return run_set, costs, tables
+
+
+def _by_qa_id(run) -> list[int]:
+    """The positions of `run`'s records in ascending qa_id order: the order
+    of scores.jsonl and of the param-matched pairing."""
+    return sorted(range(len(run)), key=run.qa_ids.__getitem__)
 
 
 _REGIME_COLUMNS = [
@@ -316,6 +325,15 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
                 run_set = _load_runs(ws, test_ids)
             except HarnessError as exc:
                 problems.append(str(exc))
+    if run_set is not None:
+        # report names the winning scheme of each regime from its config id.
+        from . import report
+
+        for config_id in sorted({cid for runs in run_set.runs.values() for cid in runs}):
+            try:
+                report.config_scheme(config_id)
+            except HarnessError as exc:
+                problems.append(str(exc))
     for load in (_load_costs, _read_embeddings, _load_rerank, _load_labels):
         try:
             loaded = load(ws)
@@ -333,7 +351,9 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         f"test={census.rows('test')})"
     )
     if run_set is not None:
-        unscored = sum(run.groundedness.count(None) for run in run_set.runs.values())
+        unscored = sum(
+            run.groundedness.count(None) for runs in run_set.runs.values() for run in runs.values()
+        )
         print(
             f"validate: judge coverage: {len(run_set.unmatched_scores)} judge rows "
             f"match no record, {unscored} of {run_set.n_records()} records "
@@ -463,30 +483,29 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-def _score_lines(run_set, scored):
-    """The lines of scores.jsonl, sorted by (regime, config, qa_id). Each is
-    the line `_write_jsonl` would write for {config, regime, qa_id, f1
-    rounded to 6 places, em as 0/1, latency_s}, built from the columns with
-    the primitives `json` encodes strings and finite floats with, keys in
-    sorted order."""
+def _score_lines(run_set):
+    """The lines of scores.jsonl of a scored run set, sorted by (regime,
+    config, qa_id). Each is the line `_write_jsonl` would write for {config,
+    regime, qa_id, f1 rounded to 6 places, em as 0/1, latency_s}, built from
+    the columns with the primitives `json` encodes strings and finite floats
+    with, keys in sorted order."""
     quote = json.encoder.encode_basestring_ascii
-    for key in sorted(run_set.runs, key=lambda k: (k[1], k[0])):
-        run = run_set.runs[key]
-        f1s, exact = scored[key]
-        head = f'{{"config": {quote(run.config_id)}, "em": '
-        tail = f', "regime": {quote(run.regime_id)}}}\n'
-        for i in sorted(range(len(run)), key=run.qa_ids.__getitem__):
-            yield (
-                f'{head}{int(exact[i])}, "f1": {round(f1s[i], 6)!r}, '
-                f'"latency_s": {run.latencies[i]!r}, "qa_id": {quote(run.qa_ids[i])}{tail}'
-            )
+    for runs in run_set.runs.values():
+        for run in runs.values():
+            head = f'{{"config": {quote(run.config_id)}, "em": '
+            tail = f', "regime": {quote(run.regime_id)}}}\n'
+            for i in _by_qa_id(run):
+                yield (
+                    f'{head}{int(run.exact[i])}, "f1": {round(run.f1s[i], 6)!r}, '
+                    f'"latency_s": {run.latencies[i]!r}, "qa_id": {quote(run.qa_ids[i])}{tail}'
+                )
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
     # scores.jsonl has no judge column, so the judge scores are not read.
-    run_set, scored = _score_runs(ws, judged=False)
+    run_set = _score_runs(ws, judged=False)
     out_path = ws.out / "scores.jsonl"
-    _write_text(out_path, _score_lines(run_set, scored))
+    _write_text(out_path, _score_lines(run_set))
     print(f"score: wrote {out_path} ({run_set.n_records()} records)")
     return 0
 
@@ -494,50 +513,47 @@ def cmd_score(ws: WorkspaceConfig, args) -> int:
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
     from . import report
 
-    run_set, scored, _, tables = _regime_tables(ws)
+    run_set, _, tables = _regime_tables(ws)
     for regime_id, rows in tables.items():
         report.write_csv(
             ws.out / f"stats_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
         )
-    _write_param_matched_deltas(ws, list(tables), run_set, scored)
+    _write_param_matched_deltas(ws, run_set)
     print(f"stats: wrote {len(tables)} regime tables under {ws.out}")
     return 0
 
 
-def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, run_set, scored) -> None:
+def _write_param_matched_deltas(ws: WorkspaceConfig, run_set) -> None:
     """Paired bootstrap deltas for every param-matched (qv, full) pair among
-    the run set's config ids, in grid order, plus the pooled family-level
-    delta per regime. Scores are paired by qa_id; a pair, or the pairs pooled
-    in a regime, covering different qa_ids is an error rather than a delta
-    over unmatched examples."""
+    the scored run set's config ids, in grid order, plus the pooled
+    family-level delta per regime. Scores are paired by qa_id; a pair, or the
+    pairs pooled in a regime, covering different qa_ids is an error rather
+    than a delta over unmatched examples."""
     from . import lora_grid, report
     from .stats import paired_bootstrap_delta, pooled_pair_delta
 
-    config_ids = {cid for cid, _ in run_set.runs}
+    config_ids = {cid for runs in run_set.runs.values() for cid in runs}
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
         return
     rows = []
-    for regime_id in regimes:
-        f1_by_qa = {
-            cid: dict(zip(run.qa_ids, scored[cid, rid][0]))
-            for (cid, rid), run in run_set.runs.items()
-            if rid == regime_id
-        }
+    for regime_id, runs in run_set.runs.items():
         pooled_inputs = []
         pooled_ids = None
         for pair in matched:
             qv_id, full_id = pair.qv_config.display_id, pair.full_config.display_id
-            a, b = f1_by_qa.get(qv_id), f1_by_qa.get(full_id)
+            a, b = runs.get(qv_id), runs.get(full_id)
             if a is None or b is None:
                 continue
-            if a.keys() != b.keys():
+            a_order, b_order = _by_qa_id(a), _by_qa_id(b)
+            qa_ids = [a.qa_ids[i] for i in a_order]
+            if qa_ids != [b.qa_ids[i] for i in b_order]:
+                a_ids, b_ids = set(a.qa_ids), set(b.qa_ids)
                 raise WorkspaceError(
                     f"regime {regime_id!r}: {qv_id!r} and {full_id!r} cover different "
-                    f"qa_ids ({len(a.keys() - b.keys())} only in {qv_id!r}, "
-                    f"{len(b.keys() - a.keys())} only in {full_id!r})"
+                    f"qa_ids ({len(a_ids - b_ids)} only in {qv_id!r}, "
+                    f"{len(b_ids - a_ids)} only in {full_id!r})"
                 )
-            qa_ids = sorted(a)
             if pooled_ids is None:
                 pooled_ids = qa_ids
             elif qa_ids != pooled_ids:
@@ -546,7 +562,7 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, regimes, run_set, scored) -
                     f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
                     f"the first pair)"
                 )
-            a_vec, b_vec = [a[q] for q in qa_ids], [b[q] for q in qa_ids]
+            a_vec, b_vec = [a.f1s[i] for i in a_order], [b.f1s[i] for i in b_order]
             est = paired_bootstrap_delta(a_vec, b_vec, ws.plan())
             pooled_inputs.append((a_vec, b_vec))
             rows.append([regime_id, pair.budget_label, qv_id, full_id, est])
@@ -576,7 +592,7 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
         if axis in axes[:i]:
             print(f"pareto: repeated cost axis {axis!r}", file=sys.stderr)
             return 1
-    _, _, costs, tables = _regime_tables(ws)
+    _, costs, tables = _regime_tables(ws)
     for regime_id in [args.regime] if args.regime else tables:
         rows = tables.get(regime_id)
         if rows is None:
@@ -629,14 +645,18 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     from . import report
 
     labels = _load_labels(ws)
-    run_set, _, _, tables = _regime_tables(ws)
+    run_set, _, tables = _regime_tables(ws)
+    # Whatever can reject the inputs (a config id without a scheme, an empty
+    # labels file) fails here, before any file is written.
+    summary = report.ablation_summary(tables)
+    wins = report.scheme_wins(summary)
+    error_counts = report.error_counts(labels) if labels is not None else None
     for regime_id, rows in tables.items():
         report.write_csv(
             ws.out / f"regime_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
         )
         text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
         _write_text(ws.out / f"regime_{regime_id}.txt", [text])
-    summary = report.ablation_summary(tables)
     report.write_csv(
         ws.out / "ablation_summary.csv",
         ["regime", "best_f1_config", "best_f1",
@@ -653,11 +673,11 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
             for row in summary
         ),
     )
-    _write_json(ws.out / "scheme_wins.json", report.scheme_wins(summary))
+    _write_json(ws.out / "scheme_wins.json", wins)
     k_tables = {}
-    for regime_id in sorted(tables):
-        for row in tables[regime_id]:
-            k = run_set.runs[row.config_id, regime_id].eval_top_k
+    for regime_id, rows in tables.items():
+        for row in rows:
+            k = run_set.runs[regime_id][row.config_id].eval_top_k
             k_tables.setdefault(k, []).append(row)
     if len(k_tables) >= 2:
         report.write_csv(
@@ -669,8 +689,8 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
                 for r in report.topk_summary(k_tables)
             ),
         )
-    if labels is not None:
-        _write_json(ws.out / "error_counts.json", report.error_counts(labels))
+    if error_counts is not None:
+        _write_json(ws.out / "error_counts.json", error_counts)
     print(f"report: wrote tables for {len(tables)} regimes under {ws.out}")
     return 0
 

@@ -1,5 +1,5 @@
 """The common base of every error the harness raises on bad input, and the
-integer, float and id-list checks every loader shares."""
+integer, float, id-list and file-id checks every loader shares."""
 
 from __future__ import annotations
 
@@ -37,3 +37,13 @@ def as_id_list(value, name: str) -> tuple[str, ...] | None:
     if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
         raise HarnessError(f"{name} must be a list of strings, got {value!r}")
     return tuple(value)
+
+
+def as_file_id(value: str, name: str) -> str:
+    """`value`, an id that becomes part of an output file name (as a regime
+    id does), when it is one path component: non-empty, not ``.`` or ``..``,
+    and without ``/``, ``\\`` or NUL. Anything else is a HarnessError naming
+    `name`, so no output lands outside the output directory."""
+    if value in ("", ".", "..") or "/" in value or "\\" in value or "\0" in value:
+        raise HarnessError(f"{name} must be one path component, got {value!r}")
+    return value

@@ -13,24 +13,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_float, as_id_list, as_int
+from .errors import HarnessError, as_file_id, as_float, as_id_list, as_int
 
 
 class IngestError(HarnessError):
     pass
-
-
-@dataclass(frozen=True)
-class JudgeScore:
-    config_id: str
-    regime_id: str
-    qa_id: str
-    correctness: int
-    groundedness: int
-
-    def __post_init__(self):
-        _check_judge("correctness", self.correctness)
-        _check_judge("groundedness", self.groundedness)
 
 
 def _check_judge(name: str, val: int) -> int:
@@ -71,7 +58,8 @@ class CostProfile:
 class Run:
     """The records of one (config, regime) as columns, each in record order:
     the order of the run files in the manifest, then of the lines in each.
-    `correctness` and `groundedness` hold None where no judge row matched."""
+    `correctness` and `groundedness` hold None where no judge row matched;
+    `f1s` and `exact` stay empty until `metrics.score_runs` scores the run."""
 
     config_id: str
     regime_id: str
@@ -82,6 +70,8 @@ class Run:
     context_ids: list[tuple[str, ...]] = field(default_factory=list)
     correctness: list[int | None] = field(default_factory=list)
     groundedness: list[int | None] = field(default_factory=list)
+    f1s: list[float] = field(default_factory=list)
+    exact: list[bool] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.qa_ids)
@@ -89,16 +79,14 @@ class Run:
 
 @dataclass
 class RunSet:
-    # (config_id, regime_id) -> Run, in the order each pair is first seen.
-    runs: dict[tuple[str, str], Run]
-    # Judge rows that match no record, in file order.
-    unmatched_scores: list[JudgeScore] = field(default_factory=list)
-
-    def regimes(self) -> list[str]:
-        return sorted({regime_id for _, regime_id in self.runs})
+    # regime_id -> config_id -> Run, both levels in ascending id order.
+    runs: dict[str, dict[str, Run]]
+    # The (config, regime, qa_id) key of each judge row that matches no
+    # record, in file order.
+    unmatched_scores: list[tuple[str, str, str]] = field(default_factory=list)
 
     def n_records(self) -> int:
-        return sum(map(len, self.runs.values()))
+        return sum(len(run) for by_config in self.runs.values() for run in by_config.values())
 
 
 def file_checksum(path) -> str:
@@ -184,7 +172,7 @@ def _judge_row(rec: dict):
 def _run_row(rec: dict):
     """(key, answer, latency, context_ids, top_k) of a run row, where key is
     (config, regime, qa_id)."""
-    key = (str(rec["config"]), str(rec["regime"]), str(rec["qa_id"]))
+    key = (str(rec["config"]), as_file_id(str(rec["regime"]), "regime"), str(rec["qa_id"]))
     answer = str(rec["answer"])
     latency = as_float(rec["latency_s"], "latency_s")
     context = as_id_list(rec.get("context_ids"), "context_ids") or ()
@@ -200,9 +188,9 @@ _UNJUDGED = (None, None)
 
 
 def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
-    """Load a run-set directory into one `Run` per (config, regime).
-    `qa_ids`, when given, is the set of valid test-split ids; records
-    referencing anything else are rejected.
+    """Load a run-set directory into one `Run` per (config, regime), grouped
+    by regime. `qa_ids`, when given, is the set of valid test-split ids;
+    records referencing anything else are rejected.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
@@ -263,10 +251,10 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
             run.context_ids.append(context)
             run.correctness.append(correctness)
             run.groundedness.append(groundedness)
-    return RunSet(
-        runs=runs,
-        unmatched_scores=[JudgeScore(*key, *score) for key, score in judged.items()],
-    )
+    grouped: dict[str, dict[str, Run]] = {}
+    for config_id, regime_id in sorted(runs, key=lambda key: (key[1], key[0])):
+        grouped.setdefault(regime_id, {})[config_id] = runs[config_id, regime_id]
+    return RunSet(runs=grouped, unmatched_scores=list(judged))
 
 
 def load_cost_profile(path) -> dict:

@@ -88,19 +88,15 @@ def pass_at_threshold(scores, threshold: int = 4) -> float:
     return sum(1 for s in scores if s >= threshold) / len(scores)
 
 
-def score_runs(run_set, gold_answers: dict) -> dict:
+def score_runs(run_set, gold_answers: dict) -> None:
     """Score every record of a `RunSet` once against `gold_answers` (qa_id ->
-    answer): {(config_id, regime_id): (f1s, exact_matches)}, two lists
-    aligned with that `Run`'s columns, since bootstrap resampling is by
-    position."""
-    scored: dict[tuple[str, str], tuple[list[float], list[bool]]] = {}
-    for key, run in run_set.runs.items():
-        golds = [gold_answers.get(qa_id) for qa_id in run.qa_ids]
-        if None in golds:
-            qa_id = run.qa_ids[golds.index(None)]
-            raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
-        scored[key] = (
-            list(map(token_f1, run.answers, golds)),
-            list(map(exact_match, run.answers, golds)),
-        )
-    return scored
+    answer), setting each `Run`'s `f1s` and `exact` columns in record order,
+    since bootstrap resampling is by position."""
+    for by_config in run_set.runs.values():
+        for run in by_config.values():
+            golds = [gold_answers.get(qa_id) for qa_id in run.qa_ids]
+            if None in golds:
+                qa_id = run.qa_ids[golds.index(None)]
+                raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
+            run.f1s = list(map(token_f1, run.answers, golds))
+            run.exact = list(map(exact_match, run.answers, golds))

@@ -80,34 +80,28 @@ class ErrorLabel:
 def config_scheme(config_id: str) -> str:
     """Recover the adaptation scheme from a canonical display id like
     "8B r64 qv_only" or "3B baseline"."""
-    tail = config_id.split()[-1]
-    if tail in ("baseline", "qv_only", "full_attention"):
-        return tail
+    tail = config_id.split()[-1:]
+    if tail and tail[0] in ("baseline", "qv_only", "full_attention"):
+        return tail[0]
     raise ReportError(f"cannot parse scheme from config id {config_id!r}")
 
 
 def regime_table(
     runs: dict,
-    scored: dict,
-    regime_id: str,
     cost_profiles: dict,
     plan: ResamplePlan,
     pass_threshold: int = 4,
 ) -> list[RegimeRow]:
-    """One row per config present in the regime, sorted by config id. `runs`
-    maps (config_id, regime_id) -> `ingest.Run`, as `RunSet.runs` holds
-    them, and `scored` maps the same keys to (f1s, exact_matches), as
-    `metrics.score_runs` returns them. Every sum runs in record order."""
+    """One row per config of one regime, in the order of `runs`, which maps
+    config_id -> scored `ingest.Run` as `RunSet.runs` holds each regime's
+    runs (ascending config id). Every sum runs in record order."""
     from .stats import bootstrap_ci
 
-    config_ids = sorted(cid for cid, rid in runs if rid == regime_id)
-    if not config_ids:
-        raise ReportError(f"regime {regime_id!r} absent from run set")
+    if not runs:
+        raise ReportError("regime absent from run set: no runs given")
     rows: list[RegimeRow] = []
-    for config_id in config_ids:
-        run = runs[(config_id, regime_id)]
-        f1s, exact = scored[(config_id, regime_id)]
-        n = len(f1s)
+    for config_id, run in runs.items():
+        n = len(run)
         grnd = [g for g in run.groundedness if g is not None]
         grnd_pass = grnd_interval = corr_pass = corr_interval = None
         if grnd:
@@ -121,19 +115,19 @@ def regime_table(
                 [1.0 if c >= pass_threshold else 0.0 for c in corr], plan
             )
         profile = cost_profiles.get(config_id)
-        vram = profile.inference_vram_for(regime_id) if profile else None
+        vram = profile.inference_vram_for(run.regime_id) if profile else None
         rows.append(
             RegimeRow(
                 config_id=config_id,
-                f1=sum(f1s) / n,
+                f1=sum(run.f1s) / n,
                 latency=sum(run.latencies) / n,
-                f1_interval=bootstrap_ci(f1s, plan),
+                f1_interval=bootstrap_ci(run.f1s, plan),
                 grnd_pass=grnd_pass,
                 grnd_interval=grnd_interval,
                 corr_pass=corr_pass,
                 corr_interval=corr_interval,
                 inference_vram=vram,
-                em_rate=sum(exact) / n,
+                em_rate=sum(run.exact) / n,
                 n=n,
             )
         )
@@ -256,13 +250,17 @@ def write_csv(path, header, rows) -> None:
     """Write one CSV table under `path`, creating its directory: UTF-8, LF
     line ends, a float cell to 6 significant digits, a None cell empty, and
     any other cell as `csv` writes it. Every CSV file the harness writes goes
-    through here, so reruns with unchanged inputs give identical bytes."""
+    through here, so reruns with unchanged inputs give identical bytes. A file
+    the system cannot write is a ReportError."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_cell(value) for value in row] for row in rows)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_cell(value) for value in row] for row in rows)
+    except OSError as exc:
+        raise ReportError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cell(value):

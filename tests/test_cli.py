@@ -183,10 +183,10 @@ def test_score_lines_equal_json_dumps():
     def ident():
         return "".join(rng.choices(alphabet, k=rng.randint(0, 5)))
 
-    runs, scored, expected = {}, {}, []
+    runs, expected = {}, []
     for _ in range(12):
         config, regime = ident(), ident()
-        if (config, regime) in runs:
+        if config in runs.get(regime, {}):
             continue
         qa_ids = list(dict.fromkeys(ident() for _ in range(rng.randint(1, 9))))
         latencies = [
@@ -195,15 +195,18 @@ def test_score_lines_equal_json_dumps():
         ]
         f1s = [rng.choice([0.0, 1.0, 1 / 3, 2 / 3, rng.random()]) for _ in qa_ids]
         exact = [rng.random() < 0.5 for _ in qa_ids]
-        runs[(config, regime)] = Run(config, regime, 2, qa_ids=qa_ids, latencies=latencies)
-        scored[(config, regime)] = (f1s, exact)
+        runs.setdefault(regime, {})[config] = Run(
+            config, regime, 2, qa_ids=qa_ids, latencies=latencies, f1s=f1s, exact=exact
+        )
         expected += [
             {"config": config, "regime": regime, "qa_id": q, "f1": round(f1, 6),
              "em": int(em), "latency_s": latency}
             for q, f1, em, latency in zip(qa_ids, f1s, exact, latencies)
         ]
     expected.sort(key=lambda r: (r["regime"], r["config"], r["qa_id"]))
-    lines = list(cli._score_lines(RunSet(runs=runs), scored))
+    # RunSet.runs holds both levels in ascending id order.
+    runs = {regime: dict(sorted(runs[regime].items())) for regime in sorted(runs)}
+    lines = list(cli._score_lines(RunSet(runs=runs)))
     assert lines == [json.dumps(row, sort_keys=True) + "\n" for row in expected]
 
 
@@ -279,6 +282,17 @@ def test_param_matched_rejects_unaligned_coverage(workspace, capsys, dropped):
     assert run(workspace, "stats") == 1
     err = one_line_error(capsys, "stats")
     assert "'01_base__neutral'" in err and QV in err and FULL in err
+
+
+def test_pairing_does_not_depend_on_record_order(workspace, tmp_path):
+    reversed_ws = tmp_path / "reversed"
+    shutil.copytree(workspace, reversed_ws)
+    write_run(reversed_ws, QV, read_run(reversed_ws, QV)[::-1])
+    for ws in (workspace, reversed_ws):
+        assert run(ws, "score") == 0
+        assert run(ws, "stats") == 0
+    for name in ("param_matched.csv", "scores.jsonl"):
+        assert (reversed_ws / "out" / name).read_bytes() == (workspace / "out" / name).read_bytes()
 
 
 def test_param_matched_rejects_pooling_unaligned_pairs(workspace, capsys):
@@ -363,6 +377,21 @@ def _edit_run(edit):
         write_run(workspace, QV, records)
 
     return write
+
+
+def _regime_id(regime_id):
+    return _edit_json("workspace.json", lambda c: c["regimes"][0].update(id=regime_id))
+
+
+def _config_id_without_scheme(workspace):
+    """Rename 8B r64 qv_only, the best config by F1, to custom-8b in its run
+    records and judge rows."""
+    old = "8B r64 qv_only"
+    write_run(workspace, old, [dict(r, config="custom-8b") for r in read_run(workspace, old)])
+    _edit_rows(
+        "judge.jsonl",
+        lambda rows: [r.update(config="custom-8b") for r in rows if r["config"] == old],
+    )(workspace)
 
 
 def _embedding(table, vid, edit):
@@ -718,6 +747,42 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
             ["score"],
             "out: cannot look up",
         ),
+        (
+            _regime_id("../../../escape"),
+            ["validate"],
+            "regime '../../../escape': id must be one path component, got '../../../escape'",
+        ),
+        (
+            _regime_id("../../../escape"),
+            ["retrieve"],
+            "regime '../../../escape': id must be one path component, got '../../../escape'",
+        ),
+        (_regime_id("x/y"), ["validate"], "id must be one path component, got 'x/y'"),
+        (_regime_id("x\0y"), ["retrieve"], "id must be one path component, got 'x\\x00y'"),
+        (_regime_id("r" * 300), ["retrieve"], f"{'r' * 300}.jsonl: File name too long"),
+        (
+            _edit_run(lambda r: r.update(regime="../x")),
+            ["validate"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: "
+            "regime must be one path component, got '../x'",
+        ),
+        (
+            _edit_run(lambda r: r.update(regime="../x")),
+            ["stats"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: "
+            "regime must be one path component, got '../x'",
+        ),
+        (
+            _config_id_without_scheme,
+            ["validate"],
+            "cannot parse scheme from config id 'custom-8b'",
+        ),
+        (_judge_correctness(0), ["validate"], "judge.jsonl:1: correctness out of 1..5: 0"),
+        (
+            _edit_rows("judge.jsonl", lambda rows: rows[0].update(groundedness=6)),
+            ["stats"],
+            "judge.jsonl:1: groundedness out of 1..5: 6",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -750,13 +815,41 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "workspace_deeply_nested_validate", "run_outside_test_split_validate",
         "run_outside_test_split_stats", "seed_negative_validate", "seed_2_64_stats",
         "repeated_axis_pareto", "path_name_too_long_validate", "path_too_long_score",
+        "regime_id_escape_validate", "regime_id_escape_retrieve", "regime_id_slash_validate",
+        "regime_id_nul_retrieve", "regime_id_too_long_retrieve",
+        "run_regime_escape_validate", "run_regime_escape_stats",
+        "config_id_without_scheme_validate",
+        "judge_correctness_zero_validate", "judge_groundedness_six_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
+    """Each bad input is a one-line exit 1, and no command writes anything
+    outside out/ (the workspace's parent included) on the way."""
     if mutate is not None:
         mutate(workspace)
+    before = _files_outside_out(workspace)
     assert run(workspace, *argv) == 1
     assert message in one_line_error(capsys, argv[0])
+    assert _files_outside_out(workspace) == before
+
+
+def _files_outside_out(workspace):
+    """{path: bytes} of every file under the workspace's parent directory,
+    except those under the workspace's out/."""
+    out = workspace / "out"
+    return {
+        path: path.read_bytes()
+        for path in workspace.parent.rglob("*")
+        if path.is_file() and out not in path.parents
+    }
+
+
+def test_report_checks_config_ids_before_writing(workspace, capsys):
+    _config_id_without_scheme(workspace)
+    assert run(workspace, "report") == 1
+    err = one_line_error(capsys, "report")
+    assert "cannot parse scheme from config id 'custom-8b'" in err
+    assert not (workspace / "out").exists()
 
 
 def test_only_validate_and_retrieve_read_the_corpus(workspace, capsys):

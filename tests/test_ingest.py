@@ -7,7 +7,6 @@ from ragharness.errors import as_float, as_int
 from ragharness.ingest import (
     CostProfile,
     IngestError,
-    JudgeScore,
     file_checksum,
     load_cost_profile,
     load_runs,
@@ -50,7 +49,7 @@ def test_load_runs_roundtrip(tmp_path):
     second = load_runs(runs)
     assert first.runs == second.runs
     assert first.n_records() == 5
-    assert first.runs[("cfgA", "01")].context_ids[0] == ("c1", "c2")
+    assert first.runs["01"]["cfgA"].context_ids[0] == ("c1", "c2")
 
 
 def test_load_runs_checksum_mismatch(tmp_path):
@@ -103,7 +102,7 @@ def test_load_runs_joins_judge_scores(tmp_path):
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1", corr=2, grnd=2)])
     run_set = load_runs(runs, judge_path=scores)
-    run = run_set.runs[("cfgA", "01")]
+    run = run_set.runs["01"]["cfgA"]
     assert run.qa_ids == ["q0", "q1"]
     assert run.correctness == [5, 2]
     assert run.groundedness == [4, 2]
@@ -115,8 +114,8 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("ghost"), score_row("q0"), score_row("phantom")])
     run_set = load_runs(runs, judge_path=scores)
-    assert [s.qa_id for s in run_set.unmatched_scores] == ["ghost", "phantom"]
-    assert run_set.runs[("cfgA", "01")].correctness == [5]
+    assert [qa_id for _, _, qa_id in run_set.unmatched_scores] == ["ghost", "phantom"]
+    assert run_set.runs["01"]["cfgA"].correctness == [5]
 
 
 def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
@@ -124,7 +123,7 @@ def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
     scores = tmp_path / "judge.jsonl"
     scores.write_text("", encoding="utf-8")
     run_set = load_runs(runs, judge_path=scores)
-    assert run_set.runs[("cfgA", "01")].correctness == [None]
+    assert run_set.runs["01"]["cfgA"].correctness == [None]
     assert run_set.runs == load_runs(runs).runs
 
 
@@ -184,7 +183,7 @@ def test_columns_equal_a_per_line_reference(tmp_path):
     write_scores(judge, judge_rows)
 
     run_set = load_runs(runs, qa_ids=set(qa_ids), judge_path=judge)
-    scored = score_runs(run_set, gold)
+    score_runs(run_set, gold)
 
     reference = {}
     for entry in files:
@@ -193,10 +192,12 @@ def test_columns_equal_a_per_line_reference(tmp_path):
                 row = json.loads(line)
                 reference.setdefault((row["config"], row["regime"]), []).append(row)
     judged = {(j["config"], j["regime"], j["qa_id"]): j for j in judge_rows}
-    assert list(run_set.runs) == list(reference)
+    assert [(cid, rid) for rid, runs in run_set.runs.items() for cid in runs] == sorted(
+        reference, key=lambda key: (key[1], key[0])
+    )
     assert run_set.n_records() == len(rows)
     for key, ref in reference.items():
-        run = run_set.runs[key]
+        run = run_set.runs[key[1]][key[0]]
         verdicts = [judged.get((*key, r["qa_id"])) for r in ref]
         assert (run.config_id, run.regime_id, run.eval_top_k) == (*key, ref[0].get("top_k", 2))
         assert run.qa_ids == [r["qa_id"] for r in ref]
@@ -206,10 +207,9 @@ def test_columns_equal_a_per_line_reference(tmp_path):
         assert run.context_ids == [tuple(r.get("context_ids", ())) for r in ref]
         assert run.correctness == [v and v["correctness"] for v in verdicts]
         assert run.groundedness == [v and v["groundedness"] for v in verdicts]
-        f1s, exact = scored[key]
-        assert f1s == [token_f1(r["answer"], gold[r["qa_id"]]) for r in ref]
-        assert exact == [exact_match(r["answer"], gold[r["qa_id"]]) for r in ref]
-    assert {s.config_id for s in run_set.unmatched_scores} == {"cfgZ"}
+        assert run.f1s == [token_f1(r["answer"], gold[r["qa_id"]]) for r in ref]
+        assert run.exact == [exact_match(r["answer"], gold[r["qa_id"]]) for r in ref]
+    assert {config for config, _, _ in run_set.unmatched_scores} == {"cfgZ"}
 
 
 @pytest.mark.parametrize(
@@ -226,13 +226,6 @@ def test_read_rows_words_a_malformed_line_as_json_loads_does(tmp_path, line):
     with pytest.raises(IngestError) as got:
         list(read_rows(path, dict))
     assert str(got.value) == f"{path}:2: malformed line: {expected.value}"
-
-
-def test_judge_score_range():
-    with pytest.raises(IngestError):
-        JudgeScore("c", "r", "q", correctness=0, groundedness=4)
-    with pytest.raises(IngestError):
-        JudgeScore("c", "r", "q", correctness=4, groundedness=6)
 
 
 def test_as_int_rejects_fractions_and_keeps_integral_values():

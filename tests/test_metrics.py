@@ -108,17 +108,18 @@ def run_of(config, qa_ids, answers):
 def test_score_runs_scores_each_record_once_in_record_order():
     gold = {"q0": "port 6443", "q1": "use --force"}
     runs = {
-        ("cfgA", "01"): run_of("cfgA", ["q1", "q0"], ["use --force", "the port 6443"]),
-        ("cfgB", "01"): run_of("cfgB", ["q0"], ["port 6444"]),
+        "cfgA": run_of("cfgA", ["q1", "q0"], ["use --force", "the port 6443"]),
+        "cfgB": run_of("cfgB", ["q0"], ["port 6444"]),
     }
-    scored = score_runs(RunSet(runs=runs), gold)
-    assert list(scored) == [("cfgA", "01"), ("cfgB", "01")]
-    assert scored[("cfgA", "01")] == ([1.0, 1.0], [True, True])
-    assert scored[("cfgB", "01")] == ([token_f1("port 6444", "port 6443")], [False])
+    score_runs(RunSet(runs={"01": runs}), gold)
+    assert (runs["cfgA"].f1s, runs["cfgA"].exact) == ([1.0, 1.0], [True, True])
+    assert (runs["cfgB"].f1s, runs["cfgB"].exact) == (
+        [token_f1("port 6444", "port 6443")], [False]
+    )
 
 
 def test_score_runs_rejects_a_record_without_gold():
-    runs = {("cfg", "01"): run_of("cfg", ["q0", "q9"], ["port", "anything"])}
+    runs = {"01": {"cfg": run_of("cfg", ["q0", "q9"], ["port", "anything"])}}
     with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
         score_runs(RunSet(runs=runs), {"q0": "port"})
 

@@ -42,7 +42,7 @@ def make_run_set():
     runs = {}
     for config, by_qa in answers.items():
         qa_ids = sorted(by_qa)
-        runs[(config, "01")] = Run(
+        runs[config] = Run(
             config_id=config,
             regime_id="01",
             eval_top_k=2,
@@ -53,17 +53,16 @@ def make_run_set():
             correctness=[5 if config == "cfgA" else 2] * len(qa_ids),
             groundedness=[4 if config == "cfgA" else 3] * len(qa_ids),
         )
-    return RunSet(runs=runs), gold
+    return RunSet(runs={"01": runs}), gold
 
 
 def test_regime_table_means_match_direct_recomputation():
     run_set, gold = make_run_set()
-    rows = regime_table(
-        run_set.runs, score_runs(run_set, gold), "01", {}, ResamplePlan(n_resamples=50)
-    )
+    score_runs(run_set, gold)
+    rows = regime_table(run_set.runs["01"], {}, ResamplePlan(n_resamples=50))
     assert [r.config_id for r in rows] == ["cfgA", "cfgB"]
     cfg_a = rows[0]
-    run = run_set.runs[("cfgA", "01")]
+    run = run_set.runs["01"]["cfgA"]
     expected = sum(
         token_f1(answer, gold[qa_id]) for qa_id, answer in zip(run.qa_ids, run.answers)
     ) / 3
@@ -75,9 +74,9 @@ def test_regime_table_means_match_direct_recomputation():
 
 
 def scored_run(indices, correctness=None, groundedness=None):
-    """({key: Run}, {key: (f1s, exact_matches)}) for one config in regime
-    "r", record i having F1 0.1 * i, an exact match when i is even and
-    latency 0.5 + 0.01 * i; a judge column left out is unjudged."""
+    """{config_id: Run} of one scored config in regime "r", record i having
+    F1 0.1 * i, an exact match when i is even and latency 0.5 + 0.01 * i; a
+    judge column left out is unjudged."""
     unjudged = [None] * len(indices)
     run = Run(
         "cfg", "r", 2,
@@ -85,18 +84,19 @@ def scored_run(indices, correctness=None, groundedness=None):
         latencies=[0.5 + 0.01 * i for i in indices],
         correctness=correctness or unjudged,
         groundedness=groundedness or unjudged,
+        f1s=[0.1 * i for i in indices],
+        exact=[i % 2 == 0 for i in indices],
     )
-    scores = ([0.1 * i for i in indices], [i % 2 == 0 for i in indices])
-    return {("cfg", "r"): run}, {("cfg", "r"): scores}
+    return {"cfg": run}
 
 
 def test_regime_table_pass_rates_match_direct_recomputation():
-    runs, scored = scored_run(
+    runs = scored_run(
         range(10),
         correctness=[5 if i > 4 else 2 for i in range(10)],
         groundedness=[4 if i > 2 else 1 for i in range(10)],
     )
-    (row,) = regime_table(runs, scored, "r", {}, ResamplePlan(n_resamples=50))
+    (row,) = regime_table(runs, {}, ResamplePlan(n_resamples=50))
     assert row.n == 10
     assert row.f1 == pytest.approx(sum(0.1 * i for i in range(10)) / 10)
     assert row.em_rate == 0.5
@@ -105,15 +105,13 @@ def test_regime_table_pass_rates_match_direct_recomputation():
     assert row.corr_pass == 0.5
     assert row.f1_interval.lo <= row.f1 <= row.f1_interval.hi
     assert row.grnd_interval.lo <= row.grnd_pass <= row.grnd_interval.hi
-    (strict,) = regime_table(
-        runs, scored, "r", {}, ResamplePlan(n_resamples=50), pass_threshold=5
-    )
+    (strict,) = regime_table(runs, {}, ResamplePlan(n_resamples=50), pass_threshold=5)
     assert strict.grnd_pass == 0.0
     assert strict.corr_pass == 0.5
 
 
 def test_regime_table_without_judge_scores():
-    (row,) = regime_table(*scored_run([5]), "r", {}, ResamplePlan(n_resamples=10))
+    (row,) = regime_table(scored_run([5]), {}, ResamplePlan(n_resamples=10))
     assert row.f1 == 0.5
     assert row.f1_interval is not None
     assert row.grnd_pass is None and row.grnd_interval is None
@@ -121,11 +119,9 @@ def test_regime_table_without_judge_scores():
 
 
 def test_regime_table_absent_regime():
-    run_set, gold = make_run_set()
+    run_set, _ = make_run_set()
     with pytest.raises(ReportError, match="absent"):
-        regime_table(
-            run_set.runs, score_runs(run_set, gold), "99", {}, ResamplePlan(n_resamples=10)
-        )
+        regime_table(run_set.runs.get("99", {}), {}, ResamplePlan(n_resamples=10))
 
 
 def test_ablation_summary_published_fixture(regime_tables):
