@@ -200,14 +200,17 @@ def _input(ws: WorkspaceConfig, key: str) -> Path | None:
     return path
 
 
+def _nearest_existing(path: Path) -> Path:
+    """`path`, or the nearest of its ancestors that exists."""
+    return next(p for p in (path, *path.parents) if p.exists())
+
+
 def _check_out(ws: WorkspaceConfig) -> None:
     """Fail before anything is written when the output directory, or the
     nearest of its ancestors that exists, is not a directory."""
-    for path in (ws.out, *ws.out.parents):
-        if path.exists():
-            if not path.is_dir():
-                raise WorkspaceError(f"out is not a directory: {path}")
-            return
+    path = _nearest_existing(ws.out)
+    if not path.is_dir():
+        raise WorkspaceError(f"out is not a directory: {path}")
 
 
 def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True):
@@ -334,9 +337,13 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
                 report.config_scheme(config_id)
             except HarnessError as exc:
                 problems.append(str(exc))
+    regime_ids = [regime_id for regime_id, _ in ws.retrieval_regimes]
+    if run_set is not None:
+        regime_ids.extend(run_set.runs)
+    problems.extend(_long_regime_ids(ws, regime_ids))
     for load in (_load_costs, _read_embeddings, _load_rerank, _load_labels):
         try:
-            loaded = load(ws)
+            loaded = load(ws, run_set) if load is _load_labels else load(ws)
         except HarnessError as exc:
             problems.append(str(exc))
             continue
@@ -360,6 +367,43 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
             f"have no judge score"
         )
     return 0
+
+
+# The longest output name of each kind that a regime id becomes part of;
+# pareto's front name grows with its axes, and the benchmarked pair of axes
+# stands for them.
+_REGIME_FILE_NAMES = (
+    "contexts_{}.jsonl",
+    "stats_{}.csv",
+    "regime_{}.csv",
+    "regime_{}.txt",
+    "front_{}_latency_inference_vram.csv",
+)
+
+
+def _long_regime_ids(ws: WorkspaceConfig, regime_ids) -> list[str]:
+    """One line per regime id that makes an output file name longer than the
+    file system under `out` allows (255 bytes when it does not say)."""
+    where = _nearest_existing(ws.out)
+    try:
+        limit = os.pathconf(where, "PC_NAME_MAX")
+    except (OSError, ValueError, AttributeError):
+        limit = -1
+    if limit < 1:
+        limit = 255
+    problems = []
+    for regime_id in dict.fromkeys(regime_ids):
+        for template in _REGIME_FILE_NAMES:
+            name = template.format(regime_id)
+            size = len(name.encode("utf-8", "surrogatepass"))
+            if size > limit:
+                problems.append(
+                    f"regime {regime_id!r}: output name {template.format('<id>')!r} "
+                    f"would be {size} bytes, over the {limit} a file name may have "
+                    f"under {where}"
+                )
+                break
+    return problems
 
 
 def _channel_gaps(ws: WorkspaceConfig, test_ids: set, embeddings) -> list[str]:
@@ -448,31 +492,48 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
+    regimes = [regime for _, regime in ws.retrieval_regimes]
+    fused = {name for regime in regimes for name in regime.channels}
     chunks = dataset.load_corpus(_input(ws, "corpus"))
     pairs, _ = dataset.load_qa(_input(ws, "qa"))
-    index = retrieval.build_sparse_index(chunks)
+    index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
     table, queries = _load_embeddings(ws)
     rerank = _load_rerank(ws)
     test_pairs = [p for p in pairs if p.split == "test"]
 
-    def contexts(regime_id, regime):
-        for pair in test_pairs:
+    # Each question's channels are scored once and its fusion run once for
+    # every regime; only each regime's eval_top_k ids are kept.
+    contexts = [[] for _ in regimes]
+    n_sparse = n_dense = n_fusions = 0
+    fuses_two = any(len(regime.channels) > 1 for regime in regimes)
+    for pair in test_pairs:
+        sparse = dense = None
+        if index is not None:
             sparse = retrieval.score_sparse(index, pair.question, ws.retrieve_top_n)
-            dense = None
-            if table is not None and pair.qa_id in queries:
-                dense = retrieval.score_dense(table, queries[pair.qa_id], ws.retrieve_top_n)
-            context = retrieval.select_context(
-                regime, dense=dense, sparse=sparse, rerank_scores=rerank.get(pair.qa_id)
-            )
-            yield {"qa_id": pair.qa_id, "regime": regime_id, "context_ids": context}
+            n_sparse += 1
+        if "dense" in fused and table is not None and pair.qa_id in queries:
+            dense = retrieval.score_dense(table, queries[pair.qa_id], ws.retrieve_top_n)
+            n_dense += 1
+        # k_rrf is one knob for every regime, so a question with both
+        # channels is fused once when any regime fuses both.
+        n_fusions += fuses_two and sparse is not None and dense is not None
+        selected = retrieval.select_contexts(regimes, dense, sparse, rerank.get(pair.qa_id))
+        for kept, context in zip(contexts, selected):
+            kept.append(context)
 
     # The sparse channel is always there; the dense one and the rerank
     # scores only for the questions their files cover.
     no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
-    for regime_id, regime in ws.retrieval_regimes:
+    for (regime_id, regime), kept in zip(ws.retrieval_regimes, contexts):
         out_path = ws.out / f"contexts_{regime_id}.jsonl"
-        _write_jsonl(out_path, contexts(regime_id, regime))
+        _write_jsonl(
+            out_path,
+            (
+                {"qa_id": pair.qa_id, "regime": regime_id, "context_ids": context}
+                for pair, context in zip(test_pairs, kept)
+            ),
+        )
         print(f"retrieve: wrote {out_path}")
         print(
             f"retrieve: {regime_id}: of {len(test_pairs)} test questions, "
@@ -480,6 +541,10 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
             f"than {regime.retrieval_variant!r} names and "
             f"{unranked if regime.reranks else 0} without the rerank scores it names"
         )
+    print(
+        f"retrieve: scored {n_sparse} sparse and {n_dense} dense lists and ran "
+        f"{n_fusions} fusions for {len(test_pairs)} test questions"
+    )
     return 0
 
 
@@ -621,33 +686,55 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-def _load_labels(ws: WorkspaceConfig) -> list | None:
-    """The error labels workspace.json names, or None when it names none."""
+def _load_labels(ws: WorkspaceConfig, run_set=None) -> list | None:
+    """The error labels workspace.json names, or None when it names none.
+
+    The file holds at least one label, and no row twice; one record may
+    carry several distinct classes. Given the run set, each label's (config,
+    qa_id) must be a record of some regime. A fault is one line naming the
+    file, and the line when there is one."""
     path = _input(ws, "labels")
     if path is None:
         return None
     from . import report
 
-    return [
-        label
-        for _, label in ingest.read_rows(
-            path,
-            lambda rec: report.ErrorLabel(
-                qa_id=str(rec["qa_id"]),
-                config_id=str(rec["config"]),
-                error_class=str(rec["class"]),
-            ),
-        )
-    ]
+    records = None
+    if run_set is not None:
+        records = {}
+        for runs in run_set.runs.values():
+            for config_id, run in runs.items():
+                records.setdefault(config_id, set()).update(run.qa_ids)
+    first_line = {}
+    for lineno, label in ingest.read_rows(
+        path,
+        lambda rec: report.ErrorLabel(
+            qa_id=str(rec["qa_id"]),
+            config_id=str(rec["config"]),
+            error_class=str(rec["class"]),
+        ),
+    ):
+        if label in first_line:
+            raise WorkspaceError(
+                f"{path}:{lineno}: duplicate of the label on line {first_line[label]}"
+            )
+        if records is not None and label.qa_id not in records.get(label.config_id, ()):
+            raise WorkspaceError(
+                f"{path}:{lineno}: no run record of config {label.config_id!r} "
+                f"has qa_id {label.qa_id!r}"
+            )
+        first_line[label] = lineno
+    if not first_line:
+        raise WorkspaceError(f"{path}: holds no error labels")
+    return list(first_line)
 
 
 def cmd_report(ws: WorkspaceConfig, args) -> int:
     from . import report
 
-    labels = _load_labels(ws)
     run_set, _, tables = _regime_tables(ws)
-    # Whatever can reject the inputs (a config id without a scheme, an empty
-    # labels file) fails here, before any file is written.
+    # Whatever can reject the inputs (a config id without a scheme, a label
+    # that matches no record) fails here, before any file is written.
+    labels = _load_labels(ws, run_set)
     summary = report.ablation_summary(tables)
     wins = report.scheme_wins(summary)
     error_counts = report.error_counts(labels) if labels is not None else None

@@ -12,9 +12,9 @@ score a channel should not pay for numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,17 +47,21 @@ class RetrievalError(HarnessError):
     pass
 
 
+# Punctuation that tokenize keeps inside a token but drops from its right
+# edge, and the rest, which it drops from both edges.
+_KEEP = "-_./:"
+_EDGE = "".join(ch for ch in string.punctuation if ch not in _KEEP)
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip punctuation off token edges.
 
     Internal ``- _ . / :`` survive, so documentation flags and paths keep
     their shape.
     """
-    keep = "-_./:"
-    edge = "".join(ch for ch in string.punctuation if ch not in keep)
     tokens = []
     for raw in text.lower().split():
-        tok = raw.strip(edge).rstrip(keep)
+        tok = raw.strip(_EDGE).rstrip(_KEEP)
         if tok:
             tokens.append(tok)
     return tokens
@@ -153,25 +157,37 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
     import numpy as np
 
     chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
+    n_docs = len(chunks)
     term_ids: dict[str, int] = {}
-    terms: list[int] = []
-    positions: list[int] = []
-    freqs: list[int] = []
-    doc_len = np.empty(len(chunks), dtype=np.int64)
-    for pos, chunk in enumerate(chunks):
-        tokens = tokenize(chunk.text)
-        doc_len[pos] = len(tokens)
-        counts = Counter(tokens)
-        terms.extend(term_ids.setdefault(term, len(term_ids)) for term in counts)
-        freqs.extend(counts.values())
-        positions.extend([pos] * len(counts))
-    terms = np.array(terms, dtype=np.int64)
-    # Stable, so each term's postings keep ascending positions.
-    order = np.argsort(terms, kind="stable")
-    df = np.bincount(terms, minlength=len(term_ids))
+    token_ids = [
+        [term_ids.setdefault(term, len(term_ids)) for term in tokenize(chunk.text)]
+        for chunk in chunks
+    ]
+    doc_len = np.array([len(ids) for ids in token_ids], dtype=np.int64)
+    # One key per token, term id major and position minor: one sort of the
+    # keys groups each term's postings in ascending position order, and the
+    # run length of each distinct key is that posting's term frequency. The
+    # arithmetic runs in place, so few large temporaries outlive the build.
+    keys = np.fromiter(
+        itertools.chain.from_iterable(token_ids), dtype=np.int64, count=int(doc_len.sum())
+    )
+    del token_ids
+    keys *= n_docs
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64), doc_len)
+    keys.sort()
+    bounds = np.empty(len(keys) + 1, dtype=bool)
+    bounds[0] = bounds[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=bounds[1:-1])
+    bounds = np.flatnonzero(bounds)
+    tf = np.diff(bounds)
+    keys = keys[bounds[:-1]]
+    del bounds
+    doc_pos = keys % n_docs
+    keys //= n_docs  # each posting's term id
+    df = np.bincount(keys, minlength=len(term_ids))
+    del keys
     start = np.zeros(len(term_ids) + 1, dtype=np.int64)
     np.cumsum(df, out=start[1:])
-    n_docs = len(chunks)
     avgdl = int(doc_len.sum()) / n_docs
     # +1 inside the log keeps IDF positive for very common terms, so a zero
     # score always means "no query term present". math.log, not np.log, which
@@ -183,8 +199,8 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
         chunk_ids=[chunk.chunk_id for chunk in chunks],
         term_ids=term_ids,
         start=start,
-        doc_pos=np.array(positions, dtype=np.int64)[order],
-        tf=np.array(freqs, dtype=np.int64)[order],
+        doc_pos=doc_pos,
+        tf=tf,
         idf=idf,
         length_norm=BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl),
         n_docs=n_docs,
@@ -313,26 +329,48 @@ def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> FusedCand
     return FusedCandidates(ranked=RankedList(entries=ordered), provenance=provenance)
 
 
+def select_contexts(
+    regimes,
+    dense: RankedList | None = None,
+    sparse: RankedList | None = None,
+    rerank_scores: dict | None = None,
+) -> list[list[str]]:
+    """The eval_top_k context chunk ids of one question under each regime of
+    `regimes`, in order.
+
+    Of the channels a variant fuses, those the question has are fused by RRF
+    (one alone keeps its order) and cut to retrieve_top_n. A reranking variant
+    then sorts them by rerank score, unscored ones last, ties by chunk_id; a
+    question with no or an empty rerank map keeps the unreranked order. Each
+    distinct (channels present, k_rrf) is fused once and shared by the
+    regimes that name it; only the cut and the rerank are per regime.
+    """
+    given = {"dense": dense, "sparse": sparse}
+    fused: dict[tuple, list[str]] = {}
+    contexts = []
+    for regime in regimes:
+        present = tuple(name for name in regime.channels if given[name] is not None)
+        if not present:
+            need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
+            raise RetrievalError(f"{regime.retrieval_variant} regime requires {need} channel")
+        key = (present, regime.k_rrf)
+        if key not in fused:
+            lists = [given[name] for name in present]
+            ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf).ranked
+            fused[key] = ranked.ids()
+        candidates = fused[key][: regime.retrieve_top_n]
+        if regime.reranks and rerank_scores:
+            candidates.sort(key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid))
+        contexts.append(candidates[: regime.eval_top_k])
+    return contexts
+
+
 def select_context(
     regime: RetrievalRegime,
     dense: RankedList | None = None,
     sparse: RankedList | None = None,
     rerank_scores: dict | None = None,
 ) -> list[str]:
-    """Pick the eval_top_k context chunk ids for one question under a regime.
-
-    Of the channels the variant fuses, those the question has are fused by RRF
-    (one alone keeps its order) and cut to retrieve_top_n. A reranking variant
-    then sorts them by rerank score, unscored ones last, ties by chunk_id; a
-    question with no or an empty rerank map keeps the unreranked order.
-    """
-    given = {"dense": dense, "sparse": sparse}
-    lists = [given[name] for name in regime.channels if given[name] is not None]
-    if not lists:
-        need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
-        raise RetrievalError(f"{regime.retrieval_variant} regime requires {need} channel")
-    ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf).ranked
-    candidates = ranked.ids()[: regime.retrieve_top_n]
-    if regime.reranks and rerank_scores:
-        candidates.sort(key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid))
-    return candidates[: regime.eval_top_k]
+    """Pick the eval_top_k context chunk ids for one question under a regime:
+    `select_contexts` over that regime alone."""
+    return select_contexts((regime,), dense, sparse, rerank_scores)[0]

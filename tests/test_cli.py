@@ -165,6 +165,53 @@ def test_empty_rerank_map_keeps_the_unreranked_order(workspace, tmp_path):
         assert (workspace / "out" / name).read_bytes() == (left_out / "out" / name).read_bytes()
 
 
+def _counting(monkeypatch, name, calls):
+    """Replace retrieval.`name` with a wrapper that counts its calls."""
+    original = getattr(retrieval, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(retrieval, name, counted)
+
+
+def test_retrieve_scores_each_channel_once_per_question(workspace, tmp_path, monkeypatch, capsys):
+    """Under all five variants, retrieve scores BM25 and the dense channel
+    once per test question and fuses them once, says so on stdout, and
+    writes each regime's contexts as a workspace holding that regime alone
+    does; with no regime that fuses dense, it scores no dense list."""
+    regimes = [{"id": v, "variant": v} for v in retrieval.RETRIEVAL_VARIANTS]
+    for regime in regimes:
+        alone = tmp_path / regime["id"]
+        shutil.copytree(workspace, alone)
+        _edit_json("workspace.json", lambda c, r=regime: c.update(regimes=[r]))(alone)
+        assert run(alone, "retrieve") == 0
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
+    capsys.readouterr()
+    calls = dict.fromkeys(("score_sparse", "score_dense", "fuse_rrf"), 0)
+    for name in calls:
+        _counting(monkeypatch, name, calls)
+    assert run(workspace, "retrieve") == 0
+    assert calls == {"score_sparse": 30, "score_dense": 30, "fuse_rrf": 30}
+    out = capsys.readouterr().out
+    assert (
+        "retrieve: scored 30 sparse and 30 dense lists and ran 30 fusions "
+        "for 30 test questions\n"
+    ) in out
+    for regime in regimes:
+        name = f"contexts_{regime['id']}.jsonl"
+        alone = tmp_path / regime["id"] / "out" / name
+        assert (workspace / "out" / name).read_bytes() == alone.read_bytes(), name
+
+    sparse_only = [{"id": "s", "variant": "sparse_only"}]
+    _edit_json("workspace.json", lambda c: c.update(regimes=sparse_only))(workspace)
+    calls.update(dict.fromkeys(calls, 0))
+    assert run(workspace, "retrieve") == 0
+    assert calls == {"score_sparse": 30, "score_dense": 0, "fuse_rrf": 0}
+    assert "scored 30 sparse and 0 dense lists and ran 0 fusions" in capsys.readouterr().out
+
+
 def test_score_writes_per_example_metrics(workspace):
     assert run(workspace, "score") == 0
     lines = (workspace / "out" / "scores.jsonl").read_text(encoding="utf-8").splitlines()
@@ -368,6 +415,9 @@ def _labels(text):
         _edit_json("workspace.json", lambda c: c.update(labels="labels.jsonl"))(workspace)
 
     return write
+
+
+LABEL = '{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n'
 
 
 def _edit_run(edit):
@@ -760,6 +810,31 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         (_regime_id("x/y"), ["validate"], "id must be one path component, got 'x/y'"),
         (_regime_id("x\0y"), ["retrieve"], "id must be one path component, got 'x\\x00y'"),
         (_regime_id("r" * 300), ["retrieve"], f"{'r' * 300}.jsonl: File name too long"),
+        (_regime_id("r" * 300), ["validate"], "output name 'contexts_<id>.jsonl' would be 315 bytes"),
+        (
+            _regime_id("r" * 230),
+            ["validate"],
+            "output name 'front_<id>_latency_inference_vram.csv' would be 263 bytes",
+        ),
+        (
+            _edit_run(lambda r: r.update(regime="r" * 300)),
+            ["validate"],
+            "output name 'contexts_<id>.jsonl' would be 315 bytes",
+        ),
+        (_labels(""), ["validate"], "labels.jsonl: holds no error labels"),
+        (_labels("\n"), ["report"], "labels.jsonl: holds no error labels"),
+        (_labels(LABEL + LABEL), ["validate"], "labels.jsonl:2: duplicate of the label on line 1"),
+        (_labels(LABEL + LABEL), ["report"], "labels.jsonl:2: duplicate of the label on line 1"),
+        (
+            _labels(LABEL.replace("qa000", "qa999")),
+            ["validate"],
+            "labels.jsonl:1: no run record of config '3B baseline' has qa_id 'qa999'",
+        ),
+        (
+            _labels(LABEL + LABEL.replace("3B baseline", "3B r64 qv_only")),
+            ["report"],
+            "labels.jsonl:2: no run record of config '3B r64 qv_only' has qa_id 'qa000'",
+        ),
         (
             _edit_run(lambda r: r.update(regime="../x")),
             ["validate"],
@@ -817,6 +892,10 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "repeated_axis_pareto", "path_name_too_long_validate", "path_too_long_score",
         "regime_id_escape_validate", "regime_id_escape_retrieve", "regime_id_slash_validate",
         "regime_id_nul_retrieve", "regime_id_too_long_retrieve",
+        "regime_id_too_long_validate", "regime_id_too_long_for_front_validate",
+        "run_regime_too_long_validate", "labels_empty_validate", "labels_blank_report",
+        "labels_duplicate_validate", "labels_duplicate_report",
+        "labels_unknown_qa_id_validate", "labels_unknown_config_report",
         "run_regime_escape_validate", "run_regime_escape_stats",
         "config_id_without_scheme_validate",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
@@ -981,3 +1060,12 @@ def test_validate_runs_under_cprofile(workspace, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "validate: ok" in proc.stdout
+
+
+def test_one_record_may_carry_several_error_classes(workspace):
+    _labels(LABEL + LABEL.replace("overclaiming", "retrieval_miss"))(workspace)
+    for command in ("validate", "report"):
+        assert run(workspace, command) == 0
+    counts = json.loads((workspace / "out" / "error_counts.json").read_text(encoding="utf-8"))
+    assert counts["n"] == 2
+    assert counts["per_config"]["3B baseline"]["retrieval_miss"]["count"] == 1

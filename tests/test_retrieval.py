@@ -19,6 +19,7 @@ from ragharness.retrieval import (
     score_dense,
     score_sparse,
     select_context,
+    select_contexts,
     tokenize,
 )
 
@@ -452,6 +453,105 @@ def test_select_context_empty_rerank_map_is_no_rerank_map():
             empty = select_context(regime, **channels, rerank_scores={})
             assert empty == select_context(regime, **channels), (variant, sorted(channels))
             assert empty != ["a", "b"], (variant, sorted(channels))
+
+
+def test_select_contexts_equals_the_per_regime_reference():
+    """All five variants at once, in a random order and with repeats, with
+    k_rrf per regime, random channel presence and rerank maps absent, empty,
+    partial and full: the contexts, or the first error, that the per-variant
+    reference gives regime by regime. An empty rerank map is no rerank map."""
+    rng = random.Random(23)
+    universe = [f"c{i:02d}" for i in range(14)]
+    shared = errors = 0
+    for trial in range(300):
+        dense = ranked(rng.sample(universe, rng.randint(1, len(universe))))
+        sparse = ranked(rng.sample(universe, rng.randint(1, len(universe))))
+        channels = {
+            name: rl for name, rl in (("dense", dense), ("sparse", sparse)) if rng.random() < 0.8
+        }
+        values = [rng.choice([-1.0, 0.0, 0.25, 0.5, 2.0]) for _ in universe]
+        full = dict(zip(universe, values))
+        partial = dict(rng.sample(sorted(full.items()), rng.randint(1, len(universe) - 1)))
+        rerank_scores = rng.choice([None, {}, partial, full])
+        top_n = rng.randint(1, 16)
+        variants = list(RETRIEVAL_VARIANTS) + rng.choices(RETRIEVAL_VARIANTS, k=rng.randint(0, 3))
+        rng.shuffle(variants)
+        regimes = [
+            RetrievalRegime(
+                variant,
+                retrieve_top_n=top_n,
+                eval_top_k=rng.randint(1, top_n),
+                k_rrf=rng.choice([1.0, 60.0, 97.0]),
+            )
+            for variant in variants
+        ]
+        got = _outcome(select_contexts, regimes, **channels, rerank_scores=rerank_scores)
+        want = []
+        for regime in regimes:
+            context = _outcome(
+                reference_select_context, regime, **channels, rerank_scores=rerank_scores or None
+            )
+            if isinstance(context, str):
+                want = context
+                break
+            want.append(context)
+        assert got == want, (trial, variants, sorted(channels), rerank_scores)
+        errors += isinstance(got, str)
+        shared += not isinstance(got, str) and len(channels) == 2
+    assert errors and shared > 100
+
+
+def test_select_contexts_fuses_each_channel_set_once(monkeypatch):
+    """Five regimes with one k_rrf fuse a question's two channels once; a
+    second k_rrf is a second fusion, and single-channel regimes none."""
+    calls = []
+
+    def counting(lists, k_rrf):
+        calls.append(k_rrf)
+        return fuse_rrf(lists, k_rrf)
+
+    monkeypatch.setattr("ragharness.retrieval.fuse_rrf", counting)
+    dense, sparse = ranked(["a", "b", "c"]), ranked(["c", "d", "a"])
+    regimes = [RetrievalRegime(v, retrieve_top_n=3, eval_top_k=2) for v in RETRIEVAL_VARIANTS]
+    select_contexts(regimes, dense, sparse, {"d": 1.0})
+    assert calls == [60.0]
+    calls.clear()
+    select_contexts(regimes + [RetrievalRegime("base", k_rrf=1.0)], dense, sparse)
+    assert calls == [60.0, 1.0]
+    calls.clear()
+    select_contexts([r for r in regimes if "sparse" in r.channels], None, sparse)
+    assert calls == []
+
+
+# Words whose edges carry punctuation, that repeat, or that strip to nothing.
+EDGE_WORDS = VOCAB[:4] + [
+    "Pod.", "(node)", "--flag", "port:", "a/b", "x_y.", "...", "!!", "-", "'", "pod,pod",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from(EDGE_WORDS), min_size=1, max_size=12),
+        min_size=1,
+        max_size=12,
+    ),
+    st.lists(st.sampled_from(EDGE_WORDS), min_size=1, max_size=6),
+    st.randoms(use_true_random=False),
+)
+def test_bm25_index_matches_loop_reference_on_edge_tokens(texts, query_words, rng):
+    """The one-sort index gives the per-chunk loop's entries, bit for bit,
+    over repeated tokens, edge punctuation and tokens that strip to nothing.
+    One chunk always holds a real token, so the average length is positive."""
+    chunks = [
+        Chunk(chunk_id=f"c{i:02d}", doc_id="d", text=" ".join(words))
+        for i, words in enumerate(texts + [["pod"]])
+    ]
+    rng.shuffle(chunks)
+    index = build_sparse_index(chunks)
+    query = " ".join(query_words)
+    for limit in (1, len(chunks), len(chunks) + 3):
+        assert score_sparse(index, query, limit).entries == loop_bm25(chunks, query, limit)
 
 
 @settings(max_examples=50, deadline=None)
