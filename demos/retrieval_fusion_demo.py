@@ -15,7 +15,7 @@ from ragharness.retrieval import (
     fuse_rrf,
     score_dense,
     score_sparse,
-    select_context,
+    select_contexts,
 )
 
 CORPUS = [
@@ -45,22 +45,19 @@ def main():
     for cid, score in dense.entries:
         print(f"  {cid}  {score:.4f}")
 
-    fused = fuse_rrf([dense, sparse])
-    print("\nRRF fusion (k=60):")
-    for cid, score in fused.ranked.entries:
-        contribs = fused.provenance[cid]
-        print(f"  {cid}  {score:.6f}  from lists {contribs}")
+    print("\nRRF fusion (k=60), each score a sum of 1/(60 + rank) over the lists:")
+    for cid, score in fuse_rrf([dense, sparse]).entries:
+        print(f"  {cid}  {score:.6f}")
 
-    regime = RetrievalRegime(retrieval_variant="base", retrieve_top_n=4, eval_top_k=2)
-    context = select_context(
-        regime, dense=dense, sparse=sparse, rerank_scores={"c0": 0.99, "c1": 0.42}
+    regimes = [
+        RetrievalRegime(retrieval_variant=variant, retrieve_top_n=4, eval_top_k=2)
+        for variant in ("base", "reranker_off")
+    ]
+    base, off = select_contexts(
+        regimes, dense=dense, sparse=sparse, rerank_scores={"c0": 0.99, "c1": 0.42}
     )
-    print(f"\nSelected context under the base regime: {context}")
-
-    off = RetrievalRegime(
-        retrieval_variant="reranker_off", retrieve_top_n=4, eval_top_k=2
-    )
-    print(f"Without the reranker: {select_context(off, dense=dense, sparse=sparse)}")
+    print(f"\nSelected context under the base regime: {base}")
+    print(f"Without the reranker: {off}")
 
 
 if __name__ == "__main__":

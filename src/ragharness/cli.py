@@ -23,7 +23,7 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 
 # numpy loads with `stats` and the retrieval scorers, so each is imported
 # only where arrays are built: in `retrieve` (the index, the scorers and
-# `_load_embeddings`) and in the bootstrap behind stats, pareto and report.
+# the embedding table) and in the bootstrap behind stats, pareto and report.
 # `report`, `pareto` and `lora_grid` build dataclasses on import, so they
 # too are imported only where they are used. grid, score and validate never
 # load numpy; validate checks the embeddings and the error labels as plain
@@ -319,6 +319,9 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
+        fuses_sparse = any("sparse" in regime.channels for _, regime in ws.retrieval_regimes)
+        if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
+            problems.append(retrieval.NO_TOKEN_ERROR)
         test_ids = {p.qa_id for p in pairs if p.split == "test"}
         bad = dataset.check_supporting_ids(pairs, chunks)
         if bad:
@@ -464,17 +467,13 @@ def _read_embeddings(ws: WorkspaceConfig):
 
 
 def _load_embeddings(ws: WorkspaceConfig):
-    """The chunk table and the query vectors as arrays, read through
+    """The chunk table and the query vectors as checked lists, read through
     `_read_embeddings`; (None, {}) when workspace.json names no embeddings."""
     read = _read_embeddings(ws)
     if read is None:
         return None, {}
-    import numpy as np
-
     dim, chunks, queries = read
-    vectors = {cid: np.asarray(v, dtype=float) for cid, v in chunks.items()}
-    queries = {qid: np.asarray(v, dtype=float) for qid, v in queries.items()}
-    return retrieval.EmbeddingTable(vectors=vectors, dim=dim), queries
+    return retrieval.EmbeddingTable(vectors=chunks, dim=dim), queries
 
 
 def _load_rerank(ws: WorkspaceConfig) -> dict:

@@ -1,12 +1,12 @@
 """Loading and validation of the documentation corpus and the QA benchmark.
 
-Both files are UTF-8 JSON-lines: one record per line. Unknown extra fields
-are kept on the record but otherwise ignored.
+Both files are UTF-8 JSON-lines: one record per line. Unknown fields are
+accepted and ignored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import HarnessError, as_id_list, as_int
@@ -26,7 +26,6 @@ class Chunk:
     doc_id: str
     text: str
     token_count: int = 0
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not self.chunk_id:
@@ -45,7 +44,6 @@ class QaPair:
     answer_type: str
     split: str
     supporting_chunk_ids: tuple[str, ...] | None = None
-    extra: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if not self.qa_id:
@@ -76,24 +74,12 @@ class SplitCensus:
         return self.per_split.get(split, {"rows": 0})["rows"]
 
 
-_CHUNK_FIELDS = {"chunk_id", "doc_id", "text", "token_count"}
-_QA_FIELDS = {
-    "qa_id",
-    "question",
-    "gold_answer",
-    "answer_type",
-    "split",
-    "supporting_chunk_ids",
-}
-
-
 def _chunk(rec: dict) -> Chunk:
     return Chunk(
         chunk_id=str(rec["chunk_id"]),
         doc_id=str(rec.get("doc_id", "")),
         text=str(rec["text"]),
         token_count=as_int(rec.get("token_count", 0), "token_count"),
-        extra={k: v for k, v in rec.items() if k not in _CHUNK_FIELDS},
     )
 
 
@@ -124,7 +110,6 @@ def _qa_pair(rec: dict) -> QaPair:
         supporting_chunk_ids=as_id_list(
             rec.get("supporting_chunk_ids"), "supporting_chunk_ids"
         ),
-        extra={k: v for k, v in rec.items() if k not in _QA_FIELDS},
     )
 
 

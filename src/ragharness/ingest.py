@@ -67,7 +67,6 @@ class Run:
     qa_ids: list[str] = field(default_factory=list)
     answers: list[str] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
-    context_ids: list[tuple[str, ...]] = field(default_factory=list)
     correctness: list[int | None] = field(default_factory=list)
     groundedness: list[int | None] = field(default_factory=list)
     f1s: list[float] = field(default_factory=list)
@@ -170,18 +169,19 @@ def _judge_row(rec: dict):
 
 
 def _run_row(rec: dict):
-    """(key, answer, latency, context_ids, top_k) of a run row, where key is
-    (config, regime, qa_id)."""
+    """(key, answer, latency, top_k) of a run row, where key is (config,
+    regime, qa_id). `context_ids` is checked but not kept: no analysis reads
+    it."""
     key = (str(rec["config"]), as_file_id(str(rec["regime"]), "regime"), str(rec["qa_id"]))
     answer = str(rec["answer"])
     latency = as_float(rec["latency_s"], "latency_s")
-    context = as_id_list(rec.get("context_ids"), "context_ids") or ()
+    as_id_list(rec.get("context_ids"), "context_ids")
     top_k = as_int(rec.get("top_k", 2), "top_k")
     if not math.isfinite(latency) or latency < 0:
         raise IngestError(f"({key[0]}, {key[1]}, {key[2]}): bad latency")
     if top_k < 1:
         raise IngestError("eval_top_k must be positive")
-    return key, answer, latency, context, top_k
+    return key, answer, latency, top_k
 
 
 _UNJUDGED = (None, None)
@@ -227,7 +227,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
                     f"checksum mismatch for {file_path}: {actual} != {expected}"
                 )
         rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
-        for lineno, (key, answer, latency, context, top_k) in rows:
+        for lineno, (key, answer, latency, top_k) in rows:
             if key in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
             seen.add(key)
@@ -248,7 +248,6 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
             run.qa_ids.append(key[2])
             run.answers.append(answer)
             run.latencies.append(latency)
-            run.context_ids.append(context)
             run.correctness.append(correctness)
             run.groundedness.append(groundedness)
     grouped: dict[str, dict[str, Run]] = {}

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
 from .dataset import Chunk
@@ -45,6 +45,11 @@ BM25_B = 0.75
 
 class RetrievalError(HarnessError):
     pass
+
+
+# The error of a corpus that gives BM25 nothing to index; `validate` reports
+# it too.
+NO_TOKEN_ERROR = "no chunk text has a BM25 token, so the sparse channel cannot be built"
 
 
 # Punctuation that tokenize keeps inside a token but drops from its right
@@ -89,14 +94,6 @@ class RankedList:
 
     def ids(self) -> list[str]:
         return [cid for cid, _ in self.entries]
-
-
-@dataclass
-class FusedCandidates:
-    """RRF result plus per-entry provenance (list index, rank in that list)."""
-
-    ranked: RankedList
-    provenance: dict  # chunk_id -> list[(list_index, rank)]
 
 
 @dataclass(frozen=True)
@@ -163,6 +160,8 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
         [term_ids.setdefault(term, len(term_ids)) for term in tokenize(chunk.text)]
         for chunk in chunks
     ]
+    if not any(token_ids):
+        raise RetrievalError(NO_TOKEN_ERROR)
     doc_len = np.array([len(ids) for ids in token_ids], dtype=np.int64)
     # One key per token, term id major and position minor: one sort of the
     # keys groups each term's postings in ascending position order, and the
@@ -238,33 +237,32 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
 class EmbeddingTable:
     """Chunk embeddings sharing one dimension; query vectors live elsewhere.
 
-    ``unit`` holds each vector scaled to unit norm (zero vectors stay zero),
-    one row per entry of the ascending ``chunk_ids``.
+    ``unit`` holds each of ``vectors`` (chunk_id -> list or array, read only
+    here and left as given) scaled to unit norm (zero vectors stay zero), one
+    row per entry of the ascending ``chunk_ids``.
     """
 
-    vectors: dict  # chunk_id -> np.ndarray
+    vectors: InitVar[dict]
     dim: int
     chunk_ids: list = field(init=False, repr=False)
     unit: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, vectors):
         import numpy as np
 
-        for cid, vec in self.vectors.items():
-            vec = np.asarray(vec, dtype=float)
+        self.chunk_ids = sorted(vectors)
+        self.unit = np.empty((len(self.chunk_ids), self.dim))
+        # Row by row: a norm taken along an axis of the matrix may round
+        # differently from np.linalg.norm of one vector.
+        for row, cid in zip(self.unit, self.chunk_ids):
+            vec = np.asarray(vectors[cid], dtype=float)
             if vec.shape != (self.dim,):
                 raise RetrievalError(
                     f"vector for {cid!r} has dimension {vec.shape}, expected ({self.dim},)"
                 )
             if not np.all(np.isfinite(vec)):
                 raise RetrievalError(f"vector for {cid!r} has non-finite values")
-            self.vectors[cid] = vec
-        self.chunk_ids = sorted(self.vectors)
-        self.unit = np.empty((len(self.chunk_ids), self.dim))
-        # Row by row: a norm taken along an axis of the matrix may round
-        # differently from np.linalg.norm of one vector.
-        for row, cid in zip(self.unit, self.chunk_ids):
-            row[:] = _unit(self.vectors[cid])
+            row[:] = _unit(vec)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -311,22 +309,19 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
     return RankedList(entries=scored[:limit])
 
 
-def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> FusedCandidates:
+def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> RankedList:
     """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank)."""
     if not lists:
         raise RetrievalError("fuse_rrf requires at least one input list")
     if k_rrf <= 0:
         raise RetrievalError("k_rrf must be positive")
-    provenance: dict[str, list[tuple[int, int]]] = {}
-    for li, rl in enumerate(lists):
+    ranks: dict[str, list[int]] = {}
+    for rl in lists:
         for rank, (cid, _) in enumerate(rl.entries, start=1):
-            provenance.setdefault(cid, []).append((li, rank))
-    fused = {
-        cid: sum(1.0 / (k_rrf + rank) for _, rank in contribs)
-        for cid, contribs in provenance.items()
-    }
+            ranks.setdefault(cid, []).append(rank)
+    fused = {cid: sum(1.0 / (k_rrf + rank) for rank in found) for cid, found in ranks.items()}
     ordered = sorted(fused.items(), key=lambda item: (-item[1], item[0]))
-    return FusedCandidates(ranked=RankedList(entries=ordered), provenance=provenance)
+    return RankedList(entries=ordered)
 
 
 def select_contexts(
@@ -356,7 +351,7 @@ def select_contexts(
         key = (present, regime.k_rrf)
         if key not in fused:
             lists = [given[name] for name in present]
-            ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf).ranked
+            ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf)
             fused[key] = ranked.ids()
         candidates = fused[key][: regime.retrieve_top_n]
         if regime.reranks and rerank_scores:
@@ -364,13 +359,3 @@ def select_contexts(
         contexts.append(candidates[: regime.eval_top_k])
     return contexts
 
-
-def select_context(
-    regime: RetrievalRegime,
-    dense: RankedList | None = None,
-    sparse: RankedList | None = None,
-    rerank_scores: dict | None = None,
-) -> list[str]:
-    """Pick the eval_top_k context chunk ids for one question under a regime:
-    `select_contexts` over that regime alone."""
-    return select_contexts((regime,), dense, sparse, rerank_scores)[0]

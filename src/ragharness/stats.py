@@ -154,11 +154,28 @@ def _percentile_interval(replicate_stats: np.ndarray, level: float) -> Interval:
     )
 
 
+def _resample(rows: np.ndarray, plan: ResamplePlan) -> tuple[float, Interval]:
+    """The mean over `rows` (n_rows, n) of each row's mean, and its
+    percentile bootstrap interval, where each replicate resamples the same
+    indices in every row."""
+    n_rows, n = rows.shape
+    idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
+    # Replicate r of the gather is rows[:, idx[r]] laid out example-major, as
+    # numpy lays out rows[:, idx], so every mean sums in the order it always
+    # has; viewing each example's n_rows values as one opaque item lets a
+    # 1-D fancy index, numpy's fast path, do the gather.
+    examples = np.ascontiguousarray(rows.T).view(np.dtype((np.void, rows.itemsize * n_rows)))
+    gathered = examples.ravel()[idx].view(rows.dtype).reshape(*idx.shape, n_rows)
+    row_means = gathered.mean(axis=1)  # (n_resamples, n_rows)
+    return (
+        float(rows.mean(axis=1).mean()),
+        _percentile_interval(row_means.mean(axis=1), plan.level),
+    )
+
+
 def bootstrap_ci(values, plan: ResamplePlan) -> Interval:
     """Percentile bootstrap interval around the mean of `values`."""
-    arr = _check_values(values)
-    means = arr[_index_matrix(plan.master_seed, plan.n_resamples, arr.size)].mean(axis=1)
-    return _percentile_interval(means, plan.level)
+    return _resample(_check_values(values)[None], plan)[1]
 
 
 def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
@@ -167,13 +184,8 @@ def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
     b = _check_values(b)
     if a.shape != b.shape:
         raise StatsError(f"length mismatch: {a.shape} vs {b.shape}")
-    diff = a - b
-    deltas = diff[_index_matrix(plan.master_seed, plan.n_resamples, diff.size)].mean(axis=1)
-    interval = _percentile_interval(deltas, plan.level)
-    significant = interval.lo > 0.0 or interval.hi < 0.0
-    return DeltaEstimate(
-        delta=float(diff.mean()), interval=interval, significant=significant
-    )
+    delta, interval = _resample((a - b)[None], plan)
+    return DeltaEstimate(delta, interval, significant=interval.lo > 0.0 or interval.hi < 0.0)
 
 
 def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
@@ -182,29 +194,13 @@ def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
     if not pairs:
         raise StatsError("pairs must be nonempty")
     diffs = []
-    n = None
     for a, b in pairs:
         a = _check_values(a)
         b = _check_values(b)
         if a.shape != b.shape:
             raise StatsError("pair vectors must be aligned")
-        if n is None:
-            n = a.size
-        elif a.size != n:
+        if diffs and a.size != diffs[0].size:
             raise StatsError("all pairs must share the same example index set")
         diffs.append(a - b)
-    diff_matrix = np.stack(diffs)  # (n_pairs, n_examples)
-    idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
-    # The gather is a per-replicate diff_matrix[:, idx[r]] with a replicate
-    # axis added, so each pair mean sums in the same order as it does for a
-    # single replicate. The mean over pairs then runs along a contiguous
-    # axis, which sums like the 1-D mean of one replicate's pair means.
-    pair_means = diff_matrix[:, idx].mean(axis=2)  # (n_pairs, n_resamples)
-    deltas = np.ascontiguousarray(pair_means.T).mean(axis=1)
-    interval = _percentile_interval(deltas, plan.level)
-    significant = interval.lo > 0.0 or interval.hi < 0.0
-    return DeltaEstimate(
-        delta=float(diff_matrix.mean(axis=1).mean()),
-        interval=interval,
-        significant=significant,
-    )
+    delta, interval = _resample(np.stack(diffs), plan)
+    return DeltaEstimate(delta, interval, significant=interval.lo > 0.0 or interval.hi < 0.0)

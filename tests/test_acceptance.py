@@ -186,11 +186,11 @@ def test_criterion_07_rrf_oracle():
         for rl in lists:
             for rank, (cid, _) in enumerate(rl.entries, start=1):
                 want[cid] = want.get(cid, 0.0) + 1.0 / (k_rrf + rank)
-        assert fused.ranked.ids() == sorted(want, key=lambda c: (-want[c], c))
-        for cid, score in fused.ranked.entries:
+        assert fused.ids() == sorted(want, key=lambda c: (-want[c], c))
+        for cid, score in fused.entries:
             assert abs(score - want[cid]) <= 1e-12
     single = RankedList(entries=[("a", 3.0), ("b", 2.0), ("c", 1.0)])
-    assert fuse_rrf([single]).ranked.ids() == ["a", "b", "c"]
+    assert fuse_rrf([single]).ids() == ["a", "b", "c"]
 
 
 def test_criterion_08_dominance_oracle():

@@ -458,6 +458,12 @@ def _dense_only_without_query_vector(workspace):
     _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
 
 
+# Every chunk text is punctuation, so BM25 has no token to index.
+_corpus_without_token = _edit_rows(
+    "corpus.jsonl", lambda rows: [row.update(text="!!! ...") for row in rows]
+)
+
+
 def _append_line(name, line):
     def write(workspace):
         with open(workspace / name, "a", encoding="utf-8") as fh:
@@ -858,6 +864,8 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
             ["stats"],
             "judge.jsonl:1: groundedness out of 1..5: 6",
         ),
+        (_corpus_without_token, ["validate"], retrieval.NO_TOKEN_ERROR),
+        (_corpus_without_token, ["retrieve"], retrieval.NO_TOKEN_ERROR),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -899,6 +907,7 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "run_regime_escape_validate", "run_regime_escape_stats",
         "config_id_without_scheme_validate",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
+        "corpus_without_token_validate", "corpus_without_token_retrieve",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from ragharness.dataset import (
+    Chunk,
     DatasetError,
     check_supporting_ids,
     load_corpus,
@@ -61,12 +62,15 @@ def test_load_corpus_malformed_line_reports_lineno(tmp_path):
         load_corpus(path)
 
 
-def test_load_corpus_extra_fields_preserved(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    rec = dict(CHUNKS[0], source_url="https://example.org")
-    write_jsonl(path, [rec])
-    (chunk,) = load_corpus(path)
-    assert chunk.extra == {"source_url": "https://example.org"}
+def test_load_corpus_and_qa_accept_unknown_fields(tmp_path):
+    """A field the schema does not name is accepted and ignored."""
+    corpus, qa = tmp_path / "corpus.jsonl", tmp_path / "qa.jsonl"
+    write_jsonl(corpus, [dict(CHUNKS[0], source_url="https://example.org")])
+    write_jsonl(qa, [dict(QA[0], annotator="a1")])
+    (chunk,) = load_corpus(corpus)
+    assert chunk == Chunk("c1", "d1", "alpha beta", 2)
+    (pair,), census = load_qa(qa)
+    assert (pair.qa_id, pair.supporting_chunk_ids, census.total_rows) == ("q1", ("c1",), 1)
 
 
 def test_load_qa_census(tmp_path):

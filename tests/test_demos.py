@@ -1,11 +1,15 @@
-"""Each demo script runs to completion against the package sources."""
+"""Each demo script runs to completion against the package sources, and the
+smoke-workspace script regenerates the bundled workspace."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from tests.conftest import SMOKE_WORKSPACE
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -22,3 +26,19 @@ def test_demo_exits_0(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_make_smoke_workspace_rebuilds_the_bundled_workspace(tmp_path, monkeypatch):
+    """`scripts/make_smoke_workspace.py` writes the files of
+    tests/data/smoke_workspace, byte for byte and no others."""
+    path = REPO / "scripts" / "make_smoke_workspace.py"
+    spec = importlib.util.spec_from_file_location("make_smoke_workspace", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "ROOT", tmp_path)
+    script.main()
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    assert files(tmp_path) == files(SMOKE_WORKSPACE)

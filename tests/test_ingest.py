@@ -49,7 +49,6 @@ def test_load_runs_roundtrip(tmp_path):
     second = load_runs(runs)
     assert first.runs == second.runs
     assert first.n_records() == 5
-    assert first.runs["01"]["cfgA"].context_ids[0] == ("c1", "c2")
 
 
 def test_load_runs_checksum_mismatch(tmp_path):
@@ -204,7 +203,6 @@ def test_columns_equal_a_per_line_reference(tmp_path):
         assert run.answers == [r["answer"] for r in ref]
         assert run.latencies == [float(r["latency_s"]) for r in ref]
         assert all(type(v) is float for v in run.latencies)
-        assert run.context_ids == [tuple(r.get("context_ids", ())) for r in ref]
         assert run.correctness == [v and v["correctness"] for v in verdicts]
         assert run.groundedness == [v and v["groundedness"] for v in verdicts]
         assert run.f1s == [token_f1(r["answer"], gold[r["qa_id"]]) for r in ref]

@@ -49,7 +49,6 @@ def make_run_set():
             qa_ids=qa_ids,
             answers=[by_qa[q] for q in qa_ids],
             latencies=[0.5 + 0.1 * i for i in range(len(qa_ids))],
-            context_ids=[()] * len(qa_ids),
             correctness=[5 if config == "cfgA" else 2] * len(qa_ids),
             groundedness=[4 if config == "cfgA" else 3] * len(qa_ids),
         )

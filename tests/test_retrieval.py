@@ -18,7 +18,6 @@ from ragharness.retrieval import (
     fuse_rrf,
     score_dense,
     score_sparse,
-    select_context,
     select_contexts,
     tokenize,
 )
@@ -104,6 +103,16 @@ def test_dense_matches_numpy_oracle():
     for cid, score in got.entries:
         assert score == pytest.approx(want[cid], abs=1e-12)
     assert got.ids() == sorted(want, key=lambda c: (-want[c], c))
+
+
+def test_embedding_table_leaves_the_callers_vectors_as_given():
+    vectors = {"c1": [0.0, 3.0, 4.0], "c0": [1, 0, 0]}
+    before = {cid: list(vec) for cid, vec in vectors.items()}
+    table = EmbeddingTable(vectors=vectors, dim=3)
+    assert vectors == before
+    assert all(type(vec) is list for vec in vectors.values())
+    assert table.chunk_ids == ["c0", "c1"]
+    assert table.unit.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]
 
 
 def test_dense_dimension_mismatch():
@@ -283,18 +292,15 @@ def test_rrf_matches_brute_force_oracle():
         for rl in lists:
             for rank, (cid, _) in enumerate(rl.entries, start=1):
                 want[cid] = want.get(cid, 0.0) + 1.0 / (k_rrf + rank)
-        assert set(fused.ranked.ids()) == set(want)
-        for cid, score in fused.ranked.entries:
+        assert set(fused.ids()) == set(want)
+        for cid, score in fused.entries:
             assert score == pytest.approx(want[cid], abs=1e-12)
-            from_provenance = sum(1.0 / (k_rrf + rank) for _, rank in fused.provenance[cid])
-            assert from_provenance == pytest.approx(score, abs=1e-12)
-        assert fused.ranked.ids() == sorted(want, key=lambda c: (-want[c], c))
+        assert fused.ids() == sorted(want, key=lambda c: (-want[c], c))
 
 
 def test_rrf_single_list_identity():
     rl = ranked(["a", "b", "c"])
-    fused = fuse_rrf([rl])
-    assert fused.ranked.ids() == ["a", "b", "c"]
+    assert fuse_rrf([rl]).ids() == ["a", "b", "c"]
 
 
 def test_ranked_list_rejects_duplicates_and_increasing_scores():
@@ -320,11 +326,11 @@ def test_select_context_fuses_with_the_regimes_k_rrf():
     dense = ranked(["a", "c1", "c2", "b"])
     sparse = ranked(["d1", "d2", "d3", "b"])
     picked = {
-        k_rrf: select_context(
-            RetrievalRegime("reranker_off", retrieve_top_n=4, eval_top_k=1, k_rrf=k_rrf),
+        k_rrf: select_contexts(
+            (RetrievalRegime("reranker_off", retrieve_top_n=4, eval_top_k=1, k_rrf=k_rrf),),
             dense=dense,
             sparse=sparse,
-        )
+        )[0]
         for k_rrf in (1.0, 60.0)
     }
     assert picked == {1.0: ["a"], 60.0: ["b"]}
@@ -335,10 +341,10 @@ def test_select_context_channel_requirements():
     dense = ranked(["c", "b", "a"])
     base = RetrievalRegime(retrieval_variant="base", retrieve_top_n=3, eval_top_k=2)
     with pytest.raises(RetrievalError, match="at least one channel"):
-        select_context(base)
+        select_contexts((base,))
     only = RetrievalRegime(retrieval_variant="dense_only", retrieve_top_n=3, eval_top_k=2)
     with pytest.raises(RetrievalError, match="dense"):
-        select_context(only, sparse=sparse)
+        select_contexts((only,), sparse=sparse)
 
 
 def test_select_context_regime_degeneracy():
@@ -349,19 +355,19 @@ def test_select_context_regime_degeneracy():
         regime = RetrievalRegime(
             retrieval_variant=variant, retrieve_top_n=4, eval_top_k=2
         )
-        assert select_context(regime, sparse=sparse) == ["a", "b"]
+        assert select_contexts((regime,), sparse=sparse) == [["a", "b"]]
 
 
 def test_select_context_rerank_reorders():
     sparse = ranked(["a", "b", "c", "d"])
     regime = RetrievalRegime(retrieval_variant="base", retrieve_top_n=4, eval_top_k=2)
-    picked = select_context(regime, sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0})
-    assert picked == ["d", "b"]
+    picked = select_contexts((regime,), sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0})
+    assert picked == [["d", "b"]]
     # reranker_off ignores rerank scores entirely.
     off = RetrievalRegime(
         retrieval_variant="reranker_off", retrieve_top_n=4, eval_top_k=2
     )
-    assert select_context(off, sparse=sparse, rerank_scores={"d": 9.0}) == ["a", "b"]
+    assert select_contexts((off,), sparse=sparse, rerank_scores={"d": 9.0}) == [["a", "b"]]
 
 
 def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
@@ -391,8 +397,7 @@ def reference_select_context(regime, dense=None, sparse=None, rerank_scores=None
     lists = [rl for rl in (dense, sparse) if rl is not None]
     if not lists:
         raise RetrievalError(f"{variant} regime requires at least one channel")
-    fused = fuse_rrf(lists, regime.k_rrf)
-    candidates = fused.ranked.ids()[: regime.retrieve_top_n]
+    candidates = fuse_rrf(lists, regime.k_rrf).ids()[: regime.retrieve_top_n]
     if variant == "reranker_off":
         return candidates[: regime.eval_top_k]
     return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
@@ -428,7 +433,7 @@ def test_select_context_equals_the_per_variant_reference():
         for variant, k_rrf, channels, rerank_scores in cases:
             regime = RetrievalRegime(variant, retrieve_top_n=top_n, eval_top_k=top_k, k_rrf=k_rrf)
             args = dict(channels, rerank_scores=rerank_scores)
-            got = _outcome(select_context, regime, **args)
+            got = _outcome(lambda: select_contexts((regime,), **args)[0])
             want = _outcome(reference_select_context, regime, **args)
             assert got == want, (trial, variant, k_rrf, sorted(channels), rerank_scores)
             failed = isinstance(got, str)
@@ -450,8 +455,8 @@ def test_select_context_empty_rerank_map_is_no_rerank_map():
         for channels in ({"dense": dense}, {"sparse": sparse}, {"dense": dense, "sparse": sparse}):
             if not channels.keys() & set(regime.channels):
                 continue
-            empty = select_context(regime, **channels, rerank_scores={})
-            assert empty == select_context(regime, **channels), (variant, sorted(channels))
+            [empty] = select_contexts((regime,), **channels, rerank_scores={})
+            assert [empty] == select_contexts((regime,), **channels), (variant, sorted(channels))
             assert empty != ["a", "b"], (variant, sorted(channels))
 
 
@@ -576,5 +581,5 @@ def test_bm25_deterministic(query_words, seed):
 def test_rrf_scores_bounded(id_lists):
     lists = [ranked(ids) for ids in id_lists]
     fused = fuse_rrf(lists)
-    for _, score in fused.ranked.entries:
+    for _, score in fused.entries:
         assert 0 < score <= len(lists) / 61.0

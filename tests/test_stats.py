@@ -145,9 +145,7 @@ def test_pooled_pair_delta_single_pair_matches_paired():
     plan = ResamplePlan(n_resamples=200, master_seed=21)
     pooled = pooled_pair_delta([(a, b)], plan)
     paired = paired_bootstrap_delta(a, b, plan)
-    assert pooled.delta == pytest.approx(paired.delta, abs=1e-12)
-    assert pooled.interval.lo == pytest.approx(paired.interval.lo, abs=1e-12)
-    assert pooled.interval.hi == pytest.approx(paired.interval.hi, abs=1e-12)
+    assert pooled == paired
 
 
 def test_input_validation():
