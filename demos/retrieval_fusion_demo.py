@@ -49,12 +49,16 @@ def main():
     for cid, score in fuse_rrf([dense, sparse]).entries:
         print(f"  {cid}  {score:.6f}")
 
-    regimes = [
-        RetrievalRegime(retrieval_variant=variant, retrieve_top_n=4, eval_top_k=2)
-        for variant in ("base", "reranker_off")
-    ]
+    # The knobs are the workspace's, one setting for every regime.
+    regimes = [RetrievalRegime(variant) for variant in ("base", "reranker_off")]
     base, off = select_contexts(
-        regimes, dense=dense, sparse=sparse, rerank_scores={"c0": 0.99, "c1": 0.42}
+        regimes,
+        dense=dense,
+        sparse=sparse,
+        rerank_scores={"c0": 0.99, "c1": 0.42},
+        retrieve_top_n=4,
+        eval_top_k=2,
+        k_rrf=60.0,
     )
     print(f"\nSelected context under the base regime: {base}")
     print(f"Without the reranker: {off}")

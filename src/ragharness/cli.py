@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset, ingest, metrics, retrieval
-from .errors import HarnessError, as_file_id, as_float, as_int
+from .errors import HarnessError, as_file_id, as_float, as_int, as_str
 
 # numpy loads with `stats` and the retrieval scorers, so each is imported
 # only where arrays are built: in `retrieve` (the index, the scorers and
@@ -41,9 +41,7 @@ class WorkspaceError(HarnessError):
     pass
 
 
-def _parse_regimes(
-    config_path: Path, specs, retrieve_top_n: int, eval_top_k: int, k_rrf: float
-):
+def _parse_regimes(config_path: Path, specs):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
     id that can stand in an output file name, and a known variant."""
     if not isinstance(specs, list):
@@ -62,9 +60,6 @@ def _parse_regimes(
             regime = retrieval.RetrievalRegime(
                 retrieval_variant=spec["variant"],
                 prompt_mode=spec.get("prompt_mode", "neutral"),
-                retrieve_top_n=retrieve_top_n,
-                eval_top_k=eval_top_k,
-                k_rrf=k_rrf,
             )
         except retrieval.RetrievalError as exc:
             raise WorkspaceError(f"{where}: {exc}") from exc
@@ -97,7 +92,7 @@ class WorkspaceConfig:
     labels: Path | None = None
     retrieve_top_n: int = 20
     eval_top_k: int = 2
-    k_rrf: float = 60.0
+    k_rrf: float = retrieval.DEFAULT_K_RRF
     resamples: int = 1000
     level: float = 0.95
     pass_threshold: int = 4
@@ -123,8 +118,12 @@ class WorkspaceConfig:
                         f"{f.name}: cannot look up {path}: {exc.strerror}"
                     ) from exc
                 setattr(self, f.name, path)
+        if self.retrieve_top_n < 1 or self.eval_top_k < 1:
+            raise WorkspaceError("retrieve_top_n and eval_top_k must be positive")
         if self.eval_top_k > self.retrieve_top_n:
             raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
+        if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
+            raise WorkspaceError(f"k_rrf must be positive and finite, got {self.k_rrf!r}")
         if not 0.0 < self.level < 1.0:
             raise WorkspaceError("level must be in (0, 1)")
         if self.resamples < 1:
@@ -135,13 +134,7 @@ class WorkspaceConfig:
             )
         if not 0 <= self.seed <= _SEED_MAX:
             raise WorkspaceError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
-        self.retrieval_regimes = _parse_regimes(
-            self.root / "workspace.json",
-            self.regimes,
-            self.retrieve_top_n,
-            self.eval_top_k,
-            self.k_rrf,
-        )
+        self.retrieval_regimes = _parse_regimes(self.root / "workspace.json", self.regimes)
 
     def plan(self) -> ResamplePlan:
         from .stats import ResamplePlan
@@ -257,7 +250,7 @@ def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     """The run set with every record scored once. Scoring needs the gold
     answers alone, so the corpus is not read, nor the judge scores unless
     `judged`. A record of a question outside the test split is an error."""
-    pairs, _ = dataset.load_qa(_input(ws, "qa"))
+    pairs = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
     run_set = _load_runs(ws, set(gold), judged)
     metrics.score_runs(run_set, gold)
@@ -315,7 +308,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     if not problems:
         try:
             chunks = dataset.load_corpus(_input(ws, "corpus"))
-            pairs, census = dataset.load_qa(_input(ws, "qa"))
+            pairs = dataset.load_qa(_input(ws, "qa"))
         except HarnessError as exc:
             problems.append(str(exc))
     if chunks is not None and pairs is not None:
@@ -356,10 +349,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
         for p in problems:
             print(f"validate: {p}", file=sys.stderr)
         return 1
-    print(
-        f"validate: ok ({len(chunks)} chunks, {census.total_rows} QA rows, "
-        f"test={census.rows('test')})"
-    )
+    print(f"validate: ok ({len(chunks)} chunks, {len(pairs)} QA rows, test={len(test_ids)})")
     if run_set is not None:
         unscored = sum(
             run.groundedness.count(None) for runs in run_set.runs.values() for run in runs.values()
@@ -494,7 +484,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     regimes = [regime for _, regime in ws.retrieval_regimes]
     fused = {name for regime in regimes for name in regime.channels}
     chunks = dataset.load_corpus(_input(ws, "corpus"))
-    pairs, _ = dataset.load_qa(_input(ws, "qa"))
+    pairs = dataset.load_qa(_input(ws, "qa"))
     index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
     table, queries = _load_embeddings(ws)
     rerank = _load_rerank(ws)
@@ -513,10 +503,11 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
         if "dense" in fused and table is not None and pair.qa_id in queries:
             dense = retrieval.score_dense(table, queries[pair.qa_id], ws.retrieve_top_n)
             n_dense += 1
-        # k_rrf is one knob for every regime, so a question with both
-        # channels is fused once when any regime fuses both.
         n_fusions += fuses_two and sparse is not None and dense is not None
-        selected = retrieval.select_contexts(regimes, dense, sparse, rerank.get(pair.qa_id))
+        selected = retrieval.select_contexts(
+            regimes, dense, sparse, rerank.get(pair.qa_id),
+            retrieve_top_n=ws.retrieve_top_n, eval_top_k=ws.eval_top_k, k_rrf=ws.k_rrf,
+        )
         for kept, context in zip(contexts, selected):
             kept.append(context)
 
@@ -707,9 +698,9 @@ def _load_labels(ws: WorkspaceConfig, run_set=None) -> list | None:
     for lineno, label in ingest.read_rows(
         path,
         lambda rec: report.ErrorLabel(
-            qa_id=str(rec["qa_id"]),
-            config_id=str(rec["config"]),
-            error_class=str(rec["class"]),
+            qa_id=as_str(rec["qa_id"], "qa_id"),
+            config_id=as_str(rec["config"], "config"),
+            error_class=as_str(rec["class"], "class"),
         ),
     ):
         if label in first_line:
@@ -785,7 +776,10 @@ def cmd_grid(ws, args) -> int:
     from . import lora_grid
 
     bases = tuple(args.bases.split(","))
-    ranks = tuple(int(r) for r in args.ranks.split(","))
+    try:
+        ranks = tuple(as_int(r, "rank") for r in args.ranks.split(","))
+    except ValueError as exc:
+        raise lora_grid.GridError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)
     print("base  scheme          rank  alpha config")
     for cfg in grid:
@@ -841,10 +835,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "grid":
-        return cmd_grid(None, args)
     root = args.workspace or os.environ.get("RAGHARNESS_WORKSPACE") or "."
     try:
+        if args.command == "grid":
+            return cmd_grid(None, args)
         ws = load_workspace(root)
         _check_out(ws)
         return _COMMANDS[args.command](ws, args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import HarnessError, as_id_list, as_int
+from .errors import HarnessError, as_id_list, as_int, as_str
 from .ingest import read_rows
 
 ANSWER_TYPES = ("exact", "normal")
@@ -25,15 +25,12 @@ class Chunk:
     chunk_id: str
     doc_id: str
     text: str
-    token_count: int = 0
 
     def __post_init__(self):
         if not self.chunk_id:
             raise DatasetError("chunk_id must be nonempty")
         if not self.text.strip():
             raise DatasetError(f"chunk {self.chunk_id!r}: text is empty")
-        if self.token_count < 0:
-            raise DatasetError(f"chunk {self.chunk_id!r}: negative token_count")
 
 
 @dataclass(frozen=True)
@@ -60,27 +57,17 @@ class QaPair:
             raise DatasetError(f"qa {self.qa_id!r}: unknown split {self.split!r}")
 
 
-@dataclass(frozen=True)
-class SplitCensus:
-    """Row and answer-type counts per split."""
-
-    per_split: dict  # split -> {"rows": int, "exact": int, "normal": int}
-
-    @property
-    def total_rows(self) -> int:
-        return sum(v["rows"] for v in self.per_split.values())
-
-    def rows(self, split: str) -> int:
-        return self.per_split.get(split, {"rows": 0})["rows"]
-
-
 def _chunk(rec: dict) -> Chunk:
-    return Chunk(
-        chunk_id=str(rec["chunk_id"]),
-        doc_id=str(rec.get("doc_id", "")),
-        text=str(rec["text"]),
-        token_count=as_int(rec.get("token_count", 0), "token_count"),
+    """The chunk of a corpus row. `token_count` is checked but not kept: no
+    analysis reads it."""
+    chunk = Chunk(
+        chunk_id=as_str(rec["chunk_id"], "chunk_id"),
+        doc_id=as_str(rec.get("doc_id", ""), "doc_id"),
+        text=as_str(rec["text"], "text"),
     )
+    if as_int(rec.get("token_count", 0), "token_count") < 0:
+        raise DatasetError(f"chunk {chunk.chunk_id!r}: negative token_count")
+    return chunk
 
 
 def load_corpus(path) -> list[Chunk]:
@@ -102,34 +89,30 @@ def load_corpus(path) -> list[Chunk]:
 
 def _qa_pair(rec: dict) -> QaPair:
     return QaPair(
-        qa_id=str(rec["qa_id"]),
-        question=str(rec["question"]),
-        gold_answer=str(rec["gold_answer"]),
-        answer_type=str(rec["answer_type"]),
-        split=str(rec["split"]),
+        qa_id=as_str(rec["qa_id"], "qa_id"),
+        question=as_str(rec["question"], "question"),
+        gold_answer=as_str(rec["gold_answer"], "gold_answer"),
+        answer_type=as_str(rec["answer_type"], "answer_type"),
+        split=as_str(rec["split"], "split"),
         supporting_chunk_ids=as_id_list(
             rec.get("supporting_chunk_ids"), "supporting_chunk_ids"
         ),
     )
 
 
-def load_qa(path) -> tuple[list[QaPair], SplitCensus]:
-    """Load a QA file and compute its split census."""
+def load_qa(path) -> list[QaPair]:
+    """Load a QA file, preserving record order and rejecting duplicates."""
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"QA file not found: {path}")
     pairs: list[QaPair] = []
     seen: set[str] = set()
-    census: dict[str, dict[str, int]] = {}
     for lineno, pair in read_rows(path, _qa_pair, DatasetError):
         if pair.qa_id in seen:
             raise DatasetError(f"{path}:{lineno}: duplicate qa_id {pair.qa_id!r}")
         seen.add(pair.qa_id)
         pairs.append(pair)
-        bucket = census.setdefault(pair.split, {"rows": 0, "exact": 0, "normal": 0})
-        bucket["rows"] += 1
-        bucket[pair.answer_type] += 1
-    return pairs, SplitCensus(per_split=census)
+    return pairs
 
 
 def check_supporting_ids(pairs: list[QaPair], chunks: list[Chunk]) -> list[str]:

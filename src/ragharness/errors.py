@@ -1,5 +1,5 @@
 """The common base of every error the harness raises on bad input, and the
-integer, float, id-list and file-id checks every loader shares."""
+integer, float, string, id-list and file-id checks every loader shares."""
 
 from __future__ import annotations
 
@@ -26,6 +26,14 @@ def as_float(value, name: str) -> float:
     if isinstance(value, bool):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def as_str(value, name: str) -> str:
+    """`value` when it is a string; a null, a number, a list or an object is a
+    HarnessError naming `name`, never read as its ``str()`` text."""
+    if not isinstance(value, str):
+        raise HarnessError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def as_id_list(value, name: str) -> tuple[str, ...] | None:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_file_id, as_float, as_id_list, as_int
+from .errors import HarnessError, as_file_id, as_float, as_id_list, as_int, as_str
 
 
 class IngestError(HarnessError):
@@ -160,9 +160,15 @@ def _parse_rows(path, lines, build, error):
         yield lineno, item
 
 
+def _key(rec: dict) -> tuple[str, str, str]:
+    """The (config, regime, qa_id) of a run or judge row."""
+    config, regime, qa_id = rec["config"], rec["regime"], rec["qa_id"]
+    return as_str(config, "config"), as_str(regime, "regime"), as_str(qa_id, "qa_id")
+
+
 def _judge_row(rec: dict):
     """((config, regime, qa_id), (correctness, groundedness)) of a judge row."""
-    return (str(rec["config"]), str(rec["regime"]), str(rec["qa_id"])), (
+    return _key(rec), (
         _check_judge("correctness", as_int(rec["correctness"], "correctness")),
         _check_judge("groundedness", as_int(rec["groundedness"], "groundedness")),
     )
@@ -172,8 +178,9 @@ def _run_row(rec: dict):
     """(key, answer, latency, top_k) of a run row, where key is (config,
     regime, qa_id). `context_ids` is checked but not kept: no analysis reads
     it."""
-    key = (str(rec["config"]), as_file_id(str(rec["regime"]), "regime"), str(rec["qa_id"]))
-    answer = str(rec["answer"])
+    key = _key(rec)
+    as_file_id(key[1], "regime")
+    answer = as_str(rec["answer"], "answer")
     latency = as_float(rec["latency_s"], "latency_s")
     as_id_list(rec.get("context_ids"), "context_ids")
     top_k = as_int(rec.get("top_k", 2), "top_k")
@@ -263,7 +270,7 @@ def load_cost_profile(path) -> dict:
     rows = read_rows(
         path,
         lambda rec: CostProfile(
-            config_id=str(rec["config"]),
+            config_id=as_str(rec["config"], "config"),
             inference_vram=_optional_float(rec, "inf_vram_gb"),
             training_time=_optional_float(rec, "train_min"),
             training_vram=_optional_float(rec, "train_vram_gb"),

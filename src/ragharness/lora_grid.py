@@ -85,20 +85,19 @@ class ParamMatchedPair:
             raise GridError("full_attention rank must be half the qv_only rank")
 
 
-def enumerate_grid(base_models, ranks, schemes=("qv_only", "full_attention")) -> list[GeneratorConfig]:
-    """One config per (base, rank, scheme) plus one baseline per base."""
+def enumerate_grid(base_models, ranks) -> list[GeneratorConfig]:
+    """One config per (base, rank, adapter scheme) plus one baseline per base."""
     for r in ranks:
         if r < 1:
             raise GridError(f"rank must be positive, got {r}")
-    for s in schemes:
-        if s not in ("qv_only", "full_attention"):
-            raise GridError(f"invalid grid scheme {s!r}")
     configs: list[GeneratorConfig] = []
     seen: set[tuple] = set()
     for base in base_models:
+        if not base:
+            raise GridError("base model name must be nonempty")
         configs.append(GeneratorConfig(base_model=base, scheme="baseline"))
         for rank in ranks:
-            for scheme in schemes:
+            for scheme in SCHEME_PROJECTIONS:
                 cell = (base, rank, scheme)
                 if cell in seen:
                     raise GridError(f"duplicate grid cell {cell}")

@@ -100,23 +100,12 @@ class RankedList:
 class RetrievalRegime:
     retrieval_variant: str
     prompt_mode: str = "neutral"  # metadata tag only
-    retrieve_top_n: int = 20
-    eval_top_k: int = 2
-    k_rrf: float = DEFAULT_K_RRF
 
     def __post_init__(self):
         if self.retrieval_variant not in RETRIEVAL_VARIANTS:
             raise RetrievalError(f"unknown retrieval variant {self.retrieval_variant!r}")
         if self.prompt_mode not in PROMPT_MODES:
             raise RetrievalError(f"unknown prompt mode {self.prompt_mode!r}")
-        if self.retrieve_top_n < 1 or self.eval_top_k < 1:
-            raise RetrievalError("retrieve_top_n and eval_top_k must be positive")
-        if self.eval_top_k > self.retrieve_top_n:
-            raise RetrievalError("eval_top_k must not exceed retrieve_top_n")
-        if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
-            raise RetrievalError(
-                f"k_rrf must be positive and finite, got {self.k_rrf!r}"
-            )
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -329,16 +318,20 @@ def select_contexts(
     dense: RankedList | None = None,
     sparse: RankedList | None = None,
     rerank_scores: dict | None = None,
+    *,
+    retrieve_top_n: int,
+    eval_top_k: int,
+    k_rrf: float,
 ) -> list[list[str]]:
     """The eval_top_k context chunk ids of one question under each regime of
-    `regimes`, in order.
+    `regimes`, in order; the three knobs apply to every regime.
 
     Of the channels a variant fuses, those the question has are fused by RRF
     (one alone keeps its order) and cut to retrieve_top_n. A reranking variant
     then sorts them by rerank score, unscored ones last, ties by chunk_id; a
     question with no or an empty rerank map keeps the unreranked order. Each
-    distinct (channels present, k_rrf) is fused once and shared by the
-    regimes that name it; only the cut and the rerank are per regime.
+    distinct set of channels present is fused and cut once and shared by the
+    regimes that name it; only the rerank is per regime.
     """
     given = {"dense": dense, "sparse": sparse}
     fused: dict[tuple, list[str]] = {}
@@ -348,14 +341,12 @@ def select_contexts(
         if not present:
             need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
             raise RetrievalError(f"{regime.retrieval_variant} regime requires {need} channel")
-        key = (present, regime.k_rrf)
-        if key not in fused:
+        if present not in fused:
             lists = [given[name] for name in present]
-            ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, regime.k_rrf)
-            fused[key] = ranked.ids()
-        candidates = fused[key][: regime.retrieve_top_n]
+            ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, k_rrf)
+            fused[present] = ranked.ids()[:retrieve_top_n]
+        candidates = fused[present]
         if regime.reranks and rerank_scores:
-            candidates.sort(key=lambda cid: (-rerank_scores.get(cid, float("-inf")), cid))
-        contexts.append(candidates[: regime.eval_top_k])
+            candidates = sorted(candidates, key=lambda c: (-rerank_scores.get(c, -math.inf), c))
+        contexts.append(candidates[:eval_top_k])
     return contexts
-

@@ -1,5 +1,6 @@
-"""Non-parametric bootstrap machinery: percentile confidence intervals,
-paired bootstrap deltas, and the pooled delta over matched config pairs.
+"""Non-parametric bootstrap machinery: percentile confidence intervals, and
+the pooled delta over matched config pairs, of which a paired delta is the
+one-pair case. Every interval comes from the one resampling path `_interval`.
 
 Every replicate draws its resample indices from a generator seeded by a
 stable hash of (master_seed, replicate), so results do not depend on
@@ -42,13 +43,10 @@ class StatsError(HarnessError):
 class Interval:
     lo: float
     hi: float
-    level: float = 0.95
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise StatsError(f"interval lo {self.lo} > hi {self.hi}")
-        if not 0.0 < self.level < 1.0:
-            raise StatsError(f"level must be in (0, 1), got {self.level}")
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
@@ -147,17 +145,13 @@ def _linear_quantile(ordered: np.ndarray, q: float) -> float:
 def _percentile_interval(replicate_stats: np.ndarray, level: float) -> Interval:
     alpha = (1.0 - level) / 2.0
     ordered = np.sort(replicate_stats)
-    return Interval(
-        lo=_linear_quantile(ordered, alpha),
-        hi=_linear_quantile(ordered, 1.0 - alpha),
-        level=level,
-    )
+    return Interval(_linear_quantile(ordered, alpha), _linear_quantile(ordered, 1.0 - alpha))
 
 
-def _resample(rows: np.ndarray, plan: ResamplePlan) -> tuple[float, Interval]:
-    """The mean over `rows` (n_rows, n) of each row's mean, and its
-    percentile bootstrap interval, where each replicate resamples the same
-    indices in every row."""
+def _interval(rows: np.ndarray, plan: ResamplePlan) -> Interval:
+    """The percentile bootstrap interval of the mean over `rows` (n_rows, n)
+    of each row's mean, where each replicate resamples the same indices in
+    every row."""
     n_rows, n = rows.shape
     idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
     # Replicate r of the gather is rows[:, idx[r]] laid out example-major, as
@@ -166,26 +160,18 @@ def _resample(rows: np.ndarray, plan: ResamplePlan) -> tuple[float, Interval]:
     # 1-D fancy index, numpy's fast path, do the gather.
     examples = np.ascontiguousarray(rows.T).view(np.dtype((np.void, rows.itemsize * n_rows)))
     gathered = examples.ravel()[idx].view(rows.dtype).reshape(*idx.shape, n_rows)
-    row_means = gathered.mean(axis=1)  # (n_resamples, n_rows)
-    return (
-        float(rows.mean(axis=1).mean()),
-        _percentile_interval(row_means.mean(axis=1), plan.level),
-    )
+    return _percentile_interval(gathered.mean(axis=1).mean(axis=1), plan.level)
 
 
 def bootstrap_ci(values, plan: ResamplePlan) -> Interval:
     """Percentile bootstrap interval around the mean of `values`."""
-    return _resample(_check_values(values)[None], plan)[1]
+    return _interval(_check_values(values)[None], plan)
 
 
 def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
-    """Bootstrap the mean per-example difference of two aligned score vectors."""
-    a = _check_values(a)
-    b = _check_values(b)
-    if a.shape != b.shape:
-        raise StatsError(f"length mismatch: {a.shape} vs {b.shape}")
-    delta, interval = _resample((a - b)[None], plan)
-    return DeltaEstimate(delta, interval, significant=interval.lo > 0.0 or interval.hi < 0.0)
+    """Bootstrap the mean per-example difference of two aligned score vectors:
+    the pooled delta of the one pair."""
+    return pooled_pair_delta([(a, b)], plan)
 
 
 def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
@@ -198,9 +184,11 @@ def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
         a = _check_values(a)
         b = _check_values(b)
         if a.shape != b.shape:
-            raise StatsError("pair vectors must be aligned")
+            raise StatsError(f"length mismatch: {a.shape} vs {b.shape}")
         if diffs and a.size != diffs[0].size:
             raise StatsError("all pairs must share the same example index set")
         diffs.append(a - b)
-    delta, interval = _resample(np.stack(diffs), plan)
-    return DeltaEstimate(delta, interval, significant=interval.lo > 0.0 or interval.hi < 0.0)
+    rows = np.stack(diffs)
+    interval = _interval(rows, plan)
+    significant = interval.lo > 0.0 or interval.hi < 0.0
+    return DeltaEstimate(float(rows.mean(axis=1).mean()), interval, significant)

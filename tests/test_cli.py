@@ -296,6 +296,22 @@ def test_grid_listing(capsys):
     assert "param-matched pairs (8):" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ranks", "0"], "rank must be positive, got 0"),
+        (["--ranks", "a"], "--ranks must be integers, got 'a'"),
+        (["--ranks", "4,4"], "duplicate grid cell ('3B', 4, 'qv_only')"),
+        (["--bases", ","], "base model name must be nonempty"),
+    ],
+    ids=["rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty"],
+)
+def test_grid_bad_arguments_exit_1_with_one_line(capsys, argv, message):
+    assert main(["grid", *argv]) == 1
+    assert message in one_line_error(capsys, "grid")
+    assert capsys.readouterr().out == ""
+
+
 def test_idempotent_outputs(workspace):
     for cmd in (["retrieve"], ["score"], ["stats"], ["pareto"], ["report"]):
         assert run(workspace, *cmd) == 0
@@ -472,6 +488,27 @@ def _append_line(name, line):
     return write
 
 
+def _knobs(knob, value, no_regimes):
+    """Set one knob of workspace.json, and when `no_regimes` leave it no
+    regime, so that no regime spec is parsed."""
+
+    def edit(config):
+        config[knob] = value
+        if no_regimes:
+            config["regimes"] = []
+
+    return _edit_json("workspace.json", edit)
+
+
+# (id, knob, value, message): each retrieval knob out of range is an error
+# of the workspace, whether or not it names a regime.
+KNOB_CASES = [
+    ("top_n_zero", "retrieve_top_n", 0, "retrieve_top_n and eval_top_k must be positive"),
+    ("top_k_zero", "eval_top_k", 0, "retrieve_top_n and eval_top_k must be positive"),
+    ("k_rrf_negative", "k_rrf", -1, "k_rrf must be positive and finite, got -1.0"),
+    ("k_rrf_infinite", "k_rrf", float("inf"), "k_rrf must be positive and finite, got inf"),
+    ("k_rrf_nan", "k_rrf", float("nan"), "k_rrf must be positive and finite, got nan"),
+]
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
 
@@ -866,6 +903,87 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         ),
         (_corpus_without_token, ["validate"], retrieval.NO_TOKEN_ERROR),
         (_corpus_without_token, ["retrieve"], retrieval.NO_TOKEN_ERROR),
+        *(
+            (_knobs(knob, value, no_regimes), ["validate"], message)
+            for _, knob, value, message in KNOB_CASES
+            for no_regimes in (False, True)
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer=None)),
+            ["validate"],
+            "qa.jsonl:1: gold_answer must be a string, got None",
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer=None)),
+            ["score"],
+            "qa.jsonl:1: gold_answer must be a string, got None",
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[1].update(question={"q": 1})),
+            ["validate"],
+            "qa.jsonl:2: question must be a string, got {'q': 1}",
+        ),
+        (
+            _edit_rows("qa.jsonl", lambda rows: rows[0].update(qa_id=0)),
+            ["score"],
+            "qa.jsonl:1: qa_id must be a string, got 0",
+        ),
+        (
+            _edit_run(lambda r: r.update(answer=None)),
+            ["validate"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: answer must be a string, got None",
+        ),
+        (
+            _edit_run(lambda r: r.update(answer=None)),
+            ["score"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: answer must be a string, got None",
+        ),
+        (
+            _edit_run(lambda r: r.update(regime=None)),
+            ["stats"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: regime must be a string, got None",
+        ),
+        (
+            _edit_run(lambda r: r.update(config=["3B r8 qv_only"])),
+            ["score"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: "
+            "config must be a string, got ['3B r8 qv_only']",
+        ),
+        (
+            _edit_rows("judge.jsonl", lambda rows: rows[0].update(qa_id=None)),
+            ["validate"],
+            "judge.jsonl:1: qa_id must be a string, got None",
+        ),
+        (
+            _edit_rows("judge.jsonl", lambda rows: rows[0].update(regime=1)),
+            ["stats"],
+            "judge.jsonl:1: regime must be a string, got 1",
+        ),
+        (
+            _first_cost(config=None),
+            ["validate"],
+            "costs.jsonl:1: config must be a string, got None",
+        ),
+        (
+            _edit_rows("corpus.jsonl", lambda rows: rows[0].update(text=["a", "b"])),
+            ["validate"],
+            "corpus.jsonl:1: text must be a string, got ['a', 'b']",
+        ),
+        (
+            _edit_rows("corpus.jsonl", lambda rows: rows[0].update(doc_id=7)),
+            ["retrieve"],
+            "corpus.jsonl:1: doc_id must be a string, got 7",
+        ),
+        (
+            _edit_rows("corpus.jsonl", lambda rows: rows[0].update(token_count=-1)),
+            ["validate"],
+            "corpus.jsonl:1: chunk 'chunk000': negative token_count",
+        ),
+        (
+            _labels('{"qa_id": "qa000", "config": "3B baseline", "class": null}\n'),
+            ["report"],
+            "labels.jsonl:1: class must be a string, got None",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -908,6 +1026,17 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "config_id_without_scheme_validate",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
         "corpus_without_token_validate", "corpus_without_token_retrieve",
+        *(
+            f"{name}{suffix}"
+            for name, *_ in KNOB_CASES
+            for suffix in ("_validate", "_no_regimes_validate")
+        ),
+        "gold_answer_null_validate", "gold_answer_null_score", "question_object_validate",
+        "qa_id_number_score", "answer_null_validate", "answer_null_score",
+        "run_regime_null_stats", "run_config_list_score", "judge_qa_id_null_validate",
+        "judge_regime_number_stats", "cost_config_null_validate", "chunk_text_list_validate",
+        "chunk_doc_id_number_retrieve", "token_count_negative_validate",
+        "label_class_null_report",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -979,10 +1108,25 @@ def test_param_matched_pairs_follow_config_ids(workspace):
     ]
 
 
-def test_k_rrf_reaches_every_regime(workspace):
+def test_k_rrf_from_workspace_json_reaches_fuse_rrf(workspace, monkeypatch):
+    """retrieve fuses every question's two channels with the k_rrf that
+    workspace.json gives, and without the reranker the contexts change."""
+    regimes = [{"id": "off", "variant": "reranker_off"}]
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
+    assert run(workspace, "retrieve") == 0
+    contexts = workspace / "out" / "contexts_off.jsonl"
+    default = contexts.read_bytes()
     _edit_json("workspace.json", lambda c: c.update(k_rrf=1))(workspace)
-    ws = load_workspace(workspace)
-    assert [regime.k_rrf for _, regime in ws.retrieval_regimes] == [1.0]
+    seen, fuse_rrf = [], retrieval.fuse_rrf
+
+    def recording(lists, k_rrf):
+        seen.append(k_rrf)
+        return fuse_rrf(lists, k_rrf)
+
+    monkeypatch.setattr(retrieval, "fuse_rrf", recording)
+    assert run(workspace, "retrieve") == 0
+    assert seen == [1.0] * 30
+    assert contexts.read_bytes() != default
 
 
 def test_topk_tables_follow_each_configs_own_top_k(workspace):

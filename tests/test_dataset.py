@@ -68,20 +68,19 @@ def test_load_corpus_and_qa_accept_unknown_fields(tmp_path):
     write_jsonl(corpus, [dict(CHUNKS[0], source_url="https://example.org")])
     write_jsonl(qa, [dict(QA[0], annotator="a1")])
     (chunk,) = load_corpus(corpus)
-    assert chunk == Chunk("c1", "d1", "alpha beta", 2)
-    (pair,), census = load_qa(qa)
-    assert (pair.qa_id, pair.supporting_chunk_ids, census.total_rows) == ("q1", ("c1",), 1)
+    assert chunk == Chunk("c1", "d1", "alpha beta")
+    (pair,) = load_qa(qa)
+    assert (pair.qa_id, pair.supporting_chunk_ids) == ("q1", ("c1",))
 
 
-def test_load_qa_census(tmp_path):
+def test_load_qa_roundtrip(tmp_path):
     path = tmp_path / "qa.jsonl"
     write_jsonl(path, QA)
-    pairs, census = load_qa(path)
-    assert len(pairs) == 2
-    assert census.rows("test") == 1
-    assert census.per_split["test"]["exact"] == 1
-    assert census.per_split["train"]["normal"] == 1
-    assert census.total_rows == 2
+    pairs = load_qa(path)
+    assert [(p.qa_id, p.answer_type, p.split) for p in pairs] == [
+        ("q1", "exact", "test"),
+        ("q2", "normal", "train"),
+    ]
 
 
 def test_load_qa_rejects_bad_answer_type(tmp_path):
@@ -105,7 +104,7 @@ def test_check_supporting_ids(tmp_path):
     bad_qa = dict(QA[0], qa_id="q3", supporting_chunk_ids=["missing"])
     write_jsonl(qa_path, [QA[0], bad_qa])
     chunks = load_corpus(corpus_path)
-    pairs, _ = load_qa(qa_path)
+    pairs = load_qa(qa_path)
     assert check_supporting_ids(pairs, chunks) == ["q3"]
 
 

@@ -25,8 +25,10 @@ def test_grid_counts_and_alpha_rule():
 
 
 def test_minimal_grid():
-    grid = enumerate_grid(("3B",), (4,), schemes=("qv_only",))
-    assert [c.display_id for c in grid] == ["3B baseline", "3B r4 qv_only"]
+    grid = enumerate_grid(("3B",), (4,))
+    assert [c.display_id for c in grid] == [
+        "3B baseline", "3B r4 qv_only", "3B r4 full_attention",
+    ]
 
 
 def test_config_invariants():
@@ -110,8 +112,8 @@ def test_param_matched_nonstandard_ranks():
 def test_enumerate_grid_rejects_bad_inputs():
     with pytest.raises(GridError):
         enumerate_grid(("3B",), (0,))
-    with pytest.raises(GridError):
-        enumerate_grid(("3B",), (4,), schemes=("baseline",))
+    with pytest.raises(GridError, match="base model name must be nonempty"):
+        enumerate_grid(("3B", ""), (4,))
 
 
 def test_grid_from_display_ids_orders_like_the_grid():

@@ -311,40 +311,42 @@ def test_ranked_list_rejects_duplicates_and_increasing_scores():
 
 
 def test_regime_validation():
-    with pytest.raises(RetrievalError):
+    with pytest.raises(RetrievalError, match="unknown retrieval variant"):
         RetrievalRegime(retrieval_variant="bogus")
-    with pytest.raises(RetrievalError):
-        RetrievalRegime(retrieval_variant="base", eval_top_k=30, retrieve_top_n=20)
-    for k_rrf in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(RetrievalError, match="k_rrf"):
-            RetrievalRegime(retrieval_variant="base", k_rrf=k_rrf)
+    with pytest.raises(RetrievalError, match="unknown prompt mode"):
+        RetrievalRegime(retrieval_variant="base", prompt_mode="bogus")
 
 
-def test_select_context_fuses_with_the_regimes_k_rrf():
+def test_select_contexts_fuses_with_the_given_k_rrf():
     """"b" sits at rank 4 in both lists and "a" at rank 1 in one: 2/(k+4)
     beats 1/(k+1) at k=60 but not at k=1."""
     dense = ranked(["a", "c1", "c2", "b"])
     sparse = ranked(["d1", "d2", "d3", "b"])
     picked = {
         k_rrf: select_contexts(
-            (RetrievalRegime("reranker_off", retrieve_top_n=4, eval_top_k=1, k_rrf=k_rrf),),
+            (RetrievalRegime("reranker_off"),),
             dense=dense,
             sparse=sparse,
+            retrieve_top_n=4,
+            eval_top_k=1,
+            k_rrf=k_rrf,
         )[0]
         for k_rrf in (1.0, 60.0)
     }
     assert picked == {1.0: ["a"], 60.0: ["b"]}
 
 
+KNOBS = dict(retrieve_top_n=4, eval_top_k=2, k_rrf=60.0)
+
+
 def test_select_context_channel_requirements():
     sparse = ranked(["a", "b", "c"])
-    dense = ranked(["c", "b", "a"])
-    base = RetrievalRegime(retrieval_variant="base", retrieve_top_n=3, eval_top_k=2)
+    base = RetrievalRegime(retrieval_variant="base")
     with pytest.raises(RetrievalError, match="at least one channel"):
-        select_contexts((base,))
-    only = RetrievalRegime(retrieval_variant="dense_only", retrieve_top_n=3, eval_top_k=2)
+        select_contexts((base,), **KNOBS)
+    only = RetrievalRegime(retrieval_variant="dense_only")
     with pytest.raises(RetrievalError, match="dense"):
-        select_contexts((only,), sparse=sparse)
+        select_contexts((only,), sparse=sparse, **KNOBS)
 
 
 def test_select_context_regime_degeneracy():
@@ -352,22 +354,22 @@ def test_select_context_regime_degeneracy():
     channel's order."""
     sparse = ranked(["a", "b", "c", "d"])
     for variant in ("base", "reranker_off", "hybrid_bm25"):
-        regime = RetrievalRegime(
-            retrieval_variant=variant, retrieve_top_n=4, eval_top_k=2
-        )
-        assert select_contexts((regime,), sparse=sparse) == [["a", "b"]]
+        regime = RetrievalRegime(retrieval_variant=variant)
+        assert select_contexts((regime,), sparse=sparse, **KNOBS) == [["a", "b"]]
 
 
 def test_select_context_rerank_reorders():
     sparse = ranked(["a", "b", "c", "d"])
-    regime = RetrievalRegime(retrieval_variant="base", retrieve_top_n=4, eval_top_k=2)
-    picked = select_contexts((regime,), sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0})
+    regime = RetrievalRegime(retrieval_variant="base")
+    picked = select_contexts(
+        (regime,), sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0}, **KNOBS
+    )
     assert picked == [["d", "b"]]
     # reranker_off ignores rerank scores entirely.
-    off = RetrievalRegime(
-        retrieval_variant="reranker_off", retrieve_top_n=4, eval_top_k=2
-    )
-    assert select_contexts((off,), sparse=sparse, rerank_scores={"d": 9.0}) == [["a", "b"]]
+    off = RetrievalRegime(retrieval_variant="reranker_off")
+    assert select_contexts((off,), sparse=sparse, rerank_scores={"d": 9.0}, **KNOBS) == [
+        ["a", "b"]
+    ]
 
 
 def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
@@ -380,27 +382,29 @@ def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
     return reordered[:eval_top_k]
 
 
-def reference_select_context(regime, dense=None, sparse=None, rerank_scores=None):
+def reference_select_context(
+    regime, dense=None, sparse=None, rerank_scores=None, *, retrieve_top_n, eval_top_k, k_rrf
+):
     """Context selection written out per variant, one branch each for
     dense_only, sparse_only and the fused variants."""
     variant = regime.retrieval_variant
     if variant == "dense_only":
         if dense is None:
             raise RetrievalError("dense_only regime requires the dense channel")
-        candidates = dense.ids()[: regime.retrieve_top_n]
-        return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+        candidates = dense.ids()[:retrieve_top_n]
+        return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     if variant == "sparse_only":
         if sparse is None:
             raise RetrievalError("sparse_only regime requires the sparse channel")
-        candidates = sparse.ids()[: regime.retrieve_top_n]
-        return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+        candidates = sparse.ids()[:retrieve_top_n]
+        return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     lists = [rl for rl in (dense, sparse) if rl is not None]
     if not lists:
         raise RetrievalError(f"{variant} regime requires at least one channel")
-    candidates = fuse_rrf(lists, regime.k_rrf).ids()[: regime.retrieve_top_n]
+    candidates = fuse_rrf(lists, k_rrf).ids()[:retrieve_top_n]
     if variant == "reranker_off":
-        return candidates[: regime.eval_top_k]
-    return _reference_apply_rerank(candidates, rerank_scores, regime.eval_top_k)
+        return candidates[:eval_top_k]
+    return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
 
 
 def _outcome(select, *args, **kwargs):
@@ -431,8 +435,9 @@ def test_select_context_equals_the_per_variant_reference():
             RETRIEVAL_VARIANTS, (1.0, 60.0), channel_sets, (None, partial, full)
         )
         for variant, k_rrf, channels, rerank_scores in cases:
-            regime = RetrievalRegime(variant, retrieve_top_n=top_n, eval_top_k=top_k, k_rrf=k_rrf)
-            args = dict(channels, rerank_scores=rerank_scores)
+            regime = RetrievalRegime(variant)
+            knobs = dict(retrieve_top_n=top_n, eval_top_k=top_k, k_rrf=k_rrf)
+            args = dict(channels, rerank_scores=rerank_scores, **knobs)
             got = _outcome(lambda: select_contexts((regime,), **args)[0])
             want = _outcome(reference_select_context, regime, **args)
             assert got == want, (trial, variant, k_rrf, sorted(channels), rerank_scores)
@@ -451,20 +456,23 @@ def test_select_context_empty_rerank_map_is_no_rerank_map():
     variants = [v for v in RETRIEVAL_VARIANTS if RetrievalRegime(v).reranks]
     assert len(variants) == 4
     for variant in variants:
-        regime = RetrievalRegime(variant, retrieve_top_n=4, eval_top_k=2)
+        regime = RetrievalRegime(variant)
         for channels in ({"dense": dense}, {"sparse": sparse}, {"dense": dense, "sparse": sparse}):
             if not channels.keys() & set(regime.channels):
                 continue
-            [empty] = select_contexts((regime,), **channels, rerank_scores={})
-            assert [empty] == select_contexts((regime,), **channels), (variant, sorted(channels))
+            [empty] = select_contexts((regime,), **channels, rerank_scores={}, **KNOBS)
+            assert [empty] == select_contexts((regime,), **channels, **KNOBS), (
+                variant, sorted(channels),
+            )
             assert empty != ["a", "b"], (variant, sorted(channels))
 
 
 def test_select_contexts_equals_the_per_regime_reference():
     """All five variants at once, in a random order and with repeats, with
-    k_rrf per regime, random channel presence and rerank maps absent, empty,
-    partial and full: the contexts, or the first error, that the per-variant
-    reference gives regime by regime. An empty rerank map is no rerank map."""
+    one random draw of the knobs per call, random channel presence and rerank
+    maps absent, empty, partial and full: the contexts, or the first error,
+    that the per-variant reference gives regime by regime. An empty rerank
+    map is no rerank map."""
     rng = random.Random(23)
     universe = [f"c{i:02d}" for i in range(14)]
     shared = errors = 0
@@ -479,36 +487,37 @@ def test_select_contexts_equals_the_per_regime_reference():
         partial = dict(rng.sample(sorted(full.items()), rng.randint(1, len(universe) - 1)))
         rerank_scores = rng.choice([None, {}, partial, full])
         top_n = rng.randint(1, 16)
+        knobs = dict(
+            retrieve_top_n=top_n,
+            eval_top_k=rng.randint(1, top_n),
+            k_rrf=rng.choice([1.0, 60.0, 97.0]),
+        )
         variants = list(RETRIEVAL_VARIANTS) + rng.choices(RETRIEVAL_VARIANTS, k=rng.randint(0, 3))
         rng.shuffle(variants)
-        regimes = [
-            RetrievalRegime(
-                variant,
-                retrieve_top_n=top_n,
-                eval_top_k=rng.randint(1, top_n),
-                k_rrf=rng.choice([1.0, 60.0, 97.0]),
-            )
-            for variant in variants
-        ]
-        got = _outcome(select_contexts, regimes, **channels, rerank_scores=rerank_scores)
+        regimes = [RetrievalRegime(variant) for variant in variants]
+        got = _outcome(select_contexts, regimes, **channels, rerank_scores=rerank_scores, **knobs)
         want = []
         for regime in regimes:
             context = _outcome(
-                reference_select_context, regime, **channels, rerank_scores=rerank_scores or None
+                reference_select_context,
+                regime,
+                **channels,
+                rerank_scores=rerank_scores or None,
+                **knobs,
             )
             if isinstance(context, str):
                 want = context
                 break
             want.append(context)
-        assert got == want, (trial, variants, sorted(channels), rerank_scores)
+        assert got == want, (trial, variants, sorted(channels), rerank_scores, knobs)
         errors += isinstance(got, str)
         shared += not isinstance(got, str) and len(channels) == 2
     assert errors and shared > 100
 
 
 def test_select_contexts_fuses_each_channel_set_once(monkeypatch):
-    """Five regimes with one k_rrf fuse a question's two channels once; a
-    second k_rrf is a second fusion, and single-channel regimes none."""
+    """Five regimes fuse a question's two channels once, and single-channel
+    regimes none."""
     calls = []
 
     def counting(lists, k_rrf):
@@ -517,14 +526,12 @@ def test_select_contexts_fuses_each_channel_set_once(monkeypatch):
 
     monkeypatch.setattr("ragharness.retrieval.fuse_rrf", counting)
     dense, sparse = ranked(["a", "b", "c"]), ranked(["c", "d", "a"])
-    regimes = [RetrievalRegime(v, retrieve_top_n=3, eval_top_k=2) for v in RETRIEVAL_VARIANTS]
-    select_contexts(regimes, dense, sparse, {"d": 1.0})
+    regimes = [RetrievalRegime(v) for v in RETRIEVAL_VARIANTS]
+    knobs = dict(retrieve_top_n=3, eval_top_k=2, k_rrf=60.0)
+    select_contexts(regimes, dense, sparse, {"d": 1.0}, **knobs)
     assert calls == [60.0]
     calls.clear()
-    select_contexts(regimes + [RetrievalRegime("base", k_rrf=1.0)], dense, sparse)
-    assert calls == [60.0, 1.0]
-    calls.clear()
-    select_contexts([r for r in regimes if "sparse" in r.channels], None, sparse)
+    select_contexts([r for r in regimes if "sparse" in r.channels], None, sparse, **knobs)
     assert calls == []
 
 
