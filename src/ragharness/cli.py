@@ -41,6 +41,14 @@ class WorkspaceError(HarnessError):
     pass
 
 
+def _reject_unknown_keys(where: str, raw: dict, known) -> None:
+    """Fail on the first key of `raw` that is not `known`, which would
+    otherwise be read as nothing at all."""
+    unknown = next((key for key in raw if key not in known), None)
+    if unknown is not None:
+        raise WorkspaceError(f"{where}: unknown key {unknown!r}")
+
+
 def _parse_regimes(config_path: Path, specs):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
     id that can stand in an output file name, and a known variant."""
@@ -54,6 +62,7 @@ def _parse_regimes(config_path: Path, specs):
         as_file_id(spec["id"], f"{where}: id")
         if any(spec["id"] == regime_id for regime_id, _ in regimes):
             raise WorkspaceError(f"{where}: duplicate id")
+        _reject_unknown_keys(where, spec, ("id", "variant", "prompt_mode"))
         if "variant" not in spec:
             raise WorkspaceError(f"{where}: missing 'variant'")
         try:
@@ -152,10 +161,14 @@ def load_workspace(root) -> WorkspaceConfig:
     if not config_path.is_file():
         raise WorkspaceError(f"workspace config not found: {config_path}")
     raw = ingest.read_json(config_path, WorkspaceError)
+    # The root is where workspace.json lies, never a key of it.
+    _reject_unknown_keys(
+        str(config_path), raw, {f.name for f in fields(WorkspaceConfig) if f.init} - {"root"}
+    )
     # null regimes, like none, stands for DEFAULT_REGIME alone.
     given = {} if raw.get("regimes") is None else {"regimes": raw["regimes"]}
     for f in fields(WorkspaceConfig):
-        if f.name in ("root", "regimes") or not f.init or f.name not in raw:
+        if f.name in ("root", "regimes") or f.name not in raw:
             continue
         value = raw[f.name]
         if _is_path(f):
@@ -300,55 +313,32 @@ def _regime_csv_row(r) -> list:
 
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
-    problems = []
-    chunks = pairs = run_set = test_ids = None
-    for label, path in (("corpus", ws.corpus), ("qa", ws.qa)):
-        if not path.exists():
-            problems.append(f"missing {label} file: {path}")
-    if not problems:
-        try:
-            chunks = dataset.load_corpus(_input(ws, "corpus"))
-            pairs = dataset.load_qa(_input(ws, "qa"))
-        except HarnessError as exc:
-            problems.append(str(exc))
-    if chunks is not None and pairs is not None:
-        fuses_sparse = any("sparse" in regime.channels for _, regime in ws.retrieval_regimes)
-        if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
-            problems.append(retrieval.NO_TOKEN_ERROR)
-        test_ids = {p.qa_id for p in pairs if p.split == "test"}
-        bad = dataset.check_supporting_ids(pairs, chunks)
-        if bad:
-            problems.append(f"unresolved supporting_chunk_ids for: {bad[:5]}")
-        if ws.runs is not None:
-            try:
-                run_set = _load_runs(ws, test_ids)
-            except HarnessError as exc:
-                problems.append(str(exc))
+    """Load every input with the checks of the commands that read it, and
+    stop at the first fault; nothing is scored and numpy is not loaded."""
+    chunks = dataset.load_corpus(_input(ws, "corpus"))
+    pairs = dataset.load_qa(_input(ws, "qa"))
+    fuses_sparse = any("sparse" in regime.channels for _, regime in ws.retrieval_regimes)
+    if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
+        raise WorkspaceError(retrieval.NO_TOKEN_ERROR)
+    bad = dataset.check_supporting_ids(pairs, chunks)
+    if bad:
+        raise WorkspaceError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
+    test_ids = {p.qa_id for p in pairs if p.split == "test"}
+    run_set = _load_runs(ws, test_ids) if ws.runs is not None else None
+    run_regimes = run_set.runs if run_set is not None else {}
+    _check_regime_ids(ws, [*(regime_id for regime_id, _ in ws.retrieval_regimes), *run_regimes])
     if run_set is not None:
-        # report names the winning scheme of each regime from its config id.
+        # report names the winning scheme of each regime from its config id,
+        # and stats pairs the param-matched configs' records by qa_id.
         from . import report
 
-        for config_id in sorted({cid for runs in run_set.runs.values() for cid in runs}):
-            try:
-                report.config_scheme(config_id)
-            except HarnessError as exc:
-                problems.append(str(exc))
-    regime_ids = [regime_id for regime_id, _ in ws.retrieval_regimes]
-    if run_set is not None:
-        regime_ids.extend(run_set.runs)
-    problems.extend(_long_regime_ids(ws, regime_ids))
-    for load in (_load_costs, _read_embeddings, _load_rerank, _load_labels):
-        try:
-            loaded = load(ws, run_set) if load is _load_labels else load(ws)
-        except HarnessError as exc:
-            problems.append(str(exc))
-            continue
-        if load is _read_embeddings and test_ids is not None:
-            problems.extend(_channel_gaps(ws, test_ids, loaded))
-    if problems:
-        for p in problems:
-            print(f"validate: {p}", file=sys.stderr)
-        return 1
+        for config_id in sorted({cid for runs in run_regimes.values() for cid in runs}):
+            report.config_scheme(config_id)
+        _param_matched(run_set)
+    _load_costs(ws)
+    _check_channels(ws, test_ids, _read_embeddings(ws))
+    _load_rerank(ws)
+    _load_labels(ws, run_set)
     print(f"validate: ok ({len(chunks)} chunks, {len(pairs)} QA rows, test={len(test_ids)})")
     if run_set is not None:
         unscored = sum(
@@ -362,21 +352,25 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-# The longest output name of each kind that a regime id becomes part of;
-# pareto's front name grows with its axes, and the benchmarked pair of axes
-# stands for them.
-_REGIME_FILE_NAMES = (
-    "contexts_{}.jsonl",
-    "stats_{}.csv",
-    "regime_{}.csv",
-    "regime_{}.txt",
-    "front_{}_latency_inference_vram.csv",
-)
+# The name of each output that a regime id becomes part of. A front's name
+# grows with its axes; the benchmarked pair stands for them in the check of
+# name lengths.
+_REGIME_FILE_NAMES = {
+    "contexts": "contexts_{}.jsonl",
+    "stats": "stats_{}.csv",
+    "regime_csv": "regime_{}.csv",
+    "regime_txt": "regime_{}.txt",
+    "front": "front_{}_{}.csv",
+}
 
 
-def _long_regime_ids(ws: WorkspaceConfig, regime_ids) -> list[str]:
-    """One line per regime id that makes an output file name longer than the
-    file system under `out` allows (255 bytes when it does not say)."""
+def _regime_file(kind: str, regime_id: str, axes=("latency", "inference_vram")) -> str:
+    return _REGIME_FILE_NAMES[kind].format(regime_id, "_".join(axes))
+
+
+def _check_regime_ids(ws: WorkspaceConfig, regime_ids) -> None:
+    """Fail on the first regime id that makes an output file name longer
+    than the file system under `out` allows (255 bytes when it does not say)."""
     where = _nearest_existing(ws.out)
     try:
         limit = os.pathconf(where, "PC_NAME_MAX")
@@ -384,37 +378,31 @@ def _long_regime_ids(ws: WorkspaceConfig, regime_ids) -> list[str]:
         limit = -1
     if limit < 1:
         limit = 255
-    problems = []
-    for regime_id in dict.fromkeys(regime_ids):
-        for template in _REGIME_FILE_NAMES:
-            name = template.format(regime_id)
-            size = len(name.encode("utf-8", "surrogatepass"))
+    for regime_id in regime_ids:
+        for kind in _REGIME_FILE_NAMES:
+            size = len(_regime_file(kind, regime_id).encode("utf-8", "surrogatepass"))
             if size > limit:
-                problems.append(
-                    f"regime {regime_id!r}: output name {template.format('<id>')!r} "
+                raise WorkspaceError(
+                    f"regime {regime_id!r}: output name {_regime_file(kind, '<id>')!r} "
                     f"would be {size} bytes, over the {limit} a file name may have "
                     f"under {where}"
                 )
-                break
-    return problems
 
 
-def _channel_gaps(ws: WorkspaceConfig, test_ids: set, embeddings) -> list[str]:
-    """One line per regime under which some test question has none of the
-    channels its variant fuses, which `retrieve` rejects. BM25 serves every
-    question, the dense channel those `embeddings` has a query vector for."""
+def _check_channels(ws: WorkspaceConfig, test_ids: set, embeddings) -> None:
+    """Fail on the first regime under which some test question has none of
+    the channels its variant fuses, as `retrieve` does. BM25 serves every
+    question; the dense channel, those `embeddings` has a query vector for."""
     queries = embeddings[2] if embeddings is not None else {}
     have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
-    gaps = []
     for regime_id, regime in ws.retrieval_regimes:
         lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
         if lacking:
-            gaps.append(
+            raise WorkspaceError(
                 f"regime {regime_id!r}: {lacking} of {len(test_ids)} test questions "
                 f"have no channel that {regime.retrieval_variant!r} fuses "
                 f"({', '.join(regime.channels)})"
             )
-    return gaps
 
 
 def _finite_numbers(values) -> bool:
@@ -516,7 +504,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
     for (regime_id, regime), kept in zip(ws.retrieval_regimes, contexts):
-        out_path = ws.out / f"contexts_{regime_id}.jsonl"
+        out_path = ws.out / _regime_file("contexts", regime_id)
         _write_jsonl(
             out_path,
             (
@@ -569,31 +557,54 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
     from . import report
 
     run_set, _, tables = _regime_tables(ws)
+    matched = _param_matched(run_set)
+    # Imported once the run set is loaded: numpy imported first raised the
+    # peak RSS of stats by 0.9 MB on the ragged_coverage benchmark workload.
+    from .stats import paired_bootstrap_delta, pooled_pair_delta
+
+    # Every delta is worked out before the first file is written.
+    plan, deltas = ws.plan(), []
+    for regime_id, pairs in matched.items():
+        vectors = []
+        for budget, a, b, a_order, b_order in pairs:
+            vectors.append(([a.f1s[i] for i in a_order], [b.f1s[i] for i in b_order]))
+            est = paired_bootstrap_delta(*vectors[-1], plan)
+            deltas.append([regime_id, budget, a.config_id, b.config_id, est])
+        if len(vectors) > 1:
+            deltas.append([regime_id, "pooled", "", "", pooled_pair_delta(vectors, plan)])
     for regime_id, rows in tables.items():
         report.write_csv(
-            ws.out / f"stats_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
+            ws.out / _regime_file("stats", regime_id), _REGIME_COLUMNS, map(_regime_csv_row, rows)
         )
-    _write_param_matched_deltas(ws, run_set)
+    if matched:
+        report.write_csv(
+            ws.out / "param_matched.csv",
+            ["regime", "budget", "qv_config", "full_config",
+             "delta_f1", "lo", "hi", "significant"],
+            (
+                [*labels, est.delta, est.interval.lo, est.interval.hi, int(est.significant)]
+                for *labels, est in deltas
+            ),
+        )
     print(f"stats: wrote {len(tables)} regime tables under {ws.out}")
     return 0
 
 
-def _write_param_matched_deltas(ws: WorkspaceConfig, run_set) -> None:
-    """Paired bootstrap deltas for every param-matched (qv, full) pair among
-    the scored run set's config ids, in grid order, plus the pooled
-    family-level delta per regime. Scores are paired by qa_id; a pair, or the
-    pairs pooled in a regime, covering different qa_ids is an error rather
-    than a delta over unmatched examples."""
-    from . import lora_grid, report
-    from .stats import paired_bootstrap_delta, pooled_pair_delta
+def _param_matched(run_set) -> dict:
+    """{regime_id: [(budget, qv run, full run, qv positions, full positions)]}
+    per param-matched pair of configs a regime holds, in grid order, each
+    positions list in its run's qa_id order; {} when no config ids pair up.
+    A pair, or the pairs pooled in a regime, covering different qa_ids is an
+    error rather than a delta over unmatched examples."""
+    from . import lora_grid
 
     config_ids = {cid for runs in run_set.runs.values() for cid in runs}
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
-        return
-    rows = []
+        return {}
+    aligned = {}
     for regime_id, runs in run_set.runs.items():
-        pooled_inputs = []
+        aligned[regime_id] = pairs = []
         pooled_ids = None
         for pair in matched:
             qv_id, full_id = pair.qv_config.display_id, pair.full_config.display_id
@@ -617,22 +628,8 @@ def _write_param_matched_deltas(ws: WorkspaceConfig, run_set) -> None:
                     f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
                     f"the first pair)"
                 )
-            a_vec, b_vec = [a.f1s[i] for i in a_order], [b.f1s[i] for i in b_order]
-            est = paired_bootstrap_delta(a_vec, b_vec, ws.plan())
-            pooled_inputs.append((a_vec, b_vec))
-            rows.append([regime_id, pair.budget_label, qv_id, full_id, est])
-        if len(pooled_inputs) > 1:
-            est = pooled_pair_delta(pooled_inputs, ws.plan())
-            rows.append([regime_id, "pooled", "", "", est])
-    report.write_csv(
-        ws.out / "param_matched.csv",
-        ["regime", "budget", "qv_config", "full_config",
-         "delta_f1", "lo", "hi", "significant"],
-        (
-            [*labels, est.delta, est.interval.lo, est.interval.hi, int(est.significant)]
-            for *labels, est in rows
-        ),
-    )
+            pairs.append((pair.budget_label, a, b, a_order, b_order))
+    return aligned
 
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
@@ -642,35 +639,34 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     axes = tuple(args.axes.split(","))
     for i, axis in enumerate(axes):
         if axis not in COST_AXES:
-            print(f"pareto: unknown cost axis {axis!r}", file=sys.stderr)
-            return 1
+            raise WorkspaceError(f"unknown cost axis {axis!r}")
         if axis in axes[:i]:
-            print(f"pareto: repeated cost axis {axis!r}", file=sys.stderr)
-            return 1
+            raise WorkspaceError(f"repeated cost axis {axis!r}")
     _, costs, tables = _regime_tables(ws)
+    # Every front is worked out before the first file is written.
+    fronts = []
     for regime_id in [args.regime] if args.regime else tables:
         rows = tables.get(regime_id)
         if rows is None:
-            print(f"pareto: regime {regime_id!r} not in run set", file=sys.stderr)
-            return 1
+            raise WorkspaceError(f"regime {regime_id!r} not in run set")
         points = []
         for r in rows:
             profile = costs.get(r.config_id)
-            points.append(
-                ParetoPoint(
-                    config_id=r.config_id,
-                    quality=r.f1,
-                    costs=CostVector(
-                        latency=r.latency,
-                        inference_vram=r.inference_vram,
-                        training_time=profile.training_time if profile else None,
-                        training_vram=profile.training_vram if profile else None,
-                    ),
-                    regime_id=regime_id,
-                )
+            cost = CostVector(
+                latency=r.latency,
+                inference_vram=r.inference_vram,
+                training_time=profile.training_time if profile else None,
+                training_vram=profile.training_vram if profile else None,
             )
-        front = pareto_front(points, axes)
-        out_path = ws.out / f"front_{regime_id}_{'_'.join(axes)}.csv"
+            absent = [axis for axis in axes if getattr(cost, axis) is None]
+            if absent:
+                raise WorkspaceError(
+                    f"regime {regime_id!r}: config {r.config_id!r} has no {absent[0]!r} cost"
+                )
+            points.append(ParetoPoint(r.config_id, r.f1, cost, regime_id))
+        fronts.append((regime_id, points, pareto_front(points, axes)))
+    for regime_id, points, front in fronts:
+        out_path = ws.out / _regime_file("front", regime_id, axes)
         report.emit_front_data(points, front, out_path, axes)
         print(f"pareto: wrote {out_path} ({len(front)} on front)")
     return 0
@@ -730,10 +726,12 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     error_counts = report.error_counts(labels) if labels is not None else None
     for regime_id, rows in tables.items():
         report.write_csv(
-            ws.out / f"regime_{regime_id}.csv", _REGIME_COLUMNS, map(_regime_csv_row, rows)
+            ws.out / _regime_file("regime_csv", regime_id),
+            _REGIME_COLUMNS,
+            map(_regime_csv_row, rows),
         )
         text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
-        _write_text(ws.out / f"regime_{regime_id}.txt", [text])
+        _write_text(ws.out / _regime_file("regime_txt", regime_id), [text])
     report.write_csv(
         ws.out / "ablation_summary.csv",
         ["regime", "best_f1_config", "best_f1",

@@ -95,7 +95,7 @@ def test_stats_scores_each_record_once(workspace, monkeypatch):
 def test_validate_empty_workspace(tmp_path, capsys):
     (tmp_path / "workspace.json").write_text("{}", encoding="utf-8")
     assert main(["--workspace", str(tmp_path), "validate"]) == 1
-    assert "missing" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"validate: corpus not found: {tmp_path / 'corpus.jsonl'}\n"
 
 
 def test_validate_missing_workspace_config(tmp_path, capsys):
@@ -335,16 +335,33 @@ def test_report_labels_follow_knobs(workspace):
     assert header[:9] == ["config", "F1", "F1", "90%", "CI", "grnd@3", "corr@3", "lat", "(s)"]
 
 
+def _drop(dropped):
+    """Drop, from each config's run, the record of the qa_id `dropped` maps it to."""
+
+    def write(workspace):
+        for config, qa_id in dropped.items():
+            records = read_run(workspace, config)
+            write_run(workspace, config, [r for r in records if r["qa_id"] != qa_id])
+
+    return write
+
+
+def _second_pair_without_qa000(workspace):
+    """A second pair (3B r16 qv_only, 3B r8 full_attention) that lacks qa000."""
+    for source, config in ((QV, "3B r16 qv_only"), (FULL, "3B r8 full_attention")):
+        records = [dict(r, config=config) for r in read_run(workspace, source)]
+        write_run(workspace, config, [r for r in records if r["qa_id"] != "qa000"])
+
+
 @pytest.mark.parametrize(
     "dropped", [{QV: "qa000", FULL: "qa001"}, {QV: "qa000"}], ids=["same_size", "other_size"]
 )
 def test_param_matched_rejects_unaligned_coverage(workspace, capsys, dropped):
-    for config, qa_id in dropped.items():
-        records = read_run(workspace, config)
-        write_run(workspace, config, [r for r in records if r["qa_id"] != qa_id])
+    _drop(dropped)(workspace)
     assert run(workspace, "stats") == 1
     err = one_line_error(capsys, "stats")
     assert "'01_base__neutral'" in err and QV in err and FULL in err
+    assert not (workspace / "out").exists()
 
 
 def test_pairing_does_not_depend_on_record_order(workspace, tmp_path):
@@ -359,12 +376,53 @@ def test_pairing_does_not_depend_on_record_order(workspace, tmp_path):
 
 
 def test_param_matched_rejects_pooling_unaligned_pairs(workspace, capsys):
-    # A second pair (3B r16 qv_only, 3B r8 full_attention) that lacks qa000.
-    for source, config in ((QV, "3B r16 qv_only"), (FULL, "3B r8 full_attention")):
-        records = [dict(r, config=config) for r in read_run(workspace, source)]
-        write_run(workspace, config, [r for r in records if r["qa_id"] != "qa000"])
+    _second_pair_without_qa000(workspace)
     assert run(workspace, "stats") == 1
     assert "cannot pool" in one_line_error(capsys, "stats")
+    assert not (workspace / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drop({QV: "qa000", FULL: "qa001"}), _drop({QV: "qa000"}), _second_pair_without_qa000],
+    ids=["unaligned_same_size", "unaligned_other_size", "unaligned_pool"],
+)
+def test_validate_gives_the_pairing_line_of_stats(workspace, capsys, mutate):
+    mutate(workspace)
+    assert run(workspace, "stats") == 1
+    stats_err = one_line_error(capsys, "stats")
+    assert run(workspace, "validate") == 1
+    assert capsys.readouterr().err == "validate: " + stats_err.removeprefix("stats: ")
+    assert not (workspace / "out").exists()
+
+
+def test_pareto_checks_every_cost_before_writing(workspace, capsys):
+    """3B baseline loses its cost row, so it has no inference_vram: pareto
+    names it, its regime and the axis, and writes no front."""
+    _edit_rows("costs.jsonl", lambda rows: rows.pop(0))(workspace)
+    assert run(workspace, "pareto", "--axes", "latency,inference_vram") == 1
+    assert one_line_error(capsys, "pareto") == (
+        "pareto: regime '01_base__neutral': config '3B baseline' has no 'inference_vram' cost\n"
+    )
+    assert not (workspace / "out").exists()
+
+
+def test_every_regime_output_name_is_in_the_table(workspace):
+    """The six commands the benchmark runs write, for the smoke workspace's
+    one regime, exactly the names of cli._REGIME_FILE_NAMES, and otherwise
+    only names without a regime id, which cannot grow too long."""
+    for argv in (
+        ["validate"], ["retrieve"], ["score"], ["stats"],
+        ["pareto", "--axes", "latency,inference_vram"], ["report"],
+    ):
+        assert run(workspace, *argv) == 0
+    names = {path.name for path in (workspace / "out").iterdir()}
+    regime_id = "01_base__neutral"
+    per_regime = {name for name in names if regime_id in name}
+    assert per_regime == {cli._regime_file(kind, regime_id) for kind in cli._REGIME_FILE_NAMES}
+    assert names - per_regime == {
+        "scores.jsonl", "param_matched.csv", "ablation_summary.csv", "scheme_wins.json"
+    }
 
 
 def _inf_latency(workspace):
@@ -478,6 +536,14 @@ def _dense_only_without_query_vector(workspace):
 _corpus_without_token = _edit_rows(
     "corpus.jsonl", lambda rows: [row.update(text="!!! ...") for row in rows]
 )
+
+
+def _all(*mutations):
+    def write(workspace):
+        for mutate in mutations:
+            mutate(workspace)
+
+    return write
 
 
 def _append_line(name, line):
@@ -984,6 +1050,39 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
             ["report"],
             "labels.jsonl:1: class must be a string, got None",
         ),
+        (
+            _all(
+                _first_cost(inf_vram_gb=-1.0),
+                _edit_json("embeddings.json", lambda e: e.update(dim=0)),
+            ),
+            ["validate"],
+            "costs.jsonl:1: 3B baseline: inference_vram must be finite and >= 0, got -1.0",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(judge_score="judge.jsonl")),
+            ["validate"],
+            "workspace.json: unknown key 'judge_score'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(resample=30)),
+            ["stats"],
+            "workspace.json: unknown key 'resample'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(root="elsewhere")),
+            ["validate"],
+            "workspace.json: unknown key 'root'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c["regimes"][0].update(k_rrf=1)),
+            ["validate"],
+            "workspace.json: regime '01_base__neutral': unknown key 'k_rrf'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c["regimes"][0].update(k_rrf=1)),
+            ["stats"],
+            "workspace.json: regime '01_base__neutral': unknown key 'k_rrf'",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1036,7 +1135,8 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "run_regime_null_stats", "run_config_list_score", "judge_qa_id_null_validate",
         "judge_regime_number_stats", "cost_config_null_validate", "chunk_text_list_validate",
         "chunk_doc_id_number_retrieve", "token_count_negative_validate",
-        "label_class_null_report",
+        "label_class_null_report", "two_faults_validate", "unknown_key_validate", "unknown_key_stats",
+        "root_key_validate", "regime_unknown_key_validate", "regime_unknown_key_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
