@@ -18,16 +18,21 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import dataset, ingest, metrics, retrieval
+from . import dataset, ingest, retrieval
 from .errors import HarnessError, as_file_id, as_float, as_int, as_str
 
-# numpy loads with `stats` and the retrieval scorers, so each is imported
-# only where arrays are built: in `retrieve` (the index, the scorers and
-# the embedding table) and in the bootstrap behind stats, pareto and report.
-# `report`, `pareto` and `lora_grid` build dataclasses on import, so they
-# too are imported only where they are used. grid, score and validate never
-# load numpy; validate checks the embeddings and the error labels as plain
-# JSON.
+# Each command imports only what it uses, since at the sizes workspaces
+# usually have, start-up costs more than the work:
+# - numpy loads with `stats` and the retrieval scorers, so each is imported
+#   only where arrays are built: in `retrieve` (the index, the scorers and
+#   the embedding table) and in the bootstrap behind stats, pareto and
+#   report. grid, score and validate never load numpy; validate checks the
+#   embeddings and the error labels as plain JSON.
+# - OpenSSL's libcrypto loads with hashlib, which `ingest` imports only to
+#   verify a run manifest: in validate, score, stats, pareto and report,
+#   never in retrieve or grid.
+# - `metrics`, `report`, `pareto` and `lora_grid` are imported only where
+#   they are used; the last three build dataclasses on import.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
@@ -263,6 +268,8 @@ def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     """The run set with every record scored once. Scoring needs the gold
     answers alone, so the corpus is not read, nor the judge scores unless
     `judged`. A record of a question outside the test split is an error."""
+    from . import metrics
+
     pairs = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
     run_set = _load_runs(ws, set(gold), judged)

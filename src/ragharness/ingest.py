@@ -7,7 +7,6 @@ A run set is a directory with a ``manifest.json`` and one JSON-lines file per
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -88,12 +87,18 @@ class RunSet:
         return sum(len(run) for by_config in self.runs.values() for run in by_config.values())
 
 
+def _sha256(data: bytes) -> str:
+    """The hex sha256 of a run file's bytes. hashlib is imported here rather
+    than with the module because it loads OpenSSL's libcrypto, which only the
+    commands that verify a run manifest need."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def file_checksum(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
+    """The hex sha256 of the file at `path`, as a manifest entry records it."""
+    return _sha256(Path(path).read_bytes())
 
 
 def read_json(path, error=IngestError) -> dict:
@@ -197,7 +202,9 @@ _UNJUDGED = (None, None)
 def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     """Load a run-set directory into one `Run` per (config, regime), grouped
     by regime. `qa_ids`, when given, is the set of valid test-split ids;
-    records referencing anything else are rejected.
+    records referencing anything else are rejected. The manifest lists at
+    least one run file, and every entry carries the sha256 its file must
+    match.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
@@ -216,23 +223,27 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
     files = read_json(manifest_path).get("files", [])
     if not isinstance(files, list):
         raise IngestError(f"{manifest_path}: files must be a list, got {files!r}")
+    if not files:
+        raise IngestError(f"{manifest_path}: lists no run files")
     runs: dict[tuple[str, str], Run] = {}
     seen: set[tuple[str, str, str]] = set()
     for entry in files:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
+        expected = entry.get("sha256")
+        if not isinstance(expected, str) or not expected:
+            raise IngestError(
+                f"{manifest_path}: entry {entry['path']!r}: sha256 must be a "
+                f"non-empty string, got {expected!r}"
+            )
         file_path = root / entry["path"]
         if not file_path.is_file():
             raise IngestError(f"manifest references missing file: {file_path}")
         # One read serves the checksum and the rows.
         data = file_path.read_bytes()
-        expected = entry.get("sha256")
-        if expected:
-            actual = hashlib.sha256(data).hexdigest()
-            if actual != expected:
-                raise IngestError(
-                    f"checksum mismatch for {file_path}: {actual} != {expected}"
-                )
+        actual = _sha256(data)
+        if actual != expected:
+            raise IngestError(f"checksum mismatch for {file_path}: {actual} != {expected}")
         rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
         for lineno, (key, answer, latency, top_k) in rows:
             if key in seen:

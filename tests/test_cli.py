@@ -577,6 +577,10 @@ KNOB_CASES = [
 ]
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
 FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
+SHA256_NOT_STRING = (
+    "manifest.json: entry '3B_baseline__01_base__neutral.jsonl': sha256 must be "
+    "a non-empty string, got "
+)
 
 
 @pytest.mark.parametrize(
@@ -845,6 +849,36 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
             "manifest.json: files must be a list, got None",
         ),
         (
+            _edit_json("runs/manifest.json", lambda m: m["files"][0].pop("sha256")),
+            ["validate"],
+            SHA256_NOT_STRING + "None",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m["files"][0].update(sha256=None)),
+            ["stats"],
+            SHA256_NOT_STRING + "None",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m["files"][0].update(sha256="")),
+            ["validate"],
+            SHA256_NOT_STRING + "''",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m["files"][0].update(sha256=5)),
+            ["stats"],
+            SHA256_NOT_STRING + "5",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m.pop("files")),
+            ["validate"],
+            "manifest.json: lists no run files",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m.update(files=[])),
+            ["stats"],
+            "manifest.json: lists no run files",
+        ),
+        (
             _edit_json("workspace.json", lambda c: c.update(resamples=0)),
             ["validate"],
             "resamples must be >= 1, got 0",
@@ -1109,6 +1143,9 @@ FIRST_RUN_FILE = "runs/3B_baseline__01_base__neutral.jsonl"
         "corpus_directory_validate", "qa_directory_stats", "runs_file_validate",
         "out_file_score", "out_under_file_retrieve",
         "manifest_files_int_validate", "manifest_files_null_stats",
+        "sha256_missing_validate", "sha256_null_stats", "sha256_empty_validate",
+        "sha256_number_stats", "manifest_files_missing_validate",
+        "manifest_files_empty_stats",
         "resamples_zero_validate", "pass_threshold_nine_validate",
         "pass_threshold_zero_score",
         "dense_only_without_query_vector_validate", "judge_deeply_nested_validate",
@@ -1272,8 +1309,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *sorted({'numpy', 'ragharness.report', 'ragharness.pareto', "
-    "'ragharness.lora_grid'} & set(sys.modules))); "
+    "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.report', "
+    "'ragharness.pareto', 'ragharness.lora_grid'} & set(sys.modules))); "
     "sys.exit(code)"
 )
 
@@ -1282,7 +1319,8 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
     retrieve loads it. score does not import `report`, `pareto` or
-    `lora_grid` either."""
+    `lora_grid` either. OpenSSL (`_hashlib`) loads in the commands that
+    verify the run manifest, and never in grid or retrieve."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
@@ -1296,10 +1334,14 @@ def test_commands_without_arrays_never_import_numpy(workspace):
         ).stdout
         return set(out.splitlines()[-1].split()[1:])
 
-    assert "numpy" not in loaded("grid")
-    assert loaded("--workspace", str(workspace), "score") == set()
-    assert "numpy" not in loaded("--workspace", str(workspace), "validate")
-    assert "numpy" in loaded("--workspace", str(workspace), "retrieve")
+    grid = loaded("grid")
+    assert "numpy" not in grid and "_hashlib" not in grid
+    assert loaded("--workspace", str(workspace), "score") == {"_hashlib"}
+    validate = loaded("--workspace", str(workspace), "validate")
+    assert "numpy" not in validate and "_hashlib" in validate
+    retrieve = loaded("--workspace", str(workspace), "retrieve")
+    assert "numpy" in retrieve and "_hashlib" not in retrieve
+    assert "_hashlib" in loaded("--workspace", str(workspace), "stats")
 
 
 def test_validate_runs_under_cprofile(workspace, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -78,6 +79,46 @@ def test_load_runs_unknown_qa_id(tmp_path):
 def test_load_runs_missing_manifest(tmp_path):
     with pytest.raises(IngestError, match="manifest not found"):
         load_runs(tmp_path)
+
+
+NOT_A_SHA256 = "sha256 must be a non-empty string, got "
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: m["files"][0].pop("sha256"), NOT_A_SHA256 + "None"),
+        (lambda m: m["files"][0].update(sha256=None), NOT_A_SHA256 + "None"),
+        (lambda m: m["files"][0].update(sha256=""), NOT_A_SHA256 + "''"),
+        (lambda m: m["files"][0].update(sha256=["ab"]), NOT_A_SHA256 + "['ab']"),
+        (lambda m: m.pop("files"), "lists no run files"),
+        (lambda m: m.update(files=[]), "lists no run files"),
+    ],
+    ids=[
+        "sha256_missing", "sha256_null", "sha256_empty", "sha256_list",
+        "files_missing", "files_empty",
+    ],
+)
+def test_load_runs_rejects_unverifiable_manifest(tmp_path, edit, message):
+    """A manifest entry without its file's checksum, or a manifest that lists
+    no file, is an error naming the manifest, never a run set read unchecked
+    or an empty one."""
+    runs = write_run_set(tmp_path, [record("q0")])
+    manifest_path = runs / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(IngestError, match="manifest.json: ") as excinfo:
+        load_runs(runs)
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("size", [0, 3 * 65536 + 17], ids=["empty", "over_64KiB"])
+def test_file_checksum_is_sha256_of_the_bytes(tmp_path, size):
+    path = tmp_path / "blob"
+    data = random.Random(size).randbytes(size)
+    path.write_bytes(data)
+    assert file_checksum(path) == hashlib.sha256(data).hexdigest()
 
 
 def write_scores(path, rows):
