@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset, ingest, retrieval
-from .errors import HarnessError, as_file_id, as_float, as_int, as_str
+from .errors import HarnessError, as_file_id, as_float, as_int
 
 # Each command imports only what it uses, since at the sizes workspaces
 # usually have, start-up costs more than the work:
@@ -32,7 +32,9 @@ from .errors import HarnessError, as_file_id, as_float, as_int, as_str
 #   verify a run manifest: in validate, score, stats, pareto and report,
 #   never in retrieve or grid.
 # - `metrics`, `report`, `pareto` and `lora_grid` are imported only where
-#   they are used; the last three build dataclasses on import.
+#   they are used; the last three build dataclasses on import. Of the four,
+#   validate loads `lora_grid` alone, which reads every config id and pairs
+#   the param-matched configs, and score loads `metrics` alone.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
@@ -335,12 +337,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     run_regimes = run_set.runs if run_set is not None else {}
     _check_regime_ids(ws, [*(regime_id for regime_id, _ in ws.retrieval_regimes), *run_regimes])
     if run_set is not None:
-        # report names the winning scheme of each regime from its config id,
-        # and stats pairs the param-matched configs' records by qa_id.
-        from . import report
-
-        for config_id in sorted({cid for runs in run_regimes.values() for cid in runs}):
-            report.config_scheme(config_id)
+        # As stats does: every config id parses, each pair covers the same qa_ids.
         _param_matched(run_set)
     _load_costs(ws)
     _check_channels(ws, test_ids, _read_embeddings(ws))
@@ -601,11 +598,12 @@ def _param_matched(run_set) -> dict:
     """{regime_id: [(budget, qv run, full run, qv positions, full positions)]}
     per param-matched pair of configs a regime holds, in grid order, each
     positions list in its run's qa_id order; {} when no config ids pair up.
-    A pair, or the pairs pooled in a regime, covering different qa_ids is an
-    error rather than a delta over unmatched examples."""
+    A config id that `lora_grid.parse_config_id` cannot read, and a pair, or
+    the pairs pooled in a regime, covering different qa_ids, is an error
+    rather than a pair left out or a delta over unmatched examples."""
     from . import lora_grid
 
-    config_ids = {cid for runs in run_set.runs.values() for cid in runs}
+    config_ids = sorted({cid for runs in run_set.runs.values() for cid in runs})
     matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
     if not matched:
         return {}
@@ -679,46 +677,10 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-def _load_labels(ws: WorkspaceConfig, run_set=None) -> list | None:
-    """The error labels workspace.json names, or None when it names none.
-
-    The file holds at least one label, and no row twice; one record may
-    carry several distinct classes. Given the run set, each label's (config,
-    qa_id) must be a record of some regime. A fault is one line naming the
-    file, and the line when there is one."""
+def _load_labels(ws: WorkspaceConfig, run_set) -> list | None:
+    """The error labels workspace.json names, or None when it names none."""
     path = _input(ws, "labels")
-    if path is None:
-        return None
-    from . import report
-
-    records = None
-    if run_set is not None:
-        records = {}
-        for runs in run_set.runs.values():
-            for config_id, run in runs.items():
-                records.setdefault(config_id, set()).update(run.qa_ids)
-    first_line = {}
-    for lineno, label in ingest.read_rows(
-        path,
-        lambda rec: report.ErrorLabel(
-            qa_id=as_str(rec["qa_id"], "qa_id"),
-            config_id=as_str(rec["config"], "config"),
-            error_class=as_str(rec["class"], "class"),
-        ),
-    ):
-        if label in first_line:
-            raise WorkspaceError(
-                f"{path}:{lineno}: duplicate of the label on line {first_line[label]}"
-            )
-        if records is not None and label.qa_id not in records.get(label.config_id, ()):
-            raise WorkspaceError(
-                f"{path}:{lineno}: no run record of config {label.config_id!r} "
-                f"has qa_id {label.qa_id!r}"
-            )
-        first_line[label] = lineno
-    if not first_line:
-        raise WorkspaceError(f"{path}: holds no error labels")
-    return list(first_line)
+    return ingest.load_labels(path, run_set) if path is not None else None
 
 
 def cmd_report(ws: WorkspaceConfig, args) -> int:
@@ -786,11 +748,12 @@ def cmd_grid(ws, args) -> int:
     except ValueError as exc:
         raise lora_grid.GridError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)
-    print("base  scheme          rank  alpha config")
+    width = max(len("base"), *map(len, bases)) + 2
+    print(f"{'base':<{width}}scheme          rank  alpha config")
     for cfg in grid:
         rank = "" if cfg.rank is None else cfg.rank
         alpha = "" if cfg.lora_alpha is None else cfg.lora_alpha
-        print(f"{cfg.base_model:<6}{cfg.scheme:<16}{rank!s:<6}{alpha!s:<6}{cfg.display_id}")
+        print(f"{cfg.base_model:<{width}}{cfg.scheme:<16}{rank!s:<6}{alpha!s:<6}{cfg.display_id}")
     pairs = lora_grid.param_matched_pairs(grid)
     print(f"\nparam-matched pairs ({len(pairs)}):")
     for pair in pairs:

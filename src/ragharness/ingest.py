@@ -1,5 +1,6 @@
 """Run-artifact ingestion: per-example predictions with latencies, judge
-scores, per-config cost profiles, and the checksummed run manifest.
+scores, per-config cost profiles, error labels, and the checksummed run
+manifest.
 
 A run set is a directory with a ``manifest.json`` and one JSON-lines file per
 (config, regime). All files are UTF-8 with LF terminators.
@@ -13,6 +14,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import HarnessError, as_file_id, as_float, as_id_list, as_int, as_str
+
+
+ERROR_CLASSES = (
+    "retrieval_miss", "overclaiming", "incomplete_answer", "exact_precision_failure",
+)
 
 
 class IngestError(HarnessError):
@@ -51,6 +57,17 @@ class CostProfile:
 
     def inference_vram_for(self, regime_id: str) -> float | None:
         return self.inference_vram_by_regime.get(regime_id, self.inference_vram)
+
+
+@dataclass(frozen=True)
+class ErrorLabel:
+    qa_id: str
+    config_id: str
+    error_class: str
+
+    def __post_init__(self):
+        if self.error_class not in ERROR_CLASSES:
+            raise IngestError(f"unknown error class {self.error_class!r}")
 
 
 @dataclass
@@ -297,6 +314,40 @@ def load_cost_profile(path) -> dict:
             raise IngestError(f"{path}:{lineno}: duplicate config {config_id!r}")
         profiles[config_id] = profile
     return profiles
+
+
+def load_labels(path, run_set=None) -> list[ErrorLabel]:
+    """The error labels of a JSON-lines file in file order: at least one, no
+    row twice (a record may carry several distinct classes) and, given the
+    run set, each (config, qa_id) a record of some regime. A fault names the
+    file, and the line when there is one."""
+    records: dict[str, set[str]] = {}
+    for runs in run_set.runs.values() if run_set is not None else ():
+        for config_id, run in runs.items():
+            records.setdefault(config_id, set()).update(run.qa_ids)
+    first_line = {}
+    rows = read_rows(
+        path,
+        lambda rec: ErrorLabel(
+            qa_id=as_str(rec["qa_id"], "qa_id"),
+            config_id=as_str(rec["config"], "config"),
+            error_class=as_str(rec["class"], "class"),
+        ),
+    )
+    for lineno, label in rows:
+        if label in first_line:
+            raise IngestError(
+                f"{path}:{lineno}: duplicate of the label on line {first_line[label]}"
+            )
+        if run_set is not None and label.qa_id not in records.get(label.config_id, ()):
+            raise IngestError(
+                f"{path}:{lineno}: no run record of config {label.config_id!r} "
+                f"has qa_id {label.qa_id!r}"
+            )
+        first_line[label] = lineno
+    if not first_line:
+        raise IngestError(f"{path}: holds no error labels")
+    return list(first_line)
 
 
 def _optional_float(rec: dict, key: str) -> float | None:

@@ -1,5 +1,5 @@
 """The LoRA configuration space: grid enumeration with the alpha = 2*rank
-tie, trainable-parameter counting, and rank-halving param-matched pairs."""
+tie, config-id parsing, parameter counting, rank-halving param-matched pairs."""
 
 from __future__ import annotations
 
@@ -27,6 +27,11 @@ class GeneratorConfig:
     lora_alpha: int | None = None
 
     def __post_init__(self):
+        # A base with whitespace would give a display id that does not parse.
+        if not self.base_model:
+            raise GridError("base model name must be nonempty")
+        if self.base_model.split() != [self.base_model]:
+            raise GridError(f"base model name must hold no whitespace, got {self.base_model!r}")
         if self.scheme not in SCHEMES:
             raise GridError(f"unknown scheme {self.scheme!r}")
         if self.scheme == "baseline":
@@ -93,8 +98,6 @@ def enumerate_grid(base_models, ranks) -> list[GeneratorConfig]:
     configs: list[GeneratorConfig] = []
     seen: set[tuple] = set()
     for base in base_models:
-        if not base:
-            raise GridError("base model name must be nonempty")
         configs.append(GeneratorConfig(base_model=base, scheme="baseline"))
         for rank in ranks:
             for scheme in SCHEME_PROJECTIONS:
@@ -108,7 +111,21 @@ def enumerate_grid(base_models, ranks) -> list[GeneratorConfig]:
     return configs
 
 
-_ADAPTER_ID = re.compile(r"(.+) r([1-9][0-9]*) (qv_only|full_attention)")
+# `<base> baseline` or `<base> r<rank> <adapter scheme>`: the base one token
+# without whitespace, the rank a positive integer without a leading zero.
+_CONFIG_ID = re.compile(r"(\S+) (?:baseline|r([1-9][0-9]*) (qv_only|full_attention))")
+
+
+def parse_config_id(text: str) -> GeneratorConfig:
+    """The config whose `display_id` is `text`; any other text is a GridError."""
+    match = _CONFIG_ID.fullmatch(text)
+    try:
+        rank = int(match[2]) if match and match[2] else None
+    except ValueError:  # more digits than int() reads
+        match = None
+    if match is None:
+        raise GridError(f"cannot parse scheme from config id {text!r}")
+    return GeneratorConfig(base_model=match[1], scheme=match[3] or "baseline", rank=rank)
 
 
 def _natural_key(text: str) -> list:
@@ -120,15 +137,10 @@ def _natural_key(text: str) -> list:
 def grid_from_display_ids(display_ids) -> list[GeneratorConfig]:
     """The adapter configs named by ``display_ids`` in grid order: base models
     in natural order, then ascending rank, qv_only before full_attention.
-    Ids that do not name an adapter config are ignored."""
-    configs = []
-    for display_id in display_ids:
-        match = _ADAPTER_ID.fullmatch(display_id)
-        if match:
-            base, rank, scheme = match.groups()
-            configs.append(GeneratorConfig(base_model=base, scheme=scheme, rank=int(rank)))
+    Every id must parse (`parse_config_id`); baselines are left out."""
+    configs = [parse_config_id(display_id) for display_id in display_ids]
     return sorted(
-        configs,
+        (c for c in configs if c.scheme != "baseline"),
         key=lambda c: (_natural_key(c.base_model), c.rank, SCHEMES.index(c.scheme)),
     )
 

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import HarnessError
+from .ingest import ERROR_CLASSES, ErrorLabel
 from .metrics import pass_at_threshold
 from .pareto import CostVector, ParetoPoint, pareto_front
 
@@ -18,13 +19,6 @@ from .pareto import CostVector, ParetoPoint, pareto_front
 # labels and the other tables load without it.
 if TYPE_CHECKING:
     from .stats import Interval, ResamplePlan
-
-ERROR_CLASSES = (
-    "retrieval_miss",
-    "overclaiming",
-    "incomplete_answer",
-    "exact_precision_failure",
-)
 
 
 class ReportError(HarnessError):
@@ -64,26 +58,6 @@ class AblationSummaryRow:
     @property
     def same_point(self) -> bool:
         return self.best_f1_config == self.best_grnd_config
-
-
-@dataclass(frozen=True)
-class ErrorLabel:
-    qa_id: str
-    config_id: str
-    error_class: str
-
-    def __post_init__(self):
-        if self.error_class not in ERROR_CLASSES:
-            raise ReportError(f"unknown error class {self.error_class!r}")
-
-
-def config_scheme(config_id: str) -> str:
-    """Recover the adaptation scheme from a canonical display id like
-    "8B r64 qv_only" or "3B baseline"."""
-    tail = config_id.split()[-1:]
-    if tail and tail[0] in ("baseline", "qv_only", "full_attention"):
-        return tail[0]
-    raise ReportError(f"cannot parse scheme from config id {config_id!r}")
 
 
 def regime_table(
@@ -164,16 +138,19 @@ def ablation_summary(tables: dict) -> list[AblationSummaryRow]:
 def scheme_wins(summary: list[AblationSummaryRow]) -> dict:
     """Counts of regimes won by each scheme, per criterion. The grnd column
     is absent (None) when no regime had judge scores."""
+    # Imported here: the pareto command imports this module but reads no id.
+    from .lora_grid import parse_config_id
+
     if not summary:
         raise ReportError("summary must be nonempty")
     f1_wins: Counter = Counter()
     grnd_wins: Counter = Counter()
     any_grnd = False
     for row in summary:
-        f1_wins[config_scheme(row.best_f1_config)] += 1
+        f1_wins[parse_config_id(row.best_f1_config).scheme] += 1
         if row.best_grnd_config is not None:
             any_grnd = True
-            grnd_wins[config_scheme(row.best_grnd_config)] += 1
+            grnd_wins[parse_config_id(row.best_grnd_config).scheme] += 1
     return {"f1": dict(f1_wins), "grnd": dict(grnd_wins) if any_grnd else None}
 
 
@@ -220,22 +197,17 @@ def topk_summary(tables_by_k: dict) -> list[TopKRow]:
 
 def error_counts(labels: list[ErrorLabel]) -> dict:
     """Counts per (config, class) plus totals, with percentages of each
-    column's n (one decimal)."""
-    if not labels:
-        raise ReportError("labels must be nonempty")
+    column's n (one decimal), over the nonempty list `ingest.load_labels`
+    returns."""
     per_config: dict[str, Counter] = {}
-    totals: Counter = Counter()
     for label in labels:
         per_config.setdefault(label.config_id, Counter())[label.error_class] += 1
-        totals[label.error_class] += 1
+    totals = Counter(label.error_class for label in labels)
 
     def column(counter: Counter) -> dict:
         n = sum(counter.values())
         return {
-            cls: {
-                "count": counter.get(cls, 0),
-                "pct": round(100.0 * counter.get(cls, 0) / n, 1),
-            }
+            cls: {"count": counter[cls], "pct": round(100.0 * counter[cls] / n, 1)}
             for cls in ERROR_CLASSES
         }
 

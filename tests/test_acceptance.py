@@ -11,18 +11,18 @@ import pytest
 
 from ragharness import metrics
 from ragharness.cli import main
+from ragharness.ingest import ErrorLabel
 from ragharness.lora_grid import (
     ModelDims,
     enumerate_grid,
     param_matched_pairs,
+    parse_config_id,
     trainable_params,
 )
 from ragharness.metrics import exact_match, normalize_answer, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
-    ErrorLabel,
     ablation_summary,
-    config_scheme,
     error_counts,
     scheme_wins,
     topk_summary,
@@ -69,7 +69,7 @@ def test_criterion_02_training_fronts(training_front_rows):
     }
     assert vram_front == want_vram
     assert len(vram_front) == 8
-    assert all(config_scheme(c) == "qv_only" for c in time_front | vram_front)
+    assert all(parse_config_id(c).scheme == "qv_only" for c in time_front | vram_front)
     assert time.perf_counter() - start < 1.0
 
 
@@ -85,7 +85,7 @@ def test_criterion_03_ablation_summary(regime_tables):
     full_wins = {
         s.regime_id
         for s in summary
-        if config_scheme(s.best_grnd_config) == "full_attention"
+        if parse_config_id(s.best_grnd_config).scheme == "full_attention"
     }
     assert full_wins == {"07_sparse_only__neutral", "08_sparse_only__explicit_grounded"}
     assert time.perf_counter() - start < 1.0

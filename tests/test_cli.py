@@ -296,6 +296,20 @@ def test_grid_listing(capsys):
     assert "param-matched pairs (8):" in out
 
 
+def test_grid_listing_base_column_fits_the_longest_base(capsys):
+    assert main(["grid", "--ranks", "4", "--bases", "3B,8B"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "base  scheme          rank  alpha config",
+        "3B    baseline                    3B baseline",
+    ]
+    assert main(["grid", "--ranks", "4", "--bases", "Llama3B,8B"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("base     scheme ")
+    assert lines[3] == "Llama3B  full_attention  4     8     Llama3B r4 full_attention"
+    assert lines[4].startswith("8B       baseline ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -303,8 +317,9 @@ def test_grid_listing(capsys):
         (["--ranks", "a"], "--ranks must be integers, got 'a'"),
         (["--ranks", "4,4"], "duplicate grid cell ('3B', 4, 'qv_only')"),
         (["--bases", ","], "base model name must be nonempty"),
+        (["--bases", "Llama 3B"], "base model name must hold no whitespace, got 'Llama 3B'"),
     ],
-    ids=["rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty"],
+    ids=["rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty", "base_with_space"],
 )
 def test_grid_bad_arguments_exit_1_with_one_line(capsys, argv, message):
     assert main(["grid", *argv]) == 1
@@ -507,15 +522,21 @@ def _regime_id(regime_id):
     return _edit_json("workspace.json", lambda c: c["regimes"][0].update(id=regime_id))
 
 
-def _config_id_without_scheme(workspace):
-    """Rename 8B r64 qv_only, the best config by F1, to custom-8b in its run
-    records and judge rows."""
-    old = "8B r64 qv_only"
-    write_run(workspace, old, [dict(r, config="custom-8b") for r in read_run(workspace, old)])
-    _edit_rows(
-        "judge.jsonl",
-        lambda rows: [r.update(config="custom-8b") for r in rows if r["config"] == old],
-    )(workspace)
+def _rename_config(old, new):
+    """Rename config `old` to `new` in its run records and judge rows."""
+
+    def write(workspace):
+        write_run(workspace, old, [dict(r, config=new) for r in read_run(workspace, old)])
+        _edit_rows(
+            "judge.jsonl",
+            lambda rows: [r.update(config=new) for r in rows if r["config"] == old],
+        )(workspace)
+
+    return write
+
+
+# 8B r64 qv_only is the best config by F1, so report names its scheme.
+_config_id_without_scheme = _rename_config("8B r64 qv_only", "custom-8b")
 
 
 def _embedding(table, vid, edit):
@@ -995,6 +1016,21 @@ SHA256_NOT_STRING = (
             ["validate"],
             "cannot parse scheme from config id 'custom-8b'",
         ),
+        (
+            _rename_config(FULL, FULL + " "),
+            ["validate"],
+            "cannot parse scheme from config id '3B r4 full_attention '",
+        ),
+        (
+            _rename_config(FULL, FULL + " "),
+            ["stats"],
+            "cannot parse scheme from config id '3B r4 full_attention '",
+        ),
+        (
+            _rename_config(QV, "3B r08 qv_only"),
+            ["stats"],
+            "cannot parse scheme from config id '3B r08 qv_only'",
+        ),
         (_judge_correctness(0), ["validate"], "judge.jsonl:1: correctness out of 1..5: 0"),
         (
             _edit_rows("judge.jsonl", lambda rows: rows[0].update(groundedness=6)),
@@ -1159,7 +1195,8 @@ SHA256_NOT_STRING = (
         "labels_duplicate_validate", "labels_duplicate_report",
         "labels_unknown_qa_id_validate", "labels_unknown_config_report",
         "run_regime_escape_validate", "run_regime_escape_stats",
-        "config_id_without_scheme_validate",
+        "config_id_without_scheme_validate", "config_id_trailing_space_validate",
+        "config_id_trailing_space_stats", "config_id_rank_leading_zero_stats",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
         "corpus_without_token_validate", "corpus_without_token_retrieve",
         *(
@@ -1310,7 +1347,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
     "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.report', "
-    "'ragharness.pareto', 'ragharness.lora_grid'} & set(sys.modules))); "
+    "'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics'} "
+    "& set(sys.modules))); "
     "sys.exit(code)"
 )
 
@@ -1319,8 +1357,9 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
     retrieve loads it. score does not import `report`, `pareto` or
-    `lora_grid` either. OpenSSL (`_hashlib`) loads in the commands that
-    verify the run manifest, and never in grid or retrieve."""
+    `lora_grid` either, and validate none of `report`, `pareto` or
+    `metrics`. OpenSSL (`_hashlib`) loads in the commands that verify the
+    run manifest, and never in grid or retrieve."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
@@ -1336,9 +1375,9 @@ def test_commands_without_arrays_never_import_numpy(workspace):
 
     grid = loaded("grid")
     assert "numpy" not in grid and "_hashlib" not in grid
-    assert loaded("--workspace", str(workspace), "score") == {"_hashlib"}
+    assert loaded("--workspace", str(workspace), "score") == {"_hashlib", "ragharness.metrics"}
     validate = loaded("--workspace", str(workspace), "validate")
-    assert "numpy" not in validate and "_hashlib" in validate
+    assert validate == {"_hashlib", "ragharness.lora_grid"}
     retrieve = loaded("--workspace", str(workspace), "retrieve")
     assert "numpy" in retrieve and "_hashlib" not in retrieve
     assert "_hashlib" in loaded("--workspace", str(workspace), "stats")

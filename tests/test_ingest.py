@@ -7,9 +7,11 @@ import pytest
 from ragharness.errors import as_float, as_int
 from ragharness.ingest import (
     CostProfile,
+    ErrorLabel,
     IngestError,
     file_checksum,
     load_cost_profile,
+    load_labels,
     load_runs,
     read_rows,
 )
@@ -316,3 +318,31 @@ def test_cost_profile_regime_override():
             CostProfile(config_id="a", inference_vram=bad)
         with pytest.raises(IngestError, match="inference_vram for regime 'r'"):
             CostProfile(config_id="a", inference_vram_by_regime={"r": bad})
+
+
+def test_error_label_enum_closed():
+    with pytest.raises(IngestError):
+        ErrorLabel(qa_id="q", config_id="c", error_class="hallucination")
+
+
+def test_load_labels_in_file_order_against_the_run_set(tmp_path):
+    run_set = load_runs(write_run_set(tmp_path, [record("q1"), record("q2")]))
+    path = tmp_path / "labels.jsonl"
+    rows = [
+        {"qa_id": "q2", "config": "cfgA", "class": "overclaiming"},
+        {"qa_id": "q1", "config": "cfgA", "class": "retrieval_miss"},
+        {"qa_id": "q2", "config": "cfgA", "class": "retrieval_miss"},
+    ]
+    write_scores(path, rows)
+    want = [ErrorLabel(r["qa_id"], r["config"], r["class"]) for r in rows]
+    assert load_labels(path, run_set) == load_labels(path) == want
+    write_scores(path, [*rows, {"qa_id": "q3", "config": "cfgA", "class": "overclaiming"}])
+    assert len(load_labels(path)) == 4
+    with pytest.raises(IngestError, match=r"labels.jsonl:4: no run record of config 'cfgA'"):
+        load_labels(path, run_set)
+    write_scores(path, [*rows, rows[1]])
+    with pytest.raises(IngestError, match=r"labels.jsonl:4: duplicate of the label on line 2"):
+        load_labels(path)
+    path.write_text("\n", encoding="utf-8")
+    with pytest.raises(IngestError, match=r"labels.jsonl: holds no error labels"):
+        load_labels(path)

@@ -1,12 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ragharness.lora_grid import (
+    SCHEMES,
     GeneratorConfig,
     GridError,
     ModelDims,
     enumerate_grid,
     grid_from_display_ids,
     param_matched_pairs,
+    parse_config_id,
     trainable_params,
 )
 
@@ -114,13 +118,53 @@ def test_enumerate_grid_rejects_bad_inputs():
         enumerate_grid(("3B",), (0,))
     with pytest.raises(GridError, match="base model name must be nonempty"):
         enumerate_grid(("3B", ""), (4,))
+    for base in ("Llama 3B", " 3B", "3B\t", "3B\u00a0"):
+        with pytest.raises(GridError, match="base model name must hold no whitespace"):
+            enumerate_grid(("8B", base), (4,))
+
+
+def test_parse_config_id_reads_each_scheme():
+    assert parse_config_id("8B r64 qv_only") == GeneratorConfig("8B", "qv_only", 64)
+    assert parse_config_id("3B r4 full_attention") == GeneratorConfig("3B", "full_attention", 4)
+    assert parse_config_id("3B baseline") == GeneratorConfig("3B", "baseline")
+    # The base is any one token, a scheme name included.
+    assert parse_config_id("qv_only r8 qv_only") == GeneratorConfig("qv_only", "qv_only", 8)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    base=st.text(min_size=1, max_size=12).filter(lambda b: b.split() == [b]),
+    rank=st.integers(min_value=1, max_value=2**70),
+    scheme=st.sampled_from(SCHEMES),
+)
+def test_parse_config_id_inverts_display_id(base, rank, scheme):
+    config = GeneratorConfig(base, scheme, None if scheme == "baseline" else rank)
+    assert parse_config_id(config.display_id) == config
+
+
+@pytest.mark.parametrize(
+    "config_id",
+    [
+        " 3B r4 qv_only", "3B r4 full_attention ", "3B  r4 qv_only", "3B r4  qv_only",
+        "3B\tbaseline", "3B r4\tqv_only", "3B r0 qv_only", "3B r08 qv_only",
+        "3B r-4 qv_only", "3B r4 baseline", "8B qv_only", "qv_only", "baseline",
+        "8B r64 mystery", "8B r64", "", "3B r4 qv_only\n", "3B r" + "1" * 5000 + " qv_only",
+    ],
+)
+def test_parse_config_id_rejects_any_other_id(config_id):
+    with pytest.raises(GridError) as raised:
+        parse_config_id(config_id)
+    assert str(raised.value) == f"cannot parse scheme from config id {config_id!r}"
 
 
 def test_grid_from_display_ids_orders_like_the_grid():
     grid = enumerate_grid(("3B", "8B"), STANDARD_RANKS)
-    shuffled = [c.display_id for c in reversed(grid)] + ["gpt-x", "3B r0 qv_only"]
+    shuffled = [c.display_id for c in reversed(grid)]
     adapters = [c for c in grid if c.scheme != "baseline"]
     assert grid_from_display_ids(shuffled) == adapters
+    for unreadable in ("gpt-x", "3B r0 qv_only"):
+        with pytest.raises(GridError, match="cannot parse scheme from config id"):
+            grid_from_display_ids([*shuffled, unreadable])
     ids = ["13B r8 qv_only", "8B r128 qv_only", "1B r2 full_attention", "8B r64 full_attention"]
     assert [c.display_id for c in grid_from_display_ids(ids)] == [
         "1B r2 full_attention", "8B r64 full_attention", "8B r128 qv_only", "13B r8 qv_only",

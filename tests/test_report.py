@@ -4,16 +4,14 @@ from collections import Counter
 
 import pytest
 
-from ragharness.ingest import Run, RunSet
+from ragharness.ingest import ERROR_CLASSES, ErrorLabel, Run, RunSet
+from ragharness.lora_grid import parse_config_id
 from ragharness.metrics import score_runs, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
-    ERROR_CLASSES,
-    ErrorLabel,
     RegimeRow,
     ReportError,
     ablation_summary,
-    config_scheme,
     emit_front_data,
     error_counts,
     format_regime_table,
@@ -23,14 +21,6 @@ from ragharness.report import (
     write_csv,
 )
 from ragharness.stats import ResamplePlan
-
-
-def test_config_scheme_parsing():
-    assert config_scheme("8B r64 qv_only") == "qv_only"
-    assert config_scheme("3B r4 full_attention") == "full_attention"
-    assert config_scheme("3B baseline") == "baseline"
-    with pytest.raises(ReportError):
-        config_scheme("8B r64 mystery")
 
 
 def make_run_set():
@@ -132,7 +122,9 @@ def test_ablation_summary_published_fixture(regime_tables):
     assert wins["f1"] == {"qv_only": 10}
     assert wins["grnd"] == {"qv_only": 8, "full_attention": 2}
     grnd_full = [
-        s.regime_id for s in summary if config_scheme(s.best_grnd_config) == "full_attention"
+        s.regime_id
+        for s in summary
+        if parse_config_id(s.best_grnd_config).scheme == "full_attention"
     ]
     assert grnd_full == [
         "07_sparse_only__neutral",
@@ -224,11 +216,6 @@ def test_error_counts_random_oracle():
     # Percentages sum to 100 per column within rounding.
     for column in counts["per_config"].values():
         assert sum(cell["pct"] for cell in column.values()) == pytest.approx(100.0, abs=0.3)
-
-
-def test_error_label_enum_closed():
-    with pytest.raises(ReportError):
-        ErrorLabel(qa_id="q", config_id="c", error_class="hallucination")
 
 
 def test_emit_front_data_roundtrip(tmp_path, regime_tables):
