@@ -38,7 +38,7 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
-DEFAULT_REGIME = {"id": "01_base__neutral", "variant": "base", "prompt_mode": "neutral"}
+DEFAULT_REGIME = ("01_base__neutral", retrieval.RetrievalRegime("base", "neutral"))
 # The largest seed: the bootstrap hashes the seed as one 64-bit word
 # (stats.subseed), so a wider one would alias a seed in range.
 _SEED_MAX = (1 << 64) - 1
@@ -113,12 +113,8 @@ class WorkspaceConfig:
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
-    # The regime specs of workspace.json. Not an InitVar: dataclasses finds a
-    # string-annotated InitVar through sys.modules[cls.__module__], which is
-    # another module when this one runs as __main__ under, say, cProfile.
+    # (id, RetrievalRegime) per regime spec of workspace.json, in its order.
     regimes: list = field(default_factory=lambda: [DEFAULT_REGIME], repr=False)
-    # (id, RetrievalRegime) per regime spec, checked on construction.
-    retrieval_regimes: list = field(init=False, repr=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -150,7 +146,6 @@ class WorkspaceConfig:
             )
         if not 0 <= self.seed <= _SEED_MAX:
             raise WorkspaceError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
-        self.retrieval_regimes = _parse_regimes(self.root / "workspace.json", self.regimes)
 
     def plan(self) -> ResamplePlan:
         from .stats import ResamplePlan
@@ -172,8 +167,7 @@ def load_workspace(root) -> WorkspaceConfig:
     _reject_unknown_keys(
         str(config_path), raw, {f.name for f in fields(WorkspaceConfig) if f.init} - {"root"}
     )
-    # null regimes, like none, stands for DEFAULT_REGIME alone.
-    given = {} if raw.get("regimes") is None else {"regimes": raw["regimes"]}
+    given = {}
     for f in fields(WorkspaceConfig):
         if f.name in ("root", "regimes") or f.name not in raw:
             continue
@@ -194,6 +188,9 @@ def load_workspace(root) -> WorkspaceConfig:
             raise WorkspaceError(
                 f"{config_path}: {f.name} must be {noun}, got {value!r}"
             ) from exc
+    # null regimes, like none, stands for DEFAULT_REGIME alone.
+    if raw.get("regimes") is not None:
+        given["regimes"] = _parse_regimes(config_path, raw["regimes"])
     return WorkspaceConfig(root=root, **given)
 
 
@@ -226,15 +223,16 @@ def _check_out(ws: WorkspaceConfig) -> None:
         raise WorkspaceError(f"out is not a directory: {path}")
 
 
-def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True):
+def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",)):
     """The run set, with the judge scores joined when `judged` and
-    workspace.json names them."""
+    workspace.json names them, and each of the `datasets` inputs checked
+    against the manifest's checksum of it."""
     runs = _input(ws, "runs")
     if runs is None:
         raise WorkspaceError("workspace defines no run-set directory")
-    return ingest.load_runs(
-        runs, qa_ids=qa_ids, judge_path=_input(ws, "judge_scores") if judged else None
-    )
+    judge = _input(ws, "judge_scores") if judged else None
+    checked = {name: getattr(ws, name) for name in datasets}
+    return ingest.load_runs(runs, qa_ids=qa_ids, judge_path=judge, datasets=checked)
 
 
 def _load_costs(ws: WorkspaceConfig) -> dict:
@@ -269,7 +267,8 @@ def _write_jsonl(path: Path, rows) -> None:
 def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     """The run set with every record scored once. Scoring needs the gold
     answers alone, so the corpus is not read, nor the judge scores unless
-    `judged`. A record of a question outside the test split is an error."""
+    `judged`. A record of a question outside the test split is an error, and
+    so is a QA file whose sha256 is not the one the run manifest gives."""
     from . import metrics
 
     pairs = dataset.load_qa(_input(ws, "qa"))
@@ -286,6 +285,7 @@ def _regime_tables(ws: WorkspaceConfig):
     from . import report
 
     run_set = _score_runs(ws)
+    _check_regime_ids(ws, run_set.runs)
     costs = _load_costs(ws)
     plan = ws.plan()
     tables = {
@@ -326,16 +326,16 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     stop at the first fault; nothing is scored and numpy is not loaded."""
     chunks = dataset.load_corpus(_input(ws, "corpus"))
     pairs = dataset.load_qa(_input(ws, "qa"))
-    fuses_sparse = any("sparse" in regime.channels for _, regime in ws.retrieval_regimes)
+    fuses_sparse = any("sparse" in regime.channels for _, regime in ws.regimes)
     if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
         raise WorkspaceError(retrieval.NO_TOKEN_ERROR)
     bad = dataset.check_supporting_ids(pairs, chunks)
     if bad:
         raise WorkspaceError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
     test_ids = {p.qa_id for p in pairs if p.split == "test"}
-    run_set = _load_runs(ws, test_ids) if ws.runs is not None else None
+    run_set = _load_runs(ws, test_ids, datasets=("corpus", "qa")) if ws.runs is not None else None
     run_regimes = run_set.runs if run_set is not None else {}
-    _check_regime_ids(ws, [*(regime_id for regime_id, _ in ws.retrieval_regimes), *run_regimes])
+    _check_regime_ids(ws, [*(regime_id for regime_id, _ in ws.regimes), *run_regimes])
     if run_set is not None:
         # As stats does: every config id parses, each pair covers the same qa_ids.
         _param_matched(run_set)
@@ -399,7 +399,7 @@ def _check_channels(ws: WorkspaceConfig, test_ids: set, embeddings) -> None:
     question; the dense channel, those `embeddings` has a query vector for."""
     queries = embeddings[2] if embeddings is not None else {}
     have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
-    for regime_id, regime in ws.retrieval_regimes:
+    for regime_id, regime in ws.regimes:
         lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
         if lacking:
             raise WorkspaceError(
@@ -448,16 +448,6 @@ def _read_embeddings(ws: WorkspaceConfig):
     return dim, chunks, queries
 
 
-def _load_embeddings(ws: WorkspaceConfig):
-    """The chunk table and the query vectors as checked lists, read through
-    `_read_embeddings`; (None, {}) when workspace.json names no embeddings."""
-    read = _read_embeddings(ws)
-    if read is None:
-        return None, {}
-    dim, chunks, queries = read
-    return retrieval.EmbeddingTable(vectors=chunks, dim=dim), queries
-
-
 def _load_rerank(ws: WorkspaceConfig) -> dict:
     """Per-question rerank scores: {qa_id: {chunk_id: finite number}}."""
     path = _input(ws, "rerank_scores")
@@ -473,14 +463,24 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
-    regimes = [regime for _, regime in ws.retrieval_regimes]
+    # validate's checks of the output names and the channels run before
+    # anything is written.
+    _check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
+    regimes = [regime for _, regime in ws.regimes]
     fused = {name for regime in regimes for name in regime.channels}
     chunks = dataset.load_corpus(_input(ws, "corpus"))
     pairs = dataset.load_qa(_input(ws, "qa"))
-    index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
-    table, queries = _load_embeddings(ws)
-    rerank = _load_rerank(ws)
     test_pairs = [p for p in pairs if p.split == "test"]
+    index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
+    # Read after the index is built, so that the vectors' lists and the
+    # index's build never take memory at the same time.
+    embeddings = _read_embeddings(ws)
+    _check_channels(ws, {p.qa_id for p in test_pairs}, embeddings)
+    table, queries = None, {}
+    if embeddings is not None:
+        dim, vectors, queries = embeddings
+        table = retrieval.EmbeddingTable(vectors=vectors, dim=dim)
+    rerank = _load_rerank(ws)
 
     # Each question's channels are scored once and its fusion run once for
     # every regime; only each regime's eval_top_k ids are kept.
@@ -507,7 +507,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     # scores only for the questions their files cover.
     no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
-    for (regime_id, regime), kept in zip(ws.retrieval_regimes, contexts):
+    for (regime_id, regime), kept in zip(ws.regimes, contexts):
         out_path = ws.out / _regime_file("contexts", regime_id)
         _write_jsonl(
             out_path,
@@ -796,7 +796,6 @@ _COMMANDS = {
     "stats": cmd_stats,
     "pareto": cmd_pareto,
     "report": cmd_report,
-    "grid": cmd_grid,
 }
 
 

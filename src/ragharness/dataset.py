@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import HarnessError, as_id_list, as_int, as_str
-from .ingest import read_rows
+from .ingest import read_keyed
 
 ANSWER_TYPES = ("exact", "normal")
 SPLITS = ("train", "eval", "test")
@@ -75,16 +75,8 @@ def load_corpus(path) -> list[Chunk]:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"corpus file not found: {path}")
-    chunks: list[Chunk] = []
-    seen: set[str] = set()
-    for lineno, chunk in read_rows(path, _chunk, DatasetError):
-        if chunk.chunk_id in seen:
-            raise DatasetError(
-                f"{path}:{lineno}: duplicate chunk_id {chunk.chunk_id!r}"
-            )
-        seen.add(chunk.chunk_id)
-        chunks.append(chunk)
-    return chunks
+    chunks = read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id", DatasetError)
+    return list(chunks.values())
 
 
 def _qa_pair(rec: dict) -> QaPair:
@@ -105,14 +97,8 @@ def load_qa(path) -> list[QaPair]:
     path = Path(path)
     if not path.is_file():
         raise DatasetError(f"QA file not found: {path}")
-    pairs: list[QaPair] = []
-    seen: set[str] = set()
-    for lineno, pair in read_rows(path, _qa_pair, DatasetError):
-        if pair.qa_id in seen:
-            raise DatasetError(f"{path}:{lineno}: duplicate qa_id {pair.qa_id!r}")
-        seen.add(pair.qa_id)
-        pairs.append(pair)
-    return pairs
+    pairs = read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id", DatasetError)
+    return list(pairs.values())
 
 
 def check_supporting_ids(pairs: list[QaPair], chunks: list[Chunk]) -> list[str]:

@@ -182,6 +182,19 @@ def _parse_rows(path, lines, build, error):
         yield lineno, item
 
 
+def read_keyed(path, build, key, noun, error=IngestError) -> dict:
+    """{key(row): row} for each row `build` makes of a JSON-lines file, in
+    file order, read through `read_rows`; a key seen before is an `error`
+    naming file:line, the `noun` and the key."""
+    rows = {}
+    for lineno, row in read_rows(path, build, error):
+        row_key = key(row)
+        if row_key in rows:
+            raise error(f"{path}:{lineno}: duplicate {noun} {row_key!r}")
+        rows[row_key] = row
+    return rows
+
+
 def _key(rec: dict) -> tuple[str, str, str]:
     """The (config, regime, qa_id) of a run or judge row."""
     config, regime, qa_id = rec["config"], rec["regime"], rec["qa_id"]
@@ -213,54 +226,67 @@ def _run_row(rec: dict):
     return key, answer, latency, top_k
 
 
-_UNJUDGED = (None, None)
+_UNJUDGED = (None, (None, None))
 
 
-def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
+def _read_verified(manifest_path, label, file_path, expected) -> bytes:
+    """The bytes of `file_path`, whose sha256 the manifest gives as
+    `expected` under `label`; they must match."""
+    if not isinstance(expected, str) or not expected:
+        raise IngestError(f"{manifest_path}: {label} must be a non-empty string, got {expected!r}")
+    if not file_path.is_file():
+        raise IngestError(f"manifest references missing file: {file_path}")
+    data = file_path.read_bytes()
+    actual = _sha256(data)
+    if actual != expected:
+        raise IngestError(f"checksum mismatch for {file_path}: {actual} != {expected}")
+    return data
+
+
+def load_runs(path, qa_ids=None, judge_path=None, datasets=None) -> RunSet:
     """Load a run-set directory into one `Run` per (config, regime), grouped
     by regime. `qa_ids`, when given, is the set of valid test-split ids;
     records referencing anything else are rejected. The manifest lists at
     least one run file, and every entry carries the sha256 its file must
-    match.
+    match. `datasets` maps a dataset name (``corpus``, ``qa``) to the file
+    read for it, which must match the manifest's ``dataset.<name>_sha256``
+    when the manifest gives one.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
     key is an error, and rows that match no record end up in
     `RunSet.unmatched_scores`."""
-    judged: dict[tuple[str, str, str], tuple[int, int]] = {}
+    # (config, regime, qa_id) -> (that key, (correctness, groundedness)).
+    judged = {}
     if judge_path is not None:
-        for lineno, (key, score) in read_rows(judge_path, _judge_row):
-            if key in judged:
-                raise IngestError(f"{judge_path}:{lineno}: duplicate judge score {key}")
-            judged[key] = score
+        judged = read_keyed(judge_path, _judge_row, lambda row: row[0], "judge score")
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise IngestError(f"manifest not found: {manifest_path}")
-    files = read_json(manifest_path).get("files", [])
+    manifest = read_json(manifest_path)
+    files = manifest.get("files", [])
     if not isinstance(files, list):
         raise IngestError(f"{manifest_path}: files must be a list, got {files!r}")
     if not files:
         raise IngestError(f"{manifest_path}: lists no run files")
+    checksums = manifest.get("dataset", {})
+    if not isinstance(checksums, dict):
+        raise IngestError(f"{manifest_path}: dataset must be an object, got {checksums!r}")
+    for name, data_path in (datasets or {}).items():
+        sha = f"{name}_sha256"
+        if sha in checksums:
+            _read_verified(manifest_path, f"dataset.{sha}", Path(data_path), checksums[sha])
     runs: dict[tuple[str, str], Run] = {}
     seen: set[tuple[str, str, str]] = set()
     for entry in files:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
-        expected = entry.get("sha256")
-        if not isinstance(expected, str) or not expected:
-            raise IngestError(
-                f"{manifest_path}: entry {entry['path']!r}: sha256 must be a "
-                f"non-empty string, got {expected!r}"
-            )
         file_path = root / entry["path"]
-        if not file_path.is_file():
-            raise IngestError(f"manifest references missing file: {file_path}")
         # One read serves the checksum and the rows.
-        data = file_path.read_bytes()
-        actual = _sha256(data)
-        if actual != expected:
-            raise IngestError(f"checksum mismatch for {file_path}: {actual} != {expected}")
+        data = _read_verified(
+            manifest_path, f"entry {entry['path']!r}: sha256", file_path, entry.get("sha256")
+        )
         rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
         for lineno, (key, answer, latency, top_k) in rows:
             if key in seen:
@@ -279,7 +305,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
                     f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
                     f"(not a test-split question)"
                 )
-            correctness, groundedness = judged.pop(key, _UNJUDGED)
+            _, (correctness, groundedness) = judged.pop(key, _UNJUDGED)
             run.qa_ids.append(key[2])
             run.answers.append(answer)
             run.latencies.append(latency)
@@ -294,8 +320,7 @@ def load_runs(path, qa_ids=None, judge_path=None) -> RunSet:
 def load_cost_profile(path) -> dict:
     """Load cost profiles keyed by config id; a config listed twice is an
     error."""
-    profiles: dict[str, CostProfile] = {}
-    rows = read_rows(
+    return read_keyed(
         path,
         lambda rec: CostProfile(
             config_id=as_str(rec["config"], "config"),
@@ -307,13 +332,9 @@ def load_cost_profile(path) -> dict:
                 for k, v in rec.get("inf_vram_by_regime", {}).items()
             },
         ),
+        lambda profile: profile.config_id,
+        "config",
     )
-    for lineno, profile in rows:
-        config_id = profile.config_id
-        if config_id in profiles:
-            raise IngestError(f"{path}:{lineno}: duplicate config {config_id!r}")
-        profiles[config_id] = profile
-    return profiles
 
 
 def load_labels(path, run_set=None) -> list[ErrorLabel]:

@@ -24,7 +24,6 @@ class GeneratorConfig:
     base_model: str
     scheme: str
     rank: int | None = None
-    lora_alpha: int | None = None
 
     def __post_init__(self):
         # A base with whitespace would give a display id that does not parse.
@@ -37,16 +36,13 @@ class GeneratorConfig:
         if self.scheme == "baseline":
             if self.rank is not None:
                 raise GridError("baseline configs carry no rank")
-        else:
-            if self.rank is None or self.rank < 1:
-                raise GridError("adapter configs need a positive rank")
-            expected = 2 * self.rank
-            if self.lora_alpha is None:
-                object.__setattr__(self, "lora_alpha", expected)
-            elif self.lora_alpha != expected:
-                raise GridError(
-                    f"lora_alpha must equal 2*rank ({expected}), got {self.lora_alpha}"
-                )
+        elif self.rank is None or self.rank < 1:
+            raise GridError(f"rank must be positive, got {self.rank}")
+
+    @property
+    def lora_alpha(self) -> int | None:
+        """The LoRA scaling alpha, tied to 2 * rank; None for a baseline."""
+        return None if self.rank is None else 2 * self.rank
 
     @property
     def display_id(self) -> str:
@@ -92,9 +88,6 @@ class ParamMatchedPair:
 
 def enumerate_grid(base_models, ranks) -> list[GeneratorConfig]:
     """One config per (base, rank, adapter scheme) plus one baseline per base."""
-    for r in ranks:
-        if r < 1:
-            raise GridError(f"rank must be positive, got {r}")
     configs: list[GeneratorConfig] = []
     seen: set[tuple] = set()
     for base in base_models:

@@ -3,11 +3,22 @@ from pathlib import Path
 
 import pytest
 
+from ragharness.ingest import file_checksum
 from ragharness.report import RegimeRow
 from ragharness.stats import Interval
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_WORKSPACE = Path(__file__).parent / "data" / "smoke_workspace"
+
+
+def refresh_dataset_checksums(workspace):
+    """Record the sha256 of a smoke copy's corpus and QA file in its run
+    manifest, as a run set made against the files as they now are would."""
+    manifest_path = workspace / "runs" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    for name in ("corpus", "qa"):
+        manifest["dataset"][f"{name}_sha256"] = file_checksum(workspace / f"{name}.jsonl")
+    manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
 
 def load_fixture(name):

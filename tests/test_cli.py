@@ -12,7 +12,7 @@ import pytest
 from ragharness import cli, metrics, retrieval
 from ragharness.cli import load_workspace, main
 from ragharness.ingest import Run, RunSet, file_checksum
-from tests.conftest import SMOKE_WORKSPACE
+from tests.conftest import SMOKE_WORKSPACE, refresh_dataset_checksums
 
 QV = "3B r8 qv_only"
 FULL = "3B r4 full_attention"
@@ -553,6 +553,20 @@ def _dense_only_without_query_vector(workspace):
     _edit_json("workspace.json", lambda c: c.update(regimes=regimes))(workspace)
 
 
+# Regime `a` has a name every output can take; the second one has not.
+_two_regimes_one_too_long = _edit_json(
+    "workspace.json",
+    lambda c: c.update(regimes=[{"id": id_, "variant": "base"} for id_ in ("a", "r" * 300)]),
+)
+_run_regime_too_long = _edit_run(lambda r: r.update(regime="r" * 300))
+# The files differ from those the manifest says the runs were made against.
+_changed_gold = _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer="changed"))
+_changed_chunk = _edit_rows("corpus.jsonl", lambda rows: rows[0].update(text="changed"))
+DATASET_SHA256 = json.loads(
+    (SMOKE_WORKSPACE / "runs" / "manifest.json").read_text(encoding="utf-8")
+)["dataset"]
+TOO_LONG_FOR_CONTEXTS = "output name 'contexts_<id>.jsonl' would be 315 bytes"
+
 # Every chunk text is punctuation, so BM25 has no token to index.
 _corpus_without_token = _edit_rows(
     "corpus.jsonl", lambda rows: [row.update(text="!!! ...") for row in rows]
@@ -931,12 +945,18 @@ SHA256_NOT_STRING = (
             "workspace.json: malformed JSON: nested too deeply",
         ),
         (
-            _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+            _all(
+                _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+                refresh_dataset_checksums,
+            ),
             ["validate"],
             f"{FIRST_RUN_FILE}:1: unknown qa_id 'qa000' (not a test-split question)",
         ),
         (
-            _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+            _all(
+                _edit_rows("qa.jsonl", lambda rows: rows[0].update(split="train")),
+                refresh_dataset_checksums,
+            ),
             ["stats"],
             f"{FIRST_RUN_FILE}:1: unknown qa_id 'qa000' (not a test-split question)",
         ),
@@ -973,17 +993,40 @@ SHA256_NOT_STRING = (
         ),
         (_regime_id("x/y"), ["validate"], "id must be one path component, got 'x/y'"),
         (_regime_id("x\0y"), ["retrieve"], "id must be one path component, got 'x\\x00y'"),
-        (_regime_id("r" * 300), ["retrieve"], f"{'r' * 300}.jsonl: File name too long"),
-        (_regime_id("r" * 300), ["validate"], "output name 'contexts_<id>.jsonl' would be 315 bytes"),
+        (_regime_id("r" * 300), ["retrieve"], TOO_LONG_FOR_CONTEXTS),
+        (_regime_id("r" * 300), ["validate"], TOO_LONG_FOR_CONTEXTS),
         (
             _regime_id("r" * 230),
             ["validate"],
             "output name 'front_<id>_latency_inference_vram.csv' would be 263 bytes",
         ),
+        (_run_regime_too_long, ["validate"], TOO_LONG_FOR_CONTEXTS),
+        (_run_regime_too_long, ["stats"], TOO_LONG_FOR_CONTEXTS),
+        (_run_regime_too_long, ["report"], TOO_LONG_FOR_CONTEXTS),
+        (_two_regimes_one_too_long, ["retrieve"], TOO_LONG_FOR_CONTEXTS),
         (
-            _edit_run(lambda r: r.update(regime="r" * 300)),
+            _dense_only_without_query_vector,
+            ["retrieve"],
+            "regime 'd': 1 of 30 test questions have no channel that 'dense_only' "
+            "fuses (dense)",
+        ),
+        (_changed_gold, ["validate"], f" != {DATASET_SHA256['qa_sha256']}"),
+        (_changed_gold, ["score"], f" != {DATASET_SHA256['qa_sha256']}"),
+        (_changed_chunk, ["validate"], f" != {DATASET_SHA256['corpus_sha256']}"),
+        (
+            _edit_json("runs/manifest.json", lambda m: m.update(dataset=[])),
             ["validate"],
-            "output name 'contexts_<id>.jsonl' would be 315 bytes",
+            "manifest.json: dataset must be an object, got []",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m["dataset"].update(qa_sha256=None)),
+            ["stats"],
+            "manifest.json: dataset.qa_sha256 must be a non-empty string, got None",
+        ),
+        (
+            _edit_json("runs/manifest.json", lambda m: m["dataset"].update(corpus_sha256="")),
+            ["validate"],
+            "manifest.json: dataset.corpus_sha256 must be a non-empty string, got ''",
         ),
         (_labels(""), ["validate"], "labels.jsonl: holds no error labels"),
         (_labels("\n"), ["report"], "labels.jsonl: holds no error labels"),
@@ -1191,7 +1234,11 @@ SHA256_NOT_STRING = (
         "regime_id_escape_validate", "regime_id_escape_retrieve", "regime_id_slash_validate",
         "regime_id_nul_retrieve", "regime_id_too_long_retrieve",
         "regime_id_too_long_validate", "regime_id_too_long_for_front_validate",
-        "run_regime_too_long_validate", "labels_empty_validate", "labels_blank_report",
+        "run_regime_too_long_validate", "run_regime_too_long_stats",
+        "run_regime_too_long_report", "two_regimes_one_too_long_retrieve",
+        "dense_only_without_query_vector_retrieve", "qa_changed_validate", "qa_changed_score",
+        "corpus_changed_validate", "dataset_not_object_validate", "qa_sha256_null_stats",
+        "corpus_sha256_empty_validate", "labels_empty_validate", "labels_blank_report",
         "labels_duplicate_validate", "labels_duplicate_report",
         "labels_unknown_qa_id_validate", "labels_unknown_config_report",
         "run_regime_escape_validate", "run_regime_escape_stats",
@@ -1214,14 +1261,15 @@ SHA256_NOT_STRING = (
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
-    """Each bad input is a one-line exit 1, and no command writes anything
-    outside out/ (the workspace's parent included) on the way."""
+    """Each bad input is a one-line exit 1, and no command writes anything,
+    in out/ or outside it (the workspace's parent included), on the way."""
     if mutate is not None:
         mutate(workspace)
     before = _files_outside_out(workspace)
     assert run(workspace, *argv) == 1
     assert message in one_line_error(capsys, argv[0])
     assert _files_outside_out(workspace) == before
+    assert not [path for path in (workspace / "out").rglob("*") if path.is_file()]
 
 
 def _files_outside_out(workspace):
@@ -1253,6 +1301,33 @@ def test_only_validate_and_retrieve_read_the_corpus(workspace, capsys):
     for command in ("score", "stats", "pareto", "report"):
         assert run(workspace, command) == 0
     assert (workspace / "out" / "scores.jsonl").read_bytes() == scores
+
+
+def test_each_command_checks_the_dataset_files_it_reads(workspace, capsys):
+    """The manifest's dataset checksums are checked by every command that
+    reads runs, for the files it reads: the QA file by all of them, the
+    corpus by validate alone."""
+    qa, corpus = workspace / "qa.jsonl", workspace / "corpus.jsonl"
+    _changed_gold(workspace)
+    for command in ("validate", "score", "stats", "pareto", "report"):
+        assert run(workspace, command) == 1
+        assert capsys.readouterr().err == (
+            f"{command}: checksum mismatch for {qa}: {file_checksum(qa)} != "
+            f"{DATASET_SHA256['qa_sha256']}\n"
+        )
+    refresh_dataset_checksums(workspace)
+    recorded = file_checksum(corpus)
+    _changed_chunk(workspace)
+    assert run(workspace, "validate") == 1
+    assert capsys.readouterr().err == (
+        f"validate: checksum mismatch for {corpus}: {file_checksum(corpus)} != {recorded}\n"
+    )
+    for command in ("retrieve", "score", "stats", "pareto", "report"):
+        assert run(workspace, command) == 0
+    # No checksum given, nothing to verify.
+    _edit_json("runs/manifest.json", lambda m: m.pop("dataset"))(workspace)
+    _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer="other"))(workspace)
+    assert run(workspace, "score") == 0
 
 
 def test_score_does_not_read_the_judge_scores(workspace, capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ragharness.dataset import DatasetError, load_corpus, load_qa
 from ragharness.errors import as_float, as_int
 from ragharness.ingest import (
     CostProfile,
@@ -13,6 +14,7 @@ from ragharness.ingest import (
     load_cost_profile,
     load_labels,
     load_runs,
+    read_keyed,
     read_rows,
 )
 from ragharness.metrics import exact_match, score_runs, token_f1
@@ -175,6 +177,46 @@ def test_load_runs_rejects_duplicate_judge_row(tmp_path):
     write_scores(scores, [score_row("q0"), score_row("q1"), score_row("q0", corr=1)])
     with pytest.raises(IngestError, match=r"judge.jsonl:3: duplicate judge score"):
         load_runs(runs, judge_path=scores)
+
+
+# A key with a quote and non-ASCII text, and the repr the messages show it as.
+ODD_KEY = "it's \u00e9\u4e2d"
+ODD_KEY_REPR = '"it\'s \u00e9\u4e2d"'
+
+
+def test_read_keyed_rows_in_file_order(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    write_scores(path, [{"k": "b", "v": 1}, {"k": "a", "v": 2}])
+    rows = read_keyed(path, dict, lambda row: row["k"], "k")
+    assert list(rows.items()) == [("b", {"k": "b", "v": 1}), ("a", {"k": "a", "v": 2})]
+
+
+def test_duplicate_key_messages_are_exact(tmp_path):
+    """Each keyed loader words a repeated key the same way, byte for byte:
+    file:line, the noun, and the key's repr."""
+    chunk = {"chunk_id": ODD_KEY, "text": "alpha"}
+    pair = {"qa_id": ODD_KEY, "question": "q?", "gold_answer": "a",
+            "answer_type": "normal", "split": "test"}
+    cost = {"config": ODD_KEY, "inf_vram_gb": 1.0}
+    judge = score_row(ODD_KEY, config="cfg \u00e9")
+    runs = write_run_set(tmp_path, [record("q0")])
+    cases = [
+        (load_corpus, DatasetError, [chunk, chunk], f"duplicate chunk_id {ODD_KEY_REPR}"),
+        (load_qa, DatasetError, [pair, pair], f"duplicate qa_id {ODD_KEY_REPR}"),
+        (load_cost_profile, IngestError, [cost, cost], f"duplicate config {ODD_KEY_REPR}"),
+        (
+            lambda path: load_runs(runs, judge_path=path),
+            IngestError,
+            [judge, judge],
+            f"duplicate judge score ('cfg \u00e9', '01', {ODD_KEY_REPR})",
+        ),
+    ]
+    for load, error, rows, tail in cases:
+        path = tmp_path / "keyed.jsonl"
+        write_scores(path, rows)
+        with pytest.raises(error) as excinfo:
+            load(path)
+        assert str(excinfo.value) == f"{path}:2: {tail}"
 
 
 def test_columns_equal_a_per_line_reference(tmp_path):

@@ -40,10 +40,13 @@ def test_config_invariants():
         GeneratorConfig(base_model="3B", scheme="baseline", rank=4)
     with pytest.raises(GridError):
         GeneratorConfig(base_model="3B", scheme="qv_only")
-    with pytest.raises(GridError):
-        GeneratorConfig(base_model="3B", scheme="qv_only", rank=8, lora_alpha=99)
+    with pytest.raises(GridError, match="rank must be positive, got 0"):
+        GeneratorConfig(base_model="3B", scheme="qv_only", rank=0)
     cfg = GeneratorConfig(base_model="8B", scheme="full_attention", rank=16)
+    # alpha is derived from the rank, never given.
     assert cfg.lora_alpha == 32
+    assert GeneratorConfig(base_model="8B", scheme="qv_only", rank=1).lora_alpha == 2
+    assert GeneratorConfig(base_model="8B", scheme="baseline").lora_alpha is None
     assert cfg.display_id == "8B r16 full_attention"
 
 

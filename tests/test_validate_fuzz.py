@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from ragharness.cli import main
 from ragharness.ingest import file_checksum
-from tests.conftest import SMOKE_WORKSPACE
+from tests.conftest import SMOKE_WORKSPACE, refresh_dataset_checksums
 
 RUN_FILE = "runs/3B_r8_qv_only__01_base__neutral.jsonl"
 LABELS = "labels.jsonl"
@@ -149,6 +149,10 @@ def _write(ws: Path, name, content):
             if entry["path"] == path.name:
                 entry["sha256"] = file_checksum(path)
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+    elif name in ("corpus.jsonl", "qa.jsonl"):
+        # So that the mutation, not the manifest's checksum of the file, is
+        # what validate meets.
+        refresh_dataset_checksums(ws)
 
 
 def _run(ws: Path, command):
