@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import dataset, ingest, retrieval
 from .errors import HarnessError, as_file_id, as_float, as_int
 
 # Each command imports only what it uses, since at the sizes workspaces
@@ -31,14 +30,16 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 # - OpenSSL's libcrypto loads with hashlib, which `ingest` imports only to
 #   verify a run manifest: in validate, score, stats, pareto and report,
 #   never in retrieve or grid.
-# - `metrics`, `report`, `pareto` and `lora_grid` are imported only where
-#   they are used; the last three build dataclasses on import. Of the four,
+# - Every package module but `errors` is imported only where it is used;
+#   all but `metrics` build dataclasses on import. grid loads `lora_grid`
+#   alone, and none of `dataset`, `ingest` and `retrieval`. Every workspace
+#   command loads those three, since each regime spec is a
+#   `RetrievalRegime`. Of `metrics`, `report`, `pareto` and `lora_grid`,
 #   validate loads `lora_grid` alone, which reads every config id and pairs
 #   the param-matched configs, and score loads `metrics` alone.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
-DEFAULT_REGIME = ("01_base__neutral", retrieval.RetrievalRegime("base", "neutral"))
 # The largest seed: the bootstrap hashes the seed as one 64-bit word
 # (stats.subseed), so a wider one would alias a seed in range.
 _SEED_MAX = (1 << 64) - 1
@@ -56,9 +57,18 @@ def _reject_unknown_keys(where: str, raw: dict, known) -> None:
         raise WorkspaceError(f"{where}: unknown key {unknown!r}")
 
 
+def _default_regimes() -> list:
+    """The regimes of a workspace.json without any: one, of the base variant."""
+    from .retrieval import RetrievalRegime
+
+    return [("01_base__neutral", RetrievalRegime("base", "neutral"))]
+
+
 def _parse_regimes(config_path: Path, specs):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
     id that can stand in an output file name, and a known variant."""
+    from . import retrieval
+
     if not isinstance(specs, list):
         raise WorkspaceError(f"{config_path}: regimes must be a list")
     regimes = []
@@ -108,13 +118,15 @@ class WorkspaceConfig:
     labels: Path | None = None
     retrieve_top_n: int = 20
     eval_top_k: int = 2
-    k_rrf: float = retrieval.DEFAULT_K_RRF
+    # retrieval.DEFAULT_K_RRF (a test pins the two equal), written out so
+    # that importing cli does not load retrieval.
+    k_rrf: float = 60.0
     resamples: int = 1000
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
     # (id, RetrievalRegime) per regime spec of workspace.json, in its order.
-    regimes: list = field(default_factory=lambda: [DEFAULT_REGIME], repr=False)
+    regimes: list = field(default_factory=_default_regimes, repr=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -158,6 +170,8 @@ class WorkspaceConfig:
 def load_workspace(root) -> WorkspaceConfig:
     """The workspace config of `root`: each path or knob workspace.json
     gives, checked, and WorkspaceConfig's default for each it leaves out."""
+    from . import ingest
+
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.is_file():
@@ -188,7 +202,7 @@ def load_workspace(root) -> WorkspaceConfig:
             raise WorkspaceError(
                 f"{config_path}: {f.name} must be {noun}, got {value!r}"
             ) from exc
-    # null regimes, like none, stands for DEFAULT_REGIME alone.
+    # null regimes, like none, stands for the default regimes.
     if raw.get("regimes") is not None:
         given["regimes"] = _parse_regimes(config_path, raw["regimes"])
     return WorkspaceConfig(root=root, **given)
@@ -227,6 +241,8 @@ def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",
     """The run set, with the judge scores joined when `judged` and
     workspace.json names them, and each of the `datasets` inputs checked
     against the manifest's checksum of it."""
+    from . import ingest
+
     runs = _input(ws, "runs")
     if runs is None:
         raise WorkspaceError("workspace defines no run-set directory")
@@ -236,6 +252,8 @@ def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",
 
 
 def _load_costs(ws: WorkspaceConfig) -> dict:
+    from . import ingest
+
     path = _input(ws, "costs")
     return ingest.load_cost_profile(path) if path is not None else {}
 
@@ -269,7 +287,7 @@ def _score_runs(ws: WorkspaceConfig, judged: bool = True):
     answers alone, so the corpus is not read, nor the judge scores unless
     `judged`. A record of a question outside the test split is an error, and
     so is a QA file whose sha256 is not the one the run manifest gives."""
-    from . import metrics
+    from . import dataset, metrics
 
     pairs = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
@@ -324,6 +342,8 @@ def _regime_csv_row(r) -> list:
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
     """Load every input with the checks of the commands that read it, and
     stop at the first fault; nothing is scored and numpy is not loaded."""
+    from . import dataset, retrieval
+
     chunks = dataset.load_corpus(_input(ws, "corpus"))
     pairs = dataset.load_qa(_input(ws, "qa"))
     fuses_sparse = any("sparse" in regime.channels for _, regime in ws.regimes)
@@ -357,8 +377,8 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
 
 
 # The name of each output that a regime id becomes part of. A front's name
-# grows with its axes; the benchmarked pair stands for them in the check of
-# name lengths.
+# grows with its axes: the benchmarked pair stands for them in every
+# command's check of name lengths, and pareto checks its own axes too.
 _REGIME_FILE_NAMES = {
     "contexts": "contexts_{}.jsonl",
     "stats": "stats_{}.csv",
@@ -368,13 +388,17 @@ _REGIME_FILE_NAMES = {
 }
 
 
-def _regime_file(kind: str, regime_id: str, axes=("latency", "inference_vram")) -> str:
+_FRONT_AXES = ("latency", "inference_vram")
+
+
+def _regime_file(kind: str, regime_id: str, axes=_FRONT_AXES) -> str:
     return _REGIME_FILE_NAMES[kind].format(regime_id, "_".join(axes))
 
 
-def _check_regime_ids(ws: WorkspaceConfig, regime_ids) -> None:
-    """Fail on the first regime id that makes an output file name longer
-    than the file system under `out` allows (255 bytes when it does not say)."""
+def _check_regime_ids(ws: WorkspaceConfig, regime_ids, axes=_FRONT_AXES) -> None:
+    """Fail on the first regime id that makes an output file name, a front's
+    over `axes`, longer than the file system under `out` allows (255 bytes
+    when it does not say)."""
     where = _nearest_existing(ws.out)
     try:
         limit = os.pathconf(where, "PC_NAME_MAX")
@@ -384,10 +408,10 @@ def _check_regime_ids(ws: WorkspaceConfig, regime_ids) -> None:
         limit = 255
     for regime_id in regime_ids:
         for kind in _REGIME_FILE_NAMES:
-            size = len(_regime_file(kind, regime_id).encode("utf-8", "surrogatepass"))
+            size = len(_regime_file(kind, regime_id, axes).encode("utf-8", "surrogatepass"))
             if size > limit:
                 raise WorkspaceError(
-                    f"regime {regime_id!r}: output name {_regime_file(kind, '<id>')!r} "
+                    f"regime {regime_id!r}: output name {_regime_file(kind, '<id>', axes)!r} "
                     f"would be {size} bytes, over the {limit} a file name may have "
                     f"under {where}"
                 )
@@ -423,6 +447,8 @@ def _read_embeddings(ws: WorkspaceConfig):
     """(dim, {chunk_id: vector}, {qa_id: vector}) from the embeddings file, or
     None when workspace.json names none. Each vector, chunk or query, is a
     JSON list of exactly `dim` finite numbers; nothing here needs numpy."""
+    from . import ingest
+
     path = _input(ws, "embeddings")
     if path is None:
         return None
@@ -450,6 +476,8 @@ def _read_embeddings(ws: WorkspaceConfig):
 
 def _load_rerank(ws: WorkspaceConfig) -> dict:
     """Per-question rerank scores: {qa_id: {chunk_id: finite number}}."""
+    from . import ingest
+
     path = _input(ws, "rerank_scores")
     if path is None:
         return {}
@@ -463,6 +491,8 @@ def _load_rerank(ws: WorkspaceConfig) -> dict:
 
 
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
+    from . import dataset, retrieval
+
     # validate's checks of the output names and the channels run before
     # anything is written.
     _check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
@@ -648,12 +678,15 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
         if axis in axes[:i]:
             raise WorkspaceError(f"repeated cost axis {axis!r}")
     _, costs, tables = _regime_tables(ws)
-    # Every front is worked out before the first file is written.
+    regime_ids = [args.regime] if args.regime else list(tables)
+    if args.regime and args.regime not in tables:
+        raise WorkspaceError(f"regime {args.regime!r} not in run set")
+    # Every front's name is checked, and every front worked out, before the
+    # first file is written.
+    _check_regime_ids(ws, regime_ids, axes)
     fronts = []
-    for regime_id in [args.regime] if args.regime else tables:
-        rows = tables.get(regime_id)
-        if rows is None:
-            raise WorkspaceError(f"regime {regime_id!r} not in run set")
+    for regime_id in regime_ids:
+        rows = tables[regime_id]
         points = []
         for r in rows:
             profile = costs.get(r.config_id)
@@ -679,6 +712,8 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
 
 def _load_labels(ws: WorkspaceConfig, run_set) -> list | None:
     """The error labels workspace.json names, or None when it names none."""
+    from . import ingest
+
     path = _input(ws, "labels")
     return ingest.load_labels(path, run_set) if path is not None else None
 

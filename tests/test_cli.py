@@ -113,6 +113,13 @@ def test_workspace_config_defaults(workspace):
     assert ws.eval_top_k == 2
     assert ws.k_rrf == 60.0
     assert ws.plan().n_resamples == 1000
+    # WorkspaceConfig spells out the default that fuse_rrf takes from retrieval.
+    assert cli.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
+    for regimes in ({}, {"regimes": None}):
+        (workspace / "workspace.json").write_text(json.dumps(regimes), encoding="utf-8")
+        assert load_workspace(workspace).regimes == [
+            ("01_base__neutral", retrieval.RetrievalRegime("base", "neutral"))
+        ]
 
 
 def test_retrieve_writes_contexts(workspace):
@@ -559,6 +566,16 @@ _two_regimes_one_too_long = _edit_json(
     lambda c: c.update(regimes=[{"id": id_, "variant": "base"} for id_ in ("a", "r" * 300)]),
 )
 _run_regime_too_long = _edit_run(lambda r: r.update(regime="r" * 300))
+
+
+def _front_too_long_for_four_axes(workspace):
+    """The baseline run, which has no training cost, gives way to a copy of
+    the qv_only run under a second regime of 200 `r`s: every output name of
+    that regime fits, but that of its front over all four cost axes."""
+    records = [dict(r, regime="r" * 200) for r in read_run(workspace, QV)]
+    write_run(workspace, "3B baseline", records)
+
+
 # The files differ from those the manifest says the runs were made against.
 _changed_gold = _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer="changed"))
 _changed_chunk = _edit_rows("corpus.jsonl", lambda rows: rows[0].update(text="changed"))
@@ -1005,6 +1022,13 @@ SHA256_NOT_STRING = (
         (_run_regime_too_long, ["report"], TOO_LONG_FOR_CONTEXTS),
         (_two_regimes_one_too_long, ["retrieve"], TOO_LONG_FOR_CONTEXTS),
         (
+            _front_too_long_for_four_axes,
+            ["pareto", "--axes", "latency,inference_vram,training_time,training_vram"],
+            "output name 'front_<id>_latency_inference_vram_training_time_training_vram.csv' "
+            "would be 261 bytes",
+        ),
+        (None, ["pareto", "--regime", "nope"], "regime 'nope' not in run set"),
+        (
             _dense_only_without_query_vector,
             ["retrieve"],
             "regime 'd': 1 of 30 test questions have no channel that 'dense_only' "
@@ -1236,6 +1260,7 @@ SHA256_NOT_STRING = (
         "regime_id_too_long_validate", "regime_id_too_long_for_front_validate",
         "run_regime_too_long_validate", "run_regime_too_long_stats",
         "run_regime_too_long_report", "two_regimes_one_too_long_retrieve",
+        "front_too_long_for_four_axes_pareto", "regime_not_in_run_set_pareto",
         "dense_only_without_query_vector_retrieve", "qa_changed_validate", "qa_changed_score",
         "corpus_changed_validate", "dataset_not_object_validate", "qa_sha256_null_stats",
         "corpus_sha256_empty_validate", "labels_empty_validate", "labels_blank_report",
@@ -1422,7 +1447,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
     "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.report', "
-    "'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics'} "
+    "'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics', "
+    "'ragharness.dataset', 'ragharness.ingest', 'ragharness.retrieval'} "
     "& set(sys.modules))); "
     "sys.exit(code)"
 )
@@ -1431,10 +1457,11 @@ MODULES_LOADED = (
 def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
-    retrieve loads it. score does not import `report`, `pareto` or
-    `lora_grid` either, and validate none of `report`, `pareto` or
-    `metrics`. OpenSSL (`_hashlib`) loads in the commands that verify the
-    run manifest, and never in grid or retrieve."""
+    retrieve loads it. grid imports none of `dataset`, `ingest` and
+    `retrieval`, which every workspace command loads. score does not import
+    `report`, `pareto` or `lora_grid` either, and validate none of `report`,
+    `pareto` or `metrics`. OpenSSL (`_hashlib`) loads in the commands that
+    verify the run manifest, and never in grid or retrieve."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
@@ -1448,11 +1475,13 @@ def test_commands_without_arrays_never_import_numpy(workspace):
         ).stdout
         return set(out.splitlines()[-1].split()[1:])
 
-    grid = loaded("grid")
-    assert "numpy" not in grid and "_hashlib" not in grid
-    assert loaded("--workspace", str(workspace), "score") == {"_hashlib", "ragharness.metrics"}
+    workspace_modules = {"ragharness.dataset", "ragharness.ingest", "ragharness.retrieval"}
+    assert loaded("grid") == {"ragharness.lora_grid"}
+    assert loaded("--workspace", str(workspace), "score") == {
+        "_hashlib", "ragharness.metrics", *workspace_modules
+    }
     validate = loaded("--workspace", str(workspace), "validate")
-    assert validate == {"_hashlib", "ragharness.lora_grid"}
+    assert validate == {"_hashlib", "ragharness.lora_grid", *workspace_modules}
     retrieve = loaded("--workspace", str(workspace), "retrieve")
     assert "numpy" in retrieve and "_hashlib" not in retrieve
     assert "_hashlib" in loaded("--workspace", str(workspace), "stats")
