@@ -27,9 +27,12 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 #   the embedding table) and in the bootstrap behind stats, pareto and
 #   report. grid, score and validate never load numpy; validate checks the
 #   embeddings and the error labels as plain JSON.
-# - OpenSSL's libcrypto loads with hashlib, which `ingest` imports only to
-#   verify a run manifest: in validate, score, stats, pareto and report,
-#   never in retrieve or grid.
+# - OpenSSL's libcrypto loads with hashlib. `ingest` imports it only to
+#   verify a run manifest, but `import numpy.random` imports it too (through
+#   `secrets` and `hmac`), so the bootstrap behind stats, pareto and report
+#   loads libcrypto whatever `ingest` does. Only validate and score load it
+#   for the manifest alone; retrieve, whose arrays need no numpy.random, and
+#   grid never load it.
 # - Every package module but `errors` is imported only where it is used;
 #   all but `metrics` build dataclasses on import. grid loads `lora_grid`
 #   alone, and none of `dataset`, `ingest` and `retrieval`. Every workspace
@@ -237,10 +240,11 @@ def _check_out(ws: WorkspaceConfig) -> None:
         raise WorkspaceError(f"out is not a directory: {path}")
 
 
-def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",)):
+def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",), score=None):
     """The run set, with the judge scores joined when `judged` and
-    workspace.json names them, and each of the `datasets` inputs checked
-    against the manifest's checksum of it."""
+    workspace.json names them, each of the `datasets` inputs checked
+    against the manifest's checksum of it, and each record scored by
+    `score` as it is read when one is given."""
     from . import ingest
 
     runs = _input(ws, "runs")
@@ -248,7 +252,7 @@ def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",
         raise WorkspaceError("workspace defines no run-set directory")
     judge = _input(ws, "judge_scores") if judged else None
     checked = {name: getattr(ws, name) for name in datasets}
-    return ingest.load_runs(runs, qa_ids=qa_ids, judge_path=judge, datasets=checked)
+    return ingest.load_runs(runs, qa_ids=qa_ids, judge_path=judge, datasets=checked, score=score)
 
 
 def _load_costs(ws: WorkspaceConfig) -> dict:
@@ -283,17 +287,16 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def _score_runs(ws: WorkspaceConfig, judged: bool = True):
-    """The run set with every record scored once. Scoring needs the gold
-    answers alone, so the corpus is not read, nor the judge scores unless
-    `judged`. A record of a question outside the test split is an error, and
-    so is a QA file whose sha256 is not the one the run manifest gives."""
+    """The run set with every record scored once, as it is read. Scoring
+    needs the gold answers alone, so the corpus is not read, nor the judge
+    scores unless `judged`. A record of a question outside the test split is
+    an error, and so is a QA file whose sha256 is not the one the run
+    manifest gives."""
     from . import dataset, metrics
 
     pairs = dataset.load_qa(_input(ws, "qa"))
     gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
-    run_set = _load_runs(ws, set(gold), judged)
-    metrics.score_runs(run_set, gold)
-    return run_set
+    return _load_runs(ws, gold, judged, score=metrics.scorer(gold))
 
 
 def _regime_tables(ws: WorkspaceConfig):

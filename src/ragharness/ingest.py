@@ -74,14 +74,15 @@ class ErrorLabel:
 class Run:
     """The records of one (config, regime) as columns, each in record order:
     the order of the run files in the manifest, then of the lines in each.
+    Every record of one qa_id, in any run, holds the same str object.
     `correctness` and `groundedness` hold None where no judge row matched;
-    `f1s` and `exact` stay empty until `metrics.score_runs` scores the run."""
+    `f1s` and `exact` hold each answer's scores when the run set was loaded
+    with a scorer, and stay empty otherwise. No answer is kept."""
 
     config_id: str
     regime_id: str
     eval_top_k: int
     qa_ids: list[str] = field(default_factory=list)
-    answers: list[str] = field(default_factory=list)
     latencies: list[float] = field(default_factory=list)
     correctness: list[int | None] = field(default_factory=list)
     groundedness: list[int | None] = field(default_factory=list)
@@ -202,11 +203,27 @@ def _key(rec: dict) -> tuple[str, str, str]:
 
 
 def _judge_row(rec: dict):
-    """((config, regime, qa_id), (correctness, groundedness)) of a judge row."""
-    return _key(rec), (
+    """((config, regime, qa_id), correctness, groundedness) of a judge row."""
+    return (
+        _key(rec),
         _check_judge("correctness", as_int(rec["correctness"], "correctness")),
         _check_judge("groundedness", as_int(rec["groundedness"], "groundedness")),
     )
+
+
+def _read_judge(path, canonical: dict) -> dict:
+    """{(config, regime): {qa_id: (line, correctness, groundedness)}} of the
+    rows of a judge file: one small index per run rather than one key tuple
+    per row, each qa_id held as the str object `canonical` maps it to, when
+    it maps it. A second row for a (config, regime, qa_id) is an error
+    worded as `read_keyed` words a repeated key."""
+    index: dict[tuple[str, str], dict] = {}
+    for lineno, (key, correctness, groundedness) in read_rows(path, _judge_row):
+        by_qa_id = index.setdefault(key[:2], {})
+        if key[2] in by_qa_id:
+            raise IngestError(f"{path}:{lineno}: duplicate judge score {key!r}")
+        by_qa_id[canonical.get(key[2], key[2])] = (lineno, correctness, groundedness)
+    return index
 
 
 def _run_row(rec: dict):
@@ -226,7 +243,7 @@ def _run_row(rec: dict):
     return key, answer, latency, top_k
 
 
-_UNJUDGED = (None, (None, None))
+_UNJUDGED = (None, None, None)
 
 
 def _read_verified(manifest_path, label, file_path, expected) -> bytes:
@@ -243,10 +260,11 @@ def _read_verified(manifest_path, label, file_path, expected) -> bytes:
     return data
 
 
-def load_runs(path, qa_ids=None, judge_path=None, datasets=None) -> RunSet:
+def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> RunSet:
     """Load a run-set directory into one `Run` per (config, regime), grouped
-    by regime. `qa_ids`, when given, is the set of valid test-split ids;
-    records referencing anything else are rejected. The manifest lists at
+    by regime. `qa_ids`, when given, holds the valid test-split ids; records
+    referencing anything else are rejected, and every record holds the str
+    object `qa_ids` holds for its id. The manifest lists at
     least one run file, and every entry carries the sha256 its file must
     match. `datasets` maps a dataset name (``corpus``, ``qa``) to the file
     read for it, which must match the manifest's ``dataset.<name>_sha256``
@@ -255,11 +273,12 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None) -> RunSet:
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
     key is an error, and rows that match no record end up in
-    `RunSet.unmatched_scores`."""
-    # (config, regime, qa_id) -> (that key, (correctness, groundedness)).
-    judged = {}
-    if judge_path is not None:
-        judged = read_keyed(judge_path, _judge_row, lambda row: row[0], "judge score")
+    `RunSet.unmatched_scores`. `score`, when given, is called as
+    score(qa_id, answer) once per record as it is read, and the (f1, exact)
+    it returns fill the run's `f1s` and `exact` columns."""
+    # qa_id -> the one str object that every record of that id holds.
+    canonical = {qa_id: qa_id for qa_id in qa_ids} if qa_ids is not None else {}
+    judged = _read_judge(judge_path, canonical) if judge_path is not None else {}
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -277,8 +296,8 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None) -> RunSet:
         sha = f"{name}_sha256"
         if sha in checksums:
             _read_verified(manifest_path, f"dataset.{sha}", Path(data_path), checksums[sha])
-    runs: dict[tuple[str, str], Run] = {}
-    seen: set[tuple[str, str, str]] = set()
+    # (config, regime) -> (its Run, the qa_ids read for it, its judge index).
+    groups: dict[tuple[str, str], tuple[Run, set, dict]] = {}
     for entry in files:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
             raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
@@ -289,32 +308,47 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None) -> RunSet:
         )
         rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
         for lineno, (key, answer, latency, top_k) in rows:
-            if key in seen:
+            group = groups.get(key[:2])
+            if group is None:
+                run = Run(key[0], key[1], top_k)
+                group = groups[key[:2]] = (run, set(), judged.get(key[:2], {}))
+            run, seen, judge = group
+            if key[2] in seen:
                 raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
-            seen.add(key)
-            run = runs.get(key[:2])
-            if run is None:
-                run = runs[key[:2]] = Run(key[0], key[1], top_k)
-            elif top_k != run.eval_top_k:
+            if top_k != run.eval_top_k:
                 raise IngestError(
                     f"{file_path}:{lineno}: top_k {top_k} differs from "
                     f"top_k {run.eval_top_k} earlier in ({key[0]}, {key[1]})"
                 )
-            if qa_ids is not None and key[2] not in qa_ids:
-                raise IngestError(
-                    f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
-                    f"(not a test-split question)"
-                )
-            _, (correctness, groundedness) = judged.pop(key, _UNJUDGED)
-            run.qa_ids.append(key[2])
-            run.answers.append(answer)
+            qa_id = canonical.get(key[2])
+            if qa_id is None:
+                if qa_ids is not None:
+                    raise IngestError(
+                        f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
+                        f"(not a test-split question)"
+                    )
+                qa_id = canonical[key[2]] = key[2]
+            seen.add(qa_id)
+            _, correctness, groundedness = judge.pop(qa_id, _UNJUDGED)
+            run.qa_ids.append(qa_id)
             run.latencies.append(latency)
             run.correctness.append(correctness)
             run.groundedness.append(groundedness)
+            if score is not None:
+                f1, exact = score(qa_id, answer)
+                run.f1s.append(f1)
+                run.exact.append(exact)
     grouped: dict[str, dict[str, Run]] = {}
-    for config_id, regime_id in sorted(runs, key=lambda key: (key[1], key[0])):
-        grouped.setdefault(regime_id, {})[config_id] = runs[config_id, regime_id]
-    return RunSet(runs=grouped, unmatched_scores=list(judged))
+    for config_id, regime_id in sorted(groups, key=lambda key: (key[1], key[0])):
+        grouped.setdefault(regime_id, {})[config_id] = groups[config_id, regime_id][0]
+    # The judge rows left in the index matched no record; their line numbers
+    # give back the file order.
+    unmatched = sorted(
+        (line, (config_id, regime_id, qa_id))
+        for (config_id, regime_id), judge in judged.items()
+        for qa_id, (line, _, _) in judge.items()
+    )
+    return RunSet(runs=grouped, unmatched_scores=[key for _, key in unmatched])
 
 
 def load_cost_profile(path) -> dict:

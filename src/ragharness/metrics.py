@@ -1,5 +1,6 @@
 """Per-record quality metrics: answer normalization, token-level F1, exact
-match, judge pass rates, and the one pass that scores a run set."""
+match, judge pass rates, and the per-record scorer that the run-set loader
+calls."""
 
 from __future__ import annotations
 
@@ -88,15 +89,16 @@ def pass_at_threshold(scores, threshold: int = 4) -> float:
     return sum(1 for s in scores if s >= threshold) / len(scores)
 
 
-def score_runs(run_set, gold_answers: dict) -> None:
-    """Score every record of a `RunSet` once against `gold_answers` (qa_id ->
-    answer), setting each `Run`'s `f1s` and `exact` columns in record order,
-    since bootstrap resampling is by position."""
-    for by_config in run_set.runs.values():
-        for run in by_config.values():
-            golds = [gold_answers.get(qa_id) for qa_id in run.qa_ids]
-            if None in golds:
-                qa_id = run.qa_ids[golds.index(None)]
-                raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
-            run.f1s = list(map(token_f1, run.answers, golds))
-            run.exact = list(map(exact_match, run.answers, golds))
+def scorer(gold_answers: dict):
+    """The per-record scorer that `ingest.load_runs` calls as each record is
+    read: (qa_id, answer) -> (token F1, exact match) against the answer
+    `gold_answers` (qa_id -> answer) gives that qa_id; a qa_id it lacks is
+    an error."""
+
+    def score(qa_id: str, answer: str) -> tuple[float, bool]:
+        gold = gold_answers.get(qa_id)
+        if gold is None:
+            raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
+        return token_f1(answer, gold), exact_match(answer, gold)
+
+    return score

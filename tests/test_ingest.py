@@ -17,7 +17,7 @@ from ragharness.ingest import (
     read_keyed,
     read_rows,
 )
-from ragharness.metrics import exact_match, score_runs, token_f1
+from ragharness.metrics import exact_match, scorer, token_f1
 
 
 def write_run_set(root, records, tamper=False):
@@ -160,6 +160,37 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     run_set = load_runs(runs, judge_path=scores)
     assert [qa_id for _, _, qa_id in run_set.unmatched_scores] == ["ghost", "phantom"]
     assert run_set.runs["01"]["cfgA"].correctness == [5]
+    # Unmatched rows of two runs, and of a config with no records,
+    # interleaved in the judge file, come back in file order.
+    runs = write_run_set(tmp_path, [record("q0"), record("q0", "cfgB", "02")])
+    rows = [
+        score_row("ghost"), score_row("spook", "cfgB", "02"), score_row("q0"),
+        score_row("q0", "cfgZ"), score_row("phantom"), score_row("q0", "cfgB", "02", corr=1),
+        score_row("wraith", "cfgB", "02"),
+    ]
+    write_scores(scores, rows)
+    run_set = load_runs(runs, judge_path=scores)
+    assert run_set.unmatched_scores == [
+        ("cfgA", "01", "ghost"), ("cfgB", "02", "spook"), ("cfgZ", "01", "q0"),
+        ("cfgA", "01", "phantom"), ("cfgB", "02", "wraith"),
+    ]
+    assert run_set.runs["02"]["cfgB"].correctness == [1]
+
+
+def test_records_of_one_qa_id_hold_one_str_object(tmp_path):
+    runs = write_run_set(
+        tmp_path, [record("q0"), record("q0", "cfgB"), record("q1"), record("q0", regime="02")]
+    )
+    run_set = load_runs(runs)
+    first = run_set.runs["01"]["cfgA"].qa_ids[0]
+    assert run_set.runs["01"]["cfgB"].qa_ids[0] is first
+    assert run_set.runs["02"]["cfgA"].qa_ids[0] is first
+    # Given the test-split ids, every record holds the object given for its id.
+    given = {"".join(["q", str(i)]) for i in range(2)}
+    run_set = load_runs(runs, qa_ids=given)
+    held = [qa_id for by_config in run_set.runs.values() for run in by_config.values()
+            for qa_id in run.qa_ids]
+    assert len(held) == 4 and all(any(qa_id is q for q in given) for qa_id in held)
 
 
 def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
@@ -222,8 +253,9 @@ def test_duplicate_key_messages_are_exact(tmp_path):
 def test_columns_equal_a_per_line_reference(tmp_path):
     """Rows of six (config, regime) pairs, shuffled across three run files,
     with half of them judged: each Run's columns hold exactly what a
-    per-line json.loads reads, in record order, and the scores are those of
-    token_f1 and exact_match row by row."""
+    per-line json.loads reads, in record order, each qa_id as the object the
+    given test-split ids hold, and the scores filled as the rows load are
+    those of token_f1 and exact_match row by row."""
     rng = random.Random(1212)
     words = ["port", "6443", "--flag", "the", "node.spec", "Apply.", "café", "\"quoted\""]
     qa_ids = [f"q{i}" for i in range(30)]
@@ -266,8 +298,7 @@ def test_columns_equal_a_per_line_reference(tmp_path):
     judge = tmp_path / "judge.jsonl"
     write_scores(judge, judge_rows)
 
-    run_set = load_runs(runs, qa_ids=set(qa_ids), judge_path=judge)
-    score_runs(run_set, gold)
+    run_set = load_runs(runs, qa_ids=set(qa_ids), judge_path=judge, score=scorer(gold))
 
     reference = {}
     for entry in files:
@@ -285,7 +316,7 @@ def test_columns_equal_a_per_line_reference(tmp_path):
         verdicts = [judged.get((*key, r["qa_id"])) for r in ref]
         assert (run.config_id, run.regime_id, run.eval_top_k) == (*key, ref[0].get("top_k", 2))
         assert run.qa_ids == [r["qa_id"] for r in ref]
-        assert run.answers == [r["answer"] for r in ref]
+        assert all(qa_id is qa_ids[int(qa_id[1:])] for qa_id in run.qa_ids)
         assert run.latencies == [float(r["latency_s"]) for r in ref]
         assert all(type(v) is float for v in run.latencies)
         assert run.correctness == [v and v["correctness"] for v in verdicts]

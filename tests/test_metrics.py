@@ -4,15 +4,16 @@ from collections import Counter
 import pytest
 
 from ragharness import metrics
-from ragharness.ingest import Run, RunSet
+from ragharness.ingest import load_runs
 from ragharness.metrics import (
     MetricsError,
     exact_match,
     normalize_answer,
     pass_at_threshold,
-    score_runs,
+    scorer,
     token_f1,
 )
+from tests.test_ingest import record, write_run_set
 
 WORDS = ["the", "port", "6443", "--flag", "kubectl", "edit", "a", "node", "pod.spec"]
 
@@ -101,27 +102,29 @@ def test_pass_at_threshold():
         pass_at_threshold([6])
 
 
-def run_of(config, qa_ids, answers):
-    return Run(config, "01", 2, qa_ids=qa_ids, answers=answers)
-
-
-def test_score_runs_scores_each_record_once_in_record_order():
+def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
     gold = {"q0": "port 6443", "q1": "use --force"}
-    runs = {
-        "cfgA": run_of("cfgA", ["q1", "q0"], ["use --force", "the port 6443"]),
-        "cfgB": run_of("cfgB", ["q0"], ["port 6444"]),
-    }
-    score_runs(RunSet(runs={"01": runs}), gold)
+    records = [
+        record("q1", "cfgA", answer="use --force"),
+        record("q0", "cfgB", answer="port 6444"),
+        record("q0", "cfgA", answer="the port 6443"),
+    ]
+    calls = []
+    monkeypatch.setattr(metrics, "token_f1", lambda *a: calls.append(a) or token_f1(*a))
+    runs = load_runs(write_run_set(tmp_path, records), score=scorer(gold)).runs["01"]
+    assert calls == [
+        ("use --force", "use --force"), ("port 6444", "port 6443"), ("the port 6443", "port 6443"),
+    ]
     assert (runs["cfgA"].f1s, runs["cfgA"].exact) == ([1.0, 1.0], [True, True])
     assert (runs["cfgB"].f1s, runs["cfgB"].exact) == (
         [token_f1("port 6444", "port 6443")], [False]
     )
 
 
-def test_score_runs_rejects_a_record_without_gold():
-    runs = {"01": {"cfg": run_of("cfg", ["q0", "q9"], ["port", "anything"])}}
+def test_scorer_rejects_a_record_without_gold(tmp_path):
+    runs = write_run_set(tmp_path, [record("q0", answer="port"), record("q9", answer="anything")])
     with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
-        score_runs(RunSet(runs=runs), {"q0": "port"})
+        load_runs(runs, score=scorer({"q0": "port"}))
 
 
 def test_every_memo_is_bounded():

@@ -6,7 +6,7 @@ import pytest
 
 from ragharness.ingest import ERROR_CLASSES, ErrorLabel, Run, RunSet
 from ragharness.lora_grid import parse_config_id
-from ragharness.metrics import score_runs, token_f1
+from ragharness.metrics import scorer, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
     RegimeRow,
@@ -23,38 +23,41 @@ from ragharness.report import (
 from ragharness.stats import ResamplePlan
 
 
+GOLD = {"q0": "port 6443", "q1": "use --force", "q2": "the node drains"}
+ANSWERS = {
+    "cfgA": {"q0": "port 6443", "q1": "use --force", "q2": "node"},
+    "cfgB": {"q0": "port 6444", "q1": "unknown", "q2": "it restarts"},
+}
+
+
 def make_run_set():
-    gold = {"q0": "port 6443", "q1": "use --force", "q2": "the node drains"}
-    answers = {
-        "cfgA": {"q0": "port 6443", "q1": "use --force", "q2": "node"},
-        "cfgB": {"q0": "port 6444", "q1": "unknown", "q2": "it restarts"},
-    }
+    """Both configs of ANSWERS in regime "01", each record scored as
+    `ingest.load_runs` scores it, through `metrics.scorer`."""
+    score = scorer(GOLD)
     runs = {}
-    for config, by_qa in answers.items():
+    for config, by_qa in ANSWERS.items():
         qa_ids = sorted(by_qa)
+        f1s, exact = zip(*(score(q, by_qa[q]) for q in qa_ids))
         runs[config] = Run(
             config_id=config,
             regime_id="01",
             eval_top_k=2,
             qa_ids=qa_ids,
-            answers=[by_qa[q] for q in qa_ids],
             latencies=[0.5 + 0.1 * i for i in range(len(qa_ids))],
             correctness=[5 if config == "cfgA" else 2] * len(qa_ids),
             groundedness=[4 if config == "cfgA" else 3] * len(qa_ids),
+            f1s=list(f1s),
+            exact=list(exact),
         )
-    return RunSet(runs={"01": runs}), gold
+    return RunSet(runs={"01": runs})
 
 
 def test_regime_table_means_match_direct_recomputation():
-    run_set, gold = make_run_set()
-    score_runs(run_set, gold)
+    run_set = make_run_set()
     rows = regime_table(run_set.runs["01"], {}, ResamplePlan(n_resamples=50))
     assert [r.config_id for r in rows] == ["cfgA", "cfgB"]
     cfg_a = rows[0]
-    run = run_set.runs["01"]["cfgA"]
-    expected = sum(
-        token_f1(answer, gold[qa_id]) for qa_id, answer in zip(run.qa_ids, run.answers)
-    ) / 3
+    expected = sum(token_f1(answer, GOLD[qa_id]) for qa_id, answer in ANSWERS["cfgA"].items()) / 3
     assert cfg_a.f1 == pytest.approx(expected)
     assert cfg_a.em_rate == pytest.approx(2 / 3)
     assert cfg_a.latency == pytest.approx(0.6)
@@ -108,7 +111,7 @@ def test_regime_table_without_judge_scores():
 
 
 def test_regime_table_absent_regime():
-    run_set, _ = make_run_set()
+    run_set = make_run_set()
     with pytest.raises(ReportError, match="absent"):
         regime_table(run_set.runs.get("99", {}), {}, ResamplePlan(n_resamples=10))
 
