@@ -34,12 +34,13 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 #   for the manifest alone; retrieve, whose arrays need no numpy.random, and
 #   grid never load it.
 # - Every package module but `errors` is imported only where it is used;
-#   all but `metrics` build dataclasses on import. grid loads `lora_grid`
-#   alone, and none of `dataset`, `ingest` and `retrieval`. Every workspace
-#   command loads those three, since each regime spec is a
-#   `RetrievalRegime`. Of `metrics`, `report`, `pareto` and `lora_grid`,
-#   validate loads `lora_grid` alone, which reads every config id and pairs
-#   the param-matched configs, and score loads `metrics` alone.
+#   all but `metrics` and `lora_grid` build dataclasses on import. grid
+#   loads `lora_grid` alone, and none of `dataset`, `ingest` and
+#   `retrieval`. Every workspace command loads those three, since each
+#   regime spec is a `RetrievalRegime`. Of `metrics`, `report`, `pareto`
+#   and `lora_grid`, validate loads `lora_grid` alone, which reads every
+#   config id and pairs the param-matched configs, and score loads
+#   `metrics` alone.
 if TYPE_CHECKING:
     from .stats import ResamplePlan
 
@@ -636,16 +637,18 @@ def _param_matched(run_set) -> dict:
     rather than a pair left out or a delta over unmatched examples."""
     from . import lora_grid
 
+    # Sorted as text first, so that ids tied in grid order (08B and 8B), and
+    # the first id that does not parse, do not depend on set order.
     config_ids = sorted({cid for runs in run_set.runs.values() for cid in runs})
-    matched = lora_grid.param_matched_pairs(lora_grid.grid_from_display_ids(config_ids))
+    config_ids.sort(key=lora_grid.grid_order)
+    matched = lora_grid.param_matched_pairs(config_ids)
     if not matched:
         return {}
     aligned = {}
     for regime_id, runs in run_set.runs.items():
         aligned[regime_id] = pairs = []
         pooled_ids = None
-        for pair in matched:
-            qv_id, full_id = pair.qv_config.display_id, pair.full_config.display_id
+        for budget, qv_id, full_id in matched:
             a, b = runs.get(qv_id), runs.get(full_id)
             if a is None or b is None:
                 continue
@@ -666,7 +669,7 @@ def _param_matched(run_set) -> dict:
                     f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
                     f"the first pair)"
                 )
-            pairs.append((pair.budget_label, a, b, a_order, b_order))
+            pairs.append((budget, a, b, a_order, b_order))
     return aligned
 
 
@@ -786,19 +789,17 @@ def cmd_grid(ws, args) -> int:
     except ValueError as exc:
         raise lora_grid.GridError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)
+    config_ids = [lora_grid.display_id(*config) for config in grid]
     width = max(len("base"), *map(len, bases)) + 2
     print(f"{'base':<{width}}scheme          rank  alpha config")
-    for cfg in grid:
-        rank = "" if cfg.rank is None else cfg.rank
-        alpha = "" if cfg.lora_alpha is None else cfg.lora_alpha
-        print(f"{cfg.base_model:<{width}}{cfg.scheme:<16}{rank!s:<6}{alpha!s:<6}{cfg.display_id}")
-    pairs = lora_grid.param_matched_pairs(grid)
+    for (base, scheme, rank), config_id in zip(grid, config_ids):
+        # alpha, the LoRA scaling, is tied to 2 * rank; a baseline has neither.
+        rank, alpha = ("", "") if rank is None else (rank, 2 * rank)
+        print(f"{base:<{width}}{scheme:<16}{rank!s:<6}{alpha!s:<6}{config_id}")
+    pairs = lora_grid.param_matched_pairs(config_ids)
     print(f"\nparam-matched pairs ({len(pairs)}):")
-    for pair in pairs:
-        print(
-            f"  {pair.budget_label:<6}{pair.qv_config.display_id}  <->  "
-            f"{pair.full_config.display_id}"
-        )
+    for budget, qv_id, full_id in pairs:
+        print(f"  {budget:<6}{qv_id}  <->  {full_id}")
     return 0
 
 

@@ -146,11 +146,11 @@ def scheme_wins(summary: list[AblationSummaryRow]) -> dict:
     f1_wins: Counter = Counter()
     grnd_wins: Counter = Counter()
     any_grnd = False
-    for row in summary:
-        f1_wins[parse_config_id(row.best_f1_config).scheme] += 1
+    for row in summary:  # a parsed id is (base, scheme, rank)
+        f1_wins[parse_config_id(row.best_f1_config)[1]] += 1
         if row.best_grnd_config is not None:
             any_grnd = True
-            grnd_wins[parse_config_id(row.best_grnd_config).scheme] += 1
+            grnd_wins[parse_config_id(row.best_grnd_config)[1]] += 1
     return {"f1": dict(f1_wins), "grnd": dict(grnd_wins) if any_grnd else None}
 
 

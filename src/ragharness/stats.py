@@ -48,9 +48,6 @@ class Interval:
         if self.lo > self.hi:
             raise StatsError(f"interval lo {self.lo} > hi {self.hi}")
 
-    def contains(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
 
 @dataclass(frozen=True)
 class DeltaEstimate:

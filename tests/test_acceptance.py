@@ -12,13 +12,7 @@ import pytest
 from ragharness import metrics
 from ragharness.cli import main
 from ragharness.ingest import ErrorLabel
-from ragharness.lora_grid import (
-    ModelDims,
-    enumerate_grid,
-    param_matched_pairs,
-    parse_config_id,
-    trainable_params,
-)
+from ragharness.lora_grid import display_id, enumerate_grid, param_matched_pairs, parse_config_id
 from ragharness.metrics import exact_match, normalize_answer, token_f1
 from ragharness.pareto import CostVector, ParetoPoint, pareto_front
 from ragharness.report import (
@@ -30,6 +24,13 @@ from ragharness.report import (
 from ragharness.retrieval import RankedList, fuse_rrf
 from ragharness.stats import ResamplePlan, bootstrap_ci, paired_bootstrap_delta
 from tests.conftest import SMOKE_WORKSPACE
+from tests.test_lora_grid import (
+    LLAMA_3B,
+    LLAMA_8B,
+    attention_dims,
+    pair_ranks,
+    trainable_params,
+)
 from tests.test_metrics import oracle_f1
 from tests.test_pareto import oracle_front, random_points
 
@@ -69,7 +70,7 @@ def test_criterion_02_training_fronts(training_front_rows):
     }
     assert vram_front == want_vram
     assert len(vram_front) == 8
-    assert all(parse_config_id(c).scheme == "qv_only" for c in time_front | vram_front)
+    assert all(parse_config_id(c)[1] == "qv_only" for c in time_front | vram_front)
     assert time.perf_counter() - start < 1.0
 
 
@@ -85,7 +86,7 @@ def test_criterion_03_ablation_summary(regime_tables):
     full_wins = {
         s.regime_id
         for s in summary
-        if parse_config_id(s.best_grnd_config).scheme == "full_attention"
+        if parse_config_id(s.best_grnd_config)[1] == "full_attention"
     }
     assert full_wins == {"07_sparse_only__neutral", "08_sparse_only__explicit_grounded"}
     assert time.perf_counter() - start < 1.0
@@ -94,29 +95,30 @@ def test_criterion_03_ablation_summary(regime_tables):
 def test_criterion_04_param_matched_pairing():
     start = time.perf_counter()
     grid = enumerate_grid(("3B", "8B"), (4, 8, 16, 32, 64))
-    pairs = param_matched_pairs(grid)
+    pairs = param_matched_pairs([display_id(*c) for c in grid])
     assert len(pairs) == 8
     for base in ("3B", "8B"):
-        ranks = sorted(
-            (p.qv_config.rank, p.full_config.rank)
-            for p in pairs
-            if p.qv_config.base_model == base
-        )
+        ranks = sorted(pair_ranks(p) for p in pairs if parse_config_id(p[1])[0] == base)
         assert ranks == [(8, 4), (16, 8), (32, 16), (64, 32)]
-    assert all(p.qv_config.rank != 4 for p in pairs)
-    dims = ModelDims.uniform(n_layers=4, d=32)
-    for pair in pairs:
-        assert trainable_params(dims, pair.qv_config.rank, "qv_only") == trainable_params(
-            dims, pair.full_config.rank, "full_attention"
-        )
+    assert all(pair_ranks(p)[0] != 4 for p in pairs)
+    # Equal counts on square projections and on the paper's grouped-query models.
+    for n_layers, hidden, kv_width in ((4, 32, None), LLAMA_3B, LLAMA_8B):
+        dims = attention_dims(hidden, kv_width)
+        for pair in pairs:
+            qv_rank, full_rank = pair_ranks(pair)
+            assert trainable_params(n_layers, dims, qv_rank, "qv_only") == trainable_params(
+                n_layers, dims, full_rank, "full_attention"
+            )
     assert time.perf_counter() - start < 1.0
 
 
-def test_criterion_05_grid_and_alpha_rule():
+def test_criterion_05_grid_and_alpha_rule(capsys):
     grid = enumerate_grid(("3B", "8B"), (4, 8, 16, 32, 64))
     assert len(grid) == 22
-    adapters = [c for c in grid if c.scheme != "baseline"]
-    assert {c.rank: c.lora_alpha for c in adapters} == {
+    # The listing's rank and alpha columns, one row per config.
+    assert main(["grid", "--bases", "3B,8B", "--ranks", "4,8,16,32,64"]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:23]]
+    assert {int(r[2]): int(r[3]) for r in rows if r[1] != "baseline"} == {
         4: 8, 8: 16, 16: 32, 32: 64, 64: 128
     }
 
@@ -238,7 +240,7 @@ def test_criterion_09_bootstrap_properties():
     for t in range(500):
         data = rng.normal(loc=0.3, scale=1.0, size=200)
         trial_iv = bootstrap_ci(data, ResamplePlan(n_resamples=1000, master_seed=t))
-        hits += trial_iv.contains(0.3)
+        hits += trial_iv.lo <= 0.3 <= trial_iv.hi
     coverage = hits / 500
     assert 0.92 <= coverage <= 0.97, f"coverage {coverage}"
     assert time.perf_counter() - start < 60.0

@@ -303,6 +303,28 @@ def test_grid_listing(capsys):
     assert "param-matched pairs (8):" in out
 
 
+def test_grid_listing_keeps_the_order_of_its_arguments(capsys):
+    """Configs and pairs list in the order --bases and --ranks give them."""
+    assert main(["grid", "--bases", "8B,3B", "--ranks", "8,4"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "base  scheme          rank  alpha config",
+        "8B    baseline                    8B baseline",
+        "8B    qv_only         8     16    8B r8 qv_only",
+        "8B    full_attention  8     16    8B r8 full_attention",
+        "8B    qv_only         4     8     8B r4 qv_only",
+        "8B    full_attention  4     8     8B r4 full_attention",
+        "3B    baseline                    3B baseline",
+        "3B    qv_only         8     16    3B r8 qv_only",
+        "3B    full_attention  8     16    3B r8 full_attention",
+        "3B    qv_only         4     8     3B r4 qv_only",
+        "3B    full_attention  4     8     3B r4 full_attention",
+        "",
+        "param-matched pairs (2):",
+        "  32d   8B r8 qv_only  <->  8B r4 full_attention",
+        "  32d   3B r8 qv_only  <->  3B r4 full_attention",
+    ]
+
+
 def test_grid_listing_base_column_fits_the_longest_base(capsys):
     assert main(["grid", "--ranks", "4", "--bases", "3B,8B"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -325,8 +347,12 @@ def test_grid_listing_base_column_fits_the_longest_base(capsys):
         (["--ranks", "4,4"], "duplicate grid cell ('3B', 4, 'qv_only')"),
         (["--bases", ","], "base model name must be nonempty"),
         (["--bases", "Llama 3B"], "base model name must hold no whitespace, got 'Llama 3B'"),
+        (["--bases", "3B", "--ranks", "9" * 4300], "rank must have at most 100 digits"),
     ],
-    ids=["rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty", "base_with_space"],
+    ids=[
+        "rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty", "base_with_space",
+        "rank_4300_digits",
+    ],
 )
 def test_grid_bad_arguments_exit_1_with_one_line(capsys, argv, message):
     assert main(["grid", *argv]) == 1
@@ -544,6 +570,9 @@ def _rename_config(old, new):
 
 # 8B r64 qv_only is the best config by F1, so report names its scheme.
 _config_id_without_scheme = _rename_config("8B r64 qv_only", "custom-8b")
+# A param-matched pair whose ranks have 4,300 digits, too many for a config id.
+HUGE_QV = "3B r" + "8" * 4300 + " qv_only"
+HUGE_FULL = "3B r" + "4" * 4300 + " full_attention"
 
 
 def _embedding(table, vid, edit):
@@ -1098,6 +1127,14 @@ SHA256_NOT_STRING = (
             ["stats"],
             "cannot parse scheme from config id '3B r08 qv_only'",
         ),
+        *(
+            (
+                _all(_rename_config(QV, HUGE_QV), _rename_config(FULL, HUGE_FULL)),
+                [command],
+                f"cannot parse scheme from config id {HUGE_FULL!r}",
+            )
+            for command in ("validate", "stats")
+        ),
         (_judge_correctness(0), ["validate"], "judge.jsonl:1: correctness out of 1..5: 0"),
         (
             _edit_rows("judge.jsonl", lambda rows: rows[0].update(groundedness=6)),
@@ -1269,6 +1306,7 @@ SHA256_NOT_STRING = (
         "run_regime_escape_validate", "run_regime_escape_stats",
         "config_id_without_scheme_validate", "config_id_trailing_space_validate",
         "config_id_trailing_space_stats", "config_id_rank_leading_zero_stats",
+        "config_id_rank_4300_digits_validate", "config_id_rank_4300_digits_stats",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
         "corpus_without_token_validate", "corpus_without_token_retrieve",
         *(
@@ -1379,6 +1417,20 @@ def test_param_matched_pairs_follow_config_ids(workspace):
         ["01_base__neutral", "512d", "1B r128 qv_only", "1B r64 full_attention"],
         ["01_base__neutral", "32d", QV, FULL],
         ["01_base__neutral", "pooled", "", ""],
+    ]
+
+
+def test_param_matched_pairs_read_a_base_of_any_length(workspace):
+    """A base whose digit run is too long for int() still sorts and pairs."""
+    base = "1" * 5000 + "B"
+    _rename_config(QV, f"{base} r8 qv_only")(workspace)
+    _rename_config(FULL, f"{base} r4 full_attention")(workspace)
+    assert run(workspace, "validate") == 0
+    assert run(workspace, "stats") == 0
+    text = (workspace / "out" / "param_matched.csv").read_text(encoding="utf-8")
+    rows = [line.split(",")[:4] for line in text.splitlines()[1:]]
+    assert rows == [
+        ["01_base__neutral", "32d", f"{base} r8 qv_only", f"{base} r4 full_attention"],
     ]
 
 

