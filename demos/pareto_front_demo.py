@@ -4,7 +4,7 @@ print which points survive on each cost axis.
 Run: python3 demos/pareto_front_demo.py
 """
 
-from ragharness.pareto import CostVector, ParetoPoint, pareto_front
+from ragharness.pareto import ParetoPoint, pareto_front
 
 SWEEP = [
     # (config, F1, latency s, training minutes)
@@ -20,7 +20,7 @@ SWEEP = [
 
 def main():
     points = [
-        ParetoPoint(name, f1, CostVector(latency=lat, training_time=train))
+        ParetoPoint(name, f1, {"latency": lat, "training_time": train})
         for name, f1, lat, train in SWEEP
     ]
 
@@ -28,7 +28,7 @@ def main():
         front = pareto_front(points, axes)
         print(f"front on {' + '.join(axes)}:")
         for p in front:
-            costs = ", ".join(f"{ax}={p.costs.get(ax):.3g}" for ax in axes)
+            costs = ", ".join(f"{ax}={p.costs[ax]:.3g}" for ax in axes)
             print(f"  {p.config_id:<16} F1={p.quality:.3f}  {costs}")
         print()
 

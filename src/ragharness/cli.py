@@ -675,7 +675,7 @@ def _param_matched(run_set) -> dict:
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     from . import report
-    from .pareto import COST_AXES, CostVector, ParetoPoint, pareto_front
+    from .pareto import COST_AXES, ParetoPoint, pareto_front
 
     axes = tuple(args.axes.split(","))
     for i, axis in enumerate(axes):
@@ -696,13 +696,14 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
         points = []
         for r in rows:
             profile = costs.get(r.config_id)
-            cost = CostVector(
-                latency=r.latency,
-                inference_vram=r.inference_vram,
-                training_time=profile.training_time if profile else None,
-                training_vram=profile.training_vram if profile else None,
-            )
-            absent = [axis for axis in axes if getattr(cost, axis) is None]
+            cost = {
+                "latency": r.latency,
+                "inference_vram": r.inference_vram,
+                "training_time": profile.training_time if profile else None,
+                "training_vram": profile.training_vram if profile else None,
+            }
+            cost = {axis: val for axis, val in cost.items() if val is not None}
+            absent = [axis for axis in axes if axis not in cost]
             if absent:
                 raise WorkspaceError(
                     f"regime {regime_id!r}: config {r.config_id!r} has no {absent[0]!r} cost"
@@ -746,17 +747,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
         ws.out / "ablation_summary.csv",
         ["regime", "best_f1_config", "best_f1",
          "best_grnd_config", "best_grnd", "same_point"],
-        (
-            [
-                row.regime_id,
-                row.best_f1_config,
-                row.best_f1_row.f1,
-                row.best_grnd_config,
-                row.best_grnd_row.grnd_pass if row.best_grnd_row else None,
-                int(row.same_point),
-            ]
-            for row in summary
-        ),
+        summary,
     )
     _write_json(ws.out / "scheme_wins.json", wins)
     k_tables = {}
@@ -768,11 +759,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
         report.write_csv(
             ws.out / "topk_summary.csv",
             ["k", "best_config", "best_f1", "latency", "front"],
-            (
-                [r.eval_top_k, r.best_config, r.best_f1, r.best_latency,
-                 ";".join(r.front_configs)]
-                for r in report.topk_summary(k_tables)
-            ),
+            report.topk_summary(k_tables),
         )
     if error_counts is not None:
         _write_json(ws.out / "error_counts.json", error_counts)

@@ -114,11 +114,6 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def file_checksum(path) -> str:
-    """The hex sha256 of the file at `path`, as a manifest entry records it."""
-    return _sha256(Path(path).read_bytes())
-
-
 def read_json(path, error=IngestError) -> dict:
     """The JSON object that makes up a whole file. Bytes that are not UTF-8,
     malformed JSON and a document that is not an object are `error`s naming
@@ -127,7 +122,7 @@ def read_json(path, error=IngestError) -> dict:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
         raise error(f"{path}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise error(f"{path}: malformed JSON: nested too deeply") from exc
@@ -166,7 +161,7 @@ def _parse_rows(path, lines, build, error):
         if end != len(line):
             try:
                 row = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
                 raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
             except RecursionError as exc:
                 raise error(f"{path}:{lineno}: malformed line: nested too deeply") from exc
@@ -340,7 +335,13 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                 run.exact.append(exact)
     grouped: dict[str, dict[str, Run]] = {}
     for config_id, regime_id in sorted(groups, key=lambda key: (key[1], key[0])):
-        grouped.setdefault(regime_id, {})[config_id] = groups[config_id, regime_id][0]
+        run = grouped.setdefault(regime_id, {})[config_id] = groups[config_id, regime_id][0]
+        # The sum a regime table's mean latency divides: each latency is
+        # finite, but their sum may not be.
+        if not math.isfinite(sum(run.latencies)):
+            raise IngestError(
+                f"({config_id}, {regime_id}): latency_s values sum to more than a float holds"
+            )
     # The judge rows left in the index matched no record; their line numbers
     # give back the file order.
     unmatched = sorted(

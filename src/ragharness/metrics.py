@@ -1,6 +1,5 @@
 """Per-record quality metrics: answer normalization, token-level F1, exact
-match, judge pass rates, and the per-record scorer that the run-set loader
-calls."""
+match, and the per-record scorer that the run-set loader calls."""
 
 from __future__ import annotations
 
@@ -74,19 +73,6 @@ def _pair_f1(prediction: str, gold: str) -> float:
 def exact_match(prediction: str, gold: str) -> bool:
     """Normalised equality; it reuses the tokens `token_f1` memoised."""
     return normalize_answer(prediction) == normalize_answer(gold)
-
-
-def pass_at_threshold(scores, threshold: int = 4) -> float:
-    """Fraction of judge scores >= threshold."""
-    scores = list(scores)
-    if not scores:
-        raise MetricsError("score list must be nonempty")
-    if not 1 <= threshold <= 5:
-        raise MetricsError(f"threshold must be in 1..5, got {threshold}")
-    for s in scores:
-        if not 1 <= s <= 5:
-            raise MetricsError(f"judge score out of 1..5: {s}")
-    return sum(1 for s in scores if s >= threshold) / len(scores)
 
 
 def scorer(gold_answers: dict):

@@ -7,7 +7,7 @@ the front.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from math import isfinite
 
 from .errors import HarnessError
@@ -20,42 +20,27 @@ class ParetoError(HarnessError):
 
 
 @dataclass(frozen=True)
-class CostVector:
-    latency: float | None = None
-    inference_vram: float | None = None
-    training_time: float | None = None
-    training_vram: float | None = None
-
-    def __post_init__(self):
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if val is not None and (not isfinite(val) or val < 0):
-                raise ParetoError(f"cost axis {f.name} must be finite and >= 0")
-
-    def get(self, axis: str) -> float:
-        if axis not in COST_AXES:
-            raise ParetoError(f"unknown cost axis {axis!r}")
-        val = getattr(self, axis)
-        if val is None:
-            raise ParetoError(f"cost axis {axis!r} is absent")
-        return val
-
-
-@dataclass(frozen=True)
 class ParetoPoint:
     config_id: str
     quality: float
-    costs: CostVector
+    # cost axis -> value; an axis the point has no cost for is left out.
+    costs: dict
     regime_id: str = ""
 
     def __post_init__(self):
         if not isfinite(self.quality):
             raise ParetoError(f"quality must be finite, got {self.quality}")
+        for axis, val in self.costs.items():
+            if axis not in COST_AXES:
+                raise ParetoError(f"unknown cost axis {axis!r}")
+            if not isfinite(val) or val < 0:
+                raise ParetoError(f"cost axis {axis} must be finite and >= 0")
 
 
 def dominates(a: ParetoPoint, b: ParetoPoint, axes) -> bool:
     """True iff `a` is at least as good as `b` everywhere and strictly better
-    somewhere (quality maximized, costs minimized)."""
+    somewhere (quality maximized, costs minimized). Both points must carry
+    every axis of `axes`, as `pareto_front` checks."""
     axes = tuple(axes)
     if not axes:
         raise ParetoError("at least one cost axis is required")
@@ -63,7 +48,7 @@ def dominates(a: ParetoPoint, b: ParetoPoint, axes) -> bool:
     if a.quality < b.quality:
         return False
     for axis in axes:
-        ca, cb = a.costs.get(axis), b.costs.get(axis)
+        ca, cb = a.costs[axis], b.costs[axis]
         if ca > cb:
             return False
         if ca < cb:
@@ -73,14 +58,22 @@ def dominates(a: ParetoPoint, b: ParetoPoint, axes) -> bool:
 
 def pareto_front(points: list[ParetoPoint], axes) -> list[ParetoPoint]:
     """All points not dominated by any other point, ordered by the primary
-    (first) cost axis, then config_id."""
+    (first) cost axis, then config_id. Each axis must be a known one that
+    every point carries."""
     if not points:
         raise ParetoError("points must be nonempty")
     axes = tuple(axes)
+    if not axes:
+        raise ParetoError("at least one cost axis is required")
+    for axis in axes:
+        if axis not in COST_AXES:
+            raise ParetoError(f"unknown cost axis {axis!r}")
+        if any(axis not in p.costs for p in points):
+            raise ParetoError(f"cost axis {axis!r} is absent")
     front = [
         p
         for p in points
         if not any(dominates(q, p, axes) for q in points if q is not p)
     ]
-    front.sort(key=lambda p: (p.costs.get(axes[0]), p.config_id))
+    front.sort(key=lambda p: (p.costs[axes[0]], p.config_id))
     return front

@@ -12,8 +12,7 @@ from typing import TYPE_CHECKING
 
 from .errors import HarnessError
 from .ingest import ERROR_CLASSES, ErrorLabel
-from .metrics import pass_at_threshold
-from .pareto import CostVector, ParetoPoint, pareto_front
+from .pareto import ParetoPoint, pareto_front
 
 # `stats` loads numpy, so it is imported only inside `regime_table`: error
 # labels and the other tables load without it.
@@ -40,26 +39,6 @@ class RegimeRow:
     n: int = 0
 
 
-@dataclass(frozen=True)
-class AblationSummaryRow:
-    regime_id: str
-    best_f1_row: RegimeRow
-    # None when no config in the regime has judge scores.
-    best_grnd_row: RegimeRow | None
-
-    @property
-    def best_f1_config(self) -> str:
-        return self.best_f1_row.config_id
-
-    @property
-    def best_grnd_config(self) -> str | None:
-        return self.best_grnd_row.config_id if self.best_grnd_row else None
-
-    @property
-    def same_point(self) -> bool:
-        return self.best_f1_config == self.best_grnd_config
-
-
 def regime_table(
     runs: dict,
     cost_profiles: dict,
@@ -68,7 +47,9 @@ def regime_table(
 ) -> list[RegimeRow]:
     """One row per config of one regime, in the order of `runs`, which maps
     config_id -> scored `ingest.Run` as `RunSet.runs` holds each regime's
-    runs (ascending config id). Every sum runs in record order."""
+    runs (ascending config id). Every sum runs in record order. A pass rate
+    is the mean of its 0/1 flags, each partial sum an integer, so it equals
+    the count of passes over n."""
     from .stats import bootstrap_ci
 
     if not runs:
@@ -76,18 +57,12 @@ def regime_table(
     rows: list[RegimeRow] = []
     for config_id, run in runs.items():
         n = len(run)
-        grnd = [g for g in run.groundedness if g is not None]
+        grnd = [1.0 if g >= pass_threshold else 0.0 for g in run.groundedness if g is not None]
         grnd_pass = grnd_interval = corr_pass = corr_interval = None
         if grnd:
-            corr = [c for c in run.correctness if c is not None]
-            grnd_pass = pass_at_threshold(grnd, pass_threshold)
-            corr_pass = pass_at_threshold(corr, pass_threshold)
-            grnd_interval = bootstrap_ci(
-                [1.0 if g >= pass_threshold else 0.0 for g in grnd], plan
-            )
-            corr_interval = bootstrap_ci(
-                [1.0 if c >= pass_threshold else 0.0 for c in corr], plan
-            )
+            corr = [1.0 if c >= pass_threshold else 0.0 for c in run.correctness if c is not None]
+            grnd_pass, grnd_interval = sum(grnd) / len(grnd), bootstrap_ci(grnd, plan)
+            corr_pass, corr_interval = sum(corr) / len(corr), bootstrap_ci(corr, plan)
         profile = cost_profiles.get(config_id)
         vram = profile.inference_vram_for(run.regime_id) if profile else None
         rows.append(
@@ -113,29 +88,32 @@ def _best(rows: list[RegimeRow], key) -> RegimeRow:
     return min(rows, key=lambda r: (-key(r), r.config_id))
 
 
-def ablation_summary(tables: dict) -> list[AblationSummaryRow]:
-    """Per regime: best-F1 and best-groundedness configs by point estimate.
-    `tables` maps regime id -> list of RegimeRow. Row order within a table
-    does not matter."""
+def ablation_summary(tables: dict) -> list[list]:
+    """The rows of `ablation_summary.csv`, one per regime in id order: [regime,
+    best_f1_config, best_f1, best_grnd_config, best_grnd, same_point], the
+    best-F1 and best-groundedness configs by point estimate, the grnd cells
+    None when no config of the regime has judge scores. `tables` maps regime
+    id -> list of RegimeRow. Row order within a table does not matter."""
     if not tables:
         raise ReportError("at least one regime table is required")
-    summary: list[AblationSummaryRow] = []
+    summary = []
     for regime_id in sorted(tables):
         rows = tables[regime_id]
         if not rows:
             raise ReportError(f"regime table {regime_id!r} is empty")
+        best_f1 = _best(rows, lambda r: r.f1)
         judged = [r for r in rows if r.grnd_pass is not None]
-        summary.append(
-            AblationSummaryRow(
-                regime_id=regime_id,
-                best_f1_row=_best(rows, lambda r: r.f1),
-                best_grnd_row=_best(judged, lambda r: r.grnd_pass) if judged else None,
-            )
-        )
+        best_grnd = _best(judged, lambda r: r.grnd_pass) if judged else None
+        grnd_config = best_grnd.config_id if best_grnd else None
+        summary.append([
+            regime_id, best_f1.config_id, best_f1.f1,
+            grnd_config, best_grnd.grnd_pass if best_grnd else None,
+            int(best_f1.config_id == grnd_config),
+        ])
     return summary
 
 
-def scheme_wins(summary: list[AblationSummaryRow]) -> dict:
+def scheme_wins(summary: list[list]) -> dict:
     """Counts of regimes won by each scheme, per criterion. The grnd column
     is absent (None) when no regime had judge scores."""
     # Imported here: the pareto command imports this module but reads no id.
@@ -146,52 +124,34 @@ def scheme_wins(summary: list[AblationSummaryRow]) -> dict:
     f1_wins: Counter = Counter()
     grnd_wins: Counter = Counter()
     any_grnd = False
-    for row in summary:  # a parsed id is (base, scheme, rank)
-        f1_wins[parse_config_id(row.best_f1_config)[1]] += 1
-        if row.best_grnd_config is not None:
+    for _, best_f1_config, _, best_grnd_config, *_ in summary:
+        # A parsed id is (base, scheme, rank).
+        f1_wins[parse_config_id(best_f1_config)[1]] += 1
+        if best_grnd_config is not None:
             any_grnd = True
-            grnd_wins[parse_config_id(row.best_grnd_config)[1]] += 1
+            grnd_wins[parse_config_id(best_grnd_config)[1]] += 1
     return {"f1": dict(f1_wins), "grnd": dict(grnd_wins) if any_grnd else None}
 
 
-@dataclass(frozen=True)
-class TopKRow:
-    eval_top_k: int
-    best_config: str
-    best_f1: float
-    best_latency: float
-    front_configs: tuple[str, ...]
-
-
-def topk_summary(tables_by_k: dict) -> list[TopKRow]:
-    """Sensitivity to the context budget k. `tables_by_k` maps eval_top_k ->
-    list of RegimeRow; the runtime front is (F1, latency)."""
+def topk_summary(tables_by_k: dict) -> list[list]:
+    """The rows of `topk_summary.csv`, one per k in ascending order: [k,
+    best_config, best_f1, latency, front], the front being the config ids of
+    the runtime (F1, latency) front, sorted and joined by ';'. `tables_by_k`
+    maps eval_top_k -> list of RegimeRow."""
     if len(tables_by_k) < 2:
         raise ReportError("need tables for at least two k values")
-    rows: list[TopKRow] = []
+    rows = []
     for k in sorted(tables_by_k):
         table = tables_by_k[k]
         if not table:
             raise ReportError(f"table for k={k} is empty")
         best = _best(table, lambda r: r.f1)
-        points = [
-            ParetoPoint(
-                config_id=r.config_id,
-                quality=r.f1,
-                costs=CostVector(latency=r.latency),
-            )
-            for r in table
-        ]
+        points = [ParetoPoint(r.config_id, r.f1, {"latency": r.latency}) for r in table]
         front = pareto_front(points, axes=("latency",))
-        rows.append(
-            TopKRow(
-                eval_top_k=k,
-                best_config=best.config_id,
-                best_f1=best.f1,
-                best_latency=best.latency,
-                front_configs=tuple(sorted(p.config_id for p in front)),
-            )
-        )
+        rows.append([
+            k, best.config_id, best.f1, best.latency,
+            ";".join(sorted(p.config_id for p in front)),
+        ])
     return rows
 
 
@@ -256,7 +216,7 @@ def emit_front_data(points: list[ParetoPoint], front: list[ParetoPoint], destina
                 p.config_id,
                 p.regime_id,
                 p.quality,
-                *(p.costs.get(ax) for ax in axes),
+                *(p.costs[ax] for ax in axes),
                 int((p.config_id, p.regime_id) in on_front),
             ]
             for p in sorted(points, key=lambda p: (p.config_id, p.regime_id))

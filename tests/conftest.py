@@ -1,14 +1,20 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from ragharness.ingest import file_checksum
 from ragharness.report import RegimeRow
 from ragharness.stats import Interval
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_WORKSPACE = Path(__file__).parent / "data" / "smoke_workspace"
+
+
+def file_checksum(path) -> str:
+    """The hex sha256 of the file at `path`, as a run manifest entry records
+    it."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def refresh_dataset_checksums(workspace):

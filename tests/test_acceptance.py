@@ -14,7 +14,7 @@ from ragharness.cli import main
 from ragharness.ingest import ErrorLabel
 from ragharness.lora_grid import display_id, enumerate_grid, param_matched_pairs, parse_config_id
 from ragharness.metrics import exact_match, normalize_answer, token_f1
-from ragharness.pareto import CostVector, ParetoPoint, pareto_front
+from ragharness.pareto import ParetoPoint, pareto_front
 from ragharness.report import (
     ablation_summary,
     error_counts,
@@ -40,7 +40,7 @@ def test_criterion_01_pareto_runtime_front(regime_tables):
     rows = regime_tables["01_base__neutral"]
     assert len(rows) == 22
     points = [
-        ParetoPoint(r.config_id, r.f1, CostVector(latency=r.latency)) for r in rows
+        ParetoPoint(r.config_id, r.f1, {"latency": r.latency}) for r in rows
     ]
     front = {p.config_id for p in pareto_front(points, ("latency",))}
     assert front == {"3B r64 qv_only", "8B r64 qv_only"}
@@ -53,7 +53,7 @@ def test_criterion_02_training_fronts(training_front_rows):
         ParetoPoint(
             r["config"],
             r["f1"],
-            CostVector(training_time=r["train_min"], training_vram=r["train_vram_gb"]),
+            {"training_time": r["train_min"], "training_vram": r["train_vram_gb"]},
         )
         for r in training_front_rows
     ]
@@ -78,15 +78,15 @@ def test_criterion_03_ablation_summary(regime_tables):
     start = time.perf_counter()
     summary = ablation_summary(regime_tables)
     assert len(summary) == 10
-    assert all(s.best_f1_config == "8B r64 qv_only" for s in summary)
-    assert all(s.same_point is False for s in summary)
+    assert all(best_f1_config == "8B r64 qv_only" for _, best_f1_config, *_ in summary)
+    assert all(same_point == 0 for *_, same_point in summary)
     wins = scheme_wins(summary)
     assert wins["f1"] == {"qv_only": 10}
     assert wins["grnd"] == {"qv_only": 8, "full_attention": 2}
     full_wins = {
-        s.regime_id
-        for s in summary
-        if parse_config_id(s.best_grnd_config)[1] == "full_attention"
+        regime_id
+        for regime_id, _, _, best_grnd_config, _, _ in summary
+        if parse_config_id(best_grnd_config)[1] == "full_attention"
     }
     assert full_wins == {"07_sparse_only__neutral", "08_sparse_only__explicit_grounded"}
     assert time.perf_counter() - start < 1.0
@@ -267,14 +267,14 @@ def test_criterion_10_error_taxonomy(error_label_records):
 
 def test_criterion_11_topk_summary(topk_tables):
     rows = topk_summary(topk_tables)
-    by_k = {r.eval_top_k: r for r in rows}
-    assert by_k[1].best_f1 == 0.600 and by_k[1].best_latency == 0.604
-    assert by_k[2].best_f1 == 0.617 and by_k[2].best_latency == 0.655
-    assert by_k[4].best_f1 == 0.632 and by_k[4].best_latency == 0.719
-    assert all(r.best_config == "8B r64 qv_only" for r in rows)
-    assert by_k[1].front_configs == ("8B r64 qv_only",)
-    assert by_k[2].front_configs == ("3B r64 qv_only", "8B r64 qv_only")
-    assert by_k[4].front_configs == ("3B r64 qv_only", "8B r64 qv_only")
+    by_k = {k: (best_f1, latency, front) for k, _, best_f1, latency, front in rows}
+    assert by_k[1][:2] == (0.600, 0.604)
+    assert by_k[2][:2] == (0.617, 0.655)
+    assert by_k[4][:2] == (0.632, 0.719)
+    assert all(best_config == "8B r64 qv_only" for _, best_config, *_ in rows)
+    assert by_k[1][2] == "8B r64 qv_only"
+    assert by_k[2][2] == "3B r64 qv_only;8B r64 qv_only"
+    assert by_k[4][2] == "3B r64 qv_only;8B r64 qv_only"
 
 
 def test_criterion_12_end_to_end_smoke(tmp_path):

@@ -11,8 +11,8 @@ import pytest
 
 from ragharness import cli, metrics, retrieval
 from ragharness.cli import load_workspace, main
-from ragharness.ingest import Run, RunSet, file_checksum
-from tests.conftest import SMOKE_WORKSPACE, refresh_dataset_checksums
+from ragharness.ingest import Run, RunSet
+from tests.conftest import SMOKE_WORKSPACE, file_checksum, refresh_dataset_checksums
 
 QV = "3B r8 qv_only"
 FULL = "3B r4 full_attention"
@@ -44,6 +44,11 @@ def write_run(workspace, config, records):
     path.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in records), encoding="utf-8"
     )
+    record_checksum(workspace, path)
+
+
+def record_checksum(workspace, path):
+    """Record the sha256 of the run file at `path` in the manifest."""
     manifest_path = workspace / "runs" / "manifest.json"
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     files = {e["path"]: e for e in manifest["files"]}
@@ -477,6 +482,38 @@ def _inf_latency(workspace):
     records = read_run(workspace, QV)
     records[0]["latency_s"] = float("inf")
     write_run(workspace, QV, records)
+
+
+def _latencies_summing_past_floats(workspace):
+    """Every latency of the 3B baseline is 1e308, finite as each value must
+    be, but their sum is not."""
+    write_run(
+        workspace, "3B baseline",
+        [dict(r, latency_s=1e308) for r in read_run(workspace, "3B baseline")],
+    )
+
+
+LATENCY_SUM_NOT_FINITE = (
+    "(3B baseline, 01_base__neutral): latency_s values sum to more than a float holds"
+)
+
+
+def _long_int_literal(name):
+    """Give the first row of `name` a field holding an integer literal of
+    5,000 digits, more than Python converts from text by default; the
+    manifest takes a run file's new checksum."""
+
+    def write(workspace):
+        path = workspace / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace("{", '{"extra": ' + "1" * 5000 + ", ", 1), encoding="utf-8")
+        if path.parent.name == "runs":
+            record_checksum(workspace, path)
+
+    return write
+
+
+LONG_INT = "Exceeds the limit (4300 digits) for integer string conversion"
 
 
 def _edit_json(name, edit):
@@ -1257,6 +1294,30 @@ SHA256_NOT_STRING = (
             ["stats"],
             "workspace.json: regime '01_base__neutral': unknown key 'k_rrf'",
         ),
+        (_latencies_summing_past_floats, ["validate"], LATENCY_SUM_NOT_FINITE),
+        (_latencies_summing_past_floats, ["stats"], LATENCY_SUM_NOT_FINITE),
+        (_latencies_summing_past_floats, ["pareto"], LATENCY_SUM_NOT_FINITE),
+        (_latencies_summing_past_floats, ["report"], LATENCY_SUM_NOT_FINITE),
+        (
+            _long_int_literal("judge.jsonl"),
+            ["validate"],
+            f"judge.jsonl:1: malformed line: {LONG_INT}",
+        ),
+        (
+            _long_int_literal(FIRST_RUN_FILE),
+            ["validate"],
+            f"{FIRST_RUN_FILE}:1: malformed line: {LONG_INT}",
+        ),
+        (
+            _long_int_literal("workspace.json"),
+            ["validate"],
+            f"workspace.json: malformed JSON: {LONG_INT}",
+        ),
+        (
+            _long_int_literal("embeddings.json"),
+            ["retrieve"],
+            f"embeddings.json: malformed JSON: {LONG_INT}",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1321,6 +1382,10 @@ SHA256_NOT_STRING = (
         "chunk_doc_id_number_retrieve", "token_count_negative_validate",
         "label_class_null_report", "two_faults_validate", "unknown_key_validate", "unknown_key_stats",
         "root_key_validate", "regime_unknown_key_validate", "regime_unknown_key_stats",
+        "latency_sum_overflow_validate", "latency_sum_overflow_stats",
+        "latency_sum_overflow_pareto", "latency_sum_overflow_report",
+        "judge_long_int_validate", "run_long_int_validate",
+        "workspace_long_int_validate", "embeddings_long_int_retrieve",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

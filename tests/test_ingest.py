@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 
@@ -10,7 +9,6 @@ from ragharness.ingest import (
     CostProfile,
     ErrorLabel,
     IngestError,
-    file_checksum,
     load_cost_profile,
     load_labels,
     load_runs,
@@ -18,6 +16,7 @@ from ragharness.ingest import (
     read_rows,
 )
 from ragharness.metrics import exact_match, scorer, token_f1
+from tests.conftest import file_checksum
 
 
 def write_run_set(root, records, tamper=False):
@@ -115,14 +114,6 @@ def test_load_runs_rejects_unverifiable_manifest(tmp_path, edit, message):
     with pytest.raises(IngestError, match="manifest.json: ") as excinfo:
         load_runs(runs)
     assert message in str(excinfo.value)
-
-
-@pytest.mark.parametrize("size", [0, 3 * 65536 + 17], ids=["empty", "over_64KiB"])
-def test_file_checksum_is_sha256_of_the_bytes(tmp_path, size):
-    path = tmp_path / "blob"
-    data = random.Random(size).randbytes(size)
-    path.write_bytes(data)
-    assert file_checksum(path) == hashlib.sha256(data).hexdigest()
 
 
 def write_scores(path, rows):

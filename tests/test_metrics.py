@@ -9,7 +9,6 @@ from ragharness.metrics import (
     MetricsError,
     exact_match,
     normalize_answer,
-    pass_at_threshold,
     scorer,
     token_f1,
 )
@@ -91,15 +90,6 @@ def test_normalize_idempotent():
 def test_exact_match_is_normalized_equality():
     assert exact_match("The port 6443.", "port 6443")
     assert not exact_match("port 6444", "port 6443")
-
-
-def test_pass_at_threshold():
-    assert pass_at_threshold([5, 4, 3, 2], threshold=4) == 0.5
-    assert pass_at_threshold([5, 5], threshold=4) == 1.0
-    with pytest.raises(MetricsError):
-        pass_at_threshold([])
-    with pytest.raises(MetricsError):
-        pass_at_threshold([6])
 
 
 def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from ragharness.pareto import (
     COST_AXES,
-    CostVector,
     ParetoError,
     ParetoPoint,
     dominates,
@@ -21,10 +20,10 @@ def oracle_front(points, axes):
             if i == j:
                 continue
             at_least_as_good = q.quality >= p.quality and all(
-                q.costs.get(ax) <= p.costs.get(ax) for ax in axes
+                q.costs[ax] <= p.costs[ax] for ax in axes
             )
             strictly_better = q.quality > p.quality or any(
-                q.costs.get(ax) < p.costs.get(ax) for ax in axes
+                q.costs[ax] < p.costs[ax] for ax in axes
             )
             if at_least_as_good and strictly_better:
                 dominated = True
@@ -43,7 +42,7 @@ def random_points(rng, n, n_axes):
             ParetoPoint(
                 config_id=f"p{i:03d}",
                 quality=rng.choice([0.2, 0.4, 0.4, 0.6, 0.8]),
-                costs=CostVector(**costs),
+                costs=costs,
             )
         )
     return points, axes
@@ -75,9 +74,9 @@ def test_front_points_mutually_non_dominating():
 
 
 def test_equal_points_both_stay_on_front():
-    a = ParetoPoint("a", 0.6, CostVector(latency=0.5))
-    b = ParetoPoint("b", 0.6, CostVector(latency=0.5))
-    worse = ParetoPoint("c", 0.5, CostVector(latency=0.9))
+    a = ParetoPoint("a", 0.6, {"latency": 0.5})
+    b = ParetoPoint("b", 0.6, {"latency": 0.5})
+    worse = ParetoPoint("c", 0.5, {"latency": 0.9})
     front = pareto_front([a, b, worse], ("latency",))
     assert [p.config_id for p in front] == ["a", "b"]
     assert not dominates(a, b, ("latency",))
@@ -85,36 +84,55 @@ def test_equal_points_both_stay_on_front():
 
 
 def test_dominates_requires_strictness():
-    better = ParetoPoint("x", 0.7, CostVector(latency=0.4))
-    worse = ParetoPoint("y", 0.6, CostVector(latency=0.4))
+    better = ParetoPoint("x", 0.7, {"latency": 0.4})
+    worse = ParetoPoint("y", 0.6, {"latency": 0.4})
     assert dominates(better, worse, ("latency",))
     assert not dominates(worse, better, ("latency",))
 
 
 def test_single_point_front():
-    p = ParetoPoint("solo", 0.5, CostVector(latency=1.0))
+    p = ParetoPoint("solo", 0.5, {"latency": 1.0})
     assert pareto_front([p], ("latency",)) == [p]
 
 
 def test_front_sorted_by_primary_axis():
     points = [
-        ParetoPoint("slow", 0.9, CostVector(latency=0.9)),
-        ParetoPoint("fast", 0.5, CostVector(latency=0.2)),
-        ParetoPoint("mid", 0.7, CostVector(latency=0.5)),
+        ParetoPoint("slow", 0.9, {"latency": 0.9}),
+        ParetoPoint("fast", 0.5, {"latency": 0.2}),
+        ParetoPoint("mid", 0.7, {"latency": 0.5}),
     ]
     front = pareto_front(points, ("latency",))
     assert [p.config_id for p in front] == ["fast", "mid", "slow"]
 
 
 def test_errors():
-    p = ParetoPoint("p", 0.5, CostVector(latency=1.0))
-    with pytest.raises(ParetoError):
+    p = ParetoPoint("p", 0.5, {"latency": 1.0})
+    with pytest.raises(ParetoError, match="points must be nonempty"):
         pareto_front([], ("latency",))
-    with pytest.raises(ParetoError):
+    with pytest.raises(ParetoError, match="at least one cost axis"):
         dominates(p, p, ())
-    with pytest.raises(ParetoError):
-        p.costs.get("training_time")  # axis absent
-    with pytest.raises(ParetoError):
-        p.costs.get("bogus_axis")
-    with pytest.raises(ParetoError):
-        CostVector(latency=-1.0)
+    with pytest.raises(ParetoError, match="at least one cost axis"):
+        pareto_front([p], ())
+    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+        pareto_front([p], ("training_time",))
+    with pytest.raises(ParetoError, match="^unknown cost axis 'bogus_axis'$"):
+        pareto_front([p], ("bogus_axis",))
+    with pytest.raises(ParetoError, match="^unknown cost axis 'bogus_axis'$"):
+        ParetoPoint("p", 0.5, {"bogus_axis": 1.0})
+    for bad in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ParetoError, match="^cost axis latency must be finite and >= 0$"):
+            ParetoPoint("p", 0.5, {"latency": bad})
+    with pytest.raises(ParetoError, match="quality must be finite"):
+        ParetoPoint("p", float("nan"), {"latency": 1.0})
+
+
+def test_an_axis_one_point_lacks_is_absent_for_the_whole_front():
+    """The axis check runs once per front, over every point, so a point
+    lacking an axis fails the front even where no dominance test reads it."""
+    full = ParetoPoint("full", 0.9, {"latency": 0.1, "training_time": 1.0})
+    partial = ParetoPoint("partial", 0.1, {"latency": 0.9})
+    assert pareto_front([full, partial], ("latency",)) == [full]
+    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+        pareto_front([full, partial], ("latency", "training_time"))
+    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+        pareto_front([partial], ("training_time",))

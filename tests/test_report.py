@@ -7,7 +7,7 @@ import pytest
 from ragharness.ingest import ERROR_CLASSES, ErrorLabel, Run, RunSet
 from ragharness.lora_grid import parse_config_id
 from ragharness.metrics import scorer, token_f1
-from ragharness.pareto import CostVector, ParetoPoint, pareto_front
+from ragharness.pareto import ParetoPoint, pareto_front
 from ragharness.report import (
     RegimeRow,
     ReportError,
@@ -102,6 +102,24 @@ def test_regime_table_pass_rates_match_direct_recomputation():
     assert strict.corr_pass == 0.5
 
 
+def test_regime_table_pass_rates_equal_an_independent_count():
+    """At every threshold 1..5, each pass rate is `==` to the count of judged
+    scores at or above it over the number judged, on random 1..5 scores with
+    unjudged records among them."""
+    rng = random.Random(30)
+    for n in (1, 2, 7, 50, 333):
+        judged = [rng.random() < 0.8 for _ in range(n)]
+        judged[0] = True
+        correctness = [rng.randint(1, 5) if j else None for j in judged]
+        groundedness = [rng.randint(1, 5) if j else None for j in judged]
+        runs = scored_run(range(n), correctness, groundedness)
+        for threshold in range(1, 6):
+            (row,) = regime_table(runs, {}, ResamplePlan(n_resamples=5), threshold)
+            for rate, scores in ((row.grnd_pass, groundedness), (row.corr_pass, correctness)):
+                scores = [s for s in scores if s is not None]
+                assert rate == sum(1 for s in scores if s >= threshold) / len(scores)
+
+
 def test_regime_table_without_judge_scores():
     (row,) = regime_table(scored_run([5]), {}, ResamplePlan(n_resamples=10))
     assert row.f1 == 0.5
@@ -119,15 +137,22 @@ def test_regime_table_absent_regime():
 def test_ablation_summary_published_fixture(regime_tables):
     summary = ablation_summary(regime_tables)
     assert len(summary) == 10
-    assert all(s.best_f1_config == "8B r64 qv_only" for s in summary)
-    assert all(not s.same_point for s in summary)
+    assert [row[0] for row in summary] == sorted(regime_tables)
+    assert all(len(row) == 6 for row in summary)
+    for regime_id, best_f1_config, best_f1, best_grnd_config, best_grnd, same in summary:
+        rows = {r.config_id: r for r in regime_tables[regime_id]}
+        assert best_f1_config == "8B r64 qv_only"
+        assert best_f1 == rows[best_f1_config].f1 == max(r.f1 for r in rows.values())
+        assert best_grnd == rows[best_grnd_config].grnd_pass
+        assert best_grnd == max(r.grnd_pass for r in rows.values())
+        assert same == 0
     wins = scheme_wins(summary)
     assert wins["f1"] == {"qv_only": 10}
     assert wins["grnd"] == {"qv_only": 8, "full_attention": 2}
     grnd_full = [
-        s.regime_id
-        for s in summary
-        if parse_config_id(s.best_grnd_config)[1] == "full_attention"
+        regime_id
+        for regime_id, _, _, best_grnd_config, _, _ in summary
+        if parse_config_id(best_grnd_config)[1] == "full_attention"
     ]
     assert grnd_full == [
         "07_sparse_only__neutral",
@@ -145,9 +170,16 @@ def test_ablation_summary_reorder_invariance(regime_tables):
 
 def test_ablation_summary_singleton():
     row = RegimeRow(config_id="only", f1=0.5, latency=0.6, grnd_pass=0.7)
-    (summary,) = ablation_summary({"r": [row]})
-    assert summary.best_f1_config == summary.best_grnd_config == "only"
-    assert summary.same_point
+    assert ablation_summary({"r": [row]}) == [["r", "only", 0.5, "only", 0.7, 1]]
+
+
+def test_ablation_summary_unjudged_regime_leaves_its_grnd_cells_empty():
+    judged = RegimeRow(config_id="3B r4 qv_only", f1=0.5, latency=0.6, grnd_pass=0.7)
+    unjudged = RegimeRow(config_id="3B r8 qv_only", f1=0.4, latency=0.6)
+    assert ablation_summary({"b": [unjudged], "a": [judged, unjudged]}) == [
+        ["a", "3B r4 qv_only", 0.5, "3B r4 qv_only", 0.7, 1],
+        ["b", "3B r8 qv_only", 0.4, None, None, 0],
+    ]
 
 
 def test_scheme_wins_without_judge_scores():
@@ -164,21 +196,18 @@ def test_scheme_wins_sums_equal_regime_count(regime_tables):
 
 
 def test_topk_summary_published_fixture(topk_tables):
-    rows = topk_summary(topk_tables)
-    assert [r.eval_top_k for r in rows] == [1, 2, 4]
-    assert all(r.best_config == "8B r64 qv_only" for r in rows)
-    assert [r.best_f1 for r in rows] == [0.600, 0.617, 0.632]
-    assert [r.best_latency for r in rows] == [0.604, 0.655, 0.719]
-    assert rows[0].front_configs == ("8B r64 qv_only",)
-    assert rows[1].front_configs == ("3B r64 qv_only", "8B r64 qv_only")
-    assert rows[2].front_configs == ("3B r64 qv_only", "8B r64 qv_only")
+    assert topk_summary(topk_tables) == [
+        [1, "8B r64 qv_only", 0.600, 0.604, "8B r64 qv_only"],
+        [2, "8B r64 qv_only", 0.617, 0.655, "3B r64 qv_only;8B r64 qv_only"],
+        [4, "8B r64 qv_only", 0.632, 0.719, "3B r64 qv_only;8B r64 qv_only"],
+    ]
 
 
 def test_topk_summary_identical_tables(topk_tables):
     table = topk_tables[2]
     rows = topk_summary({1: table, 2: table})
-    assert rows[0].best_f1 == rows[1].best_f1
-    assert rows[0].front_configs == rows[1].front_configs
+    assert [row[0] for row in rows] == [1, 2]
+    assert rows[0][1:] == rows[1][1:]
     with pytest.raises(ReportError):
         topk_summary({2: table})
 
@@ -224,7 +253,7 @@ def test_error_counts_random_oracle():
 def test_emit_front_data_roundtrip(tmp_path, regime_tables):
     rows = regime_tables["01_base__neutral"]
     points = [
-        ParetoPoint(r.config_id, r.f1, CostVector(latency=r.latency), "01_base__neutral")
+        ParetoPoint(r.config_id, r.f1, {"latency": r.latency}, "01_base__neutral")
         for r in rows
     ]
     front = pareto_front(points, ("latency",))

@@ -17,8 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragharness.cli import main
-from ragharness.ingest import file_checksum
-from tests.conftest import SMOKE_WORKSPACE, refresh_dataset_checksums
+from tests.conftest import SMOKE_WORKSPACE, file_checksum, refresh_dataset_checksums
 
 RUN_FILE = "runs/3B_r8_qv_only__01_base__neutral.jsonl"
 LABELS = "labels.jsonl"
