@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HarnessError, as_file_id, as_float, as_int
+from .errors import HarnessError, as_int
 
 # Each command imports only what it uses, since at the sizes workspaces
 # usually have, start-up costs more than the work:
@@ -34,233 +31,18 @@ from .errors import HarnessError, as_file_id, as_float, as_int
 #   for the manifest alone; retrieve, whose arrays need no numpy.random, and
 #   grid never load it.
 # - Every package module but `errors` is imported only where it is used;
-#   all but `metrics` and `lora_grid` build dataclasses on import. grid
-#   loads `lora_grid` alone, and none of `dataset`, `ingest` and
-#   `retrieval`. Every workspace command loads those three, since each
-#   regime spec is a `RetrievalRegime`. Of `metrics`, `report`, `pareto`
-#   and `lora_grid`, validate loads `lora_grid` alone, which reads every
-#   config id and pairs the param-matched configs, and score loads
-#   `metrics` alone.
+#   all but `metrics` and `lora_grid` build dataclasses on import. The
+#   workspace commands import `analysis`, which holds the workspace config,
+#   the loaders and the param-matched alignment, and imports `dataset`,
+#   `ingest` and `retrieval`, since each regime spec is a
+#   `RetrievalRegime`. grid reads no workspace: it loads `lora_grid` alone,
+#   and none of those four. Of `metrics`, `report`, `pareto` and
+#   `lora_grid`, validate loads `lora_grid` alone, which reads every config
+#   id and pairs the param-matched configs, and score loads `metrics` alone.
 if TYPE_CHECKING:
-    from .stats import ResamplePlan
+    from pathlib import Path
 
-# The largest seed: the bootstrap hashes the seed as one 64-bit word
-# (stats.subseed), so a wider one would alias a seed in range.
-_SEED_MAX = (1 << 64) - 1
-
-
-class WorkspaceError(HarnessError):
-    pass
-
-
-def _reject_unknown_keys(where: str, raw: dict, known) -> None:
-    """Fail on the first key of `raw` that is not `known`, which would
-    otherwise be read as nothing at all."""
-    unknown = next((key for key in raw if key not in known), None)
-    if unknown is not None:
-        raise WorkspaceError(f"{where}: unknown key {unknown!r}")
-
-
-def _default_regimes() -> list:
-    """The regimes of a workspace.json without any: one, of the base variant."""
-    from .retrieval import RetrievalRegime
-
-    return [("01_base__neutral", RetrievalRegime("base", "neutral"))]
-
-
-def _parse_regimes(config_path: Path, specs):
-    """(id, RetrievalRegime) per regime spec; each spec needs a unique string
-    id that can stand in an output file name, and a known variant."""
-    from . import retrieval
-
-    if not isinstance(specs, list):
-        raise WorkspaceError(f"{config_path}: regimes must be a list")
-    regimes = []
-    for i, spec in enumerate(specs):
-        if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
-            raise WorkspaceError(f"{config_path}: regime {i} needs a string 'id'")
-        where = f"{config_path}: regime {spec['id']!r}"
-        as_file_id(spec["id"], f"{where}: id")
-        if any(spec["id"] == regime_id for regime_id, _ in regimes):
-            raise WorkspaceError(f"{where}: duplicate id")
-        _reject_unknown_keys(where, spec, ("id", "variant", "prompt_mode"))
-        if "variant" not in spec:
-            raise WorkspaceError(f"{where}: missing 'variant'")
-        try:
-            regime = retrieval.RetrievalRegime(
-                retrieval_variant=spec["variant"],
-                prompt_mode=spec.get("prompt_mode", "neutral"),
-            )
-        except retrieval.RetrievalError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from exc
-        regimes.append((spec["id"], regime))
-    return regimes
-
-
-def _is_path(f) -> bool:
-    """Whether a WorkspaceConfig field is a path, which is the case exactly
-    when its default is one or None; every knob defaults to a number, and the
-    regime specs to a list."""
-    return f.default is None or isinstance(f.default, Path)
-
-
-@dataclass
-class WorkspaceConfig:
-    """A workspace's inputs, output directory and knobs, with the defaults
-    of workspace.json. Each path is taken relative to `root` on construction;
-    an optional input left as None is not used."""
-
-    root: Path
-    corpus: Path = Path("corpus.jsonl")
-    qa: Path = Path("qa.jsonl")
-    out: Path = Path("out")
-    embeddings: Path | None = None
-    rerank_scores: Path | None = None
-    runs: Path | None = None
-    judge_scores: Path | None = None
-    costs: Path | None = None
-    labels: Path | None = None
-    retrieve_top_n: int = 20
-    eval_top_k: int = 2
-    # retrieval.DEFAULT_K_RRF (a test pins the two equal), written out so
-    # that importing cli does not load retrieval.
-    k_rrf: float = 60.0
-    resamples: int = 1000
-    level: float = 0.95
-    pass_threshold: int = 4
-    seed: int = 0
-    # (id, RetrievalRegime) per regime spec of workspace.json, in its order.
-    regimes: list = field(default_factory=_default_regimes, repr=False)
-
-    def __post_init__(self):
-        for f in fields(self):
-            if _is_path(f) and getattr(self, f.name) is not None:
-                path = self.root / getattr(self, f.name)
-                # A path the system cannot look up at all (a name too long,
-                # a directory without search permission) fails here, so that
-                # no later existence check raises.
-                try:
-                    path.exists()
-                except OSError as exc:
-                    raise WorkspaceError(
-                        f"{f.name}: cannot look up {path}: {exc.strerror}"
-                    ) from exc
-                setattr(self, f.name, path)
-        if self.retrieve_top_n < 1 or self.eval_top_k < 1:
-            raise WorkspaceError("retrieve_top_n and eval_top_k must be positive")
-        if self.eval_top_k > self.retrieve_top_n:
-            raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
-        if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
-            raise WorkspaceError(f"k_rrf must be positive and finite, got {self.k_rrf!r}")
-        if not 0.0 < self.level < 1.0:
-            raise WorkspaceError("level must be in (0, 1)")
-        if self.resamples < 1:
-            raise WorkspaceError(f"resamples must be >= 1, got {self.resamples}")
-        if not 1 <= self.pass_threshold <= 5:
-            raise WorkspaceError(
-                f"pass_threshold must be in 1..5, got {self.pass_threshold}"
-            )
-        if not 0 <= self.seed <= _SEED_MAX:
-            raise WorkspaceError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
-
-    def plan(self) -> ResamplePlan:
-        from .stats import ResamplePlan
-
-        return ResamplePlan(
-            n_resamples=self.resamples, level=self.level, master_seed=self.seed
-        )
-
-
-def load_workspace(root) -> WorkspaceConfig:
-    """The workspace config of `root`: each path or knob workspace.json
-    gives, checked, and WorkspaceConfig's default for each it leaves out."""
-    from . import ingest
-
-    root = Path(root)
-    config_path = root / "workspace.json"
-    if not config_path.is_file():
-        raise WorkspaceError(f"workspace config not found: {config_path}")
-    raw = ingest.read_json(config_path, WorkspaceError)
-    # The root is where workspace.json lies, never a key of it.
-    _reject_unknown_keys(
-        str(config_path), raw, {f.name for f in fields(WorkspaceConfig) if f.init} - {"root"}
-    )
-    given = {}
-    for f in fields(WorkspaceConfig):
-        if f.name in ("root", "regimes") or f.name not in raw:
-            continue
-        value = raw[f.name]
-        if _is_path(f):
-            # null leaves out an optional input; a required one needs a path.
-            if not (isinstance(value, str) or (value is None and f.default is None)):
-                raise WorkspaceError(
-                    f"{config_path}: {f.name} must be a path string, got {value!r}"
-                )
-            given[f.name] = value
-            continue
-        kind = type(f.default)
-        try:
-            given[f.name] = as_int(value, f.name) if kind is int else as_float(value, f.name)
-        except (TypeError, ValueError, OverflowError) as exc:
-            noun = "an integer" if kind is int else "a number"
-            raise WorkspaceError(
-                f"{config_path}: {f.name} must be {noun}, got {value!r}"
-            ) from exc
-    # null regimes, like none, stands for the default regimes.
-    if raw.get("regimes") is not None:
-        given["regimes"] = _parse_regimes(config_path, raw["regimes"])
-    return WorkspaceConfig(root=root, **given)
-
-
-def _input(ws: WorkspaceConfig, key: str) -> Path | None:
-    """The path workspace.json gives for `key`, or None when it names none.
-    A named path that does not exist, or that is not a regular file (not a
-    directory, for the run set), is an error, never a skipped input."""
-    path = getattr(ws, key)
-    if path is None:
-        return None
-    if not path.exists():
-        raise WorkspaceError(f"{key} not found: {path}")
-    if key == "runs" and not path.is_dir():
-        raise WorkspaceError(f"{key} is not a directory: {path}")
-    if key != "runs" and not path.is_file():
-        raise WorkspaceError(f"{key} is not a regular file: {path}")
-    return path
-
-
-def _nearest_existing(path: Path) -> Path:
-    """`path`, or the nearest of its ancestors that exists."""
-    return next(p for p in (path, *path.parents) if p.exists())
-
-
-def _check_out(ws: WorkspaceConfig) -> None:
-    """Fail before anything is written when the output directory, or the
-    nearest of its ancestors that exists, is not a directory."""
-    path = _nearest_existing(ws.out)
-    if not path.is_dir():
-        raise WorkspaceError(f"out is not a directory: {path}")
-
-
-def _load_runs(ws: WorkspaceConfig, qa_ids, judged: bool = True, datasets=("qa",), score=None):
-    """The run set, with the judge scores joined when `judged` and
-    workspace.json names them, each of the `datasets` inputs checked
-    against the manifest's checksum of it, and each record scored by
-    `score` as it is read when one is given."""
-    from . import ingest
-
-    runs = _input(ws, "runs")
-    if runs is None:
-        raise WorkspaceError("workspace defines no run-set directory")
-    judge = _input(ws, "judge_scores") if judged else None
-    checked = {name: getattr(ws, name) for name in datasets}
-    return ingest.load_runs(runs, qa_ids=qa_ids, judge_path=judge, datasets=checked, score=score)
-
-
-def _load_costs(ws: WorkspaceConfig) -> dict:
-    from . import ingest
-
-    path = _input(ws, "costs")
-    return ingest.load_cost_profile(path) if path is not None else {}
+    from .analysis import WorkspaceConfig
 
 
 def _write_text(path: Path, chunks) -> None:
@@ -272,6 +54,8 @@ def _write_text(path: Path, chunks) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
     except OSError as exc:
+        from .analysis import WorkspaceError
+
         raise WorkspaceError(f"cannot write {path}: {exc.strerror}") from exc
 
 
@@ -287,42 +71,6 @@ def _write_jsonl(path: Path, rows) -> None:
     _write_text(path, (encode(row) + "\n" for row in rows))
 
 
-def _score_runs(ws: WorkspaceConfig, judged: bool = True):
-    """The run set with every record scored once, as it is read. Scoring
-    needs the gold answers alone, so the corpus is not read, nor the judge
-    scores unless `judged`. A record of a question outside the test split is
-    an error, and so is a QA file whose sha256 is not the one the run
-    manifest gives."""
-    from . import dataset, metrics
-
-    pairs = dataset.load_qa(_input(ws, "qa"))
-    gold = {p.qa_id: p.gold_answer for p in pairs if p.split == "test"}
-    return _load_runs(ws, gold, judged, score=metrics.scorer(gold))
-
-
-def _regime_tables(ws: WorkspaceConfig):
-    """(run set, cost profiles, {regime_id: regime table}): the run set
-    scored once and one table per regime of it, in regime order; what stats,
-    pareto and report share."""
-    from . import report
-
-    run_set = _score_runs(ws)
-    _check_regime_ids(ws, run_set.runs)
-    costs = _load_costs(ws)
-    plan = ws.plan()
-    tables = {
-        regime_id: report.regime_table(runs, costs, plan, ws.pass_threshold)
-        for regime_id, runs in run_set.runs.items()
-    }
-    return run_set, costs, tables
-
-
-def _by_qa_id(run) -> list[int]:
-    """The positions of `run`'s records in ascending qa_id order: the order
-    of scores.jsonl and of the param-matched pairing."""
-    return sorted(range(len(run)), key=run.qa_ids.__getitem__)
-
-
 _REGIME_COLUMNS = [
     "config", "n", "f1", "f1_lo", "f1_hi", "em",
     "grnd_pass", "grnd_lo", "grnd_hi",
@@ -331,43 +79,46 @@ _REGIME_COLUMNS = [
 ]
 
 
-def _regime_csv_row(r) -> list:
+def _write_regime_csv(path: Path, rows) -> None:
+    """A regime table, as stats_<regime>.csv and regime_<regime>.csv hold it."""
+    from . import report
+
     def bounds(interval):
         return [interval.lo, interval.hi] if interval else [None, None]
 
-    return [
-        r.config_id, r.n, r.f1, *bounds(r.f1_interval), r.em_rate,
-        r.grnd_pass, *bounds(r.grnd_interval),
-        r.corr_pass, *bounds(r.corr_interval),
-        r.latency, r.inference_vram,
-    ]
+    cells = (
+        [r.config_id, r.n, r.f1, *bounds(r.f1_interval), r.em_rate,
+         r.grnd_pass, *bounds(r.grnd_interval),
+         r.corr_pass, *bounds(r.corr_interval),
+         r.latency, r.inference_vram]
+        for r in rows
+    )
+    report.write_csv(path, _REGIME_COLUMNS, cells)
 
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
-    """Load every input with the checks of the commands that read it, and
-    stop at the first fault; nothing is scored and numpy is not loaded."""
-    from . import dataset, retrieval
+    """Read every part of an unscored analysis, with the checks of the
+    commands that read it, and stop at the first fault; nothing is scored
+    and numpy is not loaded."""
+    from . import analysis, dataset, retrieval
 
-    chunks = dataset.load_corpus(_input(ws, "corpus"))
-    pairs = dataset.load_qa(_input(ws, "qa"))
+    an = analysis.Analysis(ws, scored=False)
+    chunks, pairs = an.chunks, an.pairs
     fuses_sparse = any("sparse" in regime.channels for _, regime in ws.regimes)
     if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
-        raise WorkspaceError(retrieval.NO_TOKEN_ERROR)
+        raise analysis.WorkspaceError(retrieval.NO_TOKEN_ERROR)
     bad = dataset.check_supporting_ids(pairs, chunks)
     if bad:
-        raise WorkspaceError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
-    test_ids = {p.qa_id for p in pairs if p.split == "test"}
-    run_set = _load_runs(ws, test_ids, datasets=("corpus", "qa")) if ws.runs is not None else None
-    run_regimes = run_set.runs if run_set is not None else {}
-    _check_regime_ids(ws, [*(regime_id for regime_id, _ in ws.regimes), *run_regimes])
-    if run_set is not None:
-        # As stats does: every config id parses, each pair covers the same qa_ids.
-        _param_matched(run_set)
-    _load_costs(ws)
-    _check_channels(ws, test_ids, _read_embeddings(ws))
-    _load_rerank(ws)
-    _load_labels(ws, run_set)
-    print(f"validate: ok ({len(chunks)} chunks, {len(pairs)} QA rows, test={len(test_ids)})")
+        raise analysis.WorkspaceError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
+    run_set = an.run_set
+    analysis._check_regime_ids(
+        ws, [*(regime_id for regime_id, _ in ws.regimes), *(run_set.runs if run_set else ())]
+    )
+    # As stats does, `matched` checks that every config id parses and that
+    # each pair covers the same qa_ids.
+    for part in ("matched", "costs", "embeddings", "rerank", "labels"):
+        getattr(an, part)
+    print(f"validate: ok ({len(chunks)} chunks, {len(pairs)} QA rows, test={len(an.gold)})")
     if run_set is not None:
         unscored = sum(
             run.groundedness.count(None) for runs in run_set.runs.values() for run in runs.values()
@@ -380,141 +131,26 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-# The name of each output that a regime id becomes part of. A front's name
-# grows with its axes: the benchmarked pair stands for them in every
-# command's check of name lengths, and pareto checks its own axes too.
-_REGIME_FILE_NAMES = {
-    "contexts": "contexts_{}.jsonl",
-    "stats": "stats_{}.csv",
-    "regime_csv": "regime_{}.csv",
-    "regime_txt": "regime_{}.txt",
-    "front": "front_{}_{}.csv",
-}
-
-
-_FRONT_AXES = ("latency", "inference_vram")
-
-
-def _regime_file(kind: str, regime_id: str, axes=_FRONT_AXES) -> str:
-    return _REGIME_FILE_NAMES[kind].format(regime_id, "_".join(axes))
-
-
-def _check_regime_ids(ws: WorkspaceConfig, regime_ids, axes=_FRONT_AXES) -> None:
-    """Fail on the first regime id that makes an output file name, a front's
-    over `axes`, longer than the file system under `out` allows (255 bytes
-    when it does not say)."""
-    where = _nearest_existing(ws.out)
-    try:
-        limit = os.pathconf(where, "PC_NAME_MAX")
-    except (OSError, ValueError, AttributeError):
-        limit = -1
-    if limit < 1:
-        limit = 255
-    for regime_id in regime_ids:
-        for kind in _REGIME_FILE_NAMES:
-            size = len(_regime_file(kind, regime_id, axes).encode("utf-8", "surrogatepass"))
-            if size > limit:
-                raise WorkspaceError(
-                    f"regime {regime_id!r}: output name {_regime_file(kind, '<id>', axes)!r} "
-                    f"would be {size} bytes, over the {limit} a file name may have "
-                    f"under {where}"
-                )
-
-
-def _check_channels(ws: WorkspaceConfig, test_ids: set, embeddings) -> None:
-    """Fail on the first regime under which some test question has none of
-    the channels its variant fuses, as `retrieve` does. BM25 serves every
-    question; the dense channel, those `embeddings` has a query vector for."""
-    queries = embeddings[2] if embeddings is not None else {}
-    have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
-    for regime_id, regime in ws.regimes:
-        lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
-        if lacking:
-            raise WorkspaceError(
-                f"regime {regime_id!r}: {lacking} of {len(test_ids)} test questions "
-                f"have no channel that {regime.retrieval_variant!r} fuses "
-                f"({', '.join(regime.channels)})"
-            )
-
-
-def _finite_numbers(values) -> bool:
-    """Whether every value is a finite JSON number: a boolean, a string or an
-    integer too large for a float is not. Both passes run at C speed, which
-    matters for embeddings tables of thousands of vectors."""
-    try:
-        return set(map(type, values)) <= {int, float} and all(map(math.isfinite, values))
-    except OverflowError:
-        return False
-
-
-def _read_embeddings(ws: WorkspaceConfig):
-    """(dim, {chunk_id: vector}, {qa_id: vector}) from the embeddings file, or
-    None when workspace.json names none. Each vector, chunk or query, is a
-    JSON list of exactly `dim` finite numbers; nothing here needs numpy."""
-    from . import ingest
-
-    path = _input(ws, "embeddings")
-    if path is None:
-        return None
-    raw = ingest.read_json(path, WorkspaceError)
-    try:
-        dim = as_int(raw["dim"], "dim")
-        chunks, queries = raw["chunks"], raw["queries"]
-    except KeyError as exc:
-        raise WorkspaceError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise WorkspaceError(f"{path}: bad value: {exc}") from exc
-    if dim < 1:
-        raise WorkspaceError(f"{path}: bad value: dim must be positive, got {dim}")
-    for kind, vectors in (("chunk", chunks), ("query", queries)):
-        if not isinstance(vectors, dict):
-            raise WorkspaceError(f"{path}: bad value: {kind} vectors must be an object")
-        for vid, vec in vectors.items():
-            if not (isinstance(vec, list) and len(vec) == dim and _finite_numbers(vec)):
-                raise WorkspaceError(
-                    f"{path}: bad value: {kind} vector {vid!r} must be a list of "
-                    f"{dim} finite numbers"
-                )
-    return dim, chunks, queries
-
-
-def _load_rerank(ws: WorkspaceConfig) -> dict:
-    """Per-question rerank scores: {qa_id: {chunk_id: finite number}}."""
-    from . import ingest
-
-    path = _input(ws, "rerank_scores")
-    if path is None:
-        return {}
-    rerank = ingest.read_json(path, WorkspaceError)
-    if not all(
-        isinstance(scores, dict) and _finite_numbers(scores.values())
-        for scores in rerank.values()
-    ):
-        raise WorkspaceError(f"{path}: expected {{qa_id: {{chunk_id: finite number}}}}")
-    return rerank
-
-
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
-    from . import dataset, retrieval
+    from . import analysis, retrieval
 
     # validate's checks of the output names and the channels run before
     # anything is written.
-    _check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
+    analysis._check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
     regimes = [regime for _, regime in ws.regimes]
     fused = {name for regime in regimes for name in regime.channels}
-    chunks = dataset.load_corpus(_input(ws, "corpus"))
-    pairs = dataset.load_qa(_input(ws, "qa"))
-    test_pairs = [p for p in pairs if p.split == "test"]
+    an = analysis.Analysis(ws)
+    chunks = an.chunks
+    test_pairs = [p for p in an.pairs if p.split == "test"]
     index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
     # Read after the index is built, so that the vectors' lists and the
     # index's build never take memory at the same time.
-    embeddings = _read_embeddings(ws)
-    _check_channels(ws, {p.qa_id for p in test_pairs}, embeddings)
+    embeddings = an.embeddings
     table, queries = None, {}
     if embeddings is not None:
         dim, vectors, queries = embeddings
         table = retrieval.EmbeddingTable(vectors=vectors, dim=dim)
-    rerank = _load_rerank(ws)
+    rerank = an.rerank
 
     # Each question's channels are scored once and its fusion run once for
     # every regime; only each regime's eval_top_k ids are kept.
@@ -542,7 +178,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
     for (regime_id, regime), kept in zip(ws.regimes, contexts):
-        out_path = ws.out / _regime_file("contexts", regime_id)
+        out_path = ws.out / analysis._regime_file("contexts", regime_id)
         _write_jsonl(
             out_path,
             (
@@ -570,6 +206,8 @@ def _score_lines(run_set):
     regime, qa_id, f1 rounded to 6 places, em as 0/1, latency_s}, built from
     the columns with the primitives `json` encodes strings and finite floats
     with, keys in sorted order."""
+    from .analysis import _by_qa_id
+
     quote = json.encoder.encode_basestring_ascii
     for runs in run_set.runs.values():
         for run in runs.values():
@@ -583,8 +221,10 @@ def _score_lines(run_set):
 
 
 def cmd_score(ws: WorkspaceConfig, args) -> int:
+    from . import analysis
+
     # scores.jsonl has no judge column, so the judge scores are not read.
-    run_set = _score_runs(ws, judged=False)
+    run_set = analysis.Analysis(ws, judged=False).run_set
     out_path = ws.out / "scores.jsonl"
     _write_text(out_path, _score_lines(run_set))
     print(f"score: wrote {out_path} ({run_set.n_records()} records)")
@@ -592,10 +232,10 @@ def cmd_score(ws: WorkspaceConfig, args) -> int:
 
 
 def cmd_stats(ws: WorkspaceConfig, args) -> int:
-    from . import report
+    from . import analysis, report
 
-    run_set, _, tables = _regime_tables(ws)
-    matched = _param_matched(run_set)
+    an = analysis.Analysis(ws)
+    tables, matched = an.tables, an.matched
     # Imported once the run set is loaded: numpy imported first raised the
     # peak RSS of stats by 0.9 MB on the ragged_coverage benchmark workload.
     from .stats import paired_bootstrap_delta, pooled_pair_delta
@@ -611,9 +251,7 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
         if len(vectors) > 1:
             deltas.append([regime_id, "pooled", "", "", pooled_pair_delta(vectors, plan)])
     for regime_id, rows in tables.items():
-        report.write_csv(
-            ws.out / _regime_file("stats", regime_id), _REGIME_COLUMNS, map(_regime_csv_row, rows)
-        )
+        _write_regime_csv(ws.out / analysis._regime_file("stats", regime_id), rows)
     if matched:
         report.write_csv(
             ws.out / "param_matched.csv",
@@ -628,68 +266,24 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
-def _param_matched(run_set) -> dict:
-    """{regime_id: [(budget, qv run, full run, qv positions, full positions)]}
-    per param-matched pair of configs a regime holds, in grid order, each
-    positions list in its run's qa_id order; {} when no config ids pair up.
-    A config id that `lora_grid.parse_config_id` cannot read, and a pair, or
-    the pairs pooled in a regime, covering different qa_ids, is an error
-    rather than a pair left out or a delta over unmatched examples."""
-    from . import lora_grid
-
-    # Sorted as text first, so that ids tied in grid order (08B and 8B), and
-    # the first id that does not parse, do not depend on set order.
-    config_ids = sorted({cid for runs in run_set.runs.values() for cid in runs})
-    config_ids.sort(key=lora_grid.grid_order)
-    matched = lora_grid.param_matched_pairs(config_ids)
-    if not matched:
-        return {}
-    aligned = {}
-    for regime_id, runs in run_set.runs.items():
-        aligned[regime_id] = pairs = []
-        pooled_ids = None
-        for budget, qv_id, full_id in matched:
-            a, b = runs.get(qv_id), runs.get(full_id)
-            if a is None or b is None:
-                continue
-            a_order, b_order = _by_qa_id(a), _by_qa_id(b)
-            qa_ids = [a.qa_ids[i] for i in a_order]
-            if qa_ids != [b.qa_ids[i] for i in b_order]:
-                a_ids, b_ids = set(a.qa_ids), set(b.qa_ids)
-                raise WorkspaceError(
-                    f"regime {regime_id!r}: {qv_id!r} and {full_id!r} cover different "
-                    f"qa_ids ({len(a_ids - b_ids)} only in {qv_id!r}, "
-                    f"{len(b_ids - a_ids)} only in {full_id!r})"
-                )
-            if pooled_ids is None:
-                pooled_ids = qa_ids
-            elif qa_ids != pooled_ids:
-                raise WorkspaceError(
-                    f"regime {regime_id!r}: cannot pool param-matched pairs over "
-                    f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
-                    f"the first pair)"
-                )
-            pairs.append((budget, a, b, a_order, b_order))
-    return aligned
-
-
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
-    from . import report
+    from . import analysis, report
     from .pareto import COST_AXES, ParetoPoint, pareto_front
 
     axes = tuple(args.axes.split(","))
     for i, axis in enumerate(axes):
         if axis not in COST_AXES:
-            raise WorkspaceError(f"unknown cost axis {axis!r}")
+            raise analysis.WorkspaceError(f"unknown cost axis {axis!r}")
         if axis in axes[:i]:
-            raise WorkspaceError(f"repeated cost axis {axis!r}")
-    _, costs, tables = _regime_tables(ws)
+            raise analysis.WorkspaceError(f"repeated cost axis {axis!r}")
+    an = analysis.Analysis(ws)
+    tables, costs = an.tables, an.costs
     regime_ids = [args.regime] if args.regime else list(tables)
     if args.regime and args.regime not in tables:
-        raise WorkspaceError(f"regime {args.regime!r} not in run set")
+        raise analysis.WorkspaceError(f"regime {args.regime!r} not in run set")
     # Every front's name is checked, and every front worked out, before the
     # first file is written.
-    _check_regime_ids(ws, regime_ids, axes)
+    analysis._check_regime_ids(ws, regime_ids, axes)
     fronts = []
     for regime_id in regime_ids:
         rows = tables[regime_id]
@@ -705,44 +299,32 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             cost = {axis: val for axis, val in cost.items() if val is not None}
             absent = [axis for axis in axes if axis not in cost]
             if absent:
-                raise WorkspaceError(
+                raise analysis.WorkspaceError(
                     f"regime {regime_id!r}: config {r.config_id!r} has no {absent[0]!r} cost"
                 )
             points.append(ParetoPoint(r.config_id, r.f1, cost, regime_id))
         fronts.append((regime_id, points, pareto_front(points, axes)))
     for regime_id, points, front in fronts:
-        out_path = ws.out / _regime_file("front", regime_id, axes)
+        out_path = ws.out / analysis._regime_file("front", regime_id, axes)
         report.emit_front_data(points, front, out_path, axes)
         print(f"pareto: wrote {out_path} ({len(front)} on front)")
     return 0
 
 
-def _load_labels(ws: WorkspaceConfig, run_set) -> list | None:
-    """The error labels workspace.json names, or None when it names none."""
-    from . import ingest
-
-    path = _input(ws, "labels")
-    return ingest.load_labels(path, run_set) if path is not None else None
-
-
 def cmd_report(ws: WorkspaceConfig, args) -> int:
-    from . import report
+    from . import analysis, report
 
-    run_set, _, tables = _regime_tables(ws)
+    an = analysis.Analysis(ws)
     # Whatever can reject the inputs (a config id without a scheme, a label
     # that matches no record) fails here, before any file is written.
-    labels = _load_labels(ws, run_set)
+    tables, labels = an.tables, an.labels
     summary = report.ablation_summary(tables)
     wins = report.scheme_wins(summary)
     error_counts = report.error_counts(labels) if labels is not None else None
     for regime_id, rows in tables.items():
-        report.write_csv(
-            ws.out / _regime_file("regime_csv", regime_id),
-            _REGIME_COLUMNS,
-            map(_regime_csv_row, rows),
-        )
+        _write_regime_csv(ws.out / analysis._regime_file("regime_csv", regime_id), rows)
         text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
-        _write_text(ws.out / _regime_file("regime_txt", regime_id), [text])
+        _write_text(ws.out / analysis._regime_file("regime_txt", regime_id), [text])
     report.write_csv(
         ws.out / "ablation_summary.csv",
         ["regime", "best_f1_config", "best_f1",
@@ -753,7 +335,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     k_tables = {}
     for regime_id, rows in tables.items():
         for row in rows:
-            k = run_set.runs[regime_id][row.config_id].eval_top_k
+            k = an.run_set.runs[regime_id][row.config_id].eval_top_k
             k_tables.setdefault(k, []).append(row)
     if len(k_tables) >= 2:
         report.write_csv(
@@ -832,9 +414,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "grid":
             return cmd_grid(None, args)
-        ws = load_workspace(root)
-        _check_out(ws)
-        return _COMMANDS[args.command](ws, args)
+        from .analysis import load_workspace
+
+        return _COMMANDS[args.command](load_workspace(root), args)
     except HarnessError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1

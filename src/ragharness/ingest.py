@@ -260,10 +260,10 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
     by regime. `qa_ids`, when given, holds the valid test-split ids; records
     referencing anything else are rejected, and every record holds the str
     object `qa_ids` holds for its id. The manifest lists at
-    least one run file, and every entry carries the sha256 its file must
-    match. `datasets` maps a dataset name (``corpus``, ``qa``) to the file
-    read for it, which must match the manifest's ``dataset.<name>_sha256``
-    when the manifest gives one.
+    least one run file, the files hold at least one record, and every entry
+    carries the sha256 its file must match. `datasets` maps a dataset name
+    (``corpus``, ``qa``) to the file read for it, which must match the
+    manifest's ``dataset.<name>_sha256`` when the manifest gives one.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
@@ -333,6 +333,8 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                 f1, exact = score(qa_id, answer)
                 run.f1s.append(f1)
                 run.exact.append(exact)
+    if not groups:
+        raise IngestError(f"{manifest_path}: run files hold no records")
     grouped: dict[str, dict[str, Run]] = {}
     for config_id, regime_id in sorted(groups, key=lambda key: (key[1], key[0])):
         run = grouped.setdefault(regime_id, {})[config_id] = groups[config_id, regime_id][0]

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ragharness import cli, metrics, retrieval
-from ragharness.cli import load_workspace, main
+from ragharness import analysis, cli, ingest, metrics, retrieval
+from ragharness.analysis import load_workspace
+from ragharness.cli import main
 from ragharness.ingest import Run, RunSet
 from tests.conftest import SMOKE_WORKSPACE, file_checksum, refresh_dataset_checksums
 
@@ -97,6 +98,19 @@ def test_stats_scores_each_record_once(workspace, monkeypatch):
     assert len(calls) == 4 * 30
 
 
+def test_one_analysis_loads_the_run_set_once(workspace, monkeypatch):
+    """An Analysis serving the tables, the param-matched alignment and the
+    error labels, each checked against the run set, loads it once."""
+    _labels(LABEL)(workspace)
+    calls, load_runs = [], ingest.load_runs
+    monkeypatch.setattr(
+        ingest, "load_runs", lambda *a, **kw: calls.append(a) or load_runs(*a, **kw)
+    )
+    an = analysis.Analysis(load_workspace(workspace))
+    assert an.tables and an.matched and an.labels
+    assert len(calls) == 1
+
+
 def test_validate_empty_workspace(tmp_path, capsys):
     (tmp_path / "workspace.json").write_text("{}", encoding="utf-8")
     assert main(["--workspace", str(tmp_path), "validate"]) == 1
@@ -118,8 +132,8 @@ def test_workspace_config_defaults(workspace):
     assert ws.eval_top_k == 2
     assert ws.k_rrf == 60.0
     assert ws.plan().n_resamples == 1000
-    # WorkspaceConfig spells out the default that fuse_rrf takes from retrieval.
-    assert cli.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
+    # WorkspaceConfig's default is the one fuse_rrf takes from retrieval.
+    assert analysis.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
     for regimes in ({}, {"regimes": None}):
         (workspace / "workspace.json").write_text(json.dumps(regimes), encoding="utf-8")
         assert load_workspace(workspace).regimes == [
@@ -462,7 +476,7 @@ def test_pareto_checks_every_cost_before_writing(workspace, capsys):
 
 def test_every_regime_output_name_is_in_the_table(workspace):
     """The six commands the benchmark runs write, for the smoke workspace's
-    one regime, exactly the names of cli._REGIME_FILE_NAMES, and otherwise
+    one regime, exactly the names of analysis._REGIME_FILE_NAMES, and otherwise
     only names without a regime id, which cannot grow too long."""
     for argv in (
         ["validate"], ["retrieve"], ["score"], ["stats"],
@@ -472,7 +486,9 @@ def test_every_regime_output_name_is_in_the_table(workspace):
     names = {path.name for path in (workspace / "out").iterdir()}
     regime_id = "01_base__neutral"
     per_regime = {name for name in names if regime_id in name}
-    assert per_regime == {cli._regime_file(kind, regime_id) for kind in cli._REGIME_FILE_NAMES}
+    assert per_regime == {
+        analysis._regime_file(kind, regime_id) for kind in analysis._REGIME_FILE_NAMES
+    }
     assert names - per_regime == {
         "scores.jsonl", "param_matched.csv", "ablation_summary.csv", "scheme_wins.json"
     }
@@ -640,6 +656,38 @@ def _front_too_long_for_four_axes(workspace):
     that regime fits, but that of its front over all four cost axes."""
     records = [dict(r, regime="r" * 200) for r in read_run(workspace, QV)]
     write_run(workspace, "3B baseline", records)
+
+
+def _ghost_chunk_vectors(workspace):
+    """Three chunk vectors that name no corpus chunk, each the query vector
+    of one question, so that a dense_only regime without rerank scores
+    would rank them first."""
+
+    def add(embeddings):
+        for qa_id in ("qa000", "qa001", "qa002"):
+            embeddings["chunks"][f"ghost_{qa_id}"] = embeddings["queries"][qa_id]
+
+    _edit_json("embeddings.json", add)(workspace)
+    regimes = [{"id": "d", "variant": "dense_only"}]
+    _edit_json("workspace.json", lambda c: c.update(regimes=regimes, rerank_scores=None))(
+        workspace
+    )
+
+
+def _runs_without_records(workspace):
+    for path in (workspace / "runs").glob("*.jsonl"):
+        path.write_text("", encoding="utf-8")
+        record_checksum(workspace, path)
+
+
+# The cost profile of 3B baseline overrides its VRAM under a misspelt regime.
+_override_of_no_regime = _edit_rows(
+    "costs.jsonl", lambda rows: rows[0].update(inf_vram_by_regime={"01_base__nuetral": 3.0})
+)
+OVERRIDE_OF_NO_REGIME = (
+    "costs.jsonl: config '3B baseline': inf_vram_by_regime names regime "
+    "'01_base__nuetral', which the run set lacks"
+)
 
 
 # The files differ from those the manifest says the runs were made against.
@@ -1318,6 +1366,18 @@ SHA256_NOT_STRING = (
             ["retrieve"],
             f"embeddings.json: malformed JSON: {LONG_INT}",
         ),
+        *(
+            (_ghost_chunk_vectors, [command], "chunk vector 'ghost_qa000' is of no corpus chunk")
+            for command in ("validate", "retrieve")
+        ),
+        *(
+            (_runs_without_records, [command], "manifest.json: run files hold no records")
+            for command in ("validate", "score", "stats", "pareto", "report")
+        ),
+        *(
+            (_override_of_no_regime, [command], OVERRIDE_OF_NO_REGIME)
+            for command in ("validate", "stats", "pareto", "report")
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1386,6 +1446,15 @@ SHA256_NOT_STRING = (
         "latency_sum_overflow_pareto", "latency_sum_overflow_report",
         "judge_long_int_validate", "run_long_int_validate",
         "workspace_long_int_validate", "embeddings_long_int_retrieve",
+        "ghost_chunk_vectors_validate", "ghost_chunk_vectors_retrieve",
+        *(
+            f"runs_without_records_{command}"
+            for command in ("validate", "score", "stats", "pareto", "report")
+        ),
+        *(
+            f"override_of_no_regime_{command}"
+            for command in ("validate", "stats", "pareto", "report")
+        ),
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -1563,8 +1632,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.report', "
-    "'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics', "
+    "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.analysis', "
+    "'ragharness.report', 'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics', "
     "'ragharness.dataset', 'ragharness.ingest', 'ragharness.retrieval'} "
     "& set(sys.modules))); "
     "sys.exit(code)"
@@ -1574,8 +1643,8 @@ MODULES_LOADED = (
 def test_commands_without_arrays_never_import_numpy(workspace):
     """grid, score, and validate on a workspace with embeddings and error
     labels start and finish without numpy, each in a fresh interpreter;
-    retrieve loads it. grid imports none of `dataset`, `ingest` and
-    `retrieval`, which every workspace command loads. score does not import
+    retrieve loads it. grid imports none of `analysis`, `dataset`, `ingest`
+    and `retrieval`, which every workspace command loads. score does not import
     `report`, `pareto` or `lora_grid` either, and validate none of `report`,
     `pareto` or `metrics`. OpenSSL (`_hashlib`) loads in the commands that
     verify the run manifest, and never in grid or retrieve."""
@@ -1592,7 +1661,9 @@ def test_commands_without_arrays_never_import_numpy(workspace):
         ).stdout
         return set(out.splitlines()[-1].split()[1:])
 
-    workspace_modules = {"ragharness.dataset", "ragharness.ingest", "ragharness.retrieval"}
+    workspace_modules = {
+        "ragharness.analysis", "ragharness.dataset", "ragharness.ingest", "ragharness.retrieval"
+    }
     assert loaded("grid") == {"ragharness.lora_grid"}
     assert loaded("--workspace", str(workspace), "score") == {
         "_hashlib", "ragharness.metrics", *workspace_modules
@@ -1601,7 +1672,9 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     assert validate == {"_hashlib", "ragharness.lora_grid", *workspace_modules}
     retrieve = loaded("--workspace", str(workspace), "retrieve")
     assert "numpy" in retrieve and "_hashlib" not in retrieve
-    assert "_hashlib" in loaded("--workspace", str(workspace), "stats")
+    assert workspace_modules <= retrieve
+    stats = loaded("--workspace", str(workspace), "stats")
+    assert "_hashlib" in stats and workspace_modules <= stats
 
 
 def test_validate_runs_under_cprofile(workspace, tmp_path):
