@@ -23,16 +23,12 @@ if TYPE_CHECKING:
 _SEED_MAX = (1 << 64) - 1
 
 
-class WorkspaceError(HarnessError):
-    pass
-
-
-def _reject_unknown_keys(where: str, raw: dict, known) -> None:
-    """Fail on the first key of `raw` that is not `known`, which would
-    otherwise be read as nothing at all."""
-    unknown = next((key for key in raw if key not in known), None)
-    if unknown is not None:
-        raise WorkspaceError(f"{where}: unknown key {unknown!r}")
+def _reject_stray(where: str, keys, known, noun: str = "unknown key", tail: str = "") -> None:
+    """Fail on the first of `keys` that is not `known`, which would
+    otherwise be read as nothing at all, naming it after `noun`."""
+    stray = next((key for key in keys if key not in known), None)
+    if stray is not None:
+        raise HarnessError(f"{where}: {noun} {stray!r}{tail}")
 
 
 def _default_regimes() -> list:
@@ -44,25 +40,25 @@ def _parse_regimes(config_path: Path, specs):
     """(id, RetrievalRegime) per regime spec; each spec needs a unique string
     id that can stand in an output file name, and a known variant."""
     if not isinstance(specs, list):
-        raise WorkspaceError(f"{config_path}: regimes must be a list")
+        raise HarnessError(f"{config_path}: regimes must be a list")
     regimes = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
-            raise WorkspaceError(f"{config_path}: regime {i} needs a string 'id'")
+            raise HarnessError(f"{config_path}: regime {i} needs a string 'id'")
         where = f"{config_path}: regime {spec['id']!r}"
         as_file_id(spec["id"], f"{where}: id")
         if any(spec["id"] == regime_id for regime_id, _ in regimes):
-            raise WorkspaceError(f"{where}: duplicate id")
-        _reject_unknown_keys(where, spec, ("id", "variant", "prompt_mode"))
+            raise HarnessError(f"{where}: duplicate id")
+        _reject_stray(where, spec, ("id", "variant", "prompt_mode"))
         if "variant" not in spec:
-            raise WorkspaceError(f"{where}: missing 'variant'")
+            raise HarnessError(f"{where}: missing 'variant'")
         try:
             regime = retrieval.RetrievalRegime(
                 retrieval_variant=spec["variant"],
                 prompt_mode=spec.get("prompt_mode", "neutral"),
             )
-        except retrieval.RetrievalError as exc:
-            raise WorkspaceError(f"{where}: {exc}") from exc
+        except HarnessError as exc:
+            raise HarnessError(f"{where}: {exc}") from exc
         regimes.append((spec["id"], regime))
     return regimes
 
@@ -110,26 +106,26 @@ class WorkspaceConfig:
                 try:
                     path.exists()
                 except OSError as exc:
-                    raise WorkspaceError(
+                    raise HarnessError(
                         f"{f.name}: cannot look up {path}: {exc.strerror}"
                     ) from exc
                 setattr(self, f.name, path)
         if self.retrieve_top_n < 1 or self.eval_top_k < 1:
-            raise WorkspaceError("retrieve_top_n and eval_top_k must be positive")
+            raise HarnessError("retrieve_top_n and eval_top_k must be positive")
         if self.eval_top_k > self.retrieve_top_n:
-            raise WorkspaceError("eval_top_k must not exceed retrieve_top_n")
+            raise HarnessError("eval_top_k must not exceed retrieve_top_n")
         if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
-            raise WorkspaceError(f"k_rrf must be positive and finite, got {self.k_rrf!r}")
+            raise HarnessError(f"k_rrf must be positive and finite, got {self.k_rrf!r}")
         if not 0.0 < self.level < 1.0:
-            raise WorkspaceError("level must be in (0, 1)")
+            raise HarnessError("level must be in (0, 1)")
         if self.resamples < 1:
-            raise WorkspaceError(f"resamples must be >= 1, got {self.resamples}")
+            raise HarnessError(f"resamples must be >= 1, got {self.resamples}")
         if not 1 <= self.pass_threshold <= 5:
-            raise WorkspaceError(
+            raise HarnessError(
                 f"pass_threshold must be in 1..5, got {self.pass_threshold}"
             )
         if not 0 <= self.seed <= _SEED_MAX:
-            raise WorkspaceError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
+            raise HarnessError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
 
     def plan(self) -> ResamplePlan:
         from .stats import ResamplePlan
@@ -147,10 +143,10 @@ def load_workspace(root) -> WorkspaceConfig:
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.is_file():
-        raise WorkspaceError(f"workspace config not found: {config_path}")
-    raw = ingest.read_json(config_path, WorkspaceError)
+        raise HarnessError(f"workspace config not found: {config_path}")
+    raw = ingest.read_json(config_path)
     # The root is where workspace.json lies, never a key of it.
-    _reject_unknown_keys(
+    _reject_stray(
         str(config_path), raw, {f.name for f in fields(WorkspaceConfig) if f.init} - {"root"}
     )
     given = {}
@@ -161,7 +157,7 @@ def load_workspace(root) -> WorkspaceConfig:
         if _is_path(f):
             # null leaves out an optional input; a required one needs a path.
             if not (isinstance(value, str) or (value is None and f.default is None)):
-                raise WorkspaceError(
+                raise HarnessError(
                     f"{config_path}: {f.name} must be a path string, got {value!r}"
                 )
             given[f.name] = value
@@ -171,7 +167,7 @@ def load_workspace(root) -> WorkspaceConfig:
             given[f.name] = as_int(value, f.name) if kind is int else as_float(value, f.name)
         except (TypeError, ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
-            raise WorkspaceError(
+            raise HarnessError(
                 f"{config_path}: {f.name} must be {noun}, got {value!r}"
             ) from exc
     # null regimes, like none, stands for the default regimes.
@@ -180,7 +176,7 @@ def load_workspace(root) -> WorkspaceConfig:
     ws = WorkspaceConfig(root=root, **given)
     out = _nearest_existing(ws.out)
     if not out.is_dir():
-        raise WorkspaceError(f"out is not a directory: {out}")
+        raise HarnessError(f"out is not a directory: {out}")
     return ws
 
 
@@ -192,11 +188,11 @@ def _input(ws: WorkspaceConfig, key: str) -> Path | None:
     if path is None:
         return None
     if not path.exists():
-        raise WorkspaceError(f"{key} not found: {path}")
+        raise HarnessError(f"{key} not found: {path}")
     if key == "runs" and not path.is_dir():
-        raise WorkspaceError(f"{key} is not a directory: {path}")
+        raise HarnessError(f"{key} is not a directory: {path}")
     if key != "runs" and not path.is_file():
-        raise WorkspaceError(f"{key} is not a regular file: {path}")
+        raise HarnessError(f"{key} is not a regular file: {path}")
     return path
 
 
@@ -239,7 +235,7 @@ def _check_regime_ids(ws: WorkspaceConfig, regime_ids, axes=_FRONT_AXES) -> None
         for kind in _REGIME_FILE_NAMES:
             size = len(_regime_file(kind, regime_id, axes).encode("utf-8", "surrogatepass"))
             if size > limit:
-                raise WorkspaceError(
+                raise HarnessError(
                     f"regime {regime_id!r}: output name {_regime_file(kind, '<id>', axes)!r} "
                     f"would be {size} bytes, over the {limit} a file name may have "
                     f"under {where}"
@@ -256,35 +252,35 @@ def _finite_numbers(values) -> bool:
         return False
 
 
-def _read_embeddings(path: Path, chunks):
+def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
     """(dim, {chunk_id: vector}, {qa_id: vector}) from an embeddings file.
     Each vector, chunk or query, is a JSON list of exactly `dim` finite
-    numbers, and each chunk vector is of one of the corpus `chunks`; nothing
-    here needs numpy."""
-    raw = ingest.read_json(path, WorkspaceError)
+    numbers, each chunk vector is of one of the corpus `chunk_ids` and each
+    query vector of one of the `qa_ids` of `qa_file`; nothing here needs
+    numpy."""
+    raw = ingest.read_json(path)
     try:
         dim = as_int(raw["dim"], "dim")
         vectors, queries = raw["chunks"], raw["queries"]
     except KeyError as exc:
-        raise WorkspaceError(f"{path}: missing key {exc}") from exc
+        raise HarnessError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise WorkspaceError(f"{path}: bad value: {exc}") from exc
+        raise HarnessError(f"{path}: bad value: {exc}") from exc
     if dim < 1:
-        raise WorkspaceError(f"{path}: bad value: dim must be positive, got {dim}")
+        raise HarnessError(f"{path}: bad value: dim must be positive, got {dim}")
     for kind, by_id in (("chunk", vectors), ("query", queries)):
         if not isinstance(by_id, dict):
-            raise WorkspaceError(f"{path}: bad value: {kind} vectors must be an object")
+            raise HarnessError(f"{path}: bad value: {kind} vectors must be an object")
         for vid, vec in by_id.items():
             if not (isinstance(vec, list) and len(vec) == dim and _finite_numbers(vec)):
-                raise WorkspaceError(
+                raise HarnessError(
                     f"{path}: bad value: {kind} vector {vid!r} must be a list of "
                     f"{dim} finite numbers"
                 )
-    # A vector of no corpus chunk would be served as a context.
-    corpus_ids = {chunk.chunk_id for chunk in chunks}
-    stray = next((chunk_id for chunk_id in vectors if chunk_id not in corpus_ids), None)
-    if stray is not None:
-        raise WorkspaceError(f"{path}: chunk vector {stray!r} is of no corpus chunk")
+    # A vector of no corpus chunk would be served as a context, and one of
+    # no question read as nothing.
+    _reject_stray(path, vectors, chunk_ids, "chunk vector", " is of no corpus chunk")
+    _reject_stray(path, queries, qa_ids, "query vector", f" is of no question of {qa_file}")
     return dim, vectors, queries
 
 
@@ -313,6 +309,15 @@ class Analysis:
         return dataset.load_qa(_input(self.ws, "qa"))
 
     @cached_property
+    def chunk_ids(self) -> set:
+        return {chunk.chunk_id for chunk in self.chunks}
+
+    @cached_property
+    def qa_ids(self) -> set:
+        """The qa_id of every question of the QA file, of any split."""
+        return {pair.qa_id for pair in self.pairs}
+
+    @cached_property
     def gold(self) -> dict:
         """{qa_id: gold answer} of the test split, the questions runs answer."""
         return {p.qa_id: p.gold_answer for p in self.pairs if p.split == "test"}
@@ -326,7 +331,7 @@ class Analysis:
         if path is None and not self.scored:
             return None
         if path is None:
-            raise WorkspaceError("workspace defines no run-set directory")
+            raise HarnessError("workspace defines no run-set directory")
         judge = _input(self.ws, "judge_scores") if self.judged else None
         if not self.scored:
             datasets = {"corpus": self.ws.corpus, "qa": self.ws.qa}
@@ -349,7 +354,7 @@ class Analysis:
         for profile in costs.values():
             for regime_id in profile.inference_vram_by_regime:
                 if regime_id not in self.run_set.runs:
-                    raise WorkspaceError(
+                    raise HarnessError(
                         f"{path}: config {profile.config_id!r}: inf_vram_by_regime "
                         f"names regime {regime_id!r}, which the run set lacks"
                     )
@@ -362,14 +367,18 @@ class Analysis:
         fuses: BM25 serves every question, the dense channel those with a
         query vector."""
         path = _input(self.ws, "embeddings")
-        embeddings = _read_embeddings(path, self.chunks) if path is not None else None
+        embeddings = (
+            _read_embeddings(path, self.chunk_ids, self.qa_ids, self.ws.qa.name)
+            if path is not None
+            else None
+        )
         test_ids = self.gold.keys()
         queries = embeddings[2] if embeddings is not None else {}
         have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
         for regime_id, regime in self.ws.regimes:
             lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
             if lacking:
-                raise WorkspaceError(
+                raise HarnessError(
                     f"regime {regime_id!r}: {lacking} of {len(test_ids)} test questions "
                     f"have no channel that {regime.retrieval_variant!r} fuses "
                     f"({', '.join(regime.channels)})"
@@ -378,16 +387,23 @@ class Analysis:
 
     @cached_property
     def rerank(self) -> dict:
-        """Per-question rerank scores: {qa_id: {chunk_id: finite number}}."""
+        """Per-question rerank scores: {qa_id: {chunk_id: finite number}},
+        each key a question of the QA file and each chunk id a corpus
+        chunk's, since a key that names nothing would be read as nothing."""
         path = _input(self.ws, "rerank_scores")
         if path is None:
             return {}
-        rerank = ingest.read_json(path, WorkspaceError)
+        rerank = ingest.read_json(path)
         if not all(
             isinstance(scores, dict) and _finite_numbers(scores.values())
             for scores in rerank.values()
         ):
-            raise WorkspaceError(f"{path}: expected {{qa_id: {{chunk_id: finite number}}}}")
+            raise HarnessError(f"{path}: expected {{qa_id: {{chunk_id: finite number}}}}")
+        of_qa = f" is of no question of {self.ws.qa.name}"
+        _reject_stray(path, rerank, self.qa_ids, "rerank entry", of_qa)
+        for qa_id, scores in rerank.items():
+            where = f"{path}: rerank entry {qa_id!r}"
+            _reject_stray(where, scores, self.chunk_ids, "chunk id", " is of no corpus chunk")
         return rerank
 
     @cached_property
@@ -442,7 +458,7 @@ class Analysis:
                 qa_ids = [a.qa_ids[i] for i in a_order]
                 if qa_ids != [b.qa_ids[i] for i in b_order]:
                     a_ids, b_ids = set(a.qa_ids), set(b.qa_ids)
-                    raise WorkspaceError(
+                    raise HarnessError(
                         f"regime {regime_id!r}: {qv_id!r} and {full_id!r} cover different "
                         f"qa_ids ({len(a_ids - b_ids)} only in {qv_id!r}, "
                         f"{len(b_ids - a_ids)} only in {full_id!r})"
@@ -450,7 +466,7 @@ class Analysis:
                 if pooled_ids is None:
                     pooled_ids = qa_ids
                 elif qa_ids != pooled_ids:
-                    raise WorkspaceError(
+                    raise HarnessError(
                         f"regime {regime_id!r}: cannot pool param-matched pairs over "
                         f"different qa_ids ({qv_id!r} and {full_id!r} differ from "
                         f"the first pair)"

@@ -48,15 +48,13 @@ if TYPE_CHECKING:
 def _write_text(path: Path, chunks) -> None:
     """Write the strings of `chunks` to `path` as UTF-8 with LF line ends,
     creating its directory; every non-CSV output goes through here. A file
-    the system cannot write is a WorkspaceError."""
+    the system cannot write is a HarnessError."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(chunks)
     except OSError as exc:
-        from .analysis import WorkspaceError
-
-        raise WorkspaceError(f"cannot write {path}: {exc.strerror}") from exc
+        raise HarnessError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_json(path: Path, payload) -> None:
@@ -106,10 +104,10 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     chunks, pairs = an.chunks, an.pairs
     fuses_sparse = any("sparse" in regime.channels for _, regime in ws.regimes)
     if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
-        raise analysis.WorkspaceError(retrieval.NO_TOKEN_ERROR)
+        raise HarnessError(retrieval.NO_TOKEN_ERROR)
     bad = dataset.check_supporting_ids(pairs, chunks)
     if bad:
-        raise analysis.WorkspaceError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
+        raise HarnessError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
     run_set = an.run_set
     analysis._check_regime_ids(
         ws, [*(regime_id for regime_id, _ in ws.regimes), *(run_set.runs if run_set else ())]
@@ -273,14 +271,14 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     axes = tuple(args.axes.split(","))
     for i, axis in enumerate(axes):
         if axis not in COST_AXES:
-            raise analysis.WorkspaceError(f"unknown cost axis {axis!r}")
+            raise HarnessError(f"unknown cost axis {axis!r}")
         if axis in axes[:i]:
-            raise analysis.WorkspaceError(f"repeated cost axis {axis!r}")
+            raise HarnessError(f"repeated cost axis {axis!r}")
     an = analysis.Analysis(ws)
     tables, costs = an.tables, an.costs
     regime_ids = [args.regime] if args.regime else list(tables)
     if args.regime and args.regime not in tables:
-        raise analysis.WorkspaceError(f"regime {args.regime!r} not in run set")
+        raise HarnessError(f"regime {args.regime!r} not in run set")
     # Every front's name is checked, and every front worked out, before the
     # first file is written.
     analysis._check_regime_ids(ws, regime_ids, axes)
@@ -299,7 +297,7 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             cost = {axis: val for axis, val in cost.items() if val is not None}
             absent = [axis for axis in axes if axis not in cost]
             if absent:
-                raise analysis.WorkspaceError(
+                raise HarnessError(
                     f"regime {regime_id!r}: config {r.config_id!r} has no {absent[0]!r} cost"
                 )
             points.append(ParetoPoint(r.config_id, r.f1, cost, regime_id))
@@ -356,7 +354,7 @@ def cmd_grid(ws, args) -> int:
     try:
         ranks = tuple(as_int(r, "rank") for r in args.ranks.split(","))
     except ValueError as exc:
-        raise lora_grid.GridError(f"--ranks must be integers, got {args.ranks!r}") from exc
+        raise HarnessError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)
     config_ids = [lora_grid.display_id(*config) for config in grid]
     width = max(len("base"), *map(len, bases)) + 2

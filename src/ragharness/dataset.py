@@ -16,10 +16,6 @@ ANSWER_TYPES = ("exact", "normal")
 SPLITS = ("train", "eval", "test")
 
 
-class DatasetError(HarnessError):
-    """Raised on schema violations while loading corpus or QA files."""
-
-
 @dataclass(frozen=True)
 class Chunk:
     chunk_id: str
@@ -28,9 +24,9 @@ class Chunk:
 
     def __post_init__(self):
         if not self.chunk_id:
-            raise DatasetError("chunk_id must be nonempty")
+            raise HarnessError("chunk_id must be nonempty")
         if not self.text.strip():
-            raise DatasetError(f"chunk {self.chunk_id!r}: text is empty")
+            raise HarnessError(f"chunk {self.chunk_id!r}: text is empty")
 
 
 @dataclass(frozen=True)
@@ -44,17 +40,17 @@ class QaPair:
 
     def __post_init__(self):
         if not self.qa_id:
-            raise DatasetError("qa_id must be nonempty")
+            raise HarnessError("qa_id must be nonempty")
         if not self.question.strip():
-            raise DatasetError(f"qa {self.qa_id!r}: question is empty")
+            raise HarnessError(f"qa {self.qa_id!r}: question is empty")
         if not self.gold_answer.strip():
-            raise DatasetError(f"qa {self.qa_id!r}: gold_answer is empty")
+            raise HarnessError(f"qa {self.qa_id!r}: gold_answer is empty")
         if self.answer_type not in ANSWER_TYPES:
-            raise DatasetError(
+            raise HarnessError(
                 f"qa {self.qa_id!r}: unknown answer_type {self.answer_type!r}"
             )
         if self.split not in SPLITS:
-            raise DatasetError(f"qa {self.qa_id!r}: unknown split {self.split!r}")
+            raise HarnessError(f"qa {self.qa_id!r}: unknown split {self.split!r}")
 
 
 def _chunk(rec: dict) -> Chunk:
@@ -66,7 +62,7 @@ def _chunk(rec: dict) -> Chunk:
         text=as_str(rec["text"], "text"),
     )
     if as_int(rec.get("token_count", 0), "token_count") < 0:
-        raise DatasetError(f"chunk {chunk.chunk_id!r}: negative token_count")
+        raise HarnessError(f"chunk {chunk.chunk_id!r}: negative token_count")
     return chunk
 
 
@@ -74,8 +70,8 @@ def load_corpus(path) -> list[Chunk]:
     """Load a corpus file, preserving record order and rejecting duplicates."""
     path = Path(path)
     if not path.is_file():
-        raise DatasetError(f"corpus file not found: {path}")
-    chunks = read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id", DatasetError)
+        raise HarnessError(f"corpus file not found: {path}")
+    chunks = read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id")
     return list(chunks.values())
 
 
@@ -96,8 +92,8 @@ def load_qa(path) -> list[QaPair]:
     """Load a QA file, preserving record order and rejecting duplicates."""
     path = Path(path)
     if not path.is_file():
-        raise DatasetError(f"QA file not found: {path}")
-    pairs = read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id", DatasetError)
+        raise HarnessError(f"QA file not found: {path}")
+    pairs = read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id")
     return list(pairs.values())
 
 

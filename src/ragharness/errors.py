@@ -1,5 +1,5 @@
-"""The common base of every error the harness raises on bad input, and the
-integer, float, string, id-list and file-id checks every loader shares."""
+"""The one error the harness raises on bad input, and the integer, float,
+string, id-list and file-id checks every loader shares."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ class HarnessError(ValueError):
 def as_int(value, name: str) -> int:
     """``int(value)``, except that a boolean, or a float with a fractional part
     (or an infinite or NaN one), is a ValueError naming `name` instead of
-    being read as 0/1 or truncated. Callers turn the ValueError into their own
-    typed error."""
+    being read as 0/1 or truncated. Callers turn the ValueError into a
+    HarnessError."""
     if isinstance(value, bool) or (
         isinstance(value, float) and not value.is_integer()
     ):

@@ -21,13 +21,9 @@ ERROR_CLASSES = (
 )
 
 
-class IngestError(HarnessError):
-    pass
-
-
 def _check_judge(name: str, val: int) -> int:
     if not 1 <= val <= 5:
-        raise IngestError(f"{name} out of 1..5: {val}")
+        raise HarnessError(f"{name} out of 1..5: {val}")
     return val
 
 
@@ -51,7 +47,7 @@ class CostProfile:
         )
         for name, val in costs.items():
             if val is not None and not (math.isfinite(val) and val >= 0):
-                raise IngestError(
+                raise HarnessError(
                     f"{self.config_id}: {name} must be finite and >= 0, got {val!r}"
                 )
 
@@ -67,7 +63,7 @@ class ErrorLabel:
 
     def __post_init__(self):
         if self.error_class not in ERROR_CLASSES:
-            raise IngestError(f"unknown error class {self.error_class!r}")
+            raise HarnessError(f"unknown error class {self.error_class!r}")
 
 
 @dataclass
@@ -114,33 +110,33 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def read_json(path, error=IngestError) -> dict:
+def read_json(path) -> dict:
     """The JSON object that makes up a whole file. Bytes that are not UTF-8,
-    malformed JSON and a document that is not an object are `error`s naming
-    the file."""
+    malformed JSON and a document that is not an object are HarnessErrors
+    naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8: {exc}") from exc
+        raise HarnessError(f"{path}: not UTF-8: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-        raise error(f"{path}: malformed JSON: {exc}") from exc
+        raise HarnessError(f"{path}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
-        raise error(f"{path}: malformed JSON: nested too deeply") from exc
+        raise HarnessError(f"{path}: malformed JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
-        raise error(f"{path}: expected a JSON object")
+        raise HarnessError(f"{path}: expected a JSON object")
     return doc
 
 
-def read_rows(path, build, error=IngestError):
+def read_rows(path, build):
     """Yield (lineno, build(row)) for each row of a JSON-lines file; lines end
     at LF. A blank line is skipped; a line that is not UTF-8, a malformed
     line, a row that is not an object, a missing or unconvertible field and a
-    typed error raised by `build` are `error`s naming file:line."""
+    HarnessError raised by `build` are HarnessErrors naming file:line."""
     with open(path, "rb") as fh:
-        yield from _parse_rows(path, fh, build, error)
+        yield from _parse_rows(path, fh, build)
 
 
-def _parse_rows(path, lines, build, error):
+def _parse_rows(path, lines, build):
     """`read_rows` over `lines`, an iterable of the file's raw lines."""
     scan = json.JSONDecoder().scan_once
     # Each line is decoded on its own, so an undecodable byte is reported on
@@ -149,7 +145,7 @@ def _parse_rows(path, lines, build, error):
         try:
             line = raw.decode("utf-8").strip()
         except UnicodeDecodeError as exc:
-            raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
+            raise HarnessError(f"{path}:{lineno}: not UTF-8: {exc}") from exc
         if not line:
             continue
         # The scanner skips json.loads' per-call set-up; a line it does not
@@ -162,31 +158,31 @@ def _parse_rows(path, lines, build, error):
             try:
                 row = json.loads(line)
             except ValueError as exc:  # JSONDecodeError, or an over-long integer literal
-                raise error(f"{path}:{lineno}: malformed line: {exc}") from exc
+                raise HarnessError(f"{path}:{lineno}: malformed line: {exc}") from exc
             except RecursionError as exc:
-                raise error(f"{path}:{lineno}: malformed line: nested too deeply") from exc
+                raise HarnessError(f"{path}:{lineno}: malformed line: nested too deeply") from exc
         if not isinstance(row, dict):
-            raise error(f"{path}:{lineno}: expected a JSON object")
+            raise HarnessError(f"{path}:{lineno}: expected a JSON object")
         try:
             item = build(row)
         except KeyError as exc:
-            raise error(f"{path}:{lineno}: missing field {exc}") from exc
+            raise HarnessError(f"{path}:{lineno}: missing field {exc}") from exc
         except HarnessError as exc:
-            raise error(f"{path}:{lineno}: {exc}") from exc
+            raise HarnessError(f"{path}:{lineno}: {exc}") from exc
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise error(f"{path}:{lineno}: bad field value: {exc}") from exc
+            raise HarnessError(f"{path}:{lineno}: bad field value: {exc}") from exc
         yield lineno, item
 
 
-def read_keyed(path, build, key, noun, error=IngestError) -> dict:
+def read_keyed(path, build, key, noun) -> dict:
     """{key(row): row} for each row `build` makes of a JSON-lines file, in
-    file order, read through `read_rows`; a key seen before is an `error`
+    file order, read through `read_rows`; a key seen before is an error
     naming file:line, the `noun` and the key."""
     rows = {}
-    for lineno, row in read_rows(path, build, error):
+    for lineno, row in read_rows(path, build):
         row_key = key(row)
         if row_key in rows:
-            raise error(f"{path}:{lineno}: duplicate {noun} {row_key!r}")
+            raise HarnessError(f"{path}:{lineno}: duplicate {noun} {row_key!r}")
         rows[row_key] = row
     return rows
 
@@ -216,7 +212,7 @@ def _read_judge(path, canonical: dict) -> dict:
     for lineno, (key, correctness, groundedness) in read_rows(path, _judge_row):
         by_qa_id = index.setdefault(key[:2], {})
         if key[2] in by_qa_id:
-            raise IngestError(f"{path}:{lineno}: duplicate judge score {key!r}")
+            raise HarnessError(f"{path}:{lineno}: duplicate judge score {key!r}")
         by_qa_id[canonical.get(key[2], key[2])] = (lineno, correctness, groundedness)
     return index
 
@@ -232,9 +228,9 @@ def _run_row(rec: dict):
     as_id_list(rec.get("context_ids"), "context_ids")
     top_k = as_int(rec.get("top_k", 2), "top_k")
     if not math.isfinite(latency) or latency < 0:
-        raise IngestError(f"({key[0]}, {key[1]}, {key[2]}): bad latency")
+        raise HarnessError(f"({key[0]}, {key[1]}, {key[2]}): bad latency")
     if top_k < 1:
-        raise IngestError("eval_top_k must be positive")
+        raise HarnessError(f"top_k must be positive, got {top_k}")
     return key, answer, latency, top_k
 
 
@@ -245,13 +241,13 @@ def _read_verified(manifest_path, label, file_path, expected) -> bytes:
     """The bytes of `file_path`, whose sha256 the manifest gives as
     `expected` under `label`; they must match."""
     if not isinstance(expected, str) or not expected:
-        raise IngestError(f"{manifest_path}: {label} must be a non-empty string, got {expected!r}")
+        raise HarnessError(f"{manifest_path}: {label} must be a non-empty string, got {expected!r}")
     if not file_path.is_file():
-        raise IngestError(f"manifest references missing file: {file_path}")
+        raise HarnessError(f"manifest references missing file: {file_path}")
     data = file_path.read_bytes()
     actual = _sha256(data)
     if actual != expected:
-        raise IngestError(f"checksum mismatch for {file_path}: {actual} != {expected}")
+        raise HarnessError(f"checksum mismatch for {file_path}: {actual} != {expected}")
     return data
 
 
@@ -277,16 +273,16 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
-        raise IngestError(f"manifest not found: {manifest_path}")
+        raise HarnessError(f"manifest not found: {manifest_path}")
     manifest = read_json(manifest_path)
     files = manifest.get("files", [])
     if not isinstance(files, list):
-        raise IngestError(f"{manifest_path}: files must be a list, got {files!r}")
+        raise HarnessError(f"{manifest_path}: files must be a list, got {files!r}")
     if not files:
-        raise IngestError(f"{manifest_path}: lists no run files")
+        raise HarnessError(f"{manifest_path}: lists no run files")
     checksums = manifest.get("dataset", {})
     if not isinstance(checksums, dict):
-        raise IngestError(f"{manifest_path}: dataset must be an object, got {checksums!r}")
+        raise HarnessError(f"{manifest_path}: dataset must be an object, got {checksums!r}")
     for name, data_path in (datasets or {}).items():
         sha = f"{name}_sha256"
         if sha in checksums:
@@ -295,13 +291,13 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
     groups: dict[tuple[str, str], tuple[Run, set, dict]] = {}
     for entry in files:
         if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-            raise IngestError(f"{manifest_path}: file entry without a path: {entry!r}")
+            raise HarnessError(f"{manifest_path}: file entry without a path: {entry!r}")
         file_path = root / entry["path"]
         # One read serves the checksum and the rows.
         data = _read_verified(
             manifest_path, f"entry {entry['path']!r}: sha256", file_path, entry.get("sha256")
         )
-        rows = _parse_rows(file_path, data.split(b"\n"), _run_row, IngestError)
+        rows = _parse_rows(file_path, data.split(b"\n"), _run_row)
         for lineno, (key, answer, latency, top_k) in rows:
             group = groups.get(key[:2])
             if group is None:
@@ -309,16 +305,16 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                 group = groups[key[:2]] = (run, set(), judged.get(key[:2], {}))
             run, seen, judge = group
             if key[2] in seen:
-                raise IngestError(f"{file_path}:{lineno}: duplicate record {key}")
+                raise HarnessError(f"{file_path}:{lineno}: duplicate record {key}")
             if top_k != run.eval_top_k:
-                raise IngestError(
+                raise HarnessError(
                     f"{file_path}:{lineno}: top_k {top_k} differs from "
                     f"top_k {run.eval_top_k} earlier in ({key[0]}, {key[1]})"
                 )
             qa_id = canonical.get(key[2])
             if qa_id is None:
                 if qa_ids is not None:
-                    raise IngestError(
+                    raise HarnessError(
                         f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
                         f"(not a test-split question)"
                     )
@@ -334,14 +330,14 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                 run.f1s.append(f1)
                 run.exact.append(exact)
     if not groups:
-        raise IngestError(f"{manifest_path}: run files hold no records")
+        raise HarnessError(f"{manifest_path}: run files hold no records")
     grouped: dict[str, dict[str, Run]] = {}
     for config_id, regime_id in sorted(groups, key=lambda key: (key[1], key[0])):
         run = grouped.setdefault(regime_id, {})[config_id] = groups[config_id, regime_id][0]
         # The sum a regime table's mean latency divides: each latency is
         # finite, but their sum may not be.
         if not math.isfinite(sum(run.latencies)):
-            raise IngestError(
+            raise HarnessError(
                 f"({config_id}, {regime_id}): latency_s values sum to more than a float holds"
             )
     # The judge rows left in the index matched no record; their line numbers
@@ -394,17 +390,17 @@ def load_labels(path, run_set=None) -> list[ErrorLabel]:
     )
     for lineno, label in rows:
         if label in first_line:
-            raise IngestError(
+            raise HarnessError(
                 f"{path}:{lineno}: duplicate of the label on line {first_line[label]}"
             )
         if run_set is not None and label.qa_id not in records.get(label.config_id, ()):
-            raise IngestError(
+            raise HarnessError(
                 f"{path}:{lineno}: no run record of config {label.config_id!r} "
                 f"has qa_id {label.qa_id!r}"
             )
         first_line[label] = lineno
     if not first_line:
-        raise IngestError(f"{path}: holds no error labels")
+        raise HarnessError(f"{path}: holds no error labels")
     return list(first_line)
 
 

@@ -15,10 +15,6 @@ SCHEMES = ("baseline", "qv_only", "full_attention")
 RANK_DIGITS = 100
 
 
-class GridError(HarnessError):
-    pass
-
-
 def display_id(base: str, scheme: str, rank: int | None) -> str:
     """The config id of a config, the exact inverse of `parse_config_id`."""
     if scheme == "baseline":
@@ -34,19 +30,19 @@ def enumerate_grid(base_models, ranks) -> list[tuple]:
     for base in base_models:
         # A base with whitespace would give a config id that does not parse.
         if not base:
-            raise GridError("base model name must be nonempty")
+            raise HarnessError("base model name must be nonempty")
         if base.split() != [base]:
-            raise GridError(f"base model name must hold no whitespace, got {base!r}")
+            raise HarnessError(f"base model name must hold no whitespace, got {base!r}")
         configs.append((base, "baseline", None))
         for rank in ranks:
             if rank < 1:
-                raise GridError(f"rank must be positive, got {rank}")
+                raise HarnessError(f"rank must be positive, got {rank}")
             if rank >= 10**RANK_DIGITS:
-                raise GridError(f"rank must have at most {RANK_DIGITS} digits")
+                raise HarnessError(f"rank must have at most {RANK_DIGITS} digits")
             for scheme in SCHEMES[1:]:
                 cell = (base, rank, scheme)
                 if cell in seen:
-                    raise GridError(f"duplicate grid cell {cell}")
+                    raise HarnessError(f"duplicate grid cell {cell}")
                 seen.add(cell)
                 configs.append((base, scheme, rank))
     return configs
@@ -62,17 +58,17 @@ _CONFIG_ID = re.compile(
 
 def parse_config_id(text: str) -> tuple:
     """The `(base, scheme, rank)` whose `display_id` is `text`; any other text
-    is a GridError."""
+    is a HarnessError."""
     match = _CONFIG_ID.fullmatch(text)
     if match is None:
-        raise GridError(f"cannot parse scheme from config id {text!r}")
+        raise HarnessError(f"cannot parse scheme from config id {text!r}")
     return match[1], match[3] or "baseline", match[2] and int(match[2])
 
 
 def grid_order(config_id: str) -> tuple:
     """Sort key that puts config ids in grid order: base models in natural
     order (digit runs compare as numbers, so 8B sorts before 13B), then
-    ascending rank, qv_only before full_attention. A GridError for an id that
+    ascending rank, qv_only before full_attention. A HarnessError for an id that
     does not parse."""
     base, scheme, rank = parse_config_id(config_id)
     # A digit run keys as (length, digits) without its leading zeros, which

@@ -23,10 +23,6 @@ _ARTICLES = {"a", "an", "the"}
 _MEMO_ENTRIES = 1 << 14
 
 
-class MetricsError(HarnessError):
-    pass
-
-
 @lru_cache(maxsize=_MEMO_ENTRIES)
 def normalize_answer(text: str) -> tuple[str, ...]:
     """Lowercase, drop English articles, strip punctuation (keeping internal
@@ -84,7 +80,7 @@ def scorer(gold_answers: dict):
     def score(qa_id: str, answer: str) -> tuple[float, bool]:
         gold = gold_answers.get(qa_id)
         if gold is None:
-            raise MetricsError(f"no gold answer for qa_id {qa_id!r}")
+            raise HarnessError(f"no gold answer for qa_id {qa_id!r}")
         return token_f1(answer, gold), exact_match(answer, gold)
 
     return score

@@ -15,10 +15,6 @@ from .errors import HarnessError
 COST_AXES = ("latency", "inference_vram", "training_time", "training_vram")
 
 
-class ParetoError(HarnessError):
-    pass
-
-
 @dataclass(frozen=True)
 class ParetoPoint:
     config_id: str
@@ -29,12 +25,12 @@ class ParetoPoint:
 
     def __post_init__(self):
         if not isfinite(self.quality):
-            raise ParetoError(f"quality must be finite, got {self.quality}")
+            raise HarnessError(f"quality must be finite, got {self.quality}")
         for axis, val in self.costs.items():
             if axis not in COST_AXES:
-                raise ParetoError(f"unknown cost axis {axis!r}")
+                raise HarnessError(f"unknown cost axis {axis!r}")
             if not isfinite(val) or val < 0:
-                raise ParetoError(f"cost axis {axis} must be finite and >= 0")
+                raise HarnessError(f"cost axis {axis} must be finite and >= 0")
 
 
 def dominates(a: ParetoPoint, b: ParetoPoint, axes) -> bool:
@@ -43,7 +39,7 @@ def dominates(a: ParetoPoint, b: ParetoPoint, axes) -> bool:
     every axis of `axes`, as `pareto_front` checks."""
     axes = tuple(axes)
     if not axes:
-        raise ParetoError("at least one cost axis is required")
+        raise HarnessError("at least one cost axis is required")
     strict = a.quality > b.quality
     if a.quality < b.quality:
         return False
@@ -61,15 +57,15 @@ def pareto_front(points: list[ParetoPoint], axes) -> list[ParetoPoint]:
     (first) cost axis, then config_id. Each axis must be a known one that
     every point carries."""
     if not points:
-        raise ParetoError("points must be nonempty")
+        raise HarnessError("points must be nonempty")
     axes = tuple(axes)
     if not axes:
-        raise ParetoError("at least one cost axis is required")
+        raise HarnessError("at least one cost axis is required")
     for axis in axes:
         if axis not in COST_AXES:
-            raise ParetoError(f"unknown cost axis {axis!r}")
+            raise HarnessError(f"unknown cost axis {axis!r}")
         if any(axis not in p.costs for p in points):
-            raise ParetoError(f"cost axis {axis!r} is absent")
+            raise HarnessError(f"cost axis {axis!r} is absent")
     front = [
         p
         for p in points

@@ -20,10 +20,6 @@ if TYPE_CHECKING:
     from .stats import Interval, ResamplePlan
 
 
-class ReportError(HarnessError):
-    pass
-
-
 @dataclass(frozen=True)
 class RegimeRow:
     config_id: str
@@ -53,7 +49,7 @@ def regime_table(
     from .stats import bootstrap_ci
 
     if not runs:
-        raise ReportError("regime absent from run set: no runs given")
+        raise HarnessError("regime absent from run set: no runs given")
     rows: list[RegimeRow] = []
     for config_id, run in runs.items():
         n = len(run)
@@ -95,12 +91,12 @@ def ablation_summary(tables: dict) -> list[list]:
     None when no config of the regime has judge scores. `tables` maps regime
     id -> list of RegimeRow. Row order within a table does not matter."""
     if not tables:
-        raise ReportError("at least one regime table is required")
+        raise HarnessError("at least one regime table is required")
     summary = []
     for regime_id in sorted(tables):
         rows = tables[regime_id]
         if not rows:
-            raise ReportError(f"regime table {regime_id!r} is empty")
+            raise HarnessError(f"regime table {regime_id!r} is empty")
         best_f1 = _best(rows, lambda r: r.f1)
         judged = [r for r in rows if r.grnd_pass is not None]
         best_grnd = _best(judged, lambda r: r.grnd_pass) if judged else None
@@ -120,7 +116,7 @@ def scheme_wins(summary: list[list]) -> dict:
     from .lora_grid import parse_config_id
 
     if not summary:
-        raise ReportError("summary must be nonempty")
+        raise HarnessError("summary must be nonempty")
     f1_wins: Counter = Counter()
     grnd_wins: Counter = Counter()
     any_grnd = False
@@ -139,12 +135,12 @@ def topk_summary(tables_by_k: dict) -> list[list]:
     the runtime (F1, latency) front, sorted and joined by ';'. `tables_by_k`
     maps eval_top_k -> list of RegimeRow."""
     if len(tables_by_k) < 2:
-        raise ReportError("need tables for at least two k values")
+        raise HarnessError("need tables for at least two k values")
     rows = []
     for k in sorted(tables_by_k):
         table = tables_by_k[k]
         if not table:
-            raise ReportError(f"table for k={k} is empty")
+            raise HarnessError(f"table for k={k} is empty")
         best = _best(table, lambda r: r.f1)
         points = [ParetoPoint(r.config_id, r.f1, {"latency": r.latency}) for r in table]
         front = pareto_front(points, axes=("latency",))
@@ -183,7 +179,7 @@ def write_csv(path, header, rows) -> None:
     line ends, a float cell to 6 significant digits, a None cell empty, and
     any other cell as `csv` writes it. Every CSV file the harness writes goes
     through here, so reruns with unchanged inputs give identical bytes. A file
-    the system cannot write is a ReportError."""
+    the system cannot write is a HarnessError."""
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -192,7 +188,7 @@ def write_csv(path, header, rows) -> None:
             writer.writerow(header)
             writer.writerows([_cell(value) for value in row] for row in rows)
     except OSError as exc:
-        raise ReportError(f"cannot write {path}: {exc.strerror}") from exc
+        raise HarnessError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cell(value):

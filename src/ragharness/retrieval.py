@@ -43,10 +43,6 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-class RetrievalError(HarnessError):
-    pass
-
-
 # The error of a corpus that gives BM25 nothing to index; `validate` reports
 # it too.
 NO_TOKEN_ERROR = "no chunk text has a BM25 token, so the sparse channel cannot be built"
@@ -83,10 +79,10 @@ class RankedList:
         prev = None
         for cid, score in self.entries:
             if cid in seen:
-                raise RetrievalError(f"duplicate chunk_id in ranked list: {cid!r}")
+                raise HarnessError(f"duplicate chunk_id in ranked list: {cid!r}")
             seen.add(cid)
             if prev is not None and score > prev:
-                raise RetrievalError("ranked list scores must be non-increasing")
+                raise HarnessError("ranked list scores must be non-increasing")
             prev = score
 
     def __len__(self):
@@ -103,9 +99,9 @@ class RetrievalRegime:
 
     def __post_init__(self):
         if self.retrieval_variant not in RETRIEVAL_VARIANTS:
-            raise RetrievalError(f"unknown retrieval variant {self.retrieval_variant!r}")
+            raise HarnessError(f"unknown retrieval variant {self.retrieval_variant!r}")
         if self.prompt_mode not in PROMPT_MODES:
-            raise RetrievalError(f"unknown prompt mode {self.prompt_mode!r}")
+            raise HarnessError(f"unknown prompt mode {self.prompt_mode!r}")
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -139,7 +135,7 @@ class SparseIndex:
 
 def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
     if not corpus:
-        raise RetrievalError("cannot index an empty corpus")
+        raise HarnessError("cannot index an empty corpus")
     import numpy as np
 
     chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
@@ -150,7 +146,7 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
         for chunk in chunks
     ]
     if not any(token_ids):
-        raise RetrievalError(NO_TOKEN_ERROR)
+        raise HarnessError(NO_TOKEN_ERROR)
     doc_len = np.array([len(ids) for ids in token_ids], dtype=np.int64)
     # One key per token, term id major and position minor: one sort of the
     # keys groups each term's postings in ascending position order, and the
@@ -203,7 +199,7 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
     same floats; ties break by ascending chunk_id.
     """
     if limit < 1:
-        raise RetrievalError("limit must be >= 1")
+        raise HarnessError("limit must be >= 1")
     import numpy as np
 
     scores = np.zeros(index.n_docs)
@@ -246,11 +242,11 @@ class EmbeddingTable:
         for row, cid in zip(self.unit, self.chunk_ids):
             vec = np.asarray(vectors[cid], dtype=float)
             if vec.shape != (self.dim,):
-                raise RetrievalError(
+                raise HarnessError(
                     f"vector for {cid!r} has dimension {vec.shape}, expected ({self.dim},)"
                 )
             if not np.all(np.isfinite(vec)):
-                raise RetrievalError(f"vector for {cid!r} has non-finite values")
+                raise HarnessError(f"vector for {cid!r} has non-finite values")
             row[:] = _unit(vec)
 
 
@@ -275,16 +271,16 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
     every chunk on its own.
     """
     if limit < 1:
-        raise RetrievalError("limit must be >= 1")
+        raise HarnessError("limit must be >= 1")
     import numpy as np
 
     query_vector = np.asarray(query_vector, dtype=float)
     if query_vector.shape != (table.dim,):
-        raise RetrievalError(
+        raise HarnessError(
             f"query dimension {query_vector.shape} does not match table ({table.dim},)"
         )
     if not np.all(np.isfinite(query_vector)):
-        raise RetrievalError("query vector has non-finite values")
+        raise HarnessError("query vector has non-finite values")
     q = _unit(query_vector)
     n = len(table.chunk_ids)
     if n > limit:
@@ -301,9 +297,9 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
 def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> RankedList:
     """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank)."""
     if not lists:
-        raise RetrievalError("fuse_rrf requires at least one input list")
+        raise HarnessError("fuse_rrf requires at least one input list")
     if k_rrf <= 0:
-        raise RetrievalError("k_rrf must be positive")
+        raise HarnessError("k_rrf must be positive")
     ranks: dict[str, list[int]] = {}
     for rl in lists:
         for rank, (cid, _) in enumerate(rl.entries, start=1):
@@ -340,7 +336,7 @@ def select_contexts(
         present = tuple(name for name in regime.channels if given[name] is not None)
         if not present:
             need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
-            raise RetrievalError(f"{regime.retrieval_variant} regime requires {need} channel")
+            raise HarnessError(f"{regime.retrieval_variant} regime requires {need} channel")
         if present not in fused:
             lists = [given[name] for name in present]
             ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, k_rrf)

@@ -35,10 +35,6 @@ _INDEX_CACHE_SIZE = 4
 _STATE_CACHE_SIZE = 4
 
 
-class StatsError(HarnessError):
-    pass
-
-
 @dataclass(frozen=True)
 class Interval:
     lo: float
@@ -46,7 +42,7 @@ class Interval:
 
     def __post_init__(self):
         if self.lo > self.hi:
-            raise StatsError(f"interval lo {self.lo} > hi {self.hi}")
+            raise HarnessError(f"interval lo {self.lo} > hi {self.hi}")
 
 
 @dataclass(frozen=True)
@@ -64,11 +60,11 @@ class ResamplePlan:
 
     def __post_init__(self):
         if self.n_resamples < 1:
-            raise StatsError("n_resamples must be >= 1")
+            raise HarnessError("n_resamples must be >= 1")
         if not 0.0 < self.level < 1.0:
-            raise StatsError("level must be in (0, 1)")
+            raise HarnessError("level must be in (0, 1)")
         if not 0 <= self.master_seed <= _MASK64:
-            raise StatsError(
+            raise HarnessError(
                 f"master_seed must be in 0..{_MASK64}, got {self.master_seed}"
             )
 
@@ -116,9 +112,9 @@ def _index_matrix(master_seed: int, n_resamples: int, n: int) -> np.ndarray:
 def _check_values(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
-        raise StatsError("values must be nonempty")
+        raise HarnessError("values must be nonempty")
     if not np.all(np.isfinite(arr)):
-        raise StatsError("values must be finite")
+        raise HarnessError("values must be finite")
     return arr
 
 
@@ -175,15 +171,15 @@ def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
     """Family-level delta: one shared index resample per replicate, pair mean
     differences averaged across pairs."""
     if not pairs:
-        raise StatsError("pairs must be nonempty")
+        raise HarnessError("pairs must be nonempty")
     diffs = []
     for a, b in pairs:
         a = _check_values(a)
         b = _check_values(b)
         if a.shape != b.shape:
-            raise StatsError(f"length mismatch: {a.shape} vs {b.shape}")
+            raise HarnessError(f"length mismatch: {a.shape} vs {b.shape}")
         if diffs and a.size != diffs[0].size:
-            raise StatsError("all pairs must share the same example index set")
+            raise HarnessError("all pairs must share the same example index set")
         diffs.append(a - b)
     rows = np.stack(diffs)
     interval = _interval(rows, plan)

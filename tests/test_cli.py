@@ -689,6 +689,26 @@ OVERRIDE_OF_NO_REGIME = (
     "'01_base__nuetral', which the run set lacks"
 )
 
+# Keys of the embeddings and rerank files that name no question or chunk:
+# each would be read as nothing, so validate and retrieve reject it.
+STRAY_KEY_CASES = [
+    (
+        "query_vector_of_no_question",
+        _edit_json("embeddings.json", lambda e: e["queries"].update(qa9999=e["queries"]["qa000"])),
+        "embeddings.json: query vector 'qa9999' is of no question of qa.jsonl",
+    ),
+    (
+        "rerank_entry_of_no_question",
+        _edit_json("rerank.json", lambda r: r.update(qa0000=r.pop("qa000"))),
+        "rerank.json: rerank entry 'qa0000' is of no question of qa.jsonl",
+    ),
+    (
+        "rerank_chunk_of_no_chunk",
+        _edit_json("rerank.json", lambda r: r["qa000"].update(ghost=0.5)),
+        "rerank.json: rerank entry 'qa000': chunk id 'ghost' is of no corpus chunk",
+    ),
+]
+
 
 # The files differ from those the manifest says the runs were made against.
 _changed_gold = _edit_rows("qa.jsonl", lambda rows: rows[0].update(gold_answer="changed"))
@@ -1378,6 +1398,19 @@ SHA256_NOT_STRING = (
             (_override_of_no_regime, [command], OVERRIDE_OF_NO_REGIME)
             for command in ("validate", "stats", "pareto", "report")
         ),
+        *(
+            (mutate, [command], message)
+            for _, mutate, message in STRAY_KEY_CASES
+            for command in ("validate", "retrieve")
+        ),
+        *(
+            (
+                _edit_run(lambda r: r.update(top_k=0)),
+                [command],
+                "3B_r8_qv_only__01_base__neutral.jsonl:30: top_k must be positive, got 0",
+            )
+            for command in ("validate", "stats")
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1455,6 +1488,12 @@ SHA256_NOT_STRING = (
             f"override_of_no_regime_{command}"
             for command in ("validate", "stats", "pareto", "report")
         ),
+        *(
+            f"{name}_{command}"
+            for name, *_ in STRAY_KEY_CASES
+            for command in ("validate", "retrieve")
+        ),
+        "run_top_k_zero_validate", "run_top_k_zero_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

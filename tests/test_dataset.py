@@ -4,11 +4,11 @@ import pytest
 
 from ragharness.dataset import (
     Chunk,
-    DatasetError,
     check_supporting_ids,
     load_corpus,
     load_qa,
 )
+from ragharness.errors import HarnessError
 
 
 def write_jsonl(path, records):
@@ -51,14 +51,14 @@ def test_load_corpus_roundtrip(tmp_path):
 def test_load_corpus_duplicate_id(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, CHUNKS + [CHUNKS[0]])
-    with pytest.raises(DatasetError, match="duplicate chunk_id"):
+    with pytest.raises(HarnessError, match="duplicate chunk_id"):
         load_corpus(path)
 
 
 def test_load_corpus_malformed_line_reports_lineno(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"chunk_id": "c1", "text": "x"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(DatasetError, match=":2"):
+    with pytest.raises(HarnessError, match=":2"):
         load_corpus(path)
 
 
@@ -86,14 +86,14 @@ def test_load_qa_roundtrip(tmp_path):
 def test_load_qa_rejects_bad_answer_type(tmp_path):
     path = tmp_path / "qa.jsonl"
     write_jsonl(path, [dict(QA[0], answer_type="fuzzy")])
-    with pytest.raises(DatasetError, match="answer_type"):
+    with pytest.raises(HarnessError, match="answer_type"):
         load_qa(path)
 
 
 def test_load_qa_rejects_duplicate_qa_id(tmp_path):
     path = tmp_path / "qa.jsonl"
     write_jsonl(path, [QA[0], QA[0]])
-    with pytest.raises(DatasetError, match="duplicate qa_id"):
+    with pytest.raises(HarnessError, match="duplicate qa_id"):
         load_qa(path)
 
 
@@ -109,5 +109,5 @@ def test_check_supporting_ids(tmp_path):
 
 
 def test_missing_file():
-    with pytest.raises(DatasetError, match="not found"):
+    with pytest.raises(HarnessError, match="not found"):
         load_corpus("/nonexistent/corpus.jsonl")

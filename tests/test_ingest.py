@@ -3,12 +3,11 @@ import random
 
 import pytest
 
-from ragharness.dataset import DatasetError, load_corpus, load_qa
-from ragharness.errors import as_float, as_int
+from ragharness.dataset import load_corpus, load_qa
+from ragharness.errors import HarnessError, as_float, as_int
 from ragharness.ingest import (
     CostProfile,
     ErrorLabel,
-    IngestError,
     load_cost_profile,
     load_labels,
     load_runs,
@@ -57,30 +56,30 @@ def test_load_runs_roundtrip(tmp_path):
 
 def test_load_runs_checksum_mismatch(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")], tamper=True)
-    with pytest.raises(IngestError, match="checksum mismatch"):
+    with pytest.raises(HarnessError, match="checksum mismatch"):
         load_runs(runs)
 
 
 def test_load_runs_duplicate_triple(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("q0")])
-    with pytest.raises(IngestError, match="duplicate record"):
+    with pytest.raises(HarnessError, match="duplicate record"):
         load_runs(runs)
 
 
 def test_load_runs_negative_latency(tmp_path):
     runs = write_run_set(tmp_path, [record("q0", latency=-1.0)])
-    with pytest.raises(IngestError, match="latency"):
+    with pytest.raises(HarnessError, match="latency"):
         load_runs(runs)
 
 
 def test_load_runs_unknown_qa_id(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("mystery")])
-    with pytest.raises(IngestError, match="unknown qa_id"):
+    with pytest.raises(HarnessError, match="unknown qa_id"):
         load_runs(runs, qa_ids={"q0"})
 
 
 def test_load_runs_missing_manifest(tmp_path):
-    with pytest.raises(IngestError, match="manifest not found"):
+    with pytest.raises(HarnessError, match="manifest not found"):
         load_runs(tmp_path)
 
 
@@ -111,7 +110,7 @@ def test_load_runs_rejects_unverifiable_manifest(tmp_path, edit, message):
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     edit(manifest)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
-    with pytest.raises(IngestError, match="manifest.json: ") as excinfo:
+    with pytest.raises(HarnessError, match="manifest.json: ") as excinfo:
         load_runs(runs)
     assert message in str(excinfo.value)
 
@@ -197,7 +196,7 @@ def test_load_runs_rejects_duplicate_judge_row(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")])
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1"), score_row("q0", corr=1)])
-    with pytest.raises(IngestError, match=r"judge.jsonl:3: duplicate judge score"):
+    with pytest.raises(HarnessError, match=r"judge.jsonl:3: duplicate judge score"):
         load_runs(runs, judge_path=scores)
 
 
@@ -223,20 +222,19 @@ def test_duplicate_key_messages_are_exact(tmp_path):
     judge = score_row(ODD_KEY, config="cfg \u00e9")
     runs = write_run_set(tmp_path, [record("q0")])
     cases = [
-        (load_corpus, DatasetError, [chunk, chunk], f"duplicate chunk_id {ODD_KEY_REPR}"),
-        (load_qa, DatasetError, [pair, pair], f"duplicate qa_id {ODD_KEY_REPR}"),
-        (load_cost_profile, IngestError, [cost, cost], f"duplicate config {ODD_KEY_REPR}"),
+        (load_corpus, [chunk, chunk], f"duplicate chunk_id {ODD_KEY_REPR}"),
+        (load_qa, [pair, pair], f"duplicate qa_id {ODD_KEY_REPR}"),
+        (load_cost_profile, [cost, cost], f"duplicate config {ODD_KEY_REPR}"),
         (
             lambda path: load_runs(runs, judge_path=path),
-            IngestError,
             [judge, judge],
             f"duplicate judge score ('cfg \u00e9', '01', {ODD_KEY_REPR})",
         ),
     ]
-    for load, error, rows, tail in cases:
+    for load, rows, tail in cases:
         path = tmp_path / "keyed.jsonl"
         write_scores(path, rows)
-        with pytest.raises(error) as excinfo:
+        with pytest.raises(HarnessError) as excinfo:
             load(path)
         assert str(excinfo.value) == f"{path}:2: {tail}"
 
@@ -328,7 +326,7 @@ def test_read_rows_words_a_malformed_line_as_json_loads_does(tmp_path, line):
     path.write_text('{"ok": 1}\n' + line + "\n", encoding="utf-8")
     with pytest.raises(json.JSONDecodeError) as expected:
         json.loads(line)
-    with pytest.raises(IngestError) as got:
+    with pytest.raises(HarnessError) as got:
         list(read_rows(path, dict))
     assert str(got.value) == f"{path}:2: malformed line: {expected.value}"
 
@@ -365,7 +363,7 @@ def test_load_cost_profile_rejects_duplicate_config(tmp_path):
     path = tmp_path / "costs.jsonl"
     write_scores(path, [{"config": "a", "inf_vram_gb": 1.0},
                         {"config": "a", "inf_vram_gb": 2.0}])
-    with pytest.raises(IngestError, match="duplicate config"):
+    with pytest.raises(HarnessError, match="duplicate config"):
         load_cost_profile(path)
 
 
@@ -378,14 +376,14 @@ def test_cost_profile_regime_override():
     assert profile.inference_vram_for("01_base__neutral") == 10.0
     assert profile.inference_vram_for("05_dense_only__neutral") == 9.0
     for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(IngestError, match="must be finite and >= 0"):
+        with pytest.raises(HarnessError, match="must be finite and >= 0"):
             CostProfile(config_id="a", inference_vram=bad)
-        with pytest.raises(IngestError, match="inference_vram for regime 'r'"):
+        with pytest.raises(HarnessError, match="inference_vram for regime 'r'"):
             CostProfile(config_id="a", inference_vram_by_regime={"r": bad})
 
 
 def test_error_label_enum_closed():
-    with pytest.raises(IngestError):
+    with pytest.raises(HarnessError, match="^unknown error class 'hallucination'$"):
         ErrorLabel(qa_id="q", config_id="c", error_class="hallucination")
 
 
@@ -402,11 +400,11 @@ def test_load_labels_in_file_order_against_the_run_set(tmp_path):
     assert load_labels(path, run_set) == load_labels(path) == want
     write_scores(path, [*rows, {"qa_id": "q3", "config": "cfgA", "class": "overclaiming"}])
     assert len(load_labels(path)) == 4
-    with pytest.raises(IngestError, match=r"labels.jsonl:4: no run record of config 'cfgA'"):
+    with pytest.raises(HarnessError, match=r"labels.jsonl:4: no run record of config 'cfgA'"):
         load_labels(path, run_set)
     write_scores(path, [*rows, rows[1]])
-    with pytest.raises(IngestError, match=r"labels.jsonl:4: duplicate of the label on line 2"):
+    with pytest.raises(HarnessError, match=r"labels.jsonl:4: duplicate of the label on line 2"):
         load_labels(path)
     path.write_text("\n", encoding="utf-8")
-    with pytest.raises(IngestError, match=r"labels.jsonl: holds no error labels"):
+    with pytest.raises(HarnessError, match=r"labels.jsonl: holds no error labels"):
         load_labels(path)

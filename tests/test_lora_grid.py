@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from ragharness import lora_grid
 from ragharness.cli import main
+from ragharness.errors import HarnessError
 from ragharness.lora_grid import (
     SCHEMES,
-    GridError,
     display_id,
     enumerate_grid,
     grid_order,
@@ -160,20 +160,20 @@ def test_param_matched_pairs_follow_the_order_given():
     ids = ["8B r8 qv_only", "8B r4 full_attention", "3B r8 qv_only", "3B r4 full_attention"]
     assert [p[1] for p in param_matched_pairs(ids)] == ["8B r8 qv_only", "3B r8 qv_only"]
     assert [p[1] for p in param_matched_pairs(ids[::-1])] == ["3B r8 qv_only", "8B r8 qv_only"]
-    with pytest.raises(GridError, match="cannot parse scheme from config id 'gpt-x'"):
+    with pytest.raises(HarnessError, match="cannot parse scheme from config id 'gpt-x'"):
         param_matched_pairs([*ids, "gpt-x"])
 
 
 def test_enumerate_grid_rejects_bad_inputs():
-    with pytest.raises(GridError, match="rank must be positive, got 0"):
+    with pytest.raises(HarnessError, match="rank must be positive, got 0"):
         enumerate_grid(("3B",), (0,))
-    with pytest.raises(GridError, match="rank must have at most 100 digits"):
+    with pytest.raises(HarnessError, match="rank must have at most 100 digits"):
         enumerate_grid(("3B",), (10**lora_grid.RANK_DIGITS,))
     assert enumerate_grid(("3B",), (10**lora_grid.RANK_DIGITS - 1,))[1][2] == 10**100 - 1
-    with pytest.raises(GridError, match="base model name must be nonempty"):
+    with pytest.raises(HarnessError, match="base model name must be nonempty"):
         enumerate_grid(("3B", ""), (4,))
     for base in ("Llama 3B", " 3B", "3B\t", "3B\u00a0"):
-        with pytest.raises(GridError, match="base model name must hold no whitespace"):
+        with pytest.raises(HarnessError, match="base model name must hold no whitespace"):
             enumerate_grid(("8B", base), (4,))
 
 
@@ -209,7 +209,7 @@ def test_parse_config_id_inverts_display_id(base, rank, scheme):
     ],
 )
 def test_parse_config_id_rejects_any_other_id(config_id):
-    with pytest.raises(GridError) as raised:
+    with pytest.raises(HarnessError) as raised:
         parse_config_id(config_id)
     assert str(raised.value) == f"cannot parse scheme from config id {config_id!r}"
 
@@ -220,7 +220,7 @@ def test_grid_order_sorts_like_the_grid():
     in_order = sorted(reversed(grid), key=grid_order)
     assert [c for c in in_order if not c.endswith(" baseline")] == adapters
     for unreadable in ("gpt-x", "3B r0 qv_only"):
-        with pytest.raises(GridError, match="cannot parse scheme from config id"):
+        with pytest.raises(HarnessError, match="cannot parse scheme from config id"):
             sorted([*grid, unreadable], key=grid_order)
     ids = ["13B r8 qv_only", "8B r128 qv_only", "1B r2 full_attention", "8B r64 full_attention"]
     assert sorted(ids, key=grid_order) == [

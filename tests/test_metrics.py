@@ -4,9 +4,9 @@ from collections import Counter
 import pytest
 
 from ragharness import metrics
+from ragharness.errors import HarnessError
 from ragharness.ingest import load_runs
 from ragharness.metrics import (
-    MetricsError,
     exact_match,
     normalize_answer,
     scorer,
@@ -113,7 +113,7 @@ def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
 
 def test_scorer_rejects_a_record_without_gold(tmp_path):
     runs = write_run_set(tmp_path, [record("q0", answer="port"), record("q9", answer="anything")])
-    with pytest.raises(MetricsError, match="no gold answer for qa_id 'q9'"):
+    with pytest.raises(HarnessError, match="no gold answer for qa_id 'q9'"):
         load_runs(runs, score=scorer({"q0": "port"}))
 
 

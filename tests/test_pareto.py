@@ -2,9 +2,9 @@ import random
 
 import pytest
 
+from ragharness.errors import HarnessError
 from ragharness.pareto import (
     COST_AXES,
-    ParetoError,
     ParetoPoint,
     dominates,
     pareto_front,
@@ -107,22 +107,22 @@ def test_front_sorted_by_primary_axis():
 
 def test_errors():
     p = ParetoPoint("p", 0.5, {"latency": 1.0})
-    with pytest.raises(ParetoError, match="points must be nonempty"):
+    with pytest.raises(HarnessError, match="points must be nonempty"):
         pareto_front([], ("latency",))
-    with pytest.raises(ParetoError, match="at least one cost axis"):
+    with pytest.raises(HarnessError, match="at least one cost axis"):
         dominates(p, p, ())
-    with pytest.raises(ParetoError, match="at least one cost axis"):
+    with pytest.raises(HarnessError, match="at least one cost axis"):
         pareto_front([p], ())
-    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+    with pytest.raises(HarnessError, match="^cost axis 'training_time' is absent$"):
         pareto_front([p], ("training_time",))
-    with pytest.raises(ParetoError, match="^unknown cost axis 'bogus_axis'$"):
+    with pytest.raises(HarnessError, match="^unknown cost axis 'bogus_axis'$"):
         pareto_front([p], ("bogus_axis",))
-    with pytest.raises(ParetoError, match="^unknown cost axis 'bogus_axis'$"):
+    with pytest.raises(HarnessError, match="^unknown cost axis 'bogus_axis'$"):
         ParetoPoint("p", 0.5, {"bogus_axis": 1.0})
     for bad in (-1.0, float("inf"), float("nan")):
-        with pytest.raises(ParetoError, match="^cost axis latency must be finite and >= 0$"):
+        with pytest.raises(HarnessError, match="^cost axis latency must be finite and >= 0$"):
             ParetoPoint("p", 0.5, {"latency": bad})
-    with pytest.raises(ParetoError, match="quality must be finite"):
+    with pytest.raises(HarnessError, match="quality must be finite"):
         ParetoPoint("p", float("nan"), {"latency": 1.0})
 
 
@@ -132,7 +132,7 @@ def test_an_axis_one_point_lacks_is_absent_for_the_whole_front():
     full = ParetoPoint("full", 0.9, {"latency": 0.1, "training_time": 1.0})
     partial = ParetoPoint("partial", 0.1, {"latency": 0.9})
     assert pareto_front([full, partial], ("latency",)) == [full]
-    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+    with pytest.raises(HarnessError, match="^cost axis 'training_time' is absent$"):
         pareto_front([full, partial], ("latency", "training_time"))
-    with pytest.raises(ParetoError, match="^cost axis 'training_time' is absent$"):
+    with pytest.raises(HarnessError, match="^cost axis 'training_time' is absent$"):
         pareto_front([partial], ("training_time",))

@@ -4,13 +4,13 @@ from collections import Counter
 
 import pytest
 
+from ragharness.errors import HarnessError
 from ragharness.ingest import ERROR_CLASSES, ErrorLabel, Run, RunSet
 from ragharness.lora_grid import parse_config_id
 from ragharness.metrics import scorer, token_f1
 from ragharness.pareto import ParetoPoint, pareto_front
 from ragharness.report import (
     RegimeRow,
-    ReportError,
     ablation_summary,
     emit_front_data,
     error_counts,
@@ -130,7 +130,7 @@ def test_regime_table_without_judge_scores():
 
 def test_regime_table_absent_regime():
     run_set = make_run_set()
-    with pytest.raises(ReportError, match="absent"):
+    with pytest.raises(HarnessError, match="absent"):
         regime_table(run_set.runs.get("99", {}), {}, ResamplePlan(n_resamples=10))
 
 
@@ -208,7 +208,7 @@ def test_topk_summary_identical_tables(topk_tables):
     rows = topk_summary({1: table, 2: table})
     assert [row[0] for row in rows] == [1, 2]
     assert rows[0][1:] == rows[1][1:]
-    with pytest.raises(ReportError):
+    with pytest.raises(HarnessError, match="^need tables for at least two k values$"):
         topk_summary({2: table})
 
 

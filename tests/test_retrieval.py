@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragharness.dataset import Chunk
+from ragharness.errors import HarnessError
 from ragharness.retrieval import (
     RETRIEVAL_VARIANTS,
     EmbeddingTable,
     RankedList,
-    RetrievalError,
     RetrievalRegime,
     build_sparse_index,
     fuse_rrf,
@@ -117,7 +117,7 @@ def test_embedding_table_leaves_the_callers_vectors_as_given():
 
 def test_dense_dimension_mismatch():
     table = EmbeddingTable(vectors={"c0": np.ones(4)}, dim=4)
-    with pytest.raises(RetrievalError, match="dimension"):
+    with pytest.raises(HarnessError, match="dimension"):
         score_dense(table, np.ones(5), limit=1)
 
 
@@ -267,9 +267,9 @@ def test_dense_zero_query_and_zero_vectors_tie_by_chunk_id():
 
 def test_dense_rejects_bad_limit_and_non_finite_query():
     table = EmbeddingTable(vectors={"c0": np.ones(4)}, dim=4)
-    with pytest.raises(RetrievalError, match="limit"):
+    with pytest.raises(HarnessError, match="limit"):
         score_dense(table, np.ones(4), limit=0)
-    with pytest.raises(RetrievalError, match="non-finite"):
+    with pytest.raises(HarnessError, match="non-finite"):
         score_dense(table, np.array([1.0, np.nan, 0.0, 0.0]), limit=1)
 
 
@@ -304,16 +304,16 @@ def test_rrf_single_list_identity():
 
 
 def test_ranked_list_rejects_duplicates_and_increasing_scores():
-    with pytest.raises(RetrievalError, match="duplicate"):
+    with pytest.raises(HarnessError, match="duplicate"):
         RankedList(entries=[("a", 1.0), ("a", 0.5)])
-    with pytest.raises(RetrievalError, match="non-increasing"):
+    with pytest.raises(HarnessError, match="non-increasing"):
         RankedList(entries=[("a", 0.5), ("b", 1.0)])
 
 
 def test_regime_validation():
-    with pytest.raises(RetrievalError, match="unknown retrieval variant"):
+    with pytest.raises(HarnessError, match="unknown retrieval variant"):
         RetrievalRegime(retrieval_variant="bogus")
-    with pytest.raises(RetrievalError, match="unknown prompt mode"):
+    with pytest.raises(HarnessError, match="unknown prompt mode"):
         RetrievalRegime(retrieval_variant="base", prompt_mode="bogus")
 
 
@@ -342,10 +342,10 @@ KNOBS = dict(retrieve_top_n=4, eval_top_k=2, k_rrf=60.0)
 def test_select_context_channel_requirements():
     sparse = ranked(["a", "b", "c"])
     base = RetrievalRegime(retrieval_variant="base")
-    with pytest.raises(RetrievalError, match="at least one channel"):
+    with pytest.raises(HarnessError, match="at least one channel"):
         select_contexts((base,), **KNOBS)
     only = RetrievalRegime(retrieval_variant="dense_only")
-    with pytest.raises(RetrievalError, match="dense"):
+    with pytest.raises(HarnessError, match="dense"):
         select_contexts((only,), sparse=sparse, **KNOBS)
 
 
@@ -390,17 +390,17 @@ def reference_select_context(
     variant = regime.retrieval_variant
     if variant == "dense_only":
         if dense is None:
-            raise RetrievalError("dense_only regime requires the dense channel")
+            raise HarnessError("dense_only regime requires the dense channel")
         candidates = dense.ids()[:retrieve_top_n]
         return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     if variant == "sparse_only":
         if sparse is None:
-            raise RetrievalError("sparse_only regime requires the sparse channel")
+            raise HarnessError("sparse_only regime requires the sparse channel")
         candidates = sparse.ids()[:retrieve_top_n]
         return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     lists = [rl for rl in (dense, sparse) if rl is not None]
     if not lists:
-        raise RetrievalError(f"{variant} regime requires at least one channel")
+        raise HarnessError(f"{variant} regime requires at least one channel")
     candidates = fuse_rrf(lists, k_rrf).ids()[:retrieve_top_n]
     if variant == "reranker_off":
         return candidates[:eval_top_k]
@@ -410,7 +410,7 @@ def reference_select_context(
 def _outcome(select, *args, **kwargs):
     try:
         return select(*args, **kwargs)
-    except RetrievalError as exc:
+    except HarnessError as exc:
         return f"error: {exc}"
 
 

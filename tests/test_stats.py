@@ -4,12 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from ragharness.errors import HarnessError
 from ragharness.stats import (
     _INDEX_CACHE_SIZE,
     _STATE_CACHE_SIZE,
     Interval,
     ResamplePlan,
-    StatsError,
     _index_matrix,
     _percentile_interval,
     _replicate_indices,
@@ -50,7 +50,7 @@ def reference_pooled(pairs, plan):
 
 
 def test_interval_validation():
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match=r"^interval lo 1\.0 > hi 0\.0$"):
         Interval(lo=1.0, hi=0.0)
     interval = Interval(lo=0.1, hi=0.2)
     assert interval.lo <= 0.15 <= interval.hi
@@ -151,18 +151,18 @@ def test_pooled_pair_delta_single_pair_matches_paired():
 
 def test_input_validation():
     plan = ResamplePlan(n_resamples=10)
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match="^values must be nonempty$"):
         bootstrap_ci([], plan)
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match="^values must be finite$"):
         bootstrap_ci([1.0, float("nan")], plan)
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match=r"^length mismatch: \(2,\) vs \(1,\)$"):
         paired_bootstrap_delta([1.0, 2.0], [1.0], plan)
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match="^pairs must be nonempty$"):
         pooled_pair_delta([], plan)
-    with pytest.raises(StatsError):
+    with pytest.raises(HarnessError, match="^all pairs must share the same example index set$"):
         pooled_pair_delta([([1.0, 2.0], [1.0, 2.0]), ([1.0], [1.0])], plan)
     for seed in (-1, 2**64):
-        with pytest.raises(StatsError, match="master_seed must be in"):
+        with pytest.raises(HarnessError, match="master_seed must be in"):
             ResamplePlan(master_seed=seed)
     assert ResamplePlan(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
