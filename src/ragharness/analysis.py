@@ -255,9 +255,9 @@ def _finite_numbers(values) -> bool:
 def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
     """(dim, {chunk_id: vector}, {qa_id: vector}) from an embeddings file.
     Each vector, chunk or query, is a JSON list of exactly `dim` finite
-    numbers, each chunk vector is of one of the corpus `chunk_ids` and each
-    query vector of one of the `qa_ids` of `qa_file`; nothing here needs
-    numpy."""
+    numbers whose squared norm a float holds, each chunk vector is of one of
+    the corpus `chunk_ids` and each query vector of one of the `qa_ids` of
+    `qa_file`; nothing here needs numpy."""
     raw = ingest.read_json(path)
     try:
         dim = as_int(raw["dim"], "dim")
@@ -276,6 +276,16 @@ def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
                 raise HarnessError(
                     f"{path}: bad value: {kind} vector {vid!r} must be a list of "
                     f"{dim} finite numbers"
+                )
+            # Retrieval divides each vector by the root of its squared norm:
+            # one that overflows would read it as a zero vector, and a
+            # nonzero one that underflows to 0 would leave it unscaled.
+            norm = math.hypot(*vec)
+            if norm and not 0.0 < norm * norm < math.inf:
+                how = "overflows" if norm > 1.0 else "underflows to 0"
+                raise HarnessError(
+                    f"{path}: bad value: {kind} vector {vid!r} has a squared norm that "
+                    f"{how} as a float"
                 )
     # A vector of no corpus chunk would be served as a context, and one of
     # no question read as nothing.

@@ -69,31 +69,6 @@ def _write_jsonl(path: Path, rows) -> None:
     _write_text(path, (encode(row) + "\n" for row in rows))
 
 
-_REGIME_COLUMNS = [
-    "config", "n", "f1", "f1_lo", "f1_hi", "em",
-    "grnd_pass", "grnd_lo", "grnd_hi",
-    "corr_pass", "corr_lo", "corr_hi",
-    "latency", "inference_vram",
-]
-
-
-def _write_regime_csv(path: Path, rows) -> None:
-    """A regime table, as stats_<regime>.csv and regime_<regime>.csv hold it."""
-    from . import report
-
-    def bounds(interval):
-        return [interval.lo, interval.hi] if interval else [None, None]
-
-    cells = (
-        [r.config_id, r.n, r.f1, *bounds(r.f1_interval), r.em_rate,
-         r.grnd_pass, *bounds(r.grnd_interval),
-         r.corr_pass, *bounds(r.corr_interval),
-         r.latency, r.inference_vram]
-        for r in rows
-    )
-    report.write_csv(path, _REGIME_COLUMNS, cells)
-
-
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
     """Read every part of an unscored analysis, with the checks of the
     commands that read it, and stop at the first fault; nothing is scored
@@ -249,7 +224,7 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
         if len(vectors) > 1:
             deltas.append([regime_id, "pooled", "", "", pooled_pair_delta(vectors, plan)])
     for regime_id, rows in tables.items():
-        _write_regime_csv(ws.out / analysis._regime_file("stats", regime_id), rows)
+        report.write_regime_table(ws.out / analysis._regime_file("stats", regime_id), rows)
     if matched:
         report.write_csv(
             ws.out / "param_matched.csv",
@@ -287,7 +262,7 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
         rows = tables[regime_id]
         points = []
         for r in rows:
-            profile = costs.get(r.config_id)
+            profile = costs.get(r.config)
             cost = {
                 "latency": r.latency,
                 "inference_vram": r.inference_vram,
@@ -298,9 +273,9 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             absent = [axis for axis in axes if axis not in cost]
             if absent:
                 raise HarnessError(
-                    f"regime {regime_id!r}: config {r.config_id!r} has no {absent[0]!r} cost"
+                    f"regime {regime_id!r}: config {r.config!r} has no {absent[0]!r} cost"
                 )
-            points.append(ParetoPoint(r.config_id, r.f1, cost, regime_id))
+            points.append(ParetoPoint(r.config, r.f1, cost, regime_id))
         fronts.append((regime_id, points, pareto_front(points, axes)))
     for regime_id, points, front in fronts:
         out_path = ws.out / analysis._regime_file("front", regime_id, axes)
@@ -320,7 +295,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     wins = report.scheme_wins(summary)
     error_counts = report.error_counts(labels) if labels is not None else None
     for regime_id, rows in tables.items():
-        _write_regime_csv(ws.out / analysis._regime_file("regime_csv", regime_id), rows)
+        report.write_regime_table(ws.out / analysis._regime_file("regime_csv", regime_id), rows)
         text = report.format_regime_table(rows, ws.level, ws.pass_threshold)
         _write_text(ws.out / analysis._regime_file("regime_txt", regime_id), [text])
     report.write_csv(
@@ -333,7 +308,7 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     k_tables = {}
     for regime_id, rows in tables.items():
         for row in rows:
-            k = an.run_set.runs[regime_id][row.config_id].eval_top_k
+            k = an.run_set.runs[regime_id][row.config].eval_top_k
             k_tables.setdefault(k, []).append(row)
     if len(k_tables) >= 2:
         report.write_csv(

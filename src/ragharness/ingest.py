@@ -360,10 +360,7 @@ def load_cost_profile(path) -> dict:
             inference_vram=_optional_float(rec, "inf_vram_gb"),
             training_time=_optional_float(rec, "train_min"),
             training_vram=_optional_float(rec, "train_vram_gb"),
-            inference_vram_by_regime={
-                k: as_float(v, "inf_vram_by_regime")
-                for k, v in rec.get("inf_vram_by_regime", {}).items()
-            },
+            inference_vram_by_regime=_vram_by_regime(rec.get("inf_vram_by_regime", {})),
         ),
         lambda profile: profile.config_id,
         "config",
@@ -402,6 +399,13 @@ def load_labels(path, run_set=None) -> list[ErrorLabel]:
     if not first_line:
         raise HarnessError(f"{path}: holds no error labels")
     return list(first_line)
+
+
+def _vram_by_regime(overrides) -> dict:
+    """{regime id: VRAM} of a cost row's inf_vram_by_regime object."""
+    if not isinstance(overrides, dict):
+        raise HarnessError(f"inf_vram_by_regime must be an object, got {overrides!r}")
+    return {k: as_float(v, "inf_vram_by_regime") for k, v in overrides.items()}
 
 
 def _optional_float(rec: dict, key: str) -> float | None:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -17,22 +17,29 @@ from .pareto import ParetoPoint, pareto_front
 # `stats` loads numpy, so it is imported only inside `regime_table`: error
 # labels and the other tables load without it.
 if TYPE_CHECKING:
-    from .stats import Interval, ResamplePlan
+    from .stats import ResamplePlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RegimeRow:
-    config_id: str
-    f1: float
-    latency: float
-    f1_interval: Interval | None = None
-    grnd_pass: float | None = None
-    grnd_interval: Interval | None = None
-    corr_pass: float | None = None
-    corr_interval: Interval | None = None
-    inference_vram: float | None = None
-    em_rate: float | None = None
+    """One row of a regime table, its fields the columns of stats_<regime>.csv
+    and regime_<regime>.csv in order. A pass rate and its interval ends are
+    None when no record of the config is judged."""
+
+    config: str
     n: int = 0
+    f1: float
+    f1_lo: float | None = None
+    f1_hi: float | None = None
+    em: float | None = None
+    grnd_pass: float | None = None
+    grnd_lo: float | None = None
+    grnd_hi: float | None = None
+    corr_pass: float | None = None
+    corr_lo: float | None = None
+    corr_hi: float | None = None
+    latency: float
+    inference_vram: float | None = None
 
 
 def regime_table(
@@ -54,26 +61,27 @@ def regime_table(
     for config_id, run in runs.items():
         n = len(run)
         grnd = [1.0 if g >= pass_threshold else 0.0 for g in run.groundedness if g is not None]
-        grnd_pass = grnd_interval = corr_pass = corr_interval = None
+        judged = {}
         if grnd:
             corr = [1.0 if c >= pass_threshold else 0.0 for c in run.correctness if c is not None]
-            grnd_pass, grnd_interval = sum(grnd) / len(grnd), bootstrap_ci(grnd, plan)
-            corr_pass, corr_interval = sum(corr) / len(corr), bootstrap_ci(corr, plan)
+            grnd_ci, corr_ci = bootstrap_ci(grnd, plan), bootstrap_ci(corr, plan)
+            judged = dict(
+                grnd_pass=sum(grnd) / len(grnd), grnd_lo=grnd_ci.lo, grnd_hi=grnd_ci.hi,
+                corr_pass=sum(corr) / len(corr), corr_lo=corr_ci.lo, corr_hi=corr_ci.hi,
+            )
+        f1_ci = bootstrap_ci(run.f1s, plan)
         profile = cost_profiles.get(config_id)
-        vram = profile.inference_vram_for(run.regime_id) if profile else None
         rows.append(
             RegimeRow(
-                config_id=config_id,
-                f1=sum(run.f1s) / n,
-                latency=sum(run.latencies) / n,
-                f1_interval=bootstrap_ci(run.f1s, plan),
-                grnd_pass=grnd_pass,
-                grnd_interval=grnd_interval,
-                corr_pass=corr_pass,
-                corr_interval=corr_interval,
-                inference_vram=vram,
-                em_rate=sum(run.exact) / n,
+                config=config_id,
                 n=n,
+                f1=sum(run.f1s) / n,
+                f1_lo=f1_ci.lo,
+                f1_hi=f1_ci.hi,
+                em=sum(run.exact) / n,
+                **judged,
+                latency=sum(run.latencies) / n,
+                inference_vram=profile.inference_vram_for(run.regime_id) if profile else None,
             )
         )
     return rows
@@ -81,7 +89,7 @@ def regime_table(
 
 def _best(rows: list[RegimeRow], key) -> RegimeRow:
     # Point-estimate winner; ties broken by ascending config id.
-    return min(rows, key=lambda r: (-key(r), r.config_id))
+    return min(rows, key=lambda r: (-key(r), r.config))
 
 
 def ablation_summary(tables: dict) -> list[list]:
@@ -100,11 +108,11 @@ def ablation_summary(tables: dict) -> list[list]:
         best_f1 = _best(rows, lambda r: r.f1)
         judged = [r for r in rows if r.grnd_pass is not None]
         best_grnd = _best(judged, lambda r: r.grnd_pass) if judged else None
-        grnd_config = best_grnd.config_id if best_grnd else None
+        grnd_config = best_grnd.config if best_grnd else None
         summary.append([
-            regime_id, best_f1.config_id, best_f1.f1,
+            regime_id, best_f1.config, best_f1.f1,
             grnd_config, best_grnd.grnd_pass if best_grnd else None,
-            int(best_f1.config_id == grnd_config),
+            int(best_f1.config == grnd_config),
         ])
     return summary
 
@@ -142,10 +150,10 @@ def topk_summary(tables_by_k: dict) -> list[list]:
         if not table:
             raise HarnessError(f"table for k={k} is empty")
         best = _best(table, lambda r: r.f1)
-        points = [ParetoPoint(r.config_id, r.f1, {"latency": r.latency}) for r in table]
+        points = [ParetoPoint(r.config, r.f1, {"latency": r.latency}) for r in table]
         front = pareto_front(points, axes=("latency",))
         rows.append([
-            k, best.config_id, best.f1, best.latency,
+            k, best.config, best.f1, best.latency,
             ";".join(sorted(p.config_id for p in front)),
         ])
     return rows
@@ -191,6 +199,12 @@ def write_csv(path, header, rows) -> None:
         raise HarnessError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def write_regime_table(path, rows: list[RegimeRow]) -> None:
+    """Write a regime table as stats_<regime>.csv and regime_<regime>.csv
+    hold it: one column per RegimeRow field, in field order."""
+    write_csv(path, [f.name for f in fields(RegimeRow)], map(astuple, rows))
+
+
 def _cell(value):
     if value is None:
         return ""
@@ -226,10 +240,8 @@ def format_regime_table(
     """Human-readable aligned text form of a regime table. `level` and
     `pass_threshold` label the interval and pass-rate columns."""
 
-    def fmt_iv(iv: Interval | None) -> str:
-        if iv is None:
-            return "-"
-        return f"[{iv.lo:.3f}, {iv.hi:.3f}]"
+    def fmt_iv(lo: float | None, hi: float | None) -> str:
+        return "-" if lo is None else f"[{lo:.3f}, {hi:.3f}]"
 
     header = [
         "config", "F1", f"F1 {level * 100:g}% CI",
@@ -239,9 +251,9 @@ def format_regime_table(
     for r in rows:
         body.append(
             [
-                r.config_id,
+                r.config,
                 f"{r.f1:.3f}",
-                fmt_iv(r.f1_interval),
+                fmt_iv(r.f1_lo, r.f1_hi),
                 "-" if r.grnd_pass is None else f"{r.grnd_pass:.3f}",
                 "-" if r.corr_pass is None else f"{r.corr_pass:.3f}",
                 f"{r.latency:.3f}",

@@ -98,10 +98,16 @@ def _seeded_states(master_seed: int, n_resamples: int) -> tuple[dict, ...]:
 def _index_matrix(master_seed: int, n_resamples: int, n: int) -> np.ndarray:
     """(n_resamples, n) resample indices whose row r is
     ``_replicate_indices(plan, r, n)``. Read-only, since every caller with
-    the same key shares it."""
+    the same key shares it. A matrix numpy cannot allocate is a HarnessError
+    naming the resamples and n."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
-    idx = np.empty((n_resamples, n), dtype=np.intp)
+    try:
+        idx = np.empty((n_resamples, n), dtype=np.intp)
+    except (ValueError, MemoryError) as exc:
+        raise HarnessError(
+            f"cannot allocate the bootstrap index matrix of resamples x n = {n_resamples} x {n}"
+        ) from exc
     for r, state in enumerate(_seeded_states(master_seed, n_resamples)):
         bit_generator.state = state
         idx[r] = rng.integers(0, n, size=n)

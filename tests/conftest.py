@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from ragharness.report import RegimeRow
-from ragharness.stats import Interval
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SMOKE_WORKSPACE = Path(__file__).parent / "data" / "smoke_workspace"
@@ -33,18 +32,17 @@ def load_fixture(name):
 
 def to_regime_row(rec) -> RegimeRow:
     return RegimeRow(
-        config_id=rec["config"],
+        config=rec["config"],
         f1=rec["f1"],
-        latency=rec["lat"],
-        f1_interval=Interval(lo=rec["f1_lo"], hi=rec["f1_hi"]),
+        f1_lo=rec["f1_lo"],
+        f1_hi=rec["f1_hi"],
         grnd_pass=rec.get("grnd"),
-        grnd_interval=(
-            Interval(lo=rec["grnd_lo"], hi=rec["grnd_hi"]) if "grnd" in rec else None
-        ),
+        grnd_lo=rec.get("grnd_lo"),
+        grnd_hi=rec.get("grnd_hi"),
         corr_pass=rec.get("corr"),
-        corr_interval=(
-            Interval(lo=rec["corr_lo"], hi=rec["corr_hi"]) if "corr" in rec else None
-        ),
+        corr_lo=rec.get("corr_lo"),
+        corr_hi=rec.get("corr_hi"),
+        latency=rec["lat"],
         inference_vram=rec.get("vram"),
     )
 

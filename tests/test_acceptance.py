@@ -40,7 +40,7 @@ def test_criterion_01_pareto_runtime_front(regime_tables):
     rows = regime_tables["01_base__neutral"]
     assert len(rows) == 22
     points = [
-        ParetoPoint(r.config_id, r.f1, {"latency": r.latency}) for r in rows
+        ParetoPoint(r.config, r.f1, {"latency": r.latency}) for r in rows
     ]
     front = {p.config_id for p in pareto_front(points, ("latency",))}
     assert front == {"3B r64 qv_only", "8B r64 qv_only"}

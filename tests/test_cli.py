@@ -5,6 +5,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from ragharness import analysis, cli, ingest, metrics, retrieval
 from ragharness.analysis import load_workspace
 from ragharness.cli import main
 from ragharness.ingest import Run, RunSet
+from ragharness.report import RegimeRow
 from tests.conftest import SMOKE_WORKSPACE, file_checksum, refresh_dataset_checksums
 
 QV = "3B r8 qv_only"
@@ -288,6 +290,17 @@ def test_stats_writes_tables_and_deltas(workspace):
     assert (workspace / "out" / "stats_01_base__neutral.csv").exists()
     deltas = (workspace / "out" / "param_matched.csv").read_text(encoding="utf-8")
     assert "3B r8 qv_only" in deltas and "3B r4 full_attention" in deltas
+
+
+def test_regime_csv_columns_are_the_regime_row_fields(workspace):
+    """stats_<regime>.csv and regime_<regime>.csv have one column per
+    RegimeRow field, in field order."""
+    assert run(workspace, "stats") == 0
+    assert run(workspace, "report") == 0
+    columns = [f.name for f in fields(RegimeRow)]
+    for name in ("stats_01_base__neutral.csv", "regime_01_base__neutral.csv"):
+        with open(workspace / "out" / name, encoding="utf-8", newline="") as fh:
+            assert next(csv.reader(fh)) == columns
 
 
 def test_pareto_rejects_unknown_axis(workspace, capsys):
@@ -708,6 +721,21 @@ STRAY_KEY_CASES = [
         "rerank.json: rerank entry 'qa000': chunk id 'ghost' is of no corpus chunk",
     ),
 ]
+
+# A vector whose squared norm overflows a float would be read as a zero
+# vector, and a nonzero one whose squared norm underflows to 0 left unscaled.
+_overflowing_chunk_vector = _edit_json(
+    "embeddings.json",
+    lambda e: e["chunks"].update(chunk000=[x * 1e300 for x in e["chunks"]["chunk000"]]),
+)
+_underflowing_query_vector = _edit_json(
+    "embeddings.json", lambda e: e["queries"].update(qa000=[1e-200] * e["dim"])
+)
+# No address space holds a 10**30 x 30 bootstrap index matrix.
+_unallocatable_resamples = _edit_json("workspace.json", lambda c: c.update(resamples=10**30))
+UNALLOCATABLE_RESAMPLES = (
+    f"cannot allocate the bootstrap index matrix of resamples x n = {10**30} x 30"
+)
 
 
 # The files differ from those the manifest says the runs were made against.
@@ -1411,6 +1439,37 @@ SHA256_NOT_STRING = (
             )
             for command in ("validate", "stats")
         ),
+        *(
+            (
+                _overflowing_chunk_vector,
+                [command],
+                "embeddings.json: bad value: chunk vector 'chunk000' has a squared norm "
+                "that overflows as a float",
+            )
+            for command in ("validate", "retrieve")
+        ),
+        *(
+            (
+                _underflowing_query_vector,
+                [command],
+                "embeddings.json: bad value: query vector 'qa000' has a squared norm "
+                "that underflows to 0 as a float",
+            )
+            for command in ("validate", "retrieve")
+        ),
+        *(
+            (_unallocatable_resamples, [command], UNALLOCATABLE_RESAMPLES)
+            for command in ("stats", "pareto", "report")
+        ),
+        *(
+            (
+                _first_cost(inf_vram_by_regime=value),
+                [command],
+                f"costs.jsonl:1: inf_vram_by_regime must be an object, got {shown}",
+            )
+            for value, shown in (([1], "[1]"), (None, "None"))
+            for command in ("validate", "stats")
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1494,6 +1553,12 @@ SHA256_NOT_STRING = (
             for command in ("validate", "retrieve")
         ),
         "run_top_k_zero_validate", "run_top_k_zero_stats",
+        "chunk_vector_norm_overflow_validate", "chunk_vector_norm_overflow_retrieve",
+        "query_vector_norm_underflow_validate", "query_vector_norm_underflow_retrieve",
+        "resamples_unallocatable_stats", "resamples_unallocatable_pareto",
+        "resamples_unallocatable_report",
+        "cost_override_list_validate", "cost_override_list_stats",
+        "cost_override_null_validate", "cost_override_null_stats",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -55,11 +55,11 @@ def make_run_set():
 def test_regime_table_means_match_direct_recomputation():
     run_set = make_run_set()
     rows = regime_table(run_set.runs["01"], {}, ResamplePlan(n_resamples=50))
-    assert [r.config_id for r in rows] == ["cfgA", "cfgB"]
+    assert [r.config for r in rows] == ["cfgA", "cfgB"]
     cfg_a = rows[0]
     expected = sum(token_f1(answer, GOLD[qa_id]) for qa_id, answer in ANSWERS["cfgA"].items()) / 3
     assert cfg_a.f1 == pytest.approx(expected)
-    assert cfg_a.em_rate == pytest.approx(2 / 3)
+    assert cfg_a.em == pytest.approx(2 / 3)
     assert cfg_a.latency == pytest.approx(0.6)
     assert cfg_a.grnd_pass == 1.0
     assert rows[1].grnd_pass == 0.0
@@ -91,12 +91,12 @@ def test_regime_table_pass_rates_match_direct_recomputation():
     (row,) = regime_table(runs, {}, ResamplePlan(n_resamples=50))
     assert row.n == 10
     assert row.f1 == pytest.approx(sum(0.1 * i for i in range(10)) / 10)
-    assert row.em_rate == 0.5
+    assert row.em == 0.5
     assert row.latency == pytest.approx(sum(0.5 + 0.01 * i for i in range(10)) / 10)
     assert row.grnd_pass == 0.7
     assert row.corr_pass == 0.5
-    assert row.f1_interval.lo <= row.f1 <= row.f1_interval.hi
-    assert row.grnd_interval.lo <= row.grnd_pass <= row.grnd_interval.hi
+    assert row.f1_lo <= row.f1 <= row.f1_hi
+    assert row.grnd_lo <= row.grnd_pass <= row.grnd_hi
     (strict,) = regime_table(runs, {}, ResamplePlan(n_resamples=50), pass_threshold=5)
     assert strict.grnd_pass == 0.0
     assert strict.corr_pass == 0.5
@@ -123,9 +123,9 @@ def test_regime_table_pass_rates_equal_an_independent_count():
 def test_regime_table_without_judge_scores():
     (row,) = regime_table(scored_run([5]), {}, ResamplePlan(n_resamples=10))
     assert row.f1 == 0.5
-    assert row.f1_interval is not None
-    assert row.grnd_pass is None and row.grnd_interval is None
-    assert row.corr_pass is None and row.corr_interval is None
+    assert row.f1_lo is not None and row.f1_hi is not None
+    assert row.grnd_pass is None and row.grnd_lo is None and row.grnd_hi is None
+    assert row.corr_pass is None and row.corr_lo is None and row.corr_hi is None
 
 
 def test_regime_table_absent_regime():
@@ -140,7 +140,7 @@ def test_ablation_summary_published_fixture(regime_tables):
     assert [row[0] for row in summary] == sorted(regime_tables)
     assert all(len(row) == 6 for row in summary)
     for regime_id, best_f1_config, best_f1, best_grnd_config, best_grnd, same in summary:
-        rows = {r.config_id: r for r in regime_tables[regime_id]}
+        rows = {r.config: r for r in regime_tables[regime_id]}
         assert best_f1_config == "8B r64 qv_only"
         assert best_f1 == rows[best_f1_config].f1 == max(r.f1 for r in rows.values())
         assert best_grnd == rows[best_grnd_config].grnd_pass
@@ -169,13 +169,13 @@ def test_ablation_summary_reorder_invariance(regime_tables):
 
 
 def test_ablation_summary_singleton():
-    row = RegimeRow(config_id="only", f1=0.5, latency=0.6, grnd_pass=0.7)
+    row = RegimeRow(config="only", f1=0.5, latency=0.6, grnd_pass=0.7)
     assert ablation_summary({"r": [row]}) == [["r", "only", 0.5, "only", 0.7, 1]]
 
 
 def test_ablation_summary_unjudged_regime_leaves_its_grnd_cells_empty():
-    judged = RegimeRow(config_id="3B r4 qv_only", f1=0.5, latency=0.6, grnd_pass=0.7)
-    unjudged = RegimeRow(config_id="3B r8 qv_only", f1=0.4, latency=0.6)
+    judged = RegimeRow(config="3B r4 qv_only", f1=0.5, latency=0.6, grnd_pass=0.7)
+    unjudged = RegimeRow(config="3B r8 qv_only", f1=0.4, latency=0.6)
     assert ablation_summary({"b": [unjudged], "a": [judged, unjudged]}) == [
         ["a", "3B r4 qv_only", 0.5, "3B r4 qv_only", 0.7, 1],
         ["b", "3B r8 qv_only", 0.4, None, None, 0],
@@ -183,7 +183,7 @@ def test_ablation_summary_unjudged_regime_leaves_its_grnd_cells_empty():
 
 
 def test_scheme_wins_without_judge_scores():
-    row = RegimeRow(config_id="3B r4 qv_only", f1=0.5, latency=0.6)
+    row = RegimeRow(config="3B r4 qv_only", f1=0.5, latency=0.6)
     wins = scheme_wins(ablation_summary({"r": [row]}))
     assert wins["f1"] == {"qv_only": 1}
     assert wins["grnd"] is None
@@ -253,7 +253,7 @@ def test_error_counts_random_oracle():
 def test_emit_front_data_roundtrip(tmp_path, regime_tables):
     rows = regime_tables["01_base__neutral"]
     points = [
-        ParetoPoint(r.config_id, r.f1, {"latency": r.latency}, "01_base__neutral")
+        ParetoPoint(r.config, r.f1, {"latency": r.latency}, "01_base__neutral")
         for r in rows
     ]
     front = pareto_front(points, ("latency",))

@@ -208,6 +208,18 @@ def test_index_matrix_rows_and_read_only():
         idx[0, 0] = 0
 
 
+# Each matrix exceeds any address space, so numpy refuses it before
+# allocating anything: 10**13 x 30 needs 2.13 PiB (MemoryError), and
+# 10**30 rows exceed numpy's largest dimension (ValueError).
+@pytest.mark.parametrize("n_resamples", [10**13, 10**30])
+def test_unallocatable_index_matrix_is_a_harness_error(n_resamples):
+    with pytest.raises(
+        HarnessError,
+        match=rf"^cannot allocate the bootstrap index matrix of resamples x n = {n_resamples} x 30$",
+    ):
+        bootstrap_ci([0.5] * 30, ResamplePlan(n_resamples=n_resamples))
+
+
 def test_index_cache_stays_bounded():
     values = np.random.default_rng(9).normal(size=30)
     for seed in range(20):
