@@ -10,7 +10,6 @@ import numpy as np
 from ragharness.dataset import Chunk
 from ragharness.retrieval import (
     EmbeddingTable,
-    RetrievalRegime,
     build_sparse_index,
     fuse_rrf,
     score_dense,
@@ -32,7 +31,7 @@ def main():
     index = build_sparse_index(CORPUS)
     sparse = score_sparse(index, QUERY, limit=4)
     print("BM25 ranking:")
-    for cid, score in sparse.entries:
+    for cid, score in sparse:
         print(f"  {cid}  {score:.4f}")
 
     rng = np.random.default_rng(0)
@@ -42,17 +41,17 @@ def main():
     table = EmbeddingTable(vectors=vectors, dim=8)
     dense = score_dense(table, query_vec, limit=4)
     print("\nCosine ranking:")
-    for cid, score in dense.entries:
+    for cid, score in dense:
         print(f"  {cid}  {score:.4f}")
 
     print("\nRRF fusion (k=60), each score a sum of 1/(60 + rank) over the lists:")
-    for cid, score in fuse_rrf([dense, sparse]).entries:
+    for cid, score in fuse_rrf([dense, sparse]):
         print(f"  {cid}  {score:.6f}")
 
-    # The knobs are the workspace's, one setting for every regime.
-    regimes = [RetrievalRegime(variant) for variant in ("base", "reranker_off")]
+    # A regime is its variant; the knobs are the workspace's, one setting
+    # for every regime.
     base, off = select_contexts(
-        regimes,
+        ("base", "reranker_off"),
         dense=dense,
         sparse=sparse,
         rerank_scores={"c0": 0.99, "c1": 0.42},

@@ -33,12 +33,13 @@ def _reject_stray(where: str, keys, known, noun: str = "unknown key", tail: str 
 
 def _default_regimes() -> list:
     """The regimes of a workspace.json without any: one, of the base variant."""
-    return [("01_base__neutral", retrieval.RetrievalRegime("base", "neutral"))]
+    return [("01_base__neutral", "base")]
 
 
 def _parse_regimes(config_path: Path, specs):
-    """(id, RetrievalRegime) per regime spec; each spec needs a unique string
-    id that can stand in an output file name, and a known variant."""
+    """(id, variant) per regime spec; each spec needs a unique string id
+    that can stand in an output file name, and a known variant. A prompt
+    mode, if given, must be a known one and is then dropped."""
     if not isinstance(specs, list):
         raise HarnessError(f"{config_path}: regimes must be a list")
     regimes = []
@@ -52,14 +53,13 @@ def _parse_regimes(config_path: Path, specs):
         _reject_stray(where, spec, ("id", "variant", "prompt_mode"))
         if "variant" not in spec:
             raise HarnessError(f"{where}: missing 'variant'")
-        try:
-            regime = retrieval.RetrievalRegime(
-                retrieval_variant=spec["variant"],
-                prompt_mode=spec.get("prompt_mode", "neutral"),
-            )
-        except HarnessError as exc:
-            raise HarnessError(f"{where}: {exc}") from exc
-        regimes.append((spec["id"], regime))
+        # Membership in tuples, not in a dict, so that a list or an object
+        # is an unknown value rather than a TypeError.
+        if spec["variant"] not in retrieval.RETRIEVAL_VARIANTS:
+            raise HarnessError(f"{where}: unknown retrieval variant {spec['variant']!r}")
+        if spec.get("prompt_mode", "neutral") not in retrieval.PROMPT_MODES:
+            raise HarnessError(f"{where}: unknown prompt mode {spec['prompt_mode']!r}")
+        regimes.append((spec["id"], spec["variant"]))
     return regimes
 
 
@@ -93,7 +93,7 @@ class WorkspaceConfig:
     level: float = 0.95
     pass_threshold: int = 4
     seed: int = 0
-    # (id, RetrievalRegime) per regime spec of workspace.json, in its order.
+    # (id, variant) per regime spec of workspace.json, in its order.
     regimes: list = field(default_factory=_default_regimes, repr=False)
 
     def __post_init__(self):
@@ -385,13 +385,13 @@ class Analysis:
         test_ids = self.gold.keys()
         queries = embeddings[2] if embeddings is not None else {}
         have = {"sparse": test_ids, "dense": test_ids & queries.keys()}
-        for regime_id, regime in self.ws.regimes:
-            lacking = len(test_ids) - len(set().union(*(have[c] for c in regime.channels)))
+        for regime_id, variant in self.ws.regimes:
+            channels = retrieval.VARIANTS[variant][0]
+            lacking = len(test_ids) - len(set().union(*(have[c] for c in channels)))
             if lacking:
                 raise HarnessError(
                     f"regime {regime_id!r}: {lacking} of {len(test_ids)} test questions "
-                    f"have no channel that {regime.retrieval_variant!r} fuses "
-                    f"({', '.join(regime.channels)})"
+                    f"have no channel that {variant!r} fuses ({', '.join(channels)})"
                 )
         return embeddings
 

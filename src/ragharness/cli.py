@@ -34,9 +34,9 @@ from .errors import HarnessError, as_int
 #   all but `metrics` and `lora_grid` build dataclasses on import. The
 #   workspace commands import `analysis`, which holds the workspace config,
 #   the loaders and the param-matched alignment, and imports `dataset`,
-#   `ingest` and `retrieval`, since each regime spec is a
-#   `RetrievalRegime`. grid reads no workspace: it loads `lora_grid` alone,
-#   and none of those four. Of `metrics`, `report`, `pareto` and
+#   `ingest` and `retrieval`, since each regime spec names a key of
+#   `retrieval.VARIANTS`. grid reads no workspace: it loads `lora_grid`
+#   alone, and none of those four. Of `metrics`, `report`, `pareto` and
 #   `lora_grid`, validate loads `lora_grid` alone, which reads every config
 #   id and pairs the param-matched configs, and score loads `metrics` alone.
 if TYPE_CHECKING:
@@ -77,7 +77,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
 
     an = analysis.Analysis(ws, scored=False)
     chunks, pairs = an.chunks, an.pairs
-    fuses_sparse = any("sparse" in regime.channels for _, regime in ws.regimes)
+    fuses_sparse = any("sparse" in retrieval.VARIANTS[v][0] for _, v in ws.regimes)
     if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
         raise HarnessError(retrieval.NO_TOKEN_ERROR)
     bad = dataset.check_supporting_ids(pairs, chunks)
@@ -110,8 +110,8 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     # validate's checks of the output names and the channels run before
     # anything is written.
     analysis._check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
-    regimes = [regime for _, regime in ws.regimes]
-    fused = {name for regime in regimes for name in regime.channels}
+    variants = [variant for _, variant in ws.regimes]
+    fused = {name for v in variants for name in retrieval.VARIANTS[v][0]}
     an = analysis.Analysis(ws)
     chunks = an.chunks
     test_pairs = [p for p in an.pairs if p.split == "test"]
@@ -127,9 +127,9 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
 
     # Each question's channels are scored once and its fusion run once for
     # every regime; only each regime's eval_top_k ids are kept.
-    contexts = [[] for _ in regimes]
+    contexts = [[] for _ in variants]
     n_sparse = n_dense = n_fusions = 0
-    fuses_two = any(len(regime.channels) > 1 for regime in regimes)
+    fuses_two = any(len(retrieval.VARIANTS[v][0]) > 1 for v in variants)
     for pair in test_pairs:
         sparse = dense = None
         if index is not None:
@@ -140,7 +140,7 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
             n_dense += 1
         n_fusions += fuses_two and sparse is not None and dense is not None
         selected = retrieval.select_contexts(
-            regimes, dense, sparse, rerank.get(pair.qa_id),
+            variants, dense, sparse, rerank.get(pair.qa_id),
             retrieve_top_n=ws.retrieve_top_n, eval_top_k=ws.eval_top_k, k_rrf=ws.k_rrf,
         )
         for kept, context in zip(contexts, selected):
@@ -150,7 +150,8 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     # scores only for the questions their files cover.
     no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
-    for (regime_id, regime), kept in zip(ws.regimes, contexts):
+    for (regime_id, variant), kept in zip(ws.regimes, contexts):
+        channels, reranks = retrieval.VARIANTS[variant]
         out_path = ws.out / analysis._regime_file("contexts", regime_id)
         _write_jsonl(
             out_path,
@@ -162,9 +163,9 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
         print(f"retrieve: wrote {out_path}")
         print(
             f"retrieve: {regime_id}: of {len(test_pairs)} test questions, "
-            f"{no_dense if 'dense' in regime.channels else 0} ran with fewer channels "
-            f"than {regime.retrieval_variant!r} names and "
-            f"{unranked if regime.reranks else 0} without the rerank scores it names"
+            f"{no_dense if 'dense' in channels else 0} ran with fewer channels than "
+            f"{variant!r} names and {unranked if reranks else 0} without the rerank "
+            f"scores it names"
         )
     print(
         f"retrieve: scored {n_sparse} sparse and {n_dense} dense lists and ran "
@@ -251,8 +252,8 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
             raise HarnessError(f"repeated cost axis {axis!r}")
     an = analysis.Analysis(ws)
     tables, costs = an.tables, an.costs
-    regime_ids = [args.regime] if args.regime else list(tables)
-    if args.regime and args.regime not in tables:
+    regime_ids = list(tables) if args.regime is None else [args.regime]
+    if args.regime is not None and args.regime not in tables:
         raise HarnessError(f"regime {args.regime!r} not in run set")
     # Every front's name is checked, and every front worked out, before the
     # first file is written.

@@ -5,9 +5,14 @@ selection.
 All ties are broken by ascending chunk_id so that identical inputs always
 yield identical outputs.
 
+A ranked list is a plain ``[(chunk_id, score)]`` in rank order, with unique
+chunk ids and non-increasing scores, and a regime is named by its variant,
+a key of `VARIANTS`. The vectors are checked where they are read
+(``analysis._read_embeddings``), so nothing here checks them again.
+
 numpy is imported inside the index builder and the channel scorers only:
-every workspace load builds a `RetrievalRegime`, and the commands that never
-score a channel should not pay for numpy.
+every workspace load reads `VARIANTS`, and the commands that never score a
+channel should not pay for numpy.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ VARIANTS = {
     "hybrid_bm25": (("dense", "sparse"), True),
 }
 RETRIEVAL_VARIANTS = tuple(VARIANTS)
+# A regime spec's prompt mode is checked against these and read by nothing.
 PROMPT_MODES = ("neutral", "explicit_grounded")
 
 DEFAULT_K_RRF = 60.0
@@ -66,52 +72,6 @@ def tokenize(text: str) -> list[str]:
         if tok:
             tokens.append(tok)
     return tokens
-
-
-@dataclass
-class RankedList:
-    """Ordered (chunk_id, score) entries; rank is the 1-based position."""
-
-    entries: list[tuple[str, float]]
-
-    def __post_init__(self):
-        seen = set()
-        prev = None
-        for cid, score in self.entries:
-            if cid in seen:
-                raise HarnessError(f"duplicate chunk_id in ranked list: {cid!r}")
-            seen.add(cid)
-            if prev is not None and score > prev:
-                raise HarnessError("ranked list scores must be non-increasing")
-            prev = score
-
-    def __len__(self):
-        return len(self.entries)
-
-    def ids(self) -> list[str]:
-        return [cid for cid, _ in self.entries]
-
-
-@dataclass(frozen=True)
-class RetrievalRegime:
-    retrieval_variant: str
-    prompt_mode: str = "neutral"  # metadata tag only
-
-    def __post_init__(self):
-        if self.retrieval_variant not in RETRIEVAL_VARIANTS:
-            raise HarnessError(f"unknown retrieval variant {self.retrieval_variant!r}")
-        if self.prompt_mode not in PROMPT_MODES:
-            raise HarnessError(f"unknown prompt mode {self.prompt_mode!r}")
-
-    @property
-    def channels(self) -> tuple[str, ...]:
-        """The channels the variant fuses; it runs on whichever of them a
-        question has."""
-        return VARIANTS[self.retrieval_variant][0]
-
-    @property
-    def reranks(self) -> bool:
-        return VARIANTS[self.retrieval_variant][1]
 
 
 @dataclass
@@ -191,7 +151,7 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
     )
 
 
-def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
+def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, float]]:
     """Top `limit` chunks by Okapi BM25; zero-scoring chunks are omitted.
 
     Each query token, repeats included, adds its term's contribution in query
@@ -215,7 +175,7 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> RankedList:
     # A stable sort of ascending positions keeps equal scores in chunk_id order.
     top = hit[np.argsort(-scores[hit], kind="stable")[:limit]]
     ids = [index.chunk_ids[i] for i in top.tolist()]
-    return RankedList(entries=list(zip(ids, scores[top].tolist())))
+    return list(zip(ids, scores[top].tolist()))
 
 
 @dataclass
@@ -240,14 +200,7 @@ class EmbeddingTable:
         # Row by row: a norm taken along an axis of the matrix may round
         # differently from np.linalg.norm of one vector.
         for row, cid in zip(self.unit, self.chunk_ids):
-            vec = np.asarray(vectors[cid], dtype=float)
-            if vec.shape != (self.dim,):
-                raise HarnessError(
-                    f"vector for {cid!r} has dimension {vec.shape}, expected ({self.dim},)"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise HarnessError(f"vector for {cid!r} has non-finite values")
-            row[:] = _unit(vec)
+            row[:] = _unit(np.asarray(vectors[cid], dtype=float))
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -263,7 +216,7 @@ def _unit(vec: np.ndarray) -> np.ndarray:
 _SHORTLIST_MARGIN = 1e-9
 
 
-def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
+def score_dense(table: EmbeddingTable, query_vector, limit: int) -> list[tuple[str, float]]:
     """Top `limit` chunks by cosine similarity, ties by ascending chunk_id.
 
     One matrix-vector product shortlists the candidates; each is rescored
@@ -274,14 +227,7 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
         raise HarnessError("limit must be >= 1")
     import numpy as np
 
-    query_vector = np.asarray(query_vector, dtype=float)
-    if query_vector.shape != (table.dim,):
-        raise HarnessError(
-            f"query dimension {query_vector.shape} does not match table ({table.dim},)"
-        )
-    if not np.all(np.isfinite(query_vector)):
-        raise HarnessError("query vector has non-finite values")
-    q = _unit(query_vector)
+    q = _unit(np.asarray(query_vector, dtype=float))
     n = len(table.chunk_ids)
     if n > limit:
         approx = table.unit @ q
@@ -291,36 +237,35 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> RankedList:
         rows = range(n)
     scored = [(table.chunk_ids[i], float(np.dot(q, table.unit[i]))) for i in rows]
     scored.sort(key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=scored[:limit])
+    return scored[:limit]
 
 
-def fuse_rrf(lists: list[RankedList], k_rrf: float = DEFAULT_K_RRF) -> RankedList:
+def fuse_rrf(lists: list, k_rrf: float = DEFAULT_K_RRF) -> list[tuple[str, float]]:
     """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank)."""
     if not lists:
         raise HarnessError("fuse_rrf requires at least one input list")
     if k_rrf <= 0:
         raise HarnessError("k_rrf must be positive")
     ranks: dict[str, list[int]] = {}
-    for rl in lists:
-        for rank, (cid, _) in enumerate(rl.entries, start=1):
+    for ranked in lists:
+        for rank, (cid, _) in enumerate(ranked, start=1):
             ranks.setdefault(cid, []).append(rank)
     fused = {cid: sum(1.0 / (k_rrf + rank) for rank in found) for cid, found in ranks.items()}
-    ordered = sorted(fused.items(), key=lambda item: (-item[1], item[0]))
-    return RankedList(entries=ordered)
+    return sorted(fused.items(), key=lambda item: (-item[1], item[0]))
 
 
 def select_contexts(
-    regimes,
-    dense: RankedList | None = None,
-    sparse: RankedList | None = None,
+    variants,
+    dense: list | None = None,
+    sparse: list | None = None,
     rerank_scores: dict | None = None,
     *,
     retrieve_top_n: int,
     eval_top_k: int,
     k_rrf: float,
 ) -> list[list[str]]:
-    """The eval_top_k context chunk ids of one question under each regime of
-    `regimes`, in order; the three knobs apply to every regime.
+    """The eval_top_k context chunk ids of one question under each variant
+    of `variants`, in order; the three knobs apply to every variant.
 
     Of the channels a variant fuses, those the question has are fused by RRF
     (one alone keeps its order) and cut to retrieve_top_n. A reranking variant
@@ -332,17 +277,18 @@ def select_contexts(
     given = {"dense": dense, "sparse": sparse}
     fused: dict[tuple, list[str]] = {}
     contexts = []
-    for regime in regimes:
-        present = tuple(name for name in regime.channels if given[name] is not None)
+    for variant in variants:
+        channels, reranks = VARIANTS[variant]
+        present = tuple(name for name in channels if given[name] is not None)
         if not present:
-            need = f"the {regime.channels[0]}" if len(regime.channels) == 1 else "at least one"
-            raise HarnessError(f"{regime.retrieval_variant} regime requires {need} channel")
+            need = f"the {channels[0]}" if len(channels) == 1 else "at least one"
+            raise HarnessError(f"{variant} regime requires {need} channel")
         if present not in fused:
             lists = [given[name] for name in present]
             ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, k_rrf)
-            fused[present] = ranked.ids()[:retrieve_top_n]
+            fused[present] = [cid for cid, _ in ranked[:retrieve_top_n]]
         candidates = fused[present]
-        if regime.reranks and rerank_scores:
+        if reranks and rerank_scores:
             candidates = sorted(candidates, key=lambda c: (-rerank_scores.get(c, -math.inf), c))
         contexts.append(candidates[:eval_top_k])
     return contexts

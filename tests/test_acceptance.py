@@ -21,7 +21,7 @@ from ragharness.report import (
     scheme_wins,
     topk_summary,
 )
-from ragharness.retrieval import RankedList, fuse_rrf
+from ragharness.retrieval import fuse_rrf
 from ragharness.stats import ResamplePlan, bootstrap_ci, paired_bootstrap_delta
 from tests.conftest import SMOKE_WORKSPACE
 from tests.test_lora_grid import (
@@ -177,22 +177,18 @@ def test_criterion_07_rrf_oracle():
         lists = []
         for _ in range(rng.randint(1, 5)):
             ids = rng.sample(universe, rng.randint(1, len(universe)))
-            lists.append(
-                RankedList(
-                    entries=[(cid, float(len(ids) - k)) for k, cid in enumerate(ids)]
-                )
-            )
+            lists.append([(cid, float(len(ids) - k)) for k, cid in enumerate(ids)])
         k_rrf = rng.choice([20.0, 60.0, 101.0])
         fused = fuse_rrf(lists, k_rrf=k_rrf)
         want = {}
         for rl in lists:
-            for rank, (cid, _) in enumerate(rl.entries, start=1):
+            for rank, (cid, _) in enumerate(rl, start=1):
                 want[cid] = want.get(cid, 0.0) + 1.0 / (k_rrf + rank)
-        assert fused.ids() == sorted(want, key=lambda c: (-want[c], c))
-        for cid, score in fused.entries:
+        assert [cid for cid, _ in fused] == sorted(want, key=lambda c: (-want[c], c))
+        for cid, score in fused:
             assert abs(score - want[cid]) <= 1e-12
-    single = RankedList(entries=[("a", 3.0), ("b", 2.0), ("c", 1.0)])
-    assert fuse_rrf([single]).ids() == ["a", "b", "c"]
+    single = [("a", 3.0), ("b", 2.0), ("c", 1.0)]
+    assert [cid for cid, _ in fuse_rrf([single])] == ["a", "b", "c"]
 
 
 def test_criterion_08_dominance_oracle():

@@ -138,9 +138,7 @@ def test_workspace_config_defaults(workspace):
     assert analysis.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
     for regimes in ({}, {"regimes": None}):
         (workspace / "workspace.json").write_text(json.dumps(regimes), encoding="utf-8")
-        assert load_workspace(workspace).regimes == [
-            ("01_base__neutral", retrieval.RetrievalRegime("base", "neutral"))
-        ]
+        assert load_workspace(workspace).regimes == [("01_base__neutral", "base")]
 
 
 def test_retrieve_writes_contexts(workspace):
@@ -647,6 +645,10 @@ def _embedding(table, vid, edit):
 
 def _regime_without_id(config):
     del config["regimes"][0]["id"]
+
+
+def _first_regime(**fields):
+    return _edit_json("workspace.json", lambda c: c["regimes"][0].update(fields))
 
 
 def _dense_only_without_query_vector(workspace):
@@ -1470,6 +1472,15 @@ SHA256_NOT_STRING = (
             for value, shown in (([1], "[1]"), (None, "None"))
             for command in ("validate", "stats")
         ),
+        *(
+            (_first_regime(**field), ["validate"], f"regime '01_base__neutral': {message}")
+            for field, message in (
+                ({"prompt_mode": "bogus"}, "unknown prompt mode 'bogus'"),
+                ({"variant": ["base"]}, "unknown retrieval variant ['base']"),
+                ({"prompt_mode": {}}, "unknown prompt mode {}"),
+            )
+        ),
+        (None, ["pareto", "--regime", ""], "regime '' not in run set"),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1559,6 +1570,8 @@ SHA256_NOT_STRING = (
         "resamples_unallocatable_report",
         "cost_override_list_validate", "cost_override_list_stats",
         "cost_override_null_validate", "cost_override_null_stats",
+        "prompt_mode_unknown_validate", "variant_list_validate", "prompt_mode_object_validate",
+        "empty_regime_pareto",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

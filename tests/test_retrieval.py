@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import itertools
 import math
 import random
@@ -7,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ragharness import retrieval
 from ragharness.dataset import Chunk
 from ragharness.errors import HarnessError
 from ragharness.retrieval import (
     RETRIEVAL_VARIANTS,
+    VARIANTS,
     EmbeddingTable,
-    RankedList,
-    RetrievalRegime,
     build_sparse_index,
     fuse_rrf,
     score_dense,
@@ -23,6 +25,10 @@ from ragharness.retrieval import (
 )
 
 VOCAB = ["pod", "node", "flag", "port", "service", "config", "label", "proxy"]
+
+
+def ids(ranked):
+    return [cid for cid, _ in ranked]
 
 
 def make_corpus(rng, n_chunks):
@@ -61,24 +67,24 @@ def test_bm25_matches_brute_force_oracle():
         index = build_sparse_index(chunks)
         got = score_sparse(index, query, limit=len(chunks))
         want = brute_force_bm25(chunks, query)
-        assert set(got.ids()) == set(want)
-        for cid, score in got.entries:
+        assert set(ids(got)) == set(want)
+        for cid, score in got:
             assert score == pytest.approx(want[cid], abs=1e-12)
         # Ordering: descending score, ties by ascending chunk_id.
         resorted = sorted(want.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert got.entries == [(cid, pytest.approx(s)) for cid, s in resorted]
+        assert got == [(cid, pytest.approx(s)) for cid, s in resorted]
 
 
 def test_bm25_single_chunk_positive_score():
     index = build_sparse_index([Chunk(chunk_id="only", doc_id="d", text="flag port")])
     result = score_sparse(index, "flag", limit=5)
-    assert result.ids() == ["only"]
-    assert result.entries[0][1] > 0
+    assert ids(result) == ["only"]
+    assert result[0][1] > 0
 
 
 def test_bm25_no_matching_terms_is_empty():
     index = build_sparse_index(make_corpus(random.Random(1), 5))
-    assert score_sparse(index, "zzz unknown", limit=5).ids() == []
+    assert ids(score_sparse(index, "zzz unknown", limit=5)) == []
 
 
 def test_tokenize_keeps_flag_shape():
@@ -100,9 +106,9 @@ def test_dense_matches_numpy_oracle():
     want = {
         cid: float(np.dot(qn, v / np.linalg.norm(v))) for cid, v in vecs.items()
     }
-    for cid, score in got.entries:
+    for cid, score in got:
         assert score == pytest.approx(want[cid], abs=1e-12)
-    assert got.ids() == sorted(want, key=lambda c: (-want[c], c))
+    assert ids(got) == sorted(want, key=lambda c: (-want[c], c))
 
 
 def test_embedding_table_leaves_the_callers_vectors_as_given():
@@ -113,12 +119,6 @@ def test_embedding_table_leaves_the_callers_vectors_as_given():
     assert all(type(vec) is list for vec in vectors.values())
     assert table.chunk_ids == ["c0", "c1"]
     assert table.unit.tolist() == [[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]]
-
-
-def test_dense_dimension_mismatch():
-    table = EmbeddingTable(vectors={"c0": np.ones(4)}, dim=4)
-    with pytest.raises(HarnessError, match="dimension"):
-        score_dense(table, np.ones(5), limit=1)
 
 
 def loop_bm25(chunks, query, limit, k1=1.2, b=0.75):
@@ -182,7 +182,7 @@ def test_bm25_bit_exact_against_loop_reference():
         query = " ".join(rng.choices(VOCAB + ["zzz"], k=rng.randint(1, 6)))
         full = loop_bm25(chunks, query, n)
         for limit in (1, rng.randint(1, n), n, n + 5):
-            got = score_sparse(index, query, limit).entries
+            got = score_sparse(index, query, limit)
             assert got == loop_bm25(chunks, query, limit), (trial, query, limit)
             cut_ties += cuts_a_tie(got, full)
     assert cut_ties >= 20  # the seed exercises cuts through tie groups
@@ -195,12 +195,12 @@ def test_bm25_limit_cuts_through_a_tie_group():
     ] + [Chunk(chunk_id="c0", doc_id="d", text="node port")]
     index = build_sparse_index(chunks)
     for query in ("pod", "pod pod", "zzz pod node"):
-        got = score_sparse(index, query, limit=2).entries
+        got = score_sparse(index, query, limit=2)
         assert got == loop_bm25(chunks, query, 2)
-    assert score_sparse(index, "pod", limit=2).ids() == ["c1", "c2"]
+    assert ids(score_sparse(index, "pod", limit=2)) == ["c1", "c2"]
     # A repeated term counts twice, exactly as the loop adds it twice.
-    once = score_sparse(index, "pod", limit=1).entries[0][1]
-    assert score_sparse(index, "pod pod", limit=1).entries[0][1] == once + once
+    once = score_sparse(index, "pod", limit=1)[0][1]
+    assert score_sparse(index, "pod pod", limit=1)[0][1] == once + once
 
 
 def test_bm25_idf_is_math_log():
@@ -217,7 +217,7 @@ def test_bm25_idf_is_math_log():
             for i in range(n_docs)
         ]
         index = build_sparse_index(chunks)
-        got = score_sparse(index, "pod node", limit=n_docs).entries
+        got = score_sparse(index, "pod node", limit=n_docs)
         assert got == loop_bm25(chunks, "pod node", n_docs)
 
 
@@ -249,7 +249,7 @@ def test_dense_bit_exact_against_loop_reference():
         for query in queries:
             full = loop_dense(vectors, query, n)
             for limit in (1, int(rng.integers(1, n + 1)), n, n + 5):
-                got = score_dense(table, query, limit).entries
+                got = score_dense(table, query, limit)
                 assert got == loop_dense(vectors, query, limit), (trial, limit)
                 cut_ties += cuts_a_tie(got, full)
     assert cut_ties > 50  # the seed exercises cuts through tie groups
@@ -259,22 +259,20 @@ def test_dense_zero_query_and_zero_vectors_tie_by_chunk_id():
     vectors = {"c2": np.zeros(3), "c0": np.array([1.0, 0, 0]), "c1": np.zeros(3)}
     table = EmbeddingTable(vectors=dict(vectors), dim=3)
     got = score_dense(table, np.zeros(3), limit=2)
-    assert got.entries == [("c0", 0.0), ("c1", 0.0)] == loop_dense(vectors, np.zeros(3), 2)
+    assert got == [("c0", 0.0), ("c1", 0.0)] == loop_dense(vectors, np.zeros(3), 2)
     got = score_dense(table, np.array([-1.0, 0, 0]), limit=3)
-    assert got.entries == loop_dense(vectors, np.array([-1.0, 0, 0]), 3)
-    assert got.ids() == ["c1", "c2", "c0"]
+    assert got == loop_dense(vectors, np.array([-1.0, 0, 0]), 3)
+    assert ids(got) == ["c1", "c2", "c0"]
 
 
-def test_dense_rejects_bad_limit_and_non_finite_query():
+def test_dense_rejects_bad_limit():
     table = EmbeddingTable(vectors={"c0": np.ones(4)}, dim=4)
     with pytest.raises(HarnessError, match="limit"):
         score_dense(table, np.ones(4), limit=0)
-    with pytest.raises(HarnessError, match="non-finite"):
-        score_dense(table, np.array([1.0, np.nan, 0.0, 0.0]), limit=1)
 
 
-def ranked(ids):
-    return RankedList(entries=[(cid, float(len(ids) - i)) for i, cid in enumerate(ids)])
+def ranked(chunk_ids):
+    return [(cid, float(len(chunk_ids) - i)) for i, cid in enumerate(chunk_ids)]
 
 
 def test_rrf_matches_brute_force_oracle():
@@ -284,37 +282,66 @@ def test_rrf_matches_brute_force_oracle():
         n_lists = rng.randint(1, 4)
         lists = []
         for _ in range(n_lists):
-            ids = rng.sample(universe, rng.randint(1, len(universe)))
-            lists.append(ranked(ids))
+            lists.append(ranked(rng.sample(universe, rng.randint(1, len(universe)))))
         k_rrf = rng.choice([10.0, 60.0, 97.0])
         fused = fuse_rrf(lists, k_rrf=k_rrf)
         want = {}
         for rl in lists:
-            for rank, (cid, _) in enumerate(rl.entries, start=1):
+            for rank, (cid, _) in enumerate(rl, start=1):
                 want[cid] = want.get(cid, 0.0) + 1.0 / (k_rrf + rank)
-        assert set(fused.ids()) == set(want)
-        for cid, score in fused.entries:
+        assert set(ids(fused)) == set(want)
+        for cid, score in fused:
             assert score == pytest.approx(want[cid], abs=1e-12)
-        assert fused.ids() == sorted(want, key=lambda c: (-want[c], c))
+        assert ids(fused) == sorted(want, key=lambda c: (-want[c], c))
 
 
 def test_rrf_single_list_identity():
     rl = ranked(["a", "b", "c"])
-    assert fuse_rrf([rl]).ids() == ["a", "b", "c"]
+    assert ids(fuse_rrf([rl])) == ["a", "b", "c"]
 
 
-def test_ranked_list_rejects_duplicates_and_increasing_scores():
-    with pytest.raises(HarnessError, match="duplicate"):
-        RankedList(entries=[("a", 1.0), ("a", 0.5)])
-    with pytest.raises(HarnessError, match="non-increasing"):
-        RankedList(entries=[("a", 0.5), ("b", 1.0)])
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=8), min_size=1, max_size=20),
+    st.lists(st.sampled_from(VOCAB + ["zzz"]), min_size=1, max_size=5),
+    st.sampled_from([1, 3, 8]),
+    st.integers(0, 2),
+    st.integers(1, 25),
+    st.sampled_from([1.0, 60.0]),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_ranked_list_has_unique_ids_and_non_increasing_scores(
+    texts, query_words, dim, query_kind, limit, k_rrf, seed
+):
+    """What the channel scorers and the fusion return is a ranked list: no
+    chunk id twice and no score above the one before it, over tie-heavy
+    vectors, zero queries and fusions of overlapping lists."""
+    chunks = [
+        Chunk(chunk_id=f"c{i:03d}", doc_id="d", text=" ".join(words))
+        for i, words in enumerate(texts)
+    ]
+    rng = np.random.default_rng(seed)
+    vectors, base = tie_heavy_vectors(rng, len(chunks), dim)
+    query_vector = (rng.normal(size=dim), np.zeros(dim), base[0])[query_kind]
+    sparse = score_sparse(build_sparse_index(chunks), " ".join(query_words), limit)
+    dense = score_dense(EmbeddingTable(vectors=vectors, dim=dim), query_vector, limit)
+    outputs = [sparse, dense, fuse_rrf([dense, sparse], k_rrf), fuse_rrf([dense], k_rrf)]
+    if sparse:
+        outputs.append(fuse_rrf([sparse, dense, sparse], k_rrf))
+    for ranked_list in outputs:
+        assert len(set(ids(ranked_list))) == len(ranked_list)
+        scores = [score for _, score in ranked_list]
+        assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
-def test_regime_validation():
-    with pytest.raises(HarnessError, match="unknown retrieval variant"):
-        RetrievalRegime(retrieval_variant="bogus")
-    with pytest.raises(HarnessError, match="unknown prompt mode"):
-        RetrievalRegime(retrieval_variant="base", prompt_mode="bogus")
+def test_retrieval_defines_only_its_array_types():
+    defined = [
+        value
+        for _, value in inspect.getmembers(retrieval, inspect.isclass)
+        if value.__module__ == retrieval.__name__
+    ]
+    assert [c.__name__ for c in defined] == ["EmbeddingTable", "SparseIndex"]
+    assert all(dataclasses.is_dataclass(c) for c in defined)
 
 
 def test_select_contexts_fuses_with_the_given_k_rrf():
@@ -324,7 +351,7 @@ def test_select_contexts_fuses_with_the_given_k_rrf():
     sparse = ranked(["d1", "d2", "d3", "b"])
     picked = {
         k_rrf: select_contexts(
-            (RetrievalRegime("reranker_off"),),
+            ("reranker_off",),
             dense=dense,
             sparse=sparse,
             retrieve_top_n=4,
@@ -341,12 +368,10 @@ KNOBS = dict(retrieve_top_n=4, eval_top_k=2, k_rrf=60.0)
 
 def test_select_context_channel_requirements():
     sparse = ranked(["a", "b", "c"])
-    base = RetrievalRegime(retrieval_variant="base")
     with pytest.raises(HarnessError, match="at least one channel"):
-        select_contexts((base,), **KNOBS)
-    only = RetrievalRegime(retrieval_variant="dense_only")
+        select_contexts(("base",), **KNOBS)
     with pytest.raises(HarnessError, match="dense"):
-        select_contexts((only,), sparse=sparse, **KNOBS)
+        select_contexts(("dense_only",), sparse=sparse, **KNOBS)
 
 
 def test_select_context_regime_degeneracy():
@@ -354,22 +379,19 @@ def test_select_context_regime_degeneracy():
     channel's order."""
     sparse = ranked(["a", "b", "c", "d"])
     for variant in ("base", "reranker_off", "hybrid_bm25"):
-        regime = RetrievalRegime(retrieval_variant=variant)
-        assert select_contexts((regime,), sparse=sparse, **KNOBS) == [["a", "b"]]
+        assert select_contexts((variant,), sparse=sparse, **KNOBS) == [["a", "b"]]
 
 
 def test_select_context_rerank_reorders():
     sparse = ranked(["a", "b", "c", "d"])
-    regime = RetrievalRegime(retrieval_variant="base")
     picked = select_contexts(
-        (regime,), sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0}, **KNOBS
+        ("base",), sparse=sparse, rerank_scores={"d": 9.0, "b": 5.0}, **KNOBS
     )
     assert picked == [["d", "b"]]
     # reranker_off ignores rerank scores entirely.
-    off = RetrievalRegime(retrieval_variant="reranker_off")
-    assert select_contexts((off,), sparse=sparse, rerank_scores={"d": 9.0}, **KNOBS) == [
-        ["a", "b"]
-    ]
+    assert select_contexts(
+        ("reranker_off",), sparse=sparse, rerank_scores={"d": 9.0}, **KNOBS
+    ) == [["a", "b"]]
 
 
 def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
@@ -383,25 +405,24 @@ def _reference_apply_rerank(candidates, rerank_scores, eval_top_k):
 
 
 def reference_select_context(
-    regime, dense=None, sparse=None, rerank_scores=None, *, retrieve_top_n, eval_top_k, k_rrf
+    variant, dense=None, sparse=None, rerank_scores=None, *, retrieve_top_n, eval_top_k, k_rrf
 ):
     """Context selection written out per variant, one branch each for
     dense_only, sparse_only and the fused variants."""
-    variant = regime.retrieval_variant
     if variant == "dense_only":
         if dense is None:
             raise HarnessError("dense_only regime requires the dense channel")
-        candidates = dense.ids()[:retrieve_top_n]
+        candidates = ids(dense)[:retrieve_top_n]
         return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     if variant == "sparse_only":
         if sparse is None:
             raise HarnessError("sparse_only regime requires the sparse channel")
-        candidates = sparse.ids()[:retrieve_top_n]
+        candidates = ids(sparse)[:retrieve_top_n]
         return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
     lists = [rl for rl in (dense, sparse) if rl is not None]
     if not lists:
         raise HarnessError(f"{variant} regime requires at least one channel")
-    candidates = fuse_rrf(lists, k_rrf).ids()[:retrieve_top_n]
+    candidates = ids(fuse_rrf(lists, k_rrf))[:retrieve_top_n]
     if variant == "reranker_off":
         return candidates[:eval_top_k]
     return _reference_apply_rerank(candidates, rerank_scores, eval_top_k)
@@ -435,15 +456,14 @@ def test_select_context_equals_the_per_variant_reference():
             RETRIEVAL_VARIANTS, (1.0, 60.0), channel_sets, (None, partial, full)
         )
         for variant, k_rrf, channels, rerank_scores in cases:
-            regime = RetrievalRegime(variant)
             knobs = dict(retrieve_top_n=top_n, eval_top_k=top_k, k_rrf=k_rrf)
             args = dict(channels, rerank_scores=rerank_scores, **knobs)
-            got = _outcome(lambda: select_contexts((regime,), **args)[0])
-            want = _outcome(reference_select_context, regime, **args)
+            got = _outcome(lambda: select_contexts((variant,), **args)[0])
+            want = _outcome(reference_select_context, variant, **args)
             assert got == want, (trial, variant, k_rrf, sorted(channels), rerank_scores)
             failed = isinstance(got, str)
             errors += failed
-            reranked += rerank_scores is not None and regime.reranks and not failed
+            reranked += rerank_scores is not None and VARIANTS[variant][1] and not failed
     assert errors and reranked
 
 
@@ -453,15 +473,14 @@ def test_select_context_empty_rerank_map_is_no_rerank_map():
     chunk_id order differs from the channel order here."""
     dense = ranked(["d", "b", "c", "a"])
     sparse = ranked(["c", "d", "a", "b"])
-    variants = [v for v in RETRIEVAL_VARIANTS if RetrievalRegime(v).reranks]
+    variants = [v for v in RETRIEVAL_VARIANTS if VARIANTS[v][1]]
     assert len(variants) == 4
     for variant in variants:
-        regime = RetrievalRegime(variant)
         for channels in ({"dense": dense}, {"sparse": sparse}, {"dense": dense, "sparse": sparse}):
-            if not channels.keys() & set(regime.channels):
+            if not channels.keys() & set(VARIANTS[variant][0]):
                 continue
-            [empty] = select_contexts((regime,), **channels, rerank_scores={}, **KNOBS)
-            assert [empty] == select_contexts((regime,), **channels, **KNOBS), (
+            [empty] = select_contexts((variant,), **channels, rerank_scores={}, **KNOBS)
+            assert [empty] == select_contexts((variant,), **channels, **KNOBS), (
                 variant, sorted(channels),
             )
             assert empty != ["a", "b"], (variant, sorted(channels))
@@ -494,13 +513,12 @@ def test_select_contexts_equals_the_per_regime_reference():
         )
         variants = list(RETRIEVAL_VARIANTS) + rng.choices(RETRIEVAL_VARIANTS, k=rng.randint(0, 3))
         rng.shuffle(variants)
-        regimes = [RetrievalRegime(variant) for variant in variants]
-        got = _outcome(select_contexts, regimes, **channels, rerank_scores=rerank_scores, **knobs)
+        got = _outcome(select_contexts, variants, **channels, rerank_scores=rerank_scores, **knobs)
         want = []
-        for regime in regimes:
+        for variant in variants:
             context = _outcome(
                 reference_select_context,
-                regime,
+                variant,
                 **channels,
                 rerank_scores=rerank_scores or None,
                 **knobs,
@@ -526,12 +544,12 @@ def test_select_contexts_fuses_each_channel_set_once(monkeypatch):
 
     monkeypatch.setattr("ragharness.retrieval.fuse_rrf", counting)
     dense, sparse = ranked(["a", "b", "c"]), ranked(["c", "d", "a"])
-    regimes = [RetrievalRegime(v) for v in RETRIEVAL_VARIANTS]
     knobs = dict(retrieve_top_n=3, eval_top_k=2, k_rrf=60.0)
-    select_contexts(regimes, dense, sparse, {"d": 1.0}, **knobs)
+    select_contexts(RETRIEVAL_VARIANTS, dense, sparse, {"d": 1.0}, **knobs)
     assert calls == [60.0]
     calls.clear()
-    select_contexts([r for r in regimes if "sparse" in r.channels], None, sparse, **knobs)
+    sparse_variants = [v for v in RETRIEVAL_VARIANTS if "sparse" in VARIANTS[v][0]]
+    select_contexts(sparse_variants, None, sparse, **knobs)
     assert calls == []
 
 
@@ -563,7 +581,7 @@ def test_bm25_index_matches_loop_reference_on_edge_tokens(texts, query_words, rn
     index = build_sparse_index(chunks)
     query = " ".join(query_words)
     for limit in (1, len(chunks), len(chunks) + 3):
-        assert score_sparse(index, query, limit).entries == loop_bm25(chunks, query, limit)
+        assert score_sparse(index, query, limit) == loop_bm25(chunks, query, limit)
 
 
 @settings(max_examples=50, deadline=None)
@@ -574,7 +592,7 @@ def test_bm25_deterministic(query_words, seed):
     query = " ".join(query_words)
     first = score_sparse(index, query, limit=8)
     second = score_sparse(build_sparse_index(chunks), query, limit=8)
-    assert first.entries == second.entries
+    assert first == second
 
 
 @settings(max_examples=50, deadline=None)
@@ -588,5 +606,5 @@ def test_bm25_deterministic(query_words, seed):
 def test_rrf_scores_bounded(id_lists):
     lists = [ranked(ids) for ids in id_lists]
     fused = fuse_rrf(lists)
-    for _, score in fused.entries:
+    for _, score in fused:
         assert 0 < score <= len(lists) / 61.0
