@@ -4,7 +4,7 @@ print which points survive on each cost axis.
 Run: python3 demos/pareto_front_demo.py
 """
 
-from ragharness.pareto import ParetoPoint, pareto_front
+from ragharness.pareto import pareto_front
 
 SWEEP = [
     # (config, F1, latency s, training minutes)
@@ -20,16 +20,15 @@ SWEEP = [
 
 def main():
     points = [
-        ParetoPoint(name, f1, {"latency": lat, "training_time": train})
-        for name, f1, lat, train in SWEEP
+        (name, f1, {"latency": lat, "training_time": train}) for name, f1, lat, train in SWEEP
     ]
 
     for axes in (("latency",), ("training_time",), ("latency", "training_time")):
         front = pareto_front(points, axes)
         print(f"front on {' + '.join(axes)}:")
-        for p in front:
-            costs = ", ".join(f"{ax}={p.costs[ax]:.3g}" for ax in axes)
-            print(f"  {p.config_id:<16} F1={p.quality:.3f}  {costs}")
+        for name, f1, costs in front:
+            shown = ", ".join(f"{ax}={costs[ax]:.3g}" for ax in axes)
+            print(f"  {name:<16} F1={f1:.3f}  {shown}")
         print()
 
 

@@ -165,7 +165,7 @@ def load_workspace(root) -> WorkspaceConfig:
         kind = type(f.default)
         try:
             given[f.name] = as_int(value, f.name) if kind is int else as_float(value, f.name)
-        except (TypeError, ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise HarnessError(
                 f"{config_path}: {f.name} must be {noun}, got {value!r}"
@@ -253,21 +253,25 @@ def _finite_numbers(values) -> bool:
 
 
 def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
-    """(dim, {chunk_id: vector}, {qa_id: vector}) from an embeddings file.
-    Each vector, chunk or query, is a JSON list of exactly `dim` finite
-    numbers whose squared norm a float holds, each chunk vector is of one of
-    the corpus `chunk_ids` and each query vector of one of the `qa_ids` of
-    `qa_file`; nothing here needs numpy."""
+    """(dim, {chunk_id: vector}, {qa_id: vector}) from an embeddings file
+    with at least one chunk vector. Each vector, chunk or query, is a JSON
+    list of exactly `dim` finite numbers whose squared norm a float holds,
+    each chunk vector is of one of the corpus `chunk_ids` and each query
+    vector of one of the `qa_ids` of `qa_file`; nothing here needs numpy."""
     raw = ingest.read_json(path)
     try:
         dim = as_int(raw["dim"], "dim")
         vectors, queries = raw["chunks"], raw["queries"]
     except KeyError as exc:
         raise HarnessError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise HarnessError(f"{path}: bad value: {exc}") from exc
     if dim < 1:
         raise HarnessError(f"{path}: bad value: dim must be positive, got {dim}")
+    # Without a chunk vector the dense channel ranks nothing, and every
+    # question it serves would get an empty context.
+    if not vectors:
+        raise HarnessError(f"{path}: bad value: chunks holds no chunk vector")
     for kind, by_id in (("chunk", vectors), ("query", queries)):
         if not isinstance(by_id, dict):
             raise HarnessError(f"{path}: bad value: {kind} vectors must be an object")

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import HarnessError, as_int
+from .errors import HarnessError
 
 # Each command imports only what it uses, since at the sizes workspaces
 # usually have, start-up costs more than the work:
@@ -31,14 +31,15 @@ from .errors import HarnessError, as_int
 #   for the manifest alone; retrieve, whose arrays need no numpy.random, and
 #   grid never load it.
 # - Every package module but `errors` is imported only where it is used;
-#   all but `metrics` and `lora_grid` build dataclasses on import. The
-#   workspace commands import `analysis`, which holds the workspace config,
-#   the loaders and the param-matched alignment, and imports `dataset`,
-#   `ingest` and `retrieval`, since each regime spec names a key of
-#   `retrieval.VARIANTS`. grid reads no workspace: it loads `lora_grid`
-#   alone, and none of those four. Of `metrics`, `report`, `pareto` and
-#   `lora_grid`, validate loads `lora_grid` alone, which reads every config
-#   id and pairs the param-matched configs, and score loads `metrics` alone.
+#   all but `metrics`, `lora_grid` and `pareto` build dataclasses on
+#   import. The workspace commands import `analysis`, which holds the
+#   workspace config, the loaders and the param-matched alignment, and
+#   imports `dataset`, `ingest` and `retrieval`, since each regime spec
+#   names a key of `retrieval.VARIANTS`. grid reads no workspace: it loads
+#   `lora_grid` alone, and none of those four. Of `metrics`, `report`,
+#   `pareto` and `lora_grid`, validate loads `lora_grid` alone, which reads
+#   every config id and pairs the param-matched configs, and score loads
+#   `metrics` alone.
 if TYPE_CHECKING:
     from pathlib import Path
 
@@ -97,7 +98,7 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
             run.groundedness.count(None) for runs in run_set.runs.values() for run in runs.values()
         )
         print(
-            f"validate: judge coverage: {len(run_set.unmatched_scores)} judge rows "
+            f"validate: judge coverage: {run_set.unmatched_scores} judge rows "
             f"match no record, {unscored} of {run_set.n_records()} records "
             f"have no judge score"
         )
@@ -242,7 +243,7 @@ def cmd_stats(ws: WorkspaceConfig, args) -> int:
 
 def cmd_pareto(ws: WorkspaceConfig, args) -> int:
     from . import analysis, report
-    from .pareto import COST_AXES, ParetoPoint, pareto_front
+    from .pareto import COST_AXES, pareto_front
 
     axes = tuple(args.axes.split(","))
     for i, axis in enumerate(axes):
@@ -276,11 +277,11 @@ def cmd_pareto(ws: WorkspaceConfig, args) -> int:
                 raise HarnessError(
                     f"regime {regime_id!r}: config {r.config!r} has no {absent[0]!r} cost"
                 )
-            points.append(ParetoPoint(r.config, r.f1, cost, regime_id))
+            points.append((r.config, r.f1, cost))
         fronts.append((regime_id, points, pareto_front(points, axes)))
     for regime_id, points, front in fronts:
         out_path = ws.out / analysis._regime_file("front", regime_id, axes)
-        report.emit_front_data(points, front, out_path, axes)
+        report.emit_front_data(regime_id, points, front, out_path, axes)
         print(f"pareto: wrote {out_path} ({len(front)} on front)")
     return 0
 
@@ -328,7 +329,7 @@ def cmd_grid(ws, args) -> int:
 
     bases = tuple(args.bases.split(","))
     try:
-        ranks = tuple(as_int(r, "rank") for r in args.ranks.split(","))
+        ranks = tuple(int(r) for r in args.ranks.split(","))
     except ValueError as exc:
         raise HarnessError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)

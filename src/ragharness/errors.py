@@ -9,23 +9,22 @@ class HarnessError(ValueError):
 
 
 def as_int(value, name: str) -> int:
-    """``int(value)``, except that a boolean, or a float with a fractional part
-    (or an infinite or NaN one), is a ValueError naming `name` instead of
-    being read as 0/1 or truncated. Callers turn the ValueError into a
-    HarnessError."""
-    if isinstance(value, bool) or (
-        isinstance(value, float) and not value.is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """`value` as an int when it is a JSON number with no fractional part. A
+    boolean, a string, a float with a fractional part (or an infinite or NaN
+    one) and anything else is a ValueError naming `name`, never read as 0/1,
+    parsed or truncated. Callers turn the ValueError into a HarnessError."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_float(value, name: str) -> float:
-    """``float(value)``, except that a boolean is a ValueError naming `name`
-    instead of being read as 0.0/1.0; the float twin of `as_int`."""
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    """`value` as a float when it is a JSON number; a boolean, a string and
+    anything else is a ValueError naming `name`; the float twin of
+    `as_int`."""
+    if type(value) in (int, float):
+        return float(value)
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 def as_str(value, name: str) -> str:

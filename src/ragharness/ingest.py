@@ -93,9 +93,8 @@ class Run:
 class RunSet:
     # regime_id -> config_id -> Run, both levels in ascending id order.
     runs: dict[str, dict[str, Run]]
-    # The (config, regime, qa_id) key of each judge row that matches no
-    # record, in file order.
-    unmatched_scores: list[tuple[str, str, str]] = field(default_factory=list)
+    # The number of judge rows that match no record.
+    unmatched_scores: int = 0
 
     def n_records(self) -> int:
         return sum(len(run) for by_config in self.runs.values() for run in by_config.values())
@@ -203,8 +202,8 @@ def _judge_row(rec: dict):
 
 
 def _read_judge(path, canonical: dict) -> dict:
-    """{(config, regime): {qa_id: (line, correctness, groundedness)}} of the
-    rows of a judge file: one small index per run rather than one key tuple
+    """{(config, regime): {qa_id: (correctness, groundedness)}} of the rows
+    of a judge file: one small index per run rather than one key tuple
     per row, each qa_id held as the str object `canonical` maps it to, when
     it maps it. A second row for a (config, regime, qa_id) is an error
     worded as `read_keyed` words a repeated key."""
@@ -213,7 +212,7 @@ def _read_judge(path, canonical: dict) -> dict:
         by_qa_id = index.setdefault(key[:2], {})
         if key[2] in by_qa_id:
             raise HarnessError(f"{path}:{lineno}: duplicate judge score {key!r}")
-        by_qa_id[canonical.get(key[2], key[2])] = (lineno, correctness, groundedness)
+        by_qa_id[canonical.get(key[2], key[2])] = (correctness, groundedness)
     return index
 
 
@@ -234,7 +233,7 @@ def _run_row(rec: dict):
     return key, answer, latency, top_k
 
 
-_UNJUDGED = (None, None, None)
+_UNJUDGED = (None, None)
 
 
 def _read_verified(manifest_path, label, file_path, expected) -> bytes:
@@ -263,7 +262,7 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
-    key is an error, and rows that match no record end up in
+    key is an error, and the rows that match no record are counted in
     `RunSet.unmatched_scores`. `score`, when given, is called as
     score(qa_id, answer) once per record as it is read, and the (f1, exact)
     it returns fill the run's `f1s` and `exact` columns."""
@@ -320,7 +319,7 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                     )
                 qa_id = canonical[key[2]] = key[2]
             seen.add(qa_id)
-            _, correctness, groundedness = judge.pop(qa_id, _UNJUDGED)
+            correctness, groundedness = judge.pop(qa_id, _UNJUDGED)
             run.qa_ids.append(qa_id)
             run.latencies.append(latency)
             run.correctness.append(correctness)
@@ -340,14 +339,8 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
             raise HarnessError(
                 f"({config_id}, {regime_id}): latency_s values sum to more than a float holds"
             )
-    # The judge rows left in the index matched no record; their line numbers
-    # give back the file order.
-    unmatched = sorted(
-        (line, (config_id, regime_id, qa_id))
-        for (config_id, regime_id), judge in judged.items()
-        for qa_id, (line, _, _) in judge.items()
-    )
-    return RunSet(runs=grouped, unmatched_scores=[key for _, key in unmatched])
+    # The judge rows left in the index matched no record.
+    return RunSet(runs=grouped, unmatched_scores=sum(map(len, judged.values())))
 
 
 def load_cost_profile(path) -> dict:

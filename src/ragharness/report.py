@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .errors import HarnessError
 from .ingest import ERROR_CLASSES, ErrorLabel
-from .pareto import ParetoPoint, pareto_front
+from .pareto import pareto_front
 
 # `stats` loads numpy, so it is imported only inside `regime_table`: error
 # labels and the other tables load without it.
@@ -55,8 +55,6 @@ def regime_table(
     the count of passes over n."""
     from .stats import bootstrap_ci
 
-    if not runs:
-        raise HarnessError("regime absent from run set: no runs given")
     rows: list[RegimeRow] = []
     for config_id, run in runs.items():
         n = len(run)
@@ -97,14 +95,11 @@ def ablation_summary(tables: dict) -> list[list]:
     best_f1_config, best_f1, best_grnd_config, best_grnd, same_point], the
     best-F1 and best-groundedness configs by point estimate, the grnd cells
     None when no config of the regime has judge scores. `tables` maps regime
-    id -> list of RegimeRow. Row order within a table does not matter."""
-    if not tables:
-        raise HarnessError("at least one regime table is required")
+    id -> nonempty list of RegimeRow. Row order within a table does not
+    matter."""
     summary = []
     for regime_id in sorted(tables):
         rows = tables[regime_id]
-        if not rows:
-            raise HarnessError(f"regime table {regime_id!r} is empty")
         best_f1 = _best(rows, lambda r: r.f1)
         judged = [r for r in rows if r.grnd_pass is not None]
         best_grnd = _best(judged, lambda r: r.grnd_pass) if judged else None
@@ -123,8 +118,6 @@ def scheme_wins(summary: list[list]) -> dict:
     # Imported here: the pareto command imports this module but reads no id.
     from .lora_grid import parse_config_id
 
-    if not summary:
-        raise HarnessError("summary must be nonempty")
     f1_wins: Counter = Counter()
     grnd_wins: Counter = Counter()
     any_grnd = False
@@ -141,20 +134,16 @@ def topk_summary(tables_by_k: dict) -> list[list]:
     """The rows of `topk_summary.csv`, one per k in ascending order: [k,
     best_config, best_f1, latency, front], the front being the config ids of
     the runtime (F1, latency) front, sorted and joined by ';'. `tables_by_k`
-    maps eval_top_k -> list of RegimeRow."""
-    if len(tables_by_k) < 2:
-        raise HarnessError("need tables for at least two k values")
+    maps eval_top_k -> nonempty list of RegimeRow."""
     rows = []
     for k in sorted(tables_by_k):
         table = tables_by_k[k]
-        if not table:
-            raise HarnessError(f"table for k={k} is empty")
         best = _best(table, lambda r: r.f1)
-        points = [ParetoPoint(r.config, r.f1, {"latency": r.latency}) for r in table]
+        points = [(r.config, r.f1, {"latency": r.latency}) for r in table]
         front = pareto_front(points, axes=("latency",))
         rows.append([
             k, best.config, best.f1, best.latency,
-            ";".join(sorted(p.config_id for p in front)),
+            ";".join(sorted(config_id for config_id, _, _ in front)),
         ])
     return rows
 
@@ -213,23 +202,17 @@ def _cell(value):
     return value
 
 
-def emit_front_data(points: list[ParetoPoint], front: list[ParetoPoint], destination, axes) -> None:
+def emit_front_data(regime_id: str, points: list, front: list, destination, axes) -> None:
     """Write plot-ready comma-separated rows {config, regime, quality, active
-    cost axes, on_front}. Rows sorted by config id; column order fixed."""
-    axes = tuple(axes)
-    on_front = {(p.config_id, p.regime_id) for p in front}
+    cost axes, on_front} of one regime's Pareto points, sorted by config id,
+    which is unique within a regime; column order fixed."""
+    on_front = {config_id for config_id, _, _ in front}
     write_csv(
         destination,
         ["config", "regime", "quality", *axes, "on_front"],
         (
-            [
-                p.config_id,
-                p.regime_id,
-                p.quality,
-                *(p.costs[ax] for ax in axes),
-                int((p.config_id, p.regime_id) in on_front),
-            ]
-            for p in sorted(points, key=lambda p: (p.config_id, p.regime_id))
+            [config_id, regime_id, quality, *(costs[ax] for ax in axes), int(config_id in on_front)]
+            for config_id, quality, costs in sorted(points, key=lambda p: p[0])
         ),
     )
 

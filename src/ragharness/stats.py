@@ -54,19 +54,11 @@ class DeltaEstimate:
 
 @dataclass(frozen=True)
 class ResamplePlan:
+    # `analysis.WorkspaceConfig` checks the knobs: n_resamples >= 1, level in
+    # (0, 1) and master_seed in 0..2**64 - 1.
     n_resamples: int = 1000
     level: float = 0.95
     master_seed: int = 0
-
-    def __post_init__(self):
-        if self.n_resamples < 1:
-            raise HarnessError("n_resamples must be >= 1")
-        if not 0.0 < self.level < 1.0:
-            raise HarnessError("level must be in (0, 1)")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise HarnessError(
-                f"master_seed must be in 0..{_MASK64}, got {self.master_seed}"
-            )
 
 
 def subseed(master_seed: int, replicate: int) -> int:
@@ -115,15 +107,6 @@ def _index_matrix(master_seed: int, n_resamples: int, n: int) -> np.ndarray:
     return idx
 
 
-def _check_values(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise HarnessError("values must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise HarnessError("values must be finite")
-    return arr
-
-
 def _linear_quantile(ordered: np.ndarray, q: float) -> float:
     """``np.quantile(ordered, q)`` for a sorted 1-D float array and q in
     [0, 1], with numpy's ``linear`` arithmetic step by step in Python
@@ -163,8 +146,9 @@ def _interval(rows: np.ndarray, plan: ResamplePlan) -> Interval:
 
 
 def bootstrap_ci(values, plan: ResamplePlan) -> Interval:
-    """Percentile bootstrap interval around the mean of `values`."""
-    return _interval(_check_values(values)[None], plan)
+    """Percentile bootstrap interval around the mean of `values`, a nonempty
+    vector of finite numbers."""
+    return _interval(np.asarray(values, dtype=float)[None], plan)
 
 
 def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
@@ -175,19 +159,10 @@ def paired_bootstrap_delta(a, b, plan: ResamplePlan) -> DeltaEstimate:
 
 def pooled_pair_delta(pairs, plan: ResamplePlan) -> DeltaEstimate:
     """Family-level delta: one shared index resample per replicate, pair mean
-    differences averaged across pairs."""
-    if not pairs:
-        raise HarnessError("pairs must be nonempty")
-    diffs = []
-    for a, b in pairs:
-        a = _check_values(a)
-        b = _check_values(b)
-        if a.shape != b.shape:
-            raise HarnessError(f"length mismatch: {a.shape} vs {b.shape}")
-        if diffs and a.size != diffs[0].size:
-            raise HarnessError("all pairs must share the same example index set")
-        diffs.append(a - b)
-    rows = np.stack(diffs)
+    differences averaged across pairs. `pairs` holds at least one (a, b) pair
+    of finite score vectors, every vector over the same examples in the same
+    order, as `analysis.Analysis.matched` aligns them."""
+    rows = np.stack([np.asarray(a, dtype=float) - np.asarray(b, dtype=float) for a, b in pairs])
     interval = _interval(rows, plan)
     significant = interval.lo > 0.0 or interval.hi < 0.0
     return DeltaEstimate(float(rows.mean(axis=1).mean()), interval, significant)

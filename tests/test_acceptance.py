@@ -14,7 +14,7 @@ from ragharness.cli import main
 from ragharness.ingest import ErrorLabel
 from ragharness.lora_grid import display_id, enumerate_grid, param_matched_pairs, parse_config_id
 from ragharness.metrics import exact_match, normalize_answer, token_f1
-from ragharness.pareto import ParetoPoint, pareto_front
+from ragharness.pareto import pareto_front
 from ragharness.report import (
     ablation_summary,
     error_counts,
@@ -39,10 +39,8 @@ def test_criterion_01_pareto_runtime_front(regime_tables):
     start = time.perf_counter()
     rows = regime_tables["01_base__neutral"]
     assert len(rows) == 22
-    points = [
-        ParetoPoint(r.config, r.f1, {"latency": r.latency}) for r in rows
-    ]
-    front = {p.config_id for p in pareto_front(points, ("latency",))}
+    points = [(r.config, r.f1, {"latency": r.latency}) for r in rows]
+    front = {config_id for config_id, _, _ in pareto_front(points, ("latency",))}
     assert front == {"3B r64 qv_only", "8B r64 qv_only"}
     assert time.perf_counter() - start < 1.0
 
@@ -50,15 +48,15 @@ def test_criterion_01_pareto_runtime_front(regime_tables):
 def test_criterion_02_training_fronts(training_front_rows):
     start = time.perf_counter()
     points = [
-        ParetoPoint(
+        (
             r["config"],
             r["f1"],
             {"training_time": r["train_min"], "training_vram": r["train_vram_gb"]},
         )
         for r in training_front_rows
     ]
-    time_front = {p.config_id for p in pareto_front(points, ("training_time",))}
-    vram_front = {p.config_id for p in pareto_front(points, ("training_vram",))}
+    time_front = {config_id for config_id, _, _ in pareto_front(points, ("training_time",))}
+    vram_front = {config_id for config_id, _, _ in pareto_front(points, ("training_vram",))}
     want_time = {
         r["config"] for r in training_front_rows if "time" in r["front"]
     }

@@ -1481,6 +1481,51 @@ SHA256_NOT_STRING = (
             )
         ),
         (None, ["pareto", "--regime", ""], "regime '' not in run set"),
+        (
+            _edit_json("workspace.json", lambda c: c.update(seed="1_0")),
+            ["validate"],
+            "workspace.json: seed must be an integer, got '1_0'",
+        ),
+        (
+            _edit_json("workspace.json", lambda c: c.update(level="0.9")),
+            ["stats"],
+            "workspace.json: level must be a number, got '0.9'",
+        ),
+        (
+            _edit_run(lambda r: r.update(latency_s=str(r["latency_s"]))),
+            ["validate"],
+            "3B_r8_qv_only__01_base__neutral.jsonl:30: bad field value: "
+            "latency_s must be a number, got '",
+        ),
+        (
+            _judge_correctness("5"),
+            ["validate"],
+            "judge.jsonl:1: bad field value: correctness must be an integer, got '5'",
+        ),
+        (
+            _first_cost(inf_vram_gb="4.5"),
+            ["stats"],
+            "costs.jsonl:1: bad field value: inf_vram_gb must be a number, got '4.5'",
+        ),
+        (
+            _edit_json("embeddings.json", lambda e: e.update(dim=str(e["dim"]))),
+            ["retrieve"],
+            "embeddings.json: bad value: dim must be an integer, got '8'",
+        ),
+        *(
+            (
+                _all(
+                    _edit_json("embeddings.json", lambda e: e.update(chunks={})),
+                    _edit_json(
+                        "workspace.json",
+                        lambda c: c.update(regimes=[{"id": "d", "variant": "dense_only"}]),
+                    ),
+                ),
+                [command],
+                "embeddings.json: bad value: chunks holds no chunk vector",
+            )
+            for command in ("validate", "retrieve")
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1572,6 +1617,9 @@ SHA256_NOT_STRING = (
         "cost_override_null_validate", "cost_override_null_stats",
         "prompt_mode_unknown_validate", "variant_list_validate", "prompt_mode_object_validate",
         "empty_regime_pareto",
+        "seed_string_validate", "level_string_stats", "latency_string_validate",
+        "judge_correctness_string_validate", "cost_string_stats", "embeddings_dim_string_retrieve",
+        "embeddings_no_chunk_vector_validate", "embeddings_no_chunk_vector_retrieve",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -1584,6 +1632,16 @@ def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, messag
     assert message in one_line_error(capsys, argv[0])
     assert _files_outside_out(workspace) == before
     assert not [path for path in (workspace / "out").rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0])
+def test_level_outside_the_open_unit_interval_exits_1(workspace, capsys, level):
+    """`WorkspaceConfig` holds the one check of the interval level; the
+    bootstrap takes the level as given."""
+    _edit_json("workspace.json", lambda c: c.update(level=level))(workspace)
+    assert run(workspace, "stats") == 1
+    assert "level must be in (0, 1)" in one_line_error(capsys, "stats")
+    assert not (workspace / "out").exists()
 
 
 def _files_outside_out(workspace):

@@ -1,9 +1,11 @@
-"""Each demo script runs to completion against the package sources, and the
-smoke-workspace script regenerates the bundled workspace and the
-scale-workspace script writes one that validates."""
+"""Each demo script runs to completion against the package sources, the
+smoke-workspace script regenerates the bundled workspace, the
+scale-workspace script writes one that validates, and the output-comparison
+script tells a changed output from an unchanged one."""
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -59,3 +61,30 @@ def test_make_scale_workspace_writes_a_workspace_that_validates(tmp_path, capsys
     out = capsys.readouterr().out
     assert "(1000 chunks, 3 QA rows, test=3)" in out
     assert "0 of 330 records have no judge score" in out
+
+
+def test_compare_outputs_finds_a_changed_csv_cell(tmp_path):
+    """`scripts/compare_outputs.py` finds no difference between two runs of
+    one source tree on the smoke workspace, and finds the CSV files of a copy
+    whose `report._cell` writes 5 significant digits instead of 6."""
+    path = REPO / "scripts" / "compare_outputs.py"
+    spec = importlib.util.spec_from_file_location("compare_outputs", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    changed = tmp_path / "changed"
+    shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    report = changed / "ragharness" / "report.py"
+    text = report.read_text(encoding="utf-8")
+    assert text.count('f"{value:.6g}"') == 1
+    report.write_text(text.replace('f"{value:.6g}"', 'f"{value:.5g}"'), encoding="utf-8")
+    workspace = tmp_path / "ws"
+    shutil.copytree(SMOKE_WORKSPACE, workspace)
+
+    parent, found = script.compare(REPO / "src", REPO / "src", workspace)
+    assert found == []
+    assert parent["pareto --axes latency,training_time"][0] == 1
+    assert all(code == 0 for code, *_ in list(parent.values())[:-1])
+    found = script.differences(parent, script.outputs(changed, workspace))
+    assert "stats: out/stats_01_base__neutral.csv differs" in found
+    assert "report: out/ablation_summary.csv differs" in found
+    assert not any(line.startswith(("validate", "retrieve", "score")) for line in found)

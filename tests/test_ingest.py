@@ -140,7 +140,7 @@ def test_load_runs_joins_judge_scores(tmp_path):
     assert run.qa_ids == ["q0", "q1"]
     assert run.correctness == [5, 2]
     assert run.groundedness == [4, 2]
-    assert run_set.unmatched_scores == []
+    assert run_set.unmatched_scores == 0
 
 
 def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
@@ -148,10 +148,10 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("ghost"), score_row("q0"), score_row("phantom")])
     run_set = load_runs(runs, judge_path=scores)
-    assert [qa_id for _, _, qa_id in run_set.unmatched_scores] == ["ghost", "phantom"]
+    assert run_set.unmatched_scores == 2
     assert run_set.runs["01"]["cfgA"].correctness == [5]
     # Unmatched rows of two runs, and of a config with no records,
-    # interleaved in the judge file, come back in file order.
+    # interleaved in the judge file, are each counted once.
     runs = write_run_set(tmp_path, [record("q0"), record("q0", "cfgB", "02")])
     rows = [
         score_row("ghost"), score_row("spook", "cfgB", "02"), score_row("q0"),
@@ -160,10 +160,7 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     ]
     write_scores(scores, rows)
     run_set = load_runs(runs, judge_path=scores)
-    assert run_set.unmatched_scores == [
-        ("cfgA", "01", "ghost"), ("cfgB", "02", "spook"), ("cfgZ", "01", "q0"),
-        ("cfgA", "01", "phantom"), ("cfgB", "02", "wraith"),
-    ]
+    assert run_set.unmatched_scores == 5
     assert run_set.runs["02"]["cfgB"].correctness == [1]
 
 
@@ -312,7 +309,8 @@ def test_columns_equal_a_per_line_reference(tmp_path):
         assert run.groundedness == [v and v["groundedness"] for v in verdicts]
         assert run.f1s == [token_f1(r["answer"], gold[r["qa_id"]]) for r in ref]
         assert run.exact == [exact_match(r["answer"], gold[r["qa_id"]]) for r in ref]
-    assert {config for config, _, _ in run_set.unmatched_scores} == {"cfgZ"}
+    # Every judge row but cfgZ's names a record.
+    assert run_set.unmatched_scores == 1
 
 
 @pytest.mark.parametrize(
@@ -334,13 +332,15 @@ def test_read_rows_words_a_malformed_line_as_json_loads_does(tmp_path, line):
 def test_as_int_rejects_fractions_and_keeps_integral_values():
     assert as_int(4, "k") == 4
     assert as_int(4.0, "k") == 4
-    assert as_int("4", "k") == 4
-    for bad in (4.7, -0.5, float("inf"), float("nan"), True, False):
+    with pytest.raises(ValueError, match="^k must be an integer, got '4'$"):
+        as_int("4", "k")
+    for bad in (4.7, -0.5, float("inf"), float("nan"), True, False, None, [4]):
         with pytest.raises(ValueError, match="k must be an integer"):
             as_int(bad, "k")
     assert as_float(4, "x") == 4.0
-    assert as_float("2.5", "x") == 2.5
-    for bad in (True, False):
+    with pytest.raises(ValueError, match="^x must be a number, got '2.5'$"):
+        as_float("2.5", "x")
+    for bad in (True, False, None, [2.5]):
         with pytest.raises(ValueError, match="x must be a number, got"):
             as_float(bad, "x")
 
