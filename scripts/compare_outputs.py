@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``ragharness`` package
 (a checkout's ``src``). Each command line of COMMANDS runs in a fresh process
 under each tree, on a copy of the bundled smoke workspace and on the
 workspace of each benchmark workload (``perfbench/workloads.py``) generated
-for SEED (default 1). The out/ directory is emptied before each command. The
+for SEED (default 1), and on a copy of the ``ragged_coverage`` workspace
+whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times).
+The out/ directory is emptied before each command. The
 exit codes, stdout, stderr (the workspace path masked) and the sha256 of
 every file the command leaves under out/ must match. The script prints one
 line per workspace and exits 1 on any difference.
@@ -15,6 +17,7 @@ line per workspace and exits 1 on any difference.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -36,6 +39,8 @@ COMMANDS = (
     ("pareto", "--regime", "01_base__neutral"),
     ("pareto", "--axes", "latency,training_time"),
 )
+# Workspaces beyond the workloads: name -> (workload, the resamples it sets).
+RESAMPLED = {"ragged_coverage_r1000": ("ragged_coverage", 1000)}
 
 
 def outputs(src, workspace: Path) -> dict:
@@ -103,12 +108,18 @@ def main(argv) -> int:
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
-        for name in ("smoke", *WORKLOADS):
+        for name in ("smoke", *WORKLOADS, *RESAMPLED):
             workspace = Path(tmp) / name
             if name == "smoke":
                 shutil.copytree(SMOKE, workspace)
-            else:
+            elif name in WORKLOADS:
                 generate(name, seed, workspace)
+            else:
+                workload, resamples = RESAMPLED[name]
+                generate(workload, seed, workspace)
+                config_path = workspace / "workspace.json"
+                config = json.loads(config_path.read_text(encoding="utf-8"))
+                config_path.write_text(json.dumps({**config, "resamples": resamples}))
             parent, found = compare(parent_src, change_src, workspace)
             n_files = sum(len(files) for *_, files in parent.values())
             if found:

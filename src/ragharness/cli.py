@@ -24,12 +24,11 @@ from .errors import HarnessError
 #   the embedding table) and in the bootstrap behind stats, pareto and
 #   report. grid, score and validate never load numpy; validate checks the
 #   embeddings and the error labels as plain JSON.
-# - OpenSSL's libcrypto loads with hashlib. `ingest` imports it only to
-#   verify a run manifest, but `import numpy.random` imports it too (through
-#   `secrets` and `hmac`), so the bootstrap behind stats, pareto and report
-#   loads libcrypto whatever `ingest` does. Only validate and score load it
-#   for the manifest alone; retrieve, whose arrays need no numpy.random, and
-#   grid never load it.
+# - OpenSSL's libcrypto loads with hashlib, which `ingest` imports only to
+#   verify a run manifest, so validate, score, stats, pareto and report load
+#   it for the manifest alone, and retrieve and grid never do. The bootstrap
+#   draws its resample indices with numpy's core arithmetic: no command
+#   imports numpy's random module, which would load libcrypto too.
 # - Every package module but `errors` is imported only where it is used;
 #   all but `metrics`, `lora_grid` and `pareto` build dataclasses on
 #   import. The workspace commands import `analysis`, which holds the
@@ -324,12 +323,22 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
     return 0
 
 
+def _ascii_int(text: str) -> int:
+    """The integer that `text` writes in ASCII digits, spaces around it
+    allowed; int() alone would also take "1_6", "+4" and other scripts'
+    digits. ValueError otherwise, or past int()'s 4,300 digits."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
+
+
 def cmd_grid(ws, args) -> int:
     from . import lora_grid
 
     bases = tuple(args.bases.split(","))
     try:
-        ranks = tuple(int(r) for r in args.ranks.split(","))
+        ranks = tuple(_ascii_int(r) for r in args.ranks.split(","))
     except ValueError as exc:
         raise HarnessError(f"--ranks must be integers, got {args.ranks!r}") from exc
     grid = lora_grid.enumerate_grid(bases, ranks)

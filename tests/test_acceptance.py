@@ -33,6 +33,7 @@ from tests.test_lora_grid import (
 )
 from tests.test_metrics import oracle_f1
 from tests.test_pareto import oracle_front, random_points
+from tests.test_stats import replicate_indices
 
 
 def test_criterion_01_pareto_runtime_front(regime_tables):
@@ -211,8 +212,6 @@ def test_criterion_09_bootstrap_properties():
     # Determinism under fixed seed, independent of replicate scheduling.
     import concurrent.futures
 
-    from ragharness.stats import _replicate_indices
-
     values = np.random.default_rng(12).normal(size=100)
     plan = ResamplePlan(n_resamples=300, master_seed=5)
     sequential = bootstrap_ci(values, plan)
@@ -220,7 +219,7 @@ def test_criterion_09_bootstrap_properties():
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             means = np.fromiter(
                 pool.map(
-                    lambda r: values[_replicate_indices(plan, r, values.size)].mean(),
+                    lambda r: values[replicate_indices(plan, r, values.size)].mean(),
                     range(plan.n_resamples),
                 ),
                 dtype=float,

@@ -355,6 +355,13 @@ def test_grid_listing_keeps_the_order_of_its_arguments(capsys):
     ]
 
 
+def test_grid_ranks_may_have_spaces_around_each_item(capsys):
+    assert main(["grid", "--bases", "3B", "--ranks", "4,8"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["grid", "--bases", "3B", "--ranks", " 4 ,\t8 "]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_grid_listing_base_column_fits_the_longest_base(capsys):
     assert main(["grid", "--ranks", "4", "--bases", "3B,8B"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -378,10 +385,19 @@ def test_grid_listing_base_column_fits_the_longest_base(capsys):
         (["--bases", ","], "base model name must be nonempty"),
         (["--bases", "Llama 3B"], "base model name must hold no whitespace, got 'Llama 3B'"),
         (["--bases", "3B", "--ranks", "9" * 4300], "rank must have at most 100 digits"),
+        (["--ranks", "1_6, 8"], "--ranks must be integers, got '1_6, 8'"),
+        (["--ranks", "\u0661\u0666"], "--ranks must be integers, got '\u0661\u0666'"),
+        (["--ranks", "4,\u00b2"], "--ranks must be integers, got '4,\u00b2'"),
+        (["--ranks", "+4"], "--ranks must be integers, got '+4'"),
+        (["--ranks", "-4"], "--ranks must be integers, got '-4'"),
+        (["--ranks", "4,,8"], "--ranks must be integers, got '4,,8'"),
+        (["--ranks", ""], "--ranks must be integers, got ''"),
+        (["--ranks", "9" * 4301], "--ranks must be integers, got '" + "9" * 4301 + "'"),
     ],
     ids=[
         "rank_zero", "rank_not_an_integer", "rank_repeated", "base_empty", "base_with_space",
-        "rank_4300_digits",
+        "rank_4300_digits", "rank_underscore", "rank_arabic_indic_digits", "rank_superscript",
+        "rank_plus_sign", "rank_negative", "rank_empty_item", "rank_empty", "rank_4301_digits",
     ],
 )
 def test_grid_bad_arguments_exit_1_with_one_line(capsys, argv, message):
@@ -1807,7 +1823,7 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *sorted({'numpy', '_hashlib', 'ragharness.analysis', "
+    "print('loaded:', *sorted({'numpy', 'numpy.random', '_hashlib', 'ragharness.analysis', "
     "'ragharness.report', 'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics', "
     "'ragharness.dataset', 'ragharness.ingest', 'ragharness.retrieval'} "
     "& set(sys.modules))); "
@@ -1822,7 +1838,8 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     and `retrieval`, which every workspace command loads. score does not import
     `report`, `pareto` or `lora_grid` either, and validate none of `report`,
     `pareto` or `metrics`. OpenSSL (`_hashlib`) loads in the commands that
-    verify the run manifest, and never in grid or retrieve."""
+    verify the run manifest, and never in grid or retrieve. No command loads
+    `numpy.random`: the bootstrap draws its resample indices itself."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
@@ -1850,6 +1867,9 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     assert workspace_modules <= retrieve
     stats = loaded("--workspace", str(workspace), "stats")
     assert "_hashlib" in stats and workspace_modules <= stats
+    bootstrapped = [stats] + [loaded("--workspace", str(workspace), c) for c in ("pareto", "report")]
+    assert all("numpy" in modules for modules in bootstrapped)
+    assert not any("numpy.random" in modules for modules in [retrieve, *bootstrapped])
 
 
 def test_validate_runs_under_cprofile(workspace, tmp_path):

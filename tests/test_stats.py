@@ -1,24 +1,34 @@
 import concurrent.futures
+import hashlib
 import sys
 
 import numpy as np
 import pytest
 
+from ragharness import stats
 from ragharness.errors import HarnessError
 from ragharness.stats import (
-    _INDEX_CACHE_SIZE,
-    _STATE_CACHE_SIZE,
+    _INDEX_CACHE,
+    _INDEX_CACHE_BYTES,
+    _STREAM_CACHE_SIZE,
     Interval,
     ResamplePlan,
+    _ByteCache,
     _index_matrix,
     _percentile_interval,
-    _replicate_indices,
     _seeded_states,
+    _stream,
     bootstrap_ci,
     paired_bootstrap_delta,
     pooled_pair_delta,
     subseed,
 )
+
+
+def replicate_indices(plan, replicate, n):
+    """The oracle: replicate r's resample indices as numpy's own generator
+    draws them."""
+    return np.random.default_rng(subseed(plan.master_seed, replicate)).integers(0, n, size=n)
 
 
 def reference_bootstrap(values, plan):
@@ -104,7 +114,7 @@ def test_determinism_across_thread_counts():
     sequential = bootstrap_ci(values, plan)
 
     def replicate_mean(r):
-        return values[_replicate_indices(plan, r, values.size)].mean()
+        return values[replicate_indices(plan, r, values.size)].mean()
 
     for workers in (1, 2, 8):
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
@@ -171,11 +181,11 @@ def test_vectorised_bootstrap_is_bit_exact(n, n_resamples):
 def test_index_cache_warm_equals_cold():
     values = np.random.default_rng(8).normal(size=45)
     plan = ResamplePlan(n_resamples=150, master_seed=31)
-    _index_matrix.cache_clear()
+    _INDEX_CACHE.clear()
     cold = bootstrap_ci(values, plan)
-    hits = _index_matrix.cache_info().hits
+    hits = _INDEX_CACHE.hits
     warm = bootstrap_ci(values, plan)
-    assert _index_matrix.cache_info().hits == hits + 1
+    assert _INDEX_CACHE.hits == hits + 1
     assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
 
 
@@ -184,7 +194,7 @@ def test_index_matrix_rows_and_read_only():
     idx = _index_matrix(plan.master_seed, plan.n_resamples, 13)
     assert idx.dtype == np.intp
     for r in range(plan.n_resamples):
-        assert np.array_equal(idx[r], _replicate_indices(plan, r, 13))
+        assert np.array_equal(idx[r], replicate_indices(plan, r, 13))
     assert not idx.flags.writeable
     with pytest.raises(ValueError):
         idx[0, 0] = 0
@@ -206,7 +216,23 @@ def test_index_cache_stays_bounded():
     values = np.random.default_rng(9).normal(size=30)
     for seed in range(20):
         bootstrap_ci(values, ResamplePlan(n_resamples=50, master_seed=1000 + seed))
-        assert _index_matrix.cache_info().currsize <= _INDEX_CACHE_SIZE
+        assert _INDEX_CACHE.nbytes <= _INDEX_CACHE_BYTES
+    assert _INDEX_CACHE.nbytes == sum(m.nbytes for m in _INDEX_CACHE._items.values())
+
+
+def test_byte_cache_evicts_least_recently_used_and_keeps_no_oversized_array():
+    cache = _ByteCache(max_bytes=300)
+    arrays = {key: np.zeros(12, dtype=np.int64) for key in "abcd"}  # 96 bytes each
+    for key in "abc":
+        cache.put(key, arrays[key])
+    assert cache.nbytes == 288 and cache.get("a") is arrays["a"] and cache.hits == 1
+    cache.put("d", arrays["d"])  # evicts b, now the least recently used
+    assert cache.get("b") is None and cache.nbytes == 288
+    assert all(cache.get(key) is arrays[key] for key in "acd")
+    cache.put("e", np.zeros(38, dtype=np.int64))  # 304 bytes: not kept, nothing evicted
+    assert cache.get("e") is None and cache.nbytes == 288
+    cache.clear()
+    assert cache.nbytes == 0 and cache.get("a") is None
 
 
 def test_percentile_interval_is_np_quantile():
@@ -237,14 +263,14 @@ def test_index_matrix_from_threads_matches_replicates():
     the replicate's own draw, so no generator state leaks between calls."""
     plan = ResamplePlan(n_resamples=40, master_seed=77)
     sizes = list(range(3, 51, 3))
-    _index_matrix.cache_clear()
-    _seeded_states.cache_clear()
+    _INDEX_CACHE.clear()
+    _stream.cache_clear()
 
     def rows_match(start):
         for n in sizes[start:] + sizes[:start]:
             idx = _index_matrix(plan.master_seed, plan.n_resamples, n)
             for r in range(plan.n_resamples):
-                if not np.array_equal(idx[r], _replicate_indices(plan, r, n)):
+                if not np.array_equal(idx[r], replicate_indices(plan, r, n)):
                     return False
         return True
 
@@ -258,15 +284,125 @@ def test_index_matrix_from_threads_matches_replicates():
         sys.setswitchinterval(interval)
 
 
+def test_stream_grown_from_threads_equals_one_growth():
+    """Many small growths of one stream from more threads than cores give the
+    draws that one growth gives: no growth is lost, repeated or misplaced."""
+    expected = stats._Stream(5, 64).halves(3000)[:, :3000]
+    stream = stats._Stream(5, 64)
+
+    def grow(worker):
+        for count in range(2 + worker, 3000, 23):
+            stream.halves(count)
+        return stream.halves(3000)[:, :3000]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(grow, w) for w in range(8)]
+            assert all(np.array_equal(f.result(timeout=120), expected) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_seeded_states_bounded_and_warm_equals_cold():
+    """Each (seed, resamples) is seeded once into a stream that later index
+    matrices reuse, and the streams kept stay within their bound."""
     values = np.random.default_rng(10).normal(size=25)
     for seed in range(20):
         plan = ResamplePlan(n_resamples=40, master_seed=2000 + seed)
-        _index_matrix.cache_clear()
+        _INDEX_CACHE.clear()
         cold = bootstrap_ci(values, plan)
-        hits = _seeded_states.cache_info().hits
-        _index_matrix.cache_clear()
+        hits = _stream.cache_info().hits
+        _INDEX_CACHE.clear()
         warm = bootstrap_ci(values, plan)
-        assert _seeded_states.cache_info().hits == hits + 1
+        assert _stream.cache_info().hits == hits + 1
         assert (warm.lo, warm.hi) == (cold.lo, cold.hi)
-        assert _seeded_states.cache_info().currsize <= _STATE_CACHE_SIZE
+        assert _stream.cache_info().currsize <= _STREAM_CACHE_SIZE
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 7, 12345, 2**40 + 3, 2**64 - 1])
+def test_seeded_states_are_the_generator_states(master_seed):
+    (state_hi, state_lo), (inc_hi, inc_lo) = _seeded_states(master_seed, 200)
+    for r in range(200):
+        expected = np.random.default_rng(subseed(master_seed, r)).bit_generator.state["state"]
+        assert int(state_hi[r]) << 64 | int(state_lo[r]) == expected["state"], r
+        assert int(inc_hi[r]) << 64 | int(inc_lo[r]) == expected["inc"], r
+
+
+def test_seeded_states_of_a_subseed_below_two_to_the_32():
+    """A subseed with a zero high word is seeded as numpy seeds its one word."""
+    (state_hi, state_lo), _ = _seeded_states(2**64 - 0x9E3779B97F4A7C15, 1)
+    # The splitmix finalizer maps 0 to 0, so replicate 0 of this seed has subseed 0.
+    assert subseed(2**64 - 0x9E3779B97F4A7C15, 0) == 0
+    expected = np.random.default_rng(0).bit_generator.state["state"]["state"]
+    assert int(state_hi[0]) << 64 | int(state_lo[0]) == expected
+
+
+@pytest.mark.parametrize("master_seed", [0, 1, 7, 12345, 2**40 + 3, 2**64 - 1])
+def test_index_matrix_is_generator_integers(master_seed):
+    """Every row equals numpy's `integers` for its replicate, over sizes with
+    and without rejections, each (seed, resamples) stream serving many n."""
+    for n_resamples in (1, 3, 30, 200):
+        for n in (1, 2, 3, 7, 20, 41, 66, 257, 1000, 5144, 65537):
+            if n_resamples * n > 2_000_000:
+                continue
+            plan = ResamplePlan(n_resamples=n_resamples, master_seed=master_seed)
+            idx = _index_matrix(master_seed, n_resamples, n)
+            for r in range(n_resamples):
+                assert np.array_equal(idx[r], replicate_indices(plan, r, n)), (n_resamples, n, r)
+
+
+def test_index_matrix_reads_past_rejections():
+    """At n = 1,000,003 every row rejects draws, and so reads further into
+    its stream than n draws."""
+    plan = ResamplePlan(n_resamples=3, master_seed=11)
+    idx = _index_matrix(plan.master_seed, plan.n_resamples, 1_000_003)
+    for r in range(plan.n_resamples):
+        assert np.array_equal(idx[r], replicate_indices(plan, r, 1_000_003)), r
+    # More than the first n draws, rounded up to whole lanes, were read.
+    assert _stream(11, 3).halves(1).shape[1] > 1_000_003 + 2 * stats._LANES
+
+
+# sha256 of the little-endian int64 bytes of three index matrices, recorded
+# when the harness began to draw them itself. They hold whatever numpy's
+# `Generator.integers` does in a later release.
+PINNED_MATRICES = {
+    (0, 30, 20): "16b0ae722ff7a3efc6cb6aeb537ce4af4bae5c4fb26ff3ae956704bb35614c9a",
+    (7, 1000, 5144): "3e66c5a942ff4b878815dfa704f5a003bdeee40f6c32a71ad0ff3403780383bc",
+    (2**64 - 1, 3, 1_000_003): "0bc164b37598fa2efc60c8a67ce6e53e359a00bfe6056bee8daaed7b3abb415c",
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_MATRICES), ids=lambda key: "x".join(map(str, key)))
+def test_index_matrix_bytes_are_pinned(key):
+    idx = _index_matrix(*key)
+    assert hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest() == PINNED_MATRICES[key]
+
+
+def test_pooled_pair_delta_matches_reference_at_paper_scale():
+    rng = np.random.default_rng(13)
+    pairs = [(rng.random(size=5144), rng.random(size=5144)) for _ in range(8)]
+    plan = ResamplePlan(n_resamples=1200, master_seed=5)
+    pooled = pooled_pair_delta(pairs, plan)
+    assert (pooled.delta, pooled.interval.lo, pooled.interval.hi) == reference_pooled(pairs, plan)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 8])
+def test_gather_blocks_give_the_same_replicate_means(monkeypatch, n_rows):
+    """Blocks of 1, 7 and 64 replicates give each replicate's mean as one
+    gather of all replicates does."""
+    seen = []
+    monkeypatch.setattr(
+        stats, "_percentile_interval", lambda means, level: seen.append(means.copy())
+    )
+    rng = np.random.default_rng(14 + n_rows)
+    plan = ResamplePlan(n_resamples=130, master_seed=3)
+    for n in (1, 7, 300, 5144):
+        rows = rng.random(size=(n_rows, n))
+        for block in (plan.n_resamples, 1, 7, 64):
+            monkeypatch.setattr(stats, "_GATHER_BYTES", block * n * n_rows * rows.itemsize)
+            stats._interval(rows, plan)
+        whole, *blocked = seen
+        assert all(np.array_equal(whole, means) for means in blocked), n
+        seen.clear()
