@@ -28,7 +28,7 @@ QUERY = "Which flag turns on tracing?"
 
 
 def main():
-    index = build_sparse_index(CORPUS)
+    index = build_sparse_index(CORPUS, [QUERY])
     sparse = score_sparse(index, QUERY, limit=4)
     print("BM25 ranking:")
     for cid, score in sparse:

@@ -115,7 +115,8 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     an = analysis.Analysis(ws)
     chunks = an.chunks
     test_pairs = [p for p in an.pairs if p.split == "test"]
-    index = retrieval.build_sparse_index(chunks) if "sparse" in fused else None
+    questions = [p.question for p in test_pairs]
+    index = retrieval.build_sparse_index(chunks, questions) if "sparse" in fused else None
     # Read after the index is built, so that the vectors' lists and the
     # index's build never take memory at the same time.
     embeddings = an.embeddings

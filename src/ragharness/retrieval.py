@@ -5,6 +5,9 @@ selection.
 All ties are broken by ascending chunk_id so that identical inputs always
 yield identical outputs.
 
+The BM25 index is built for the queries it will score: it holds the
+postings of their terms alone, and every chunk's length.
+
 A ranked list is a plain ``[(chunk_id, score)]`` in rank order, with unique
 chunk ids and non-increasing scores, and a regime is named by its variant,
 a key of `VARIANTS`. The vectors are checked where they are read
@@ -66,25 +69,28 @@ def tokenize(text: str) -> list[str]:
     Internal ``- _ . / :`` survive, so documentation flags and paths keep
     their shape.
     """
-    tokens = []
-    for raw in text.lower().split():
-        tok = raw.strip(_EDGE).rstrip(_KEEP)
-        if tok:
-            tokens.append(tok)
-    return tokens
+    return [token for token in map(_strip, text.lower().split()) if token]
+
+
+def _strip(word: str) -> str:
+    """The token of one lowercased whitespace-split word; empty if none."""
+    return word.strip(_EDGE).rstrip(_KEEP)
 
 
 @dataclass
 class SparseIndex:
-    """BM25 inverted index as flat arrays.
+    """BM25 inverted index of the terms of a set of queries, as flat arrays.
 
-    ``chunk_ids`` is sorted ascending, so a chunk's position is its tie rank.
-    The postings of term id ``t`` are ``doc_pos[start[t]:start[t + 1]]``
-    (ascending positions) with term frequencies ``tf`` at the same offsets.
+    ``term_ids`` holds the queries' tokens alone, in order of first
+    appearance. ``chunk_ids`` is sorted ascending, so a chunk's position is
+    its tie rank. The postings of term id ``t`` are
+    ``doc_pos[start[t]:start[t + 1]]`` (ascending positions) with term
+    frequencies ``tf`` at the same offsets; a query term that no chunk holds
+    has none. Chunk lengths count every token, asked for or not.
     """
 
     chunk_ids: list  # sorted ascending
-    term_ids: dict  # term -> term id
+    term_ids: dict  # query term -> term id
     start: np.ndarray  # CSR offsets into doc_pos/tf, one per term id plus one
     doc_pos: np.ndarray
     tf: np.ndarray
@@ -93,31 +99,59 @@ class SparseIndex:
     n_docs: int
 
 
-def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
+# The word id of a word that strips to nothing, and of a token no query holds.
+_NO_TOKEN = -1
+_UNASKED = -2
+
+
+def build_sparse_index(corpus: list[Chunk], queries: list[str]) -> SparseIndex:
+    """Index `corpus` for scoring the texts `queries` by BM25.
+
+    Only the queries' terms get ids and postings, so `score_sparse` takes
+    these queries alone; the scores are those of an index of every term.
+    """
     if not corpus:
         raise HarnessError("cannot index an empty corpus")
     import numpy as np
 
+    term_ids: dict[str, int] = {}
+    for query in queries:
+        for term in tokenize(query):
+            term_ids.setdefault(term, len(term_ids))
     chunks = sorted(corpus, key=lambda chunk: chunk.chunk_id)
     n_docs = len(chunks)
-    term_ids: dict[str, int] = {}
-    token_ids = [
-        [term_ids.setdefault(term, len(term_ids)) for term in tokenize(chunk.text)]
-        for chunk in chunks
-    ]
-    if not any(token_ids):
-        raise HarnessError(NO_TOKEN_ERROR)
-    doc_len = np.array([len(ids) for ids in token_ids], dtype=np.int64)
-    # One key per token, term id major and position minor: one sort of the
-    # keys groups each term's postings in ascending position order, and the
-    # run length of each distinct key is that posting's term frequency. The
-    # arithmetic runs in place, so few large temporaries outlive the build.
-    keys = np.fromiter(
-        itertools.chain.from_iterable(token_ids), dtype=np.int64, count=int(doc_len.sum())
+    # Each distinct lowercased word is stripped once, to its term id,
+    # _NO_TOKEN or _UNASKED; tokenize would strip every occurrence.
+    word_ids: dict[str, int] = {}
+    chunk_words = []
+    for chunk in chunks:
+        words = chunk.text.lower().split()
+        for word in set(words).difference(word_ids):
+            token = _strip(word)
+            word_ids[word] = term_ids.get(token, _UNASKED) if token else _NO_TOKEN
+        chunk_words.append(list(map(word_ids.__getitem__, words)))
+    del word_ids
+    doc_len = np.array(
+        [len(ids) - ids.count(_NO_TOKEN) for ids in chunk_words], dtype=np.int64
     )
-    del token_ids
+    if not doc_len.any():
+        raise HarnessError(NO_TOKEN_ERROR)
+    n_asked = [len(ids) - ids.count(_NO_TOKEN) - ids.count(_UNASKED) for ids in chunk_words]
+    ids = np.fromiter(
+        itertools.chain.from_iterable(chunk_words),
+        dtype=np.int64,
+        count=sum(map(len, chunk_words)),
+    )
+    del chunk_words
+    # One key per asked token, term id major and position minor: one sort of
+    # the keys groups each term's postings in ascending position order, and
+    # the run length of each distinct key is that posting's term frequency.
+    # The arithmetic runs in place, so few large temporaries outlive the
+    # build.
+    keys = ids[ids >= 0]
+    del ids
     keys *= n_docs
-    keys += np.repeat(np.arange(n_docs, dtype=np.int64), doc_len)
+    keys += np.repeat(np.arange(n_docs, dtype=np.int64), n_asked)
     keys.sort()
     bounds = np.empty(len(keys) + 1, dtype=bool)
     bounds[0] = bounds[-1] = True
@@ -154,9 +188,11 @@ def build_sparse_index(corpus: list[Chunk]) -> SparseIndex:
 def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, float]]:
     """Top `limit` chunks by Okapi BM25; zero-scoring chunks are omitted.
 
-    Each query token, repeats included, adds its term's contribution in query
-    order with the same operations as a per-chunk loop, so scores are the
-    same floats; ties break by ascending chunk_id.
+    `query` must be one of the queries `index` was built for: a term the
+    index has no id for raises KeyError, never a silent zero. Each query
+    token, repeats included, adds its term's contribution in query order
+    with the same operations as a per-chunk loop, so scores are the same
+    floats; ties break by ascending chunk_id.
     """
     if limit < 1:
         raise HarnessError("limit must be >= 1")
@@ -165,13 +201,18 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, 
     scores = np.zeros(index.n_docs)
     k1_plus_1 = BM25_K1 + 1.0
     for term in tokenize(query):
-        tid = index.term_ids.get(term)
-        if tid is None:
-            continue
+        tid = index.term_ids[term]
         lo, hi = index.start[tid], index.start[tid + 1]
         pos, tf = index.doc_pos[lo:hi], index.tf[lo:hi]
         scores[pos] += index.idf[tid] * tf * k1_plus_1 / (tf + index.length_norm[pos])
     hit = np.flatnonzero(scores)
+    if len(hit) > limit:
+        # Only a hit scoring at least the limit-th best can rank, and a tie
+        # group across the cut is kept whole, so the sort below still breaks
+        # it by chunk_id.
+        hit_scores = scores[hit]
+        cut = len(hit) - limit
+        hit = hit[hit_scores >= np.partition(hit_scores, cut)[cut]]
     # A stable sort of ascending positions keeps equal scores in chunk_id order.
     top = hit[np.argsort(-scores[hit], kind="stable")[:limit]]
     ids = [index.chunk_ids[i] for i in top.tolist()]

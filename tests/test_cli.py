@@ -238,6 +238,31 @@ def test_retrieve_scores_each_channel_once_per_question(workspace, tmp_path, mon
     assert "scored 30 sparse and 0 dense lists and ran 0 fusions" in capsys.readouterr().out
 
 
+def test_retrieve_indexes_for_the_test_questions_in_qa_file_order(workspace, monkeypatch):
+    """retrieve builds its BM25 index for exactly the test-split questions,
+    in the order of the QA file, which here is not qa_id order."""
+
+    def reorder(rows):
+        rows.reverse()
+        for row in rows[::3]:
+            row["split"] = "train"
+
+    _edit_rows("qa.jsonl", reorder)(workspace)
+    refresh_dataset_checksums(workspace)
+    rows = [json.loads(line) for line in (workspace / "qa.jsonl").read_text("utf-8").splitlines()]
+    asked = []
+    original = retrieval.build_sparse_index
+
+    def recording(corpus, queries):
+        asked.append(list(queries))
+        return original(corpus, queries)
+
+    monkeypatch.setattr(retrieval, "build_sparse_index", recording)
+    assert run(workspace, "retrieve") == 0
+    want = [row["question"] for row in rows if row["split"] == "test"]
+    assert asked == [want] and len(want) == 20
+
+
 def test_score_writes_per_example_metrics(workspace):
     assert run(workspace, "score") == 0
     lines = (workspace / "out" / "scores.jsonl").read_text(encoding="utf-8").splitlines()

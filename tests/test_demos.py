@@ -1,6 +1,7 @@
-"""Each demo script runs to completion against the package sources, the
-smoke-workspace script regenerates the bundled workspace, the
-scale-workspace script writes one that validates, and the output-comparison
+"""Each demo script runs to completion against the package sources and the
+retrieval demo prints what it always has, the smoke-workspace script
+regenerates the bundled workspace, the scale- and retrieval-workspace
+scripts write ones that validate and retrieve, and the output-comparison
 script tells a changed output from an unchanged one."""
 
 import importlib.util
@@ -32,6 +33,40 @@ def test_demo_exits_0(demo):
     assert done.returncode == 0, done.stderr
 
 
+RETRIEVAL_DEMO_OUTPUT = """\
+BM25 ranking:
+  c0  4.4258
+  c3  0.7126
+
+Cosine ranking:
+  c0  0.9982
+  c2  0.0987
+  c1  -0.2487
+  c3  -0.4743
+
+RRF fusion (k=60), each score a sum of 1/(60 + rank) over the lists:
+  c0  0.032787
+  c3  0.031754
+  c2  0.016129
+  c1  0.015873
+
+Selected context under the base regime: ['c0', 'c1']
+Without the reranker: ['c0', 'c3']
+"""
+
+
+def test_retrieval_fusion_demo_prints_its_rankings():
+    """The retrieval demo prints the same BM25, cosine and fused rankings
+    and the same contexts, byte for byte."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    done = subprocess.run(
+        [sys.executable, str(REPO / "demos" / "retrieval_fusion_demo.py")],
+        cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == RETRIEVAL_DEMO_OUTPUT
+
+
 def test_make_smoke_workspace_rebuilds_the_bundled_workspace(tmp_path, monkeypatch):
     """`scripts/make_smoke_workspace.py` writes the files of
     tests/data/smoke_workspace, byte for byte and no others."""
@@ -61,6 +96,33 @@ def test_make_scale_workspace_writes_a_workspace_that_validates(tmp_path, capsys
     out = capsys.readouterr().out
     assert "(1000 chunks, 3 QA rows, test=3)" in out
     assert "0 of 330 records have no judge score" in out
+
+
+@pytest.mark.parametrize("dim", [0, 8])
+def test_make_retrieval_workspace_writes_a_workspace_that_retrieves(tmp_path, capsys, dim):
+    """`scripts/make_retrieval_workspace.py` writes 50 chunks and 10
+    questions that validate and retrieve: at DIM 0 one sparse_only regime
+    and no embeddings, otherwise the five variants over both channels."""
+    done = subprocess.run(
+        [
+            sys.executable, str(REPO / "scripts" / "make_retrieval_workspace.py"),
+            "50", "10", str(dim), str(tmp_path),
+        ],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "embeddings.json").exists() == bool(dim)
+    assert main(["--workspace", str(tmp_path), "validate"]) == 0
+    assert "(50 chunks, 10 QA rows, test=10)" in capsys.readouterr().out
+    assert main(["--workspace", str(tmp_path), "retrieve"]) == 0
+    dense, fusions, regimes = (10, 10, 5) if dim else (0, 0, 1)
+    assert (
+        f"retrieve: scored 10 sparse and {dense} dense lists and ran {fusions} fusions "
+        "for 10 test questions"
+    ) in capsys.readouterr().out
+    contexts = sorted((tmp_path / "out").glob("contexts_*.jsonl"))
+    assert len(contexts) == regimes
+    assert all(len(path.read_text("utf-8").splitlines()) == 10 for path in contexts)
 
 
 def test_compare_outputs_finds_a_changed_csv_cell(tmp_path):

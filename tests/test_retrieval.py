@@ -64,7 +64,7 @@ def test_bm25_matches_brute_force_oracle():
     for trial in range(100):
         chunks = make_corpus(rng, rng.randint(2, 15))
         query = " ".join(rng.choices(VOCAB, k=rng.randint(1, 4)))
-        index = build_sparse_index(chunks)
+        index = build_sparse_index(chunks, [query])
         got = score_sparse(index, query, limit=len(chunks))
         want = brute_force_bm25(chunks, query)
         assert set(ids(got)) == set(want)
@@ -76,14 +76,14 @@ def test_bm25_matches_brute_force_oracle():
 
 
 def test_bm25_single_chunk_positive_score():
-    index = build_sparse_index([Chunk(chunk_id="only", doc_id="d", text="flag port")])
+    index = build_sparse_index([Chunk(chunk_id="only", doc_id="d", text="flag port")], ["flag"])
     result = score_sparse(index, "flag", limit=5)
     assert ids(result) == ["only"]
     assert result[0][1] > 0
 
 
 def test_bm25_no_matching_terms_is_empty():
-    index = build_sparse_index(make_corpus(random.Random(1), 5))
+    index = build_sparse_index(make_corpus(random.Random(1), 5), ["zzz unknown"])
     assert ids(score_sparse(index, "zzz unknown", limit=5)) == []
 
 
@@ -177,9 +177,9 @@ def test_bm25_bit_exact_against_loop_reference():
         n = rng.randint(1, 30)
         chunks = make_corpus(rng, n)
         rng.shuffle(chunks)  # the index must not rely on corpus order
-        index = build_sparse_index(chunks)
         # Repeated and unknown terms included.
         query = " ".join(rng.choices(VOCAB + ["zzz"], k=rng.randint(1, 6)))
+        index = build_sparse_index(chunks, [query])
         full = loop_bm25(chunks, query, n)
         for limit in (1, rng.randint(1, n), n, n + 5):
             got = score_sparse(index, query, limit)
@@ -193,7 +193,7 @@ def test_bm25_limit_cuts_through_a_tie_group():
         Chunk(chunk_id=cid, doc_id="d", text="pod node")
         for cid in ("c3", "c1", "c4", "c2")
     ] + [Chunk(chunk_id="c0", doc_id="d", text="node port")]
-    index = build_sparse_index(chunks)
+    index = build_sparse_index(chunks, ["pod", "pod pod", "zzz pod node"])
     for query in ("pod", "pod pod", "zzz pod node"):
         got = score_sparse(index, query, limit=2)
         assert got == loop_bm25(chunks, query, 2)
@@ -216,9 +216,65 @@ def test_bm25_idf_is_math_log():
             )
             for i in range(n_docs)
         ]
-        index = build_sparse_index(chunks)
+        index = build_sparse_index(chunks, ["pod node"])
         got = score_sparse(index, "pod node", limit=n_docs)
         assert got == loop_bm25(chunks, "pod node", n_docs)
+
+
+def test_bm25_term_ids_are_the_queries_tokens_in_order_of_first_appearance():
+    queries = ["Node, pod?", "zzz node (flag) pod", "", "... --x"]
+    index = build_sparse_index(make_corpus(random.Random(5), 6), queries)
+    assert list(index.term_ids) == ["node", "pod", "zzz", "flag", "--x"]
+    assert list(index.term_ids.values()) == list(range(5))
+    assert len(index.start) == len(index.idf) + 1 == 6
+
+
+def test_bm25_unindexed_term_raises_key_error():
+    """A term the index was not built for is a caller's mistake, never a
+    silent zero."""
+    index = build_sparse_index(make_corpus(random.Random(2), 5), ["pod"])
+    assert score_sparse(index, "pod", limit=5)
+    with pytest.raises(KeyError, match="node"):
+        score_sparse(index, "pod node", limit=5)
+
+
+def test_bm25_queries_without_a_token_give_only_empty_lists():
+    chunks = make_corpus(random.Random(3), 5)
+    queries = ["", "... !!", " - ' "]
+    for asked in (queries, []):
+        index = build_sparse_index(chunks, asked)
+        assert index.term_ids == {} and len(index.doc_pos) == len(index.tf) == 0
+        assert index.start.tolist() == [0]
+        assert [score_sparse(index, query, limit=5) for query in queries] == [[], [], []]
+
+
+def test_bm25_query_term_in_no_chunk_has_empty_postings():
+    chunks = make_corpus(random.Random(4), 5)
+    index = build_sparse_index(chunks, ["zzz pod", "zzz"])
+    tid = index.term_ids["zzz"]
+    assert index.start[tid] == index.start[tid + 1]
+    assert score_sparse(index, "zzz", limit=5) == []
+    assert score_sparse(index, "zzz pod", limit=5) == loop_bm25(chunks, "zzz pod", 5)
+
+
+def test_bm25_scores_do_not_depend_on_the_other_queries():
+    """An index built for a set of queries, repeats and unknown terms
+    included, scores each of them as an index built for it alone and as the
+    loop over every term does: unasked tokens still count toward each
+    chunk's length."""
+    rng = random.Random(41)
+    for trial in range(60):
+        chunks = make_corpus(rng, rng.randint(1, 25))
+        queries = [
+            " ".join(rng.choices(VOCAB[: rng.randint(1, 8)] + ["zzz"], k=rng.randint(1, 5)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        index = build_sparse_index(chunks, queries)
+        for query in queries:
+            limit = rng.randint(1, len(chunks) + 2)
+            got = score_sparse(index, query, limit)
+            assert got == score_sparse(build_sparse_index(chunks, [query]), query, limit)
+            assert got == loop_bm25(chunks, query, limit), (trial, query, limit)
 
 
 def tie_heavy_vectors(rng, n, dim):
@@ -323,7 +379,8 @@ def test_every_ranked_list_has_unique_ids_and_non_increasing_scores(
     rng = np.random.default_rng(seed)
     vectors, base = tie_heavy_vectors(rng, len(chunks), dim)
     query_vector = (rng.normal(size=dim), np.zeros(dim), base[0])[query_kind]
-    sparse = score_sparse(build_sparse_index(chunks), " ".join(query_words), limit)
+    query = " ".join(query_words)
+    sparse = score_sparse(build_sparse_index(chunks, [query]), query, limit)
     dense = score_dense(EmbeddingTable(vectors=vectors, dim=dim), query_vector, limit)
     outputs = [sparse, dense, fuse_rrf([dense, sparse], k_rrf), fuse_rrf([dense], k_rrf)]
     if sparse:
@@ -578,8 +635,8 @@ def test_bm25_index_matches_loop_reference_on_edge_tokens(texts, query_words, rn
         for i, words in enumerate(texts + [["pod"]])
     ]
     rng.shuffle(chunks)
-    index = build_sparse_index(chunks)
     query = " ".join(query_words)
+    index = build_sparse_index(chunks, [query])
     for limit in (1, len(chunks), len(chunks) + 3):
         assert score_sparse(index, query, limit) == loop_bm25(chunks, query, limit)
 
@@ -588,10 +645,10 @@ def test_bm25_index_matches_loop_reference_on_edge_tokens(texts, query_words, rn
 @given(st.lists(st.sampled_from(VOCAB), min_size=1, max_size=10), st.integers(0, 2**32))
 def test_bm25_deterministic(query_words, seed):
     chunks = make_corpus(random.Random(seed % 1000), 8)
-    index = build_sparse_index(chunks)
     query = " ".join(query_words)
+    index = build_sparse_index(chunks, [query])
     first = score_sparse(index, query, limit=8)
-    second = score_sparse(build_sparse_index(chunks), query, limit=8)
+    second = score_sparse(build_sparse_index(chunks, [query]), query, limit=8)
     assert first == second
 
 
