@@ -6,8 +6,9 @@ PARENT_SRC and CHANGE_SRC are directories holding the ``ragharness`` package
 (a checkout's ``src``). Each command line of COMMANDS runs in a fresh process
 under each tree, on a copy of the bundled smoke workspace and on the
 workspace of each benchmark workload (``perfbench/workloads.py``) generated
-for SEED (default 1), and on a copy of the ``ragged_coverage`` workspace
-whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times).
+for SEED (default 1), on a copy of the ``ragged_coverage`` workspace
+whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times),
+and on copies of the smoke workspace with one fault of FAULTS each.
 The out/ directory is emptied before each command. The
 exit codes, stdout, stderr (the workspace path masked) and the sha256 of
 every file the command leaves under out/ must match. The script prints one
@@ -41,6 +42,24 @@ COMMANDS = (
 )
 # Workspaces beyond the workloads: name -> (workload, the resamples it sets).
 RESAMPLED = {"ragged_coverage_r1000": ("ragged_coverage", 1000)}
+# Smoke copies with one fault each, which the checks where the workspace is
+# read reject before retrieval sees it: name -> {file: an edit of its JSON}.
+FAULTS = {
+    "smoke_top_n_zero": {"workspace.json": lambda c: c.update(retrieve_top_n=0)},
+    "smoke_k_rrf_zero": {"workspace.json": lambda c: c.update(k_rrf=0)},
+    "smoke_dense_only_without_query_vector": {
+        "embeddings.json": lambda e: e["queries"].pop("qa000"),
+        "workspace.json": lambda c: c.update(regimes=[{"id": "d", "variant": "dense_only"}]),
+    },
+    "smoke_corpus_directory": {"workspace.json": lambda c: c.update(corpus="runs")},
+}
+
+
+def edit_json(path: Path, edit) -> None:
+    """Apply `edit` to the JSON document in `path` and write it back."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    edit(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 def outputs(src, workspace: Path) -> dict:
@@ -108,18 +127,18 @@ def main(argv) -> int:
 
     failed = False
     with tempfile.TemporaryDirectory(prefix="compare_outputs-") as tmp:
-        for name in ("smoke", *WORKLOADS, *RESAMPLED):
+        for name in ("smoke", *WORKLOADS, *RESAMPLED, *FAULTS):
             workspace = Path(tmp) / name
-            if name == "smoke":
-                shutil.copytree(SMOKE, workspace)
-            elif name in WORKLOADS:
+            if name in WORKLOADS:
                 generate(name, seed, workspace)
-            else:
+            elif name in RESAMPLED:
                 workload, resamples = RESAMPLED[name]
                 generate(workload, seed, workspace)
-                config_path = workspace / "workspace.json"
-                config = json.loads(config_path.read_text(encoding="utf-8"))
-                config_path.write_text(json.dumps({**config, "resamples": resamples}))
+                edit_json(workspace / "workspace.json", lambda c: c.update(resamples=resamples))
+            else:
+                shutil.copytree(SMOKE, workspace)
+                for file_name, edit in FAULTS.get(name, {}).items():
+                    edit_json(workspace / file_name, edit)
             parent, found = compare(parent_src, change_src, workspace)
             n_files = sum(len(files) for *_, files in parent.values())
             if found:

@@ -37,6 +37,6 @@ def generate(questions: int, out) -> Path:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3 or not sys.argv[1].isdigit() or int(sys.argv[1]) < 1:
+    if len(sys.argv) != 3 or not sys.argv[1].isdecimal() or int(sys.argv[1]) < 1:
         sys.exit("usage: python3 scripts/make_scale_workspace.py QUESTIONS OUT")
     print(f"scale workspace written to {generate(int(sys.argv[1]), sys.argv[2])}")

@@ -347,12 +347,10 @@ class Analysis:
         if path is None:
             raise HarnessError("workspace defines no run-set directory")
         judge = _input(self.ws, "judge_scores") if self.judged else None
-        if not self.scored:
-            datasets = {"corpus": self.ws.corpus, "qa": self.ws.qa}
-            return ingest.load_runs(path, gold, judge, datasets)
-        from . import metrics
-
-        return ingest.load_runs(path, gold, judge, {"qa": self.ws.qa}, metrics.scorer(gold))
+        datasets = {"corpus": self.ws.corpus, "qa": self.ws.qa}
+        if self.scored:  # the scoring commands read no corpus
+            del datasets["corpus"]
+        return ingest.load_runs(path, gold, judge, datasets, self.scored)
 
     @cached_property
     def costs(self) -> dict:

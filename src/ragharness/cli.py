@@ -119,27 +119,25 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     index = retrieval.build_sparse_index(chunks, questions) if "sparse" in fused else None
     # Read after the index is built, so that the vectors' lists and the
     # index's build never take memory at the same time.
-    embeddings = an.embeddings
     table, queries = None, {}
-    if embeddings is not None:
-        dim, vectors, queries = embeddings
+    if an.embeddings is not None:
+        dim, vectors, queries = an.embeddings
         table = retrieval.EmbeddingTable(vectors=vectors, dim=dim)
+        # The table holds its own copy of the chunk vectors: their lists go,
+        # from the cache too, and the query vectors stay.
+        del vectors, an.embeddings
     rerank = an.rerank
 
     # Each question's channels are scored once and its fusion run once for
-    # every regime; only each regime's eval_top_k ids are kept.
+    # every regime; only each regime's eval_top_k ids are kept. A question
+    # has a query vector only when there is a table.
     contexts = [[] for _ in variants]
-    n_sparse = n_dense = n_fusions = 0
-    fuses_two = any(len(retrieval.VARIANTS[v][0]) > 1 for v in variants)
     for pair in test_pairs:
         sparse = dense = None
         if index is not None:
             sparse = retrieval.score_sparse(index, pair.question, ws.retrieve_top_n)
-            n_sparse += 1
-        if "dense" in fused and table is not None and pair.qa_id in queries:
+        if "dense" in fused and pair.qa_id in queries:
             dense = retrieval.score_dense(table, queries[pair.qa_id], ws.retrieve_top_n)
-            n_dense += 1
-        n_fusions += fuses_two and sparse is not None and dense is not None
         selected = retrieval.select_contexts(
             variants, dense, sparse, rerank.get(pair.qa_id),
             retrieve_top_n=ws.retrieve_top_n, eval_top_k=ws.eval_top_k, k_rrf=ws.k_rrf,
@@ -148,8 +146,12 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
             kept.append(context)
 
     # The sparse channel is always there; the dense one and the rerank
-    # scores only for the questions their files cover.
-    no_dense = sum(1 for p in test_pairs if table is None or p.qa_id not in queries)
+    # scores only for the questions their files cover. A regime fusing two
+    # channels fuses both, so every dense list is fused when one is.
+    no_dense = sum(1 for p in test_pairs if p.qa_id not in queries)
+    n_sparse = len(test_pairs) if index is not None else 0
+    n_dense = len(test_pairs) - no_dense if "dense" in fused else 0
+    n_fusions = n_dense if any(len(retrieval.VARIANTS[v][0]) > 1 for v in variants) else 0
     unranked = sum(1 for p in test_pairs if not rerank.get(p.qa_id))
     for (regime_id, variant), kept in zip(ws.regimes, contexts):
         channels, reranks = retrieval.VARIANTS[variant]

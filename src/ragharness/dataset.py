@@ -7,7 +7,6 @@ accepted and ignored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import HarnessError, as_id_list, as_int, as_str
 from .ingest import read_keyed
@@ -67,10 +66,8 @@ def _chunk(rec: dict) -> Chunk:
 
 
 def load_corpus(path) -> list[Chunk]:
-    """Load a corpus file, preserving record order and rejecting duplicates."""
-    path = Path(path)
-    if not path.is_file():
-        raise HarnessError(f"corpus file not found: {path}")
+    """Load a corpus file, preserving record order and rejecting duplicates.
+    The file exists (`analysis._input` checks it)."""
     chunks = read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id")
     return list(chunks.values())
 
@@ -89,10 +86,8 @@ def _qa_pair(rec: dict) -> QaPair:
 
 
 def load_qa(path) -> list[QaPair]:
-    """Load a QA file, preserving record order and rejecting duplicates."""
-    path = Path(path)
-    if not path.is_file():
-        raise HarnessError(f"QA file not found: {path}")
+    """Load a QA file, preserving record order and rejecting duplicates.
+    The file exists (`analysis._input` checks it)."""
     pairs = read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id")
     return list(pairs.values())
 

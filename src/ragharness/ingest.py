@@ -73,7 +73,7 @@ class Run:
     Every record of one qa_id, in any run, holds the same str object.
     `correctness` and `groundedness` hold None where no judge row matched;
     `f1s` and `exact` hold each answer's scores when the run set was loaded
-    with a scorer, and stay empty otherwise. No answer is kept."""
+    scored, and stay empty otherwise. No answer is kept."""
 
     config_id: str
     regime_id: str
@@ -250,11 +250,11 @@ def _read_verified(manifest_path, label, file_path, expected) -> bytes:
     return data
 
 
-def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> RunSet:
+def load_runs(path, gold, judge_path=None, datasets=None, scored=False) -> RunSet:
     """Load a run-set directory into one `Run` per (config, regime), grouped
-    by regime. `qa_ids`, when given, holds the valid test-split ids; records
-    referencing anything else are rejected, and every record holds the str
-    object `qa_ids` holds for its id. The manifest lists at
+    by regime. `gold` maps each test-split qa_id to its gold answer; a record
+    of any other qa_id is rejected, and every record holds the str object
+    that is `gold`'s key for its id. The manifest lists at
     least one run file, the files hold at least one record, and every entry
     carries the sha256 its file must match. `datasets` maps a dataset name
     (``corpus``, ``qa``) to the file read for it, which must match the
@@ -263,11 +263,17 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
     key is an error, and the rows that match no record are counted in
-    `RunSet.unmatched_scores`. `score`, when given, is called as
-    score(qa_id, answer) once per record as it is read, and the (f1, exact)
-    it returns fill the run's `f1s` and `exact` columns."""
+    `RunSet.unmatched_scores`. When `scored`, each answer is scored against
+    its gold answer by `metrics.token_f1` and `metrics.exact_match` as its
+    record is read, filling the run's `f1s` and `exact` columns."""
     # qa_id -> the one str object that every record of that id holds.
-    canonical = {qa_id: qa_id for qa_id in qa_ids} if qa_ids is not None else {}
+    canonical = {qa_id: qa_id for qa_id in gold}
+    if scored:
+        from . import metrics
+
+        # Looked up as the load starts, so that a wrapper put in place of
+        # either (a tracer's, a test's) is the one called.
+        token_f1, exact_match = metrics.token_f1, metrics.exact_match
     judged = _read_judge(judge_path, canonical) if judge_path is not None else {}
     root = Path(path)
     manifest_path = root / "manifest.json"
@@ -312,22 +318,19 @@ def load_runs(path, qa_ids=None, judge_path=None, datasets=None, score=None) -> 
                 )
             qa_id = canonical.get(key[2])
             if qa_id is None:
-                if qa_ids is not None:
-                    raise HarnessError(
-                        f"{file_path}:{lineno}: unknown qa_id {key[2]!r} "
-                        f"(not a test-split question)"
-                    )
-                qa_id = canonical[key[2]] = key[2]
+                raise HarnessError(
+                    f"{file_path}:{lineno}: unknown qa_id {key[2]!r} (not a test-split question)"
+                )
             seen.add(qa_id)
             correctness, groundedness = judge.pop(qa_id, _UNJUDGED)
             run.qa_ids.append(qa_id)
             run.latencies.append(latency)
             run.correctness.append(correctness)
             run.groundedness.append(groundedness)
-            if score is not None:
-                f1, exact = score(qa_id, answer)
-                run.f1s.append(f1)
-                run.exact.append(exact)
+            if scored:
+                gold_answer = gold[qa_id]
+                run.f1s.append(token_f1(answer, gold_answer))
+                run.exact.append(exact_match(answer, gold_answer))
     if not groups:
         raise HarnessError(f"{manifest_path}: run files hold no records")
     grouped: dict[str, dict[str, Run]] = {}

@@ -1,13 +1,11 @@
-"""Per-record quality metrics: answer normalization, token-level F1, exact
-match, and the per-record scorer that the run-set loader calls."""
+"""Per-record quality metrics: answer normalization, token-level F1 and exact
+match, which the run-set loader calls as it reads each record."""
 
 from __future__ import annotations
 
 import string
 from collections import Counter
 from functools import lru_cache
-
-from .errors import HarnessError
 
 # Characters that survive normalization so flags, paths, and versions keep
 # their shape ("--windows-line-endings", "/etc/kubernetes", "v1.29").
@@ -70,17 +68,3 @@ def exact_match(prediction: str, gold: str) -> bool:
     """Normalised equality; it reuses the tokens `token_f1` memoised."""
     return normalize_answer(prediction) == normalize_answer(gold)
 
-
-def scorer(gold_answers: dict):
-    """The per-record scorer that `ingest.load_runs` calls as each record is
-    read: (qa_id, answer) -> (token F1, exact match) against the answer
-    `gold_answers` (qa_id -> answer) gives that qa_id; a qa_id it lacks is
-    an error."""
-
-    def score(qa_id: str, answer: str) -> tuple[float, bool]:
-        gold = gold_answers.get(qa_id)
-        if gold is None:
-            raise HarnessError(f"no gold answer for qa_id {qa_id!r}")
-        return token_f1(answer, gold), exact_match(answer, gold)
-
-    return score

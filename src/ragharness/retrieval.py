@@ -10,8 +10,10 @@ postings of their terms alone, and every chunk's length.
 
 A ranked list is a plain ``[(chunk_id, score)]`` in rank order, with unique
 chunk ids and non-increasing scores, and a regime is named by its variant,
-a key of `VARIANTS`. The vectors are checked where they are read
-(``analysis._read_embeddings``), so nothing here checks them again.
+a key of `VARIANTS`. The inputs are checked where they are read, so
+nothing here checks them again: the vectors by ``analysis._read_embeddings``,
+the knobs by ``analysis.WorkspaceConfig`` and the channels each question has
+for its regimes by ``Analysis.embeddings``.
 
 numpy is imported inside the index builder and the channel scorers only:
 every workspace load reads `VARIANTS`, and the commands that never score a
@@ -192,10 +194,9 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, 
     index has no id for raises KeyError, never a silent zero. Each query
     token, repeats included, adds its term's contribution in query order
     with the same operations as a per-chunk loop, so scores are the same
-    floats; ties break by ascending chunk_id.
+    floats; ties break by ascending chunk_id. `limit` is at least 1
+    (`WorkspaceConfig` checks ``retrieve_top_n``).
     """
-    if limit < 1:
-        raise HarnessError("limit must be >= 1")
     import numpy as np
 
     scores = np.zeros(index.n_docs)
@@ -262,10 +263,8 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> list[tuple[s
 
     One matrix-vector product shortlists the candidates; each is rescored
     with a per-row dot product, so scores are the same floats as scoring
-    every chunk on its own.
+    every chunk on its own. `limit` is at least 1, as for `score_sparse`.
     """
-    if limit < 1:
-        raise HarnessError("limit must be >= 1")
     import numpy as np
 
     q = _unit(np.asarray(query_vector, dtype=float))
@@ -282,11 +281,8 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> list[tuple[s
 
 
 def fuse_rrf(lists: list, k_rrf: float = DEFAULT_K_RRF) -> list[tuple[str, float]]:
-    """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank)."""
-    if not lists:
-        raise HarnessError("fuse_rrf requires at least one input list")
-    if k_rrf <= 0:
-        raise HarnessError("k_rrf must be positive")
+    """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank).
+    `k_rrf` is positive and finite (`WorkspaceConfig` checks it)."""
     ranks: dict[str, list[int]] = {}
     for ranked in lists:
         for rank, (cid, _) in enumerate(ranked, start=1):
@@ -314,6 +310,9 @@ def select_contexts(
     question with no or an empty rerank map keeps the unreranked order. Each
     distinct set of channels present is fused and cut once and shared by the
     regimes that name it; only the rerank is per regime.
+
+    Every variant fuses at least one channel the question has:
+    `Analysis.embeddings` checks that for every test question and regime.
     """
     given = {"dense": dense, "sparse": sparse}
     fused: dict[tuple, list[str]] = {}
@@ -321,9 +320,6 @@ def select_contexts(
     for variant in variants:
         channels, reranks = VARIANTS[variant]
         present = tuple(name for name in channels if given[name] is not None)
-        if not present:
-            need = f"the {channels[0]}" if len(channels) == 1 else "at least one"
-            raise HarnessError(f"{variant} regime requires {need} channel")
         if present not in fused:
             lists = [given[name] for name in present]
             ranked = lists[0] if len(lists) == 1 else fuse_rrf(lists, k_rrf)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ragharness.analysis import Analysis, WorkspaceConfig
 from ragharness.dataset import (
     Chunk,
     check_supporting_ids,
@@ -108,6 +109,10 @@ def test_check_supporting_ids(tmp_path):
     assert check_supporting_ids(pairs, chunks) == ["q3"]
 
 
-def test_missing_file():
-    with pytest.raises(HarnessError, match="not found"):
-        load_corpus("/nonexistent/corpus.jsonl")
+def test_missing_file(tmp_path):
+    """A corpus or QA file that is not there is an error naming it, which
+    `analysis._input` raises before either loader opens the file."""
+    for part, key in (("chunks", "corpus"), ("pairs", "qa")):
+        with pytest.raises(HarnessError) as excinfo:
+            getattr(Analysis(WorkspaceConfig(root=tmp_path)), part)
+        assert str(excinfo.value) == f"{key} not found: {tmp_path / key}.jsonl"

@@ -98,6 +98,18 @@ def test_make_scale_workspace_writes_a_workspace_that_validates(tmp_path, capsys
     assert "0 of 330 records have no judge score" in out
 
 
+def test_make_scale_workspace_rejects_a_digit_int_cannot_read(tmp_path):
+    """QUESTIONS "²" is a digit to str.isdigit but no integer to int(): the
+    script prints its usage line and exits 1, without a traceback."""
+    done = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "make_scale_workspace.py"), "²", str(tmp_path)],
+        capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == "usage: python3 scripts/make_scale_workspace.py QUESTIONS OUT\n"
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("dim", [0, 8])
 def test_make_retrieval_workspace_writes_a_workspace_that_retrieves(tmp_path, capsys, dim):
     """`scripts/make_retrieval_workspace.py` writes 50 chunks and 10
@@ -125,14 +137,19 @@ def test_make_retrieval_workspace_writes_a_workspace_that_retrieves(tmp_path, ca
     assert all(len(path.read_text("utf-8").splitlines()) == 10 for path in contexts)
 
 
-def test_compare_outputs_finds_a_changed_csv_cell(tmp_path):
-    """`scripts/compare_outputs.py` finds no difference between two runs of
-    one source tree on the smoke workspace, and finds the CSV files of a copy
-    whose `report._cell` writes 5 significant digits instead of 6."""
+def load_compare_outputs():
     path = REPO / "scripts" / "compare_outputs.py"
     spec = importlib.util.spec_from_file_location("compare_outputs", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_compare_outputs_finds_a_changed_csv_cell(tmp_path):
+    """`scripts/compare_outputs.py` finds no difference between two runs of
+    one source tree on the smoke workspace, and finds the CSV files of a copy
+    whose `report._cell` writes 5 significant digits instead of 6."""
+    script = load_compare_outputs()
     changed = tmp_path / "changed"
     shutil.copytree(REPO / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
     report = changed / "ragharness" / "report.py"
@@ -150,3 +167,18 @@ def test_compare_outputs_finds_a_changed_csv_cell(tmp_path):
     assert "stats: out/stats_01_base__neutral.csv differs" in found
     assert "report: out/ablation_summary.csv differs" in found
     assert not any(line.startswith(("validate", "retrieve", "score")) for line in found)
+
+
+def test_compare_outputs_faults_stop_validate_and_retrieve(tmp_path, capsys):
+    """Each smoke copy of `scripts/compare_outputs.py`'s FAULTS makes
+    validate and retrieve exit 1 with a one-line error."""
+    script = load_compare_outputs()
+    for name, edits in script.FAULTS.items():
+        workspace = tmp_path / name
+        shutil.copytree(SMOKE_WORKSPACE, workspace)
+        for file_name, edit in edits.items():
+            script.edit_json(workspace / file_name, edit)
+        for command in ("validate", "retrieve"):
+            assert main(["--workspace", str(workspace), command]) == 1, (name, command)
+            err = capsys.readouterr().err
+            assert err.startswith(f"{command}: ") and err.count("\n") == 1, (name, err)

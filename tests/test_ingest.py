@@ -14,8 +14,12 @@ from ragharness.ingest import (
     read_keyed,
     read_rows,
 )
-from ragharness.metrics import exact_match, scorer, token_f1
+from ragharness.metrics import exact_match, token_f1
 from tests.conftest import file_checksum
+
+
+# The gold answers of the test-split questions the run records name.
+GOLD = {f"q{i}": "yes" for i in range(5)}
 
 
 def write_run_set(root, records, tamper=False):
@@ -48,8 +52,8 @@ def record(qa_id, config="cfgA", regime="01", answer="yes", latency=0.5):
 def test_load_runs_roundtrip(tmp_path):
     records = [record(f"q{i}") for i in range(5)]
     runs = write_run_set(tmp_path, records)
-    first = load_runs(runs)
-    second = load_runs(runs)
+    first = load_runs(runs, GOLD)
+    second = load_runs(runs, GOLD)
     assert first.runs == second.runs
     assert first.n_records() == 5
 
@@ -57,30 +61,30 @@ def test_load_runs_roundtrip(tmp_path):
 def test_load_runs_checksum_mismatch(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")], tamper=True)
     with pytest.raises(HarnessError, match="checksum mismatch"):
-        load_runs(runs)
+        load_runs(runs, GOLD)
 
 
 def test_load_runs_duplicate_triple(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("q0")])
     with pytest.raises(HarnessError, match="duplicate record"):
-        load_runs(runs)
+        load_runs(runs, GOLD)
 
 
 def test_load_runs_negative_latency(tmp_path):
     runs = write_run_set(tmp_path, [record("q0", latency=-1.0)])
     with pytest.raises(HarnessError, match="latency"):
-        load_runs(runs)
+        load_runs(runs, GOLD)
 
 
 def test_load_runs_unknown_qa_id(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("mystery")])
     with pytest.raises(HarnessError, match="unknown qa_id"):
-        load_runs(runs, qa_ids={"q0"})
+        load_runs(runs, {"q0": "yes"})
 
 
 def test_load_runs_missing_manifest(tmp_path):
     with pytest.raises(HarnessError, match="manifest not found"):
-        load_runs(tmp_path)
+        load_runs(tmp_path, GOLD)
 
 
 NOT_A_SHA256 = "sha256 must be a non-empty string, got "
@@ -111,7 +115,7 @@ def test_load_runs_rejects_unverifiable_manifest(tmp_path, edit, message):
     edit(manifest)
     manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
     with pytest.raises(HarnessError, match="manifest.json: ") as excinfo:
-        load_runs(runs)
+        load_runs(runs, GOLD)
     assert message in str(excinfo.value)
 
 
@@ -135,7 +139,7 @@ def test_load_runs_joins_judge_scores(tmp_path):
     runs = write_run_set(tmp_path, [record("q0"), record("q1")])
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1", corr=2, grnd=2)])
-    run_set = load_runs(runs, judge_path=scores)
+    run_set = load_runs(runs, GOLD, judge_path=scores)
     run = run_set.runs["01"]["cfgA"]
     assert run.qa_ids == ["q0", "q1"]
     assert run.correctness == [5, 2]
@@ -147,7 +151,7 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")])
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("ghost"), score_row("q0"), score_row("phantom")])
-    run_set = load_runs(runs, judge_path=scores)
+    run_set = load_runs(runs, GOLD, judge_path=scores)
     assert run_set.unmatched_scores == 2
     assert run_set.runs["01"]["cfgA"].correctness == [5]
     # Unmatched rows of two runs, and of a config with no records,
@@ -159,7 +163,7 @@ def test_load_runs_reports_unmatched_judge_rows_in_file_order(tmp_path):
         score_row("wraith", "cfgB", "02"),
     ]
     write_scores(scores, rows)
-    run_set = load_runs(runs, judge_path=scores)
+    run_set = load_runs(runs, GOLD, judge_path=scores)
     assert run_set.unmatched_scores == 5
     assert run_set.runs["02"]["cfgB"].correctness == [1]
 
@@ -168,13 +172,12 @@ def test_records_of_one_qa_id_hold_one_str_object(tmp_path):
     runs = write_run_set(
         tmp_path, [record("q0"), record("q0", "cfgB"), record("q1"), record("q0", regime="02")]
     )
-    run_set = load_runs(runs)
+    # Every record holds the object that is the gold map's key for its id.
+    given = {"".join(["q", str(i)]): "yes" for i in range(2)}
+    run_set = load_runs(runs, given)
     first = run_set.runs["01"]["cfgA"].qa_ids[0]
     assert run_set.runs["01"]["cfgB"].qa_ids[0] is first
     assert run_set.runs["02"]["cfgA"].qa_ids[0] is first
-    # Given the test-split ids, every record holds the object given for its id.
-    given = {"".join(["q", str(i)]) for i in range(2)}
-    run_set = load_runs(runs, qa_ids=given)
     held = [qa_id for by_config in run_set.runs.values() for run in by_config.values()
             for qa_id in run.qa_ids]
     assert len(held) == 4 and all(any(qa_id is q for q in given) for qa_id in held)
@@ -184,9 +187,9 @@ def test_load_runs_empty_judge_file_leaves_records_unjudged(tmp_path):
     runs = write_run_set(tmp_path, [record("q0")])
     scores = tmp_path / "judge.jsonl"
     scores.write_text("", encoding="utf-8")
-    run_set = load_runs(runs, judge_path=scores)
+    run_set = load_runs(runs, GOLD, judge_path=scores)
     assert run_set.runs["01"]["cfgA"].correctness == [None]
-    assert run_set.runs == load_runs(runs).runs
+    assert run_set.runs == load_runs(runs, GOLD).runs
 
 
 def test_load_runs_rejects_duplicate_judge_row(tmp_path):
@@ -194,7 +197,7 @@ def test_load_runs_rejects_duplicate_judge_row(tmp_path):
     scores = tmp_path / "judge.jsonl"
     write_scores(scores, [score_row("q0"), score_row("q1"), score_row("q0", corr=1)])
     with pytest.raises(HarnessError, match=r"judge.jsonl:3: duplicate judge score"):
-        load_runs(runs, judge_path=scores)
+        load_runs(runs, GOLD, judge_path=scores)
 
 
 # A key with a quote and non-ASCII text, and the repr the messages show it as.
@@ -223,7 +226,7 @@ def test_duplicate_key_messages_are_exact(tmp_path):
         (load_qa, [pair, pair], f"duplicate qa_id {ODD_KEY_REPR}"),
         (load_cost_profile, [cost, cost], f"duplicate config {ODD_KEY_REPR}"),
         (
-            lambda path: load_runs(runs, judge_path=path),
+            lambda path: load_runs(runs, GOLD, judge_path=path),
             [judge, judge],
             f"duplicate judge score ('cfg \u00e9', '01', {ODD_KEY_REPR})",
         ),
@@ -240,8 +243,8 @@ def test_columns_equal_a_per_line_reference(tmp_path):
     """Rows of six (config, regime) pairs, shuffled across three run files,
     with half of them judged: each Run's columns hold exactly what a
     per-line json.loads reads, in record order, each qa_id as the object the
-    given test-split ids hold, and the scores filled as the rows load are
-    those of token_f1 and exact_match row by row."""
+    gold map's keys hold, and the scores filled as the rows load are those
+    of token_f1 and exact_match row by row."""
     rng = random.Random(1212)
     words = ["port", "6443", "--flag", "the", "node.spec", "Apply.", "café", "\"quoted\""]
     qa_ids = [f"q{i}" for i in range(30)]
@@ -284,7 +287,7 @@ def test_columns_equal_a_per_line_reference(tmp_path):
     judge = tmp_path / "judge.jsonl"
     write_scores(judge, judge_rows)
 
-    run_set = load_runs(runs, qa_ids=set(qa_ids), judge_path=judge, score=scorer(gold))
+    run_set = load_runs(runs, gold, judge_path=judge, scored=True)
 
     reference = {}
     for entry in files:
@@ -388,7 +391,7 @@ def test_error_label_enum_closed():
 
 
 def test_load_labels_in_file_order_against_the_run_set(tmp_path):
-    run_set = load_runs(write_run_set(tmp_path, [record("q1"), record("q2")]))
+    run_set = load_runs(write_run_set(tmp_path, [record("q1"), record("q2")]), GOLD)
     path = tmp_path / "labels.jsonl"
     rows = [
         {"qa_id": "q2", "config": "cfgA", "class": "overclaiming"},

@@ -9,7 +9,6 @@ from ragharness.ingest import load_runs
 from ragharness.metrics import (
     exact_match,
     normalize_answer,
-    scorer,
     token_f1,
 )
 from tests.test_ingest import record, write_run_set
@@ -92,7 +91,7 @@ def test_exact_match_is_normalized_equality():
     assert not exact_match("port 6444", "port 6443")
 
 
-def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
+def test_load_runs_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
     gold = {"q0": "port 6443", "q1": "use --force"}
     records = [
         record("q1", "cfgA", answer="use --force"),
@@ -101,7 +100,7 @@ def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
     ]
     calls = []
     monkeypatch.setattr(metrics, "token_f1", lambda *a: calls.append(a) or token_f1(*a))
-    runs = load_runs(write_run_set(tmp_path, records), score=scorer(gold)).runs["01"]
+    runs = load_runs(write_run_set(tmp_path, records), gold, scored=True).runs["01"]
     assert calls == [
         ("use --force", "use --force"), ("port 6444", "port 6443"), ("the port 6443", "port 6443"),
     ]
@@ -111,10 +110,15 @@ def test_scorer_scores_each_record_once_in_record_order(tmp_path, monkeypatch):
     )
 
 
-def test_scorer_rejects_a_record_without_gold(tmp_path):
+def test_load_runs_rejects_a_record_without_gold_before_scoring_it(tmp_path, monkeypatch):
+    """A record of a qa_id the gold map lacks is the unknown-qa_id error,
+    raised before its answer is scored."""
     runs = write_run_set(tmp_path, [record("q0", answer="port"), record("q9", answer="anything")])
-    with pytest.raises(HarnessError, match="no gold answer for qa_id 'q9'"):
-        load_runs(runs, score=scorer({"q0": "port"}))
+    calls = []
+    monkeypatch.setattr(metrics, "token_f1", lambda *a: calls.append(a) or token_f1(*a))
+    with pytest.raises(HarnessError, match=r"cfg__regime.jsonl:2: unknown qa_id 'q9'"):
+        load_runs(runs, {"q0": "port"}, scored=True)
+    assert calls == [("port", "port")]
 
 
 def test_every_memo_is_bounded():

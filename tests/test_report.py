@@ -6,7 +6,7 @@ import pytest
 
 from ragharness.ingest import ERROR_CLASSES, ErrorLabel, Run, RunSet
 from ragharness.lora_grid import parse_config_id
-from ragharness.metrics import scorer, token_f1
+from ragharness.metrics import exact_match, token_f1
 from ragharness.pareto import pareto_front
 from ragharness.report import (
     RegimeRow,
@@ -31,12 +31,13 @@ ANSWERS = {
 
 def make_run_set():
     """Both configs of ANSWERS in regime "01", each record scored as
-    `ingest.load_runs` scores it, through `metrics.scorer`."""
-    score = scorer(GOLD)
+    `ingest.load_runs` scores it: by token_f1 and exact_match against its
+    gold answer."""
     runs = {}
     for config, by_qa in ANSWERS.items():
         qa_ids = sorted(by_qa)
-        f1s, exact = zip(*(score(q, by_qa[q]) for q in qa_ids))
+        f1s = [token_f1(by_qa[q], GOLD[q]) for q in qa_ids]
+        exact = [exact_match(by_qa[q], GOLD[q]) for q in qa_ids]
         runs[config] = Run(
             config_id=config,
             regime_id="01",
@@ -45,8 +46,8 @@ def make_run_set():
             latencies=[0.5 + 0.1 * i for i in range(len(qa_ids))],
             correctness=[5 if config == "cfgA" else 2] * len(qa_ids),
             groundedness=[4 if config == "cfgA" else 3] * len(qa_ids),
-            f1s=list(f1s),
-            exact=list(exact),
+            f1s=f1s,
+            exact=exact,
         )
     return RunSet(runs={"01": runs})
 
