@@ -43,7 +43,8 @@ COMMANDS = (
 # Workspaces beyond the workloads: name -> (workload, the resamples it sets).
 RESAMPLED = {"ragged_coverage_r1000": ("ragged_coverage", 1000)}
 # Smoke copies with one fault each, which the checks where the workspace is
-# read reject before retrieval sees it: name -> {file: an edit of its JSON}.
+# read reject before retrieval sees it: name -> {file: an edit of its JSON,
+# or of its list of rows for a JSON-lines file}.
 FAULTS = {
     "smoke_top_n_zero": {"workspace.json": lambda c: c.update(retrieve_top_n=0)},
     "smoke_k_rrf_zero": {"workspace.json": lambda c: c.update(k_rrf=0)},
@@ -52,14 +53,21 @@ FAULTS = {
         "workspace.json": lambda c: c.update(regimes=[{"id": "d", "variant": "dense_only"}]),
     },
     "smoke_corpus_directory": {"workspace.json": lambda c: c.update(corpus="runs")},
+    "smoke_corpus_without_token": {
+        "corpus.jsonl": lambda rows: [row.update(text="!!! ...") for row in rows],
+    },
 }
 
 
 def edit_json(path: Path, edit) -> None:
-    """Apply `edit` to the JSON document in `path` and write it back."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    """Apply `edit` to the JSON document in `path`, or to the list of rows of
+    a JSON-lines (``.jsonl``) file, and write it back."""
+    text = path.read_text(encoding="utf-8")
+    lines = path.suffix == ".jsonl"
+    doc = [json.loads(line) for line in text.splitlines()] if lines else json.loads(text)
     edit(doc)
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    text = "".join(json.dumps(row) + "\n" for row in doc) if lines else json.dumps(doc)
+    path.write_text(text, encoding="utf-8")
 
 
 def outputs(src, workspace: Path) -> dict:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import dataset, ingest, retrieval
-from .errors import HarnessError, as_file_id, as_float, as_int
+from .errors import HarnessError, _reject_stray, as_file_id, as_float, as_int
 
 if TYPE_CHECKING:
     from .stats import ResamplePlan
@@ -23,25 +23,21 @@ if TYPE_CHECKING:
 _SEED_MAX = (1 << 64) - 1
 
 
-def _reject_stray(where: str, keys, known, noun: str = "unknown key", tail: str = "") -> None:
-    """Fail on the first of `keys` that is not `known`, which would
-    otherwise be read as nothing at all, naming it after `noun`."""
-    stray = next((key for key in keys if key not in known), None)
-    if stray is not None:
-        raise HarnessError(f"{where}: {noun} {stray!r}{tail}")
-
-
 def _default_regimes() -> list:
     """The regimes of a workspace.json without any: one, of the base variant."""
     return [("01_base__neutral", "base")]
 
 
 def _parse_regimes(config_path: Path, specs):
-    """(id, variant) per regime spec; each spec needs a unique string id
-    that can stand in an output file name, and a known variant. A prompt
-    mode, if given, must be a known one and is then dropped."""
+    """(id, variant) per regime spec of a list of at least one; each spec
+    needs a unique string id that can stand in an output file name, and a
+    known variant. A prompt mode, if given, must be a known one and is then
+    dropped."""
     if not isinstance(specs, list):
         raise HarnessError(f"{config_path}: regimes must be a list")
+    # No regime would leave retrieve nothing to write.
+    if not specs:
+        raise HarnessError(f"{config_path}: regimes lists no regime")
     regimes = []
     for i, spec in enumerate(specs):
         if not isinstance(spec, dict) or not isinstance(spec.get("id"), str):
@@ -252,12 +248,13 @@ def _finite_numbers(values) -> bool:
         return False
 
 
-def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
+def _read_embeddings(path: Path, chunks, pairs, qa_file: str):
     """(dim, {chunk_id: vector}, {qa_id: vector}) from an embeddings file
     with at least one chunk vector. Each vector, chunk or query, is a JSON
     list of exactly `dim` finite numbers whose squared norm a float holds,
-    each chunk vector is of one of the corpus `chunk_ids` and each query
-    vector of one of the `qa_ids` of `qa_file`; nothing here needs numpy."""
+    each chunk vector is of a chunk of the corpus map `chunks` and each
+    query vector of a question of `pairs`, the map of `qa_file`; nothing
+    here needs numpy."""
     raw = ingest.read_json(path)
     try:
         dim = as_int(raw["dim"], "dim")
@@ -293,8 +290,8 @@ def _read_embeddings(path: Path, chunk_ids, qa_ids, qa_file: str):
                 )
     # A vector of no corpus chunk would be served as a context, and one of
     # no question read as nothing.
-    _reject_stray(path, vectors, chunk_ids, "chunk vector", " is of no corpus chunk")
-    _reject_stray(path, queries, qa_ids, "query vector", f" is of no question of {qa_file}")
+    _reject_stray(path, vectors, chunks, "chunk vector", " is of no corpus chunk")
+    _reject_stray(path, queries, pairs, "query vector", f" is of no question of {qa_file}")
     return dim, vectors, queries
 
 
@@ -315,26 +312,24 @@ class Analysis:
         self.ws, self.judged, self.scored = ws, judged, scored
 
     @cached_property
-    def chunks(self) -> list:
-        return dataset.load_corpus(_input(self.ws, "corpus"))
+    def chunks(self) -> dict:
+        """{chunk_id: Chunk} of the corpus, in file order. When a regime
+        fuses the sparse channel, some chunk text needs a BM25 token."""
+        chunks = dataset.load_corpus(_input(self.ws, "corpus"))
+        fuses_sparse = any("sparse" in retrieval.VARIANTS[v][0] for _, v in self.ws.regimes)
+        if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks.values()):
+            raise HarnessError(retrieval.NO_TOKEN_ERROR)
+        return chunks
 
     @cached_property
-    def pairs(self) -> list:
+    def pairs(self) -> dict:
+        """{qa_id: QaPair} of the QA file, of any split, in file order."""
         return dataset.load_qa(_input(self.ws, "qa"))
-
-    @cached_property
-    def chunk_ids(self) -> set:
-        return {chunk.chunk_id for chunk in self.chunks}
-
-    @cached_property
-    def qa_ids(self) -> set:
-        """The qa_id of every question of the QA file, of any split."""
-        return {pair.qa_id for pair in self.pairs}
 
     @cached_property
     def gold(self) -> dict:
         """{qa_id: gold answer} of the test split, the questions runs answer."""
-        return {p.qa_id: p.gold_answer for p in self.pairs if p.split == "test"}
+        return {p.qa_id: p.gold_answer for p in self.pairs.values() if p.split == "test"}
 
     @cached_property
     def run_set(self):
@@ -380,7 +375,7 @@ class Analysis:
         query vector."""
         path = _input(self.ws, "embeddings")
         embeddings = (
-            _read_embeddings(path, self.chunk_ids, self.qa_ids, self.ws.qa.name)
+            _read_embeddings(path, self.chunks, self.pairs, self.ws.qa.name)
             if path is not None
             else None
         )
@@ -412,10 +407,10 @@ class Analysis:
         ):
             raise HarnessError(f"{path}: expected {{qa_id: {{chunk_id: finite number}}}}")
         of_qa = f" is of no question of {self.ws.qa.name}"
-        _reject_stray(path, rerank, self.qa_ids, "rerank entry", of_qa)
+        _reject_stray(path, rerank, self.pairs, "rerank entry", of_qa)
         for qa_id, scores in rerank.items():
             where = f"{path}: rerank entry {qa_id!r}"
-            _reject_stray(where, scores, self.chunk_ids, "chunk id", " is of no corpus chunk")
+            _reject_stray(where, scores, self.chunks, "chunk id", " is of no corpus chunk")
         return rerank
 
     @cached_property

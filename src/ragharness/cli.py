@@ -73,13 +73,10 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
     """Read every part of an unscored analysis, with the checks of the
     commands that read it, and stop at the first fault; nothing is scored
     and numpy is not loaded."""
-    from . import analysis, dataset, retrieval
+    from . import analysis, dataset
 
     an = analysis.Analysis(ws, scored=False)
     chunks, pairs = an.chunks, an.pairs
-    fuses_sparse = any("sparse" in retrieval.VARIANTS[v][0] for _, v in ws.regimes)
-    if fuses_sparse and not any(retrieval.tokenize(c.text) for c in chunks):
-        raise HarnessError(retrieval.NO_TOKEN_ERROR)
     bad = dataset.check_supporting_ids(pairs, chunks)
     if bad:
         raise HarnessError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
@@ -113,8 +110,8 @@ def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     variants = [variant for _, variant in ws.regimes]
     fused = {name for v in variants for name in retrieval.VARIANTS[v][0]}
     an = analysis.Analysis(ws)
-    chunks = an.chunks
-    test_pairs = [p for p in an.pairs if p.split == "test"]
+    chunks = an.chunks.values()
+    test_pairs = [an.pairs[qa_id] for qa_id in an.gold]
     questions = [p.question for p in test_pairs]
     index = retrieval.build_sparse_index(chunks, questions) if "sparse" in fused else None
     # Read after the index is built, so that the vectors' lists and the

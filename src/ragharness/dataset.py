@@ -65,11 +65,10 @@ def _chunk(rec: dict) -> Chunk:
     return chunk
 
 
-def load_corpus(path) -> list[Chunk]:
-    """Load a corpus file, preserving record order and rejecting duplicates.
-    The file exists (`analysis._input` checks it)."""
-    chunks = read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id")
-    return list(chunks.values())
+def load_corpus(path) -> dict[str, Chunk]:
+    """{chunk_id: Chunk} of a corpus file in record order, rejecting
+    duplicates. The file exists (`analysis._input` checks it)."""
+    return read_keyed(path, _chunk, lambda chunk: chunk.chunk_id, "chunk_id")
 
 
 def _qa_pair(rec: dict) -> QaPair:
@@ -85,20 +84,18 @@ def _qa_pair(rec: dict) -> QaPair:
     )
 
 
-def load_qa(path) -> list[QaPair]:
-    """Load a QA file, preserving record order and rejecting duplicates.
+def load_qa(path) -> dict[str, QaPair]:
+    """{qa_id: QaPair} of a QA file in record order, rejecting duplicates.
     The file exists (`analysis._input` checks it)."""
-    pairs = read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id")
-    return list(pairs.values())
+    return read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id")
 
 
-def check_supporting_ids(pairs: list[QaPair], chunks: list[Chunk]) -> list[str]:
+def check_supporting_ids(pairs: dict[str, QaPair], chunks: dict[str, Chunk]) -> list[str]:
     """Return qa_ids whose supporting_chunk_ids reference missing chunks."""
-    ids = {c.chunk_id for c in chunks}
     bad = []
-    for pair in pairs:
+    for pair in pairs.values():
         if pair.supporting_chunk_ids and any(
-            cid not in ids for cid in pair.supporting_chunk_ids
+            cid not in chunks for cid in pair.supporting_chunk_ids
         ):
             bad.append(pair.qa_id)
     return bad

@@ -1,5 +1,5 @@
 """The one error the harness raises on bad input, and the integer, float,
-string, id-list and file-id checks every loader shares."""
+string, id-list, file-id and stray-key checks every loader shares."""
 
 from __future__ import annotations
 
@@ -54,3 +54,11 @@ def as_file_id(value: str, name: str) -> str:
     if value in ("", ".", "..") or "/" in value or "\\" in value or "\0" in value:
         raise HarnessError(f"{name} must be one path component, got {value!r}")
     return value
+
+
+def _reject_stray(where: str, keys, known, noun: str = "unknown key", tail: str = "") -> None:
+    """Fail on the first of `keys` that is not `known`, which would
+    otherwise be read as nothing at all, naming it after `noun`."""
+    stray = next((key for key in keys if key not in known), None)
+    if stray is not None:
+        raise HarnessError(f"{where}: {noun} {stray!r}{tail}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import HarnessError, as_file_id, as_float, as_id_list, as_int, as_str
+from .errors import HarnessError, _reject_stray, as_file_id, as_float, as_id_list, as_int, as_str
 
 
 ERROR_CLASSES = (
@@ -258,7 +258,8 @@ def load_runs(path, gold, judge_path=None, datasets=None, scored=False) -> RunSe
     least one run file, the files hold at least one record, and every entry
     carries the sha256 its file must match. `datasets` maps a dataset name
     (``corpus``, ``qa``) to the file read for it, which must match the
-    manifest's ``dataset.<name>_sha256`` when the manifest gives one.
+    manifest's ``dataset.<name>_sha256`` when the manifest gives one; the
+    manifest's ``dataset`` object holds no other key.
 
     Judge scores from `judge_path`, when given, are joined onto the records by
     (config, regime, qa_id) as each record is read; a second judge row for a
@@ -288,6 +289,8 @@ def load_runs(path, gold, judge_path=None, datasets=None, scored=False) -> RunSe
     checksums = manifest.get("dataset", {})
     if not isinstance(checksums, dict):
         raise HarnessError(f"{manifest_path}: dataset must be an object, got {checksums!r}")
+    # A misspelt key would leave its file unverified.
+    _reject_stray(f"{manifest_path}: dataset", checksums, ("corpus_sha256", "qa_sha256"))
     for name, data_path in (datasets or {}).items():
         sha = f"{name}_sha256"
         if sha in checksums:

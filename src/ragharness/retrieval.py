@@ -12,8 +12,9 @@ A ranked list is a plain ``[(chunk_id, score)]`` in rank order, with unique
 chunk ids and non-increasing scores, and a regime is named by its variant,
 a key of `VARIANTS`. The inputs are checked where they are read, so
 nothing here checks them again: the vectors by ``analysis._read_embeddings``,
-the knobs by ``analysis.WorkspaceConfig`` and the channels each question has
-for its regimes by ``Analysis.embeddings``.
+the knobs by ``analysis.WorkspaceConfig``, the channels each question has
+for its regimes by ``Analysis.embeddings`` and the corpus BM25 indexes by
+``Analysis.chunks``.
 
 numpy is imported inside the index builder and the channel scorers only:
 every workspace load reads `VARIANTS`, and the commands that never score a
@@ -28,11 +29,12 @@ import string
 from dataclasses import InitVar, dataclass, field
 from typing import TYPE_CHECKING
 
-from .dataset import Chunk
-from .errors import HarnessError
-
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     import numpy as np
+
+    from .dataset import Chunk
 
 # What each retrieval variant does: the channels it fuses, in fusion order,
 # and whether it reorders the fused candidates by rerank score. BM25 is the
@@ -54,8 +56,8 @@ BM25_K1 = 1.2
 BM25_B = 0.75
 
 
-# The error of a corpus that gives BM25 nothing to index; `validate` reports
-# it too.
+# The error of a corpus that gives BM25 nothing to index, which
+# `Analysis.chunks` raises.
 NO_TOKEN_ERROR = "no chunk text has a BM25 token, so the sparse channel cannot be built"
 
 
@@ -98,7 +100,6 @@ class SparseIndex:
     tf: np.ndarray
     idf: np.ndarray  # per term id
     length_norm: np.ndarray  # k1 * (1 - b + b * dl / avgdl) per position
-    n_docs: int
 
 
 # The word id of a word that strips to nothing, and of a token no query holds.
@@ -106,14 +107,14 @@ _NO_TOKEN = -1
 _UNASKED = -2
 
 
-def build_sparse_index(corpus: list[Chunk], queries: list[str]) -> SparseIndex:
-    """Index `corpus` for scoring the texts `queries` by BM25.
+def build_sparse_index(corpus: Iterable[Chunk], queries: list[str]) -> SparseIndex:
+    """Index the chunks of `corpus` for scoring the texts `queries` by BM25.
 
-    Only the queries' terms get ids and postings, so `score_sparse` takes
-    these queries alone; the scores are those of an index of every term.
+    Some chunk text has a token (`Analysis.chunks` checks that of every
+    corpus a regime fuses the sparse channel over). Only the queries' terms
+    get ids and postings, so `score_sparse` takes these queries alone; the
+    scores are those of an index of every term.
     """
-    if not corpus:
-        raise HarnessError("cannot index an empty corpus")
     import numpy as np
 
     term_ids: dict[str, int] = {}
@@ -136,8 +137,6 @@ def build_sparse_index(corpus: list[Chunk], queries: list[str]) -> SparseIndex:
     doc_len = np.array(
         [len(ids) - ids.count(_NO_TOKEN) for ids in chunk_words], dtype=np.int64
     )
-    if not doc_len.any():
-        raise HarnessError(NO_TOKEN_ERROR)
     n_asked = [len(ids) - ids.count(_NO_TOKEN) - ids.count(_UNASKED) for ids in chunk_words]
     ids = np.fromiter(
         itertools.chain.from_iterable(chunk_words),
@@ -183,7 +182,6 @@ def build_sparse_index(corpus: list[Chunk], queries: list[str]) -> SparseIndex:
         tf=tf,
         idf=idf,
         length_norm=BM25_K1 * (1.0 - BM25_B + BM25_B * doc_len / avgdl),
-        n_docs=n_docs,
     )
 
 
@@ -199,7 +197,7 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, 
     """
     import numpy as np
 
-    scores = np.zeros(index.n_docs)
+    scores = np.zeros(len(index.chunk_ids))
     k1_plus_1 = BM25_K1 + 1.0
     for term in tokenize(query):
         tid = index.term_ids[term]

@@ -803,6 +803,17 @@ def _all(*mutations):
     return write
 
 
+# The QA file's checksum under a misspelt key, which would leave the edited
+# QA file unverified.
+_misspelt_qa_checksum = _all(
+    _edit_json(
+        "runs/manifest.json",
+        lambda m: m["dataset"].update(qa_sha265=m["dataset"].pop("qa_sha256")),
+    ),
+    _changed_gold,
+)
+
+
 def _append_line(name, line):
     def write(workspace):
         with open(workspace / name, "a", encoding="utf-8") as fh:
@@ -813,12 +824,12 @@ def _append_line(name, line):
 
 def _knobs(knob, value, no_regimes):
     """Set one knob of workspace.json, and when `no_regimes` leave it no
-    regime, so that no regime spec is parsed."""
+    regimes key, so that no regime spec is parsed."""
 
     def edit(config):
         config[knob] = value
         if no_regimes:
-            config["regimes"] = []
+            del config["regimes"]
 
     return _edit_json("workspace.json", edit)
 
@@ -1319,6 +1330,20 @@ SHA256_NOT_STRING = (
         ),
         (_corpus_without_token, ["validate"], retrieval.NO_TOKEN_ERROR),
         (_corpus_without_token, ["retrieve"], retrieval.NO_TOKEN_ERROR),
+        (_file_text("corpus.jsonl", ""), ["validate"], retrieval.NO_TOKEN_ERROR),
+        (_file_text("corpus.jsonl", ""), ["retrieve"], retrieval.NO_TOKEN_ERROR),
+        *(
+            (
+                _edit_json("workspace.json", lambda c: c.update(regimes=[])),
+                [command],
+                "workspace.json: regimes lists no regime",
+            )
+            for command in ("validate", "retrieve")
+        ),
+        *(
+            (_misspelt_qa_checksum, [command], "manifest.json: dataset: unknown key 'qa_sha265'")
+            for command in ("validate", "stats")
+        ),
         *(
             (_knobs(knob, value, no_regimes), ["validate"], message)
             for _, knob, value, message in KNOB_CASES
@@ -1619,6 +1644,9 @@ SHA256_NOT_STRING = (
         "config_id_rank_4300_digits_validate", "config_id_rank_4300_digits_stats",
         "judge_correctness_zero_validate", "judge_groundedness_six_stats",
         "corpus_without_token_validate", "corpus_without_token_retrieve",
+        "corpus_empty_validate", "corpus_empty_retrieve",
+        "regimes_empty_validate", "regimes_empty_retrieve",
+        "dataset_key_misspelt_validate", "dataset_key_misspelt_stats",
         *(
             f"{name}{suffix}"
             for name, *_ in KNOB_CASES
@@ -1714,6 +1742,20 @@ def test_only_validate_and_retrieve_read_the_corpus(workspace, capsys):
     for command in ("score", "stats", "pareto", "report"):
         assert run(workspace, command) == 0
     assert (workspace / "out" / "scores.jsonl").read_bytes() == scores
+
+
+def test_a_corpus_without_token_serves_dense_only_regimes(workspace, capsys):
+    """The corpus rule holds only where a regime fuses the sparse channel."""
+    _corpus_without_token(workspace)
+    refresh_dataset_checksums(workspace)
+    _edit_json(
+        "workspace.json", lambda c: c.update(regimes=[{"id": "d", "variant": "dense_only"}])
+    )(workspace)
+    assert run(workspace, "validate") == 0
+    assert run(workspace, "retrieve") == 0
+    assert capsys.readouterr().err == ""
+    contexts = (workspace / "out" / "contexts_d.jsonl").read_text(encoding="utf-8")
+    assert len(contexts.splitlines()) == 30
 
 
 def test_each_command_checks_the_dataset_files_it_reads(workspace, capsys):

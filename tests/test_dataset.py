@@ -45,8 +45,8 @@ def test_load_corpus_roundtrip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     write_jsonl(path, CHUNKS)
     chunks = load_corpus(path)
-    assert [c.chunk_id for c in chunks] == ["c1", "c2"]
-    assert chunks[0].text == "alpha beta"
+    assert [(key, c.chunk_id) for key, c in chunks.items()] == [("c1", "c1"), ("c2", "c2")]
+    assert chunks["c1"].text == "alpha beta"
 
 
 def test_load_corpus_duplicate_id(tmp_path):
@@ -68,9 +68,8 @@ def test_load_corpus_and_qa_accept_unknown_fields(tmp_path):
     corpus, qa = tmp_path / "corpus.jsonl", tmp_path / "qa.jsonl"
     write_jsonl(corpus, [dict(CHUNKS[0], source_url="https://example.org")])
     write_jsonl(qa, [dict(QA[0], annotator="a1")])
-    (chunk,) = load_corpus(corpus)
-    assert chunk == Chunk("c1", "d1", "alpha beta")
-    (pair,) = load_qa(qa)
+    assert load_corpus(corpus) == {"c1": Chunk("c1", "d1", "alpha beta")}
+    (pair,) = load_qa(qa).values()
     assert (pair.qa_id, pair.supporting_chunk_ids) == ("q1", ("c1",))
 
 
@@ -78,9 +77,9 @@ def test_load_qa_roundtrip(tmp_path):
     path = tmp_path / "qa.jsonl"
     write_jsonl(path, QA)
     pairs = load_qa(path)
-    assert [(p.qa_id, p.answer_type, p.split) for p in pairs] == [
-        ("q1", "exact", "test"),
-        ("q2", "normal", "train"),
+    assert [(key, p.qa_id, p.answer_type, p.split) for key, p in pairs.items()] == [
+        ("q1", "q1", "exact", "test"),
+        ("q2", "q2", "normal", "train"),
     ]
 
 
