@@ -8,8 +8,11 @@ under each tree, on a copy of the bundled smoke workspace and on the
 workspace of each benchmark workload (``perfbench/workloads.py``) generated
 for SEED (default 1), on a copy of the ``ragged_coverage`` workspace
 whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times),
-and on copies of the smoke workspace with one fault of FAULTS each.
-The out/ directory is emptied before each command. The
+and on copies of the smoke workspace with one fault of FAULTS each; three
+of those faults (a negative VRAM cost, an unknown answer type and a chunk
+text of whitespace alone) are each rejected by a record type's own check, so
+the wording and exit codes of those checks are compared in every command
+line. The out/ directory is emptied before each command. The
 exit codes, stdout, stderr (the workspace path masked) and the sha256 of
 every file the command leaves under out/ must match. The script prints one
 line per workspace and exits 1 on any difference.
@@ -43,8 +46,9 @@ COMMANDS = (
 # Workspaces beyond the workloads: name -> (workload, the resamples it sets).
 RESAMPLED = {"ragged_coverage_r1000": ("ragged_coverage", 1000)}
 # Smoke copies with one fault each, which the checks where the workspace is
-# read reject before retrieval sees it: name -> {file: an edit of its JSON,
-# or of its list of rows for a JSON-lines file}.
+# read reject before retrieval sees it (retrieve reads no cost profile):
+# name -> {file: an edit of its JSON, or of its list of rows for a JSON-lines
+# file}.
 FAULTS = {
     "smoke_top_n_zero": {"workspace.json": lambda c: c.update(retrieve_top_n=0)},
     "smoke_k_rrf_zero": {"workspace.json": lambda c: c.update(k_rrf=0)},
@@ -56,6 +60,10 @@ FAULTS = {
     "smoke_corpus_without_token": {
         "corpus.jsonl": lambda rows: [row.update(text="!!! ...") for row in rows],
     },
+    # Faults that a record type's own check rejects as the row is built.
+    "smoke_cost_vram_negative": {"costs.jsonl": lambda rows: rows[0].update(inf_vram_gb=-1.0)},
+    "smoke_answer_type_unknown": {"qa.jsonl": lambda rows: rows[0].update(answer_type="fuzzy")},
+    "smoke_chunk_text_blank": {"corpus.jsonl": lambda rows: rows[0].update(text=" \t ")},
 }
 
 

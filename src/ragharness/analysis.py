@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -21,11 +20,6 @@ if TYPE_CHECKING:
 # The largest seed: the bootstrap hashes the seed as one 64-bit word
 # (stats.subseed), so a wider one would alias a seed in range.
 _SEED_MAX = (1 << 64) - 1
-
-
-def _default_regimes() -> list:
-    """The regimes of a workspace.json without any: one, of the base variant."""
-    return [("01_base__neutral", "base")]
 
 
 def _parse_regimes(config_path: Path, specs):
@@ -59,53 +53,60 @@ def _parse_regimes(config_path: Path, specs):
     return regimes
 
 
-def _is_path(f) -> bool:
-    """Whether a WorkspaceConfig field is a path, which is the case exactly
-    when its default is one or None; every knob defaults to a number, and the
-    regime specs to a list."""
-    return f.default is None or isinstance(f.default, Path)
+# The paths and knobs of workspace.json, with their defaults, in the order
+# they are resolved and checked. An optional input defaults to None, which
+# leaves it out.
+_DEFAULTS = {
+    "corpus": Path("corpus.jsonl"),
+    "qa": Path("qa.jsonl"),
+    "out": Path("out"),
+    "embeddings": None,
+    "rerank_scores": None,
+    "runs": None,
+    "judge_scores": None,
+    "costs": None,
+    "labels": None,
+    "retrieve_top_n": 20,
+    "eval_top_k": 2,
+    "k_rrf": retrieval.DEFAULT_K_RRF,
+    "resamples": 1000,
+    "level": 0.95,
+    "pass_threshold": 4,
+    "seed": 0,
+}
 
 
-@dataclass
+def _is_path(default) -> bool:
+    """Whether a `_DEFAULTS` entry is a path, which is the case exactly when
+    its default is one or None; every knob defaults to a number."""
+    return default is None or isinstance(default, Path)
+
+
 class WorkspaceConfig:
     """A workspace's inputs, output directory and knobs, with the defaults
-    of workspace.json. Each path is taken relative to `root` on construction;
-    an optional input left as None is not used."""
+    of workspace.json (`_DEFAULTS`). Each path is taken relative to `root`
+    on construction; an optional input left as None is not used. `regimes`
+    holds the (id, variant) of each regime spec of workspace.json, in its
+    order; without any, one regime of the base variant."""
 
-    root: Path
-    corpus: Path = Path("corpus.jsonl")
-    qa: Path = Path("qa.jsonl")
-    out: Path = Path("out")
-    embeddings: Path | None = None
-    rerank_scores: Path | None = None
-    runs: Path | None = None
-    judge_scores: Path | None = None
-    costs: Path | None = None
-    labels: Path | None = None
-    retrieve_top_n: int = 20
-    eval_top_k: int = 2
-    k_rrf: float = retrieval.DEFAULT_K_RRF
-    resamples: int = 1000
-    level: float = 0.95
-    pass_threshold: int = 4
-    seed: int = 0
-    # (id, variant) per regime spec of workspace.json, in its order.
-    regimes: list = field(default_factory=_default_regimes, repr=False)
-
-    def __post_init__(self):
-        for f in fields(self):
-            if _is_path(f) and getattr(self, f.name) is not None:
-                path = self.root / getattr(self, f.name)
+    def __init__(self, root: Path, *, regimes: list | None = None, **given):
+        self.root = root
+        for name, default in _DEFAULTS.items():
+            value = given.pop(name, default)
+            if _is_path(default) and value is not None:
+                path = root / value
                 # A path the system cannot look up at all (a name too long,
                 # a directory without search permission) fails here, so that
                 # no later existence check raises.
                 try:
                     path.exists()
                 except OSError as exc:
-                    raise HarnessError(
-                        f"{f.name}: cannot look up {path}: {exc.strerror}"
-                    ) from exc
-                setattr(self, f.name, path)
+                    raise HarnessError(f"{name}: cannot look up {path}: {exc.strerror}") from exc
+                value = path
+            setattr(self, name, value)
+        if given:
+            raise TypeError(f"WorkspaceConfig got unknown fields {sorted(given)}")
+        self.regimes = [("01_base__neutral", "base")] if regimes is None else regimes
         if self.retrieve_top_n < 1 or self.eval_top_k < 1:
             raise HarnessError("retrieve_top_n and eval_top_k must be positive")
         if self.eval_top_k > self.retrieve_top_n:
@@ -142,29 +143,27 @@ def load_workspace(root) -> WorkspaceConfig:
         raise HarnessError(f"workspace config not found: {config_path}")
     raw = ingest.read_json(config_path)
     # The root is where workspace.json lies, never a key of it.
-    _reject_stray(
-        str(config_path), raw, {f.name for f in fields(WorkspaceConfig) if f.init} - {"root"}
-    )
+    _reject_stray(str(config_path), raw, (*_DEFAULTS, "regimes"))
     given = {}
-    for f in fields(WorkspaceConfig):
-        if f.name in ("root", "regimes") or f.name not in raw:
+    for name, default in _DEFAULTS.items():
+        if name not in raw:
             continue
-        value = raw[f.name]
-        if _is_path(f):
+        value = raw[name]
+        if _is_path(default):
             # null leaves out an optional input; a required one needs a path.
-            if not (isinstance(value, str) or (value is None and f.default is None)):
+            if not (isinstance(value, str) or (value is None and default is None)):
                 raise HarnessError(
-                    f"{config_path}: {f.name} must be a path string, got {value!r}"
+                    f"{config_path}: {name} must be a path string, got {value!r}"
                 )
-            given[f.name] = value
+            given[name] = value
             continue
-        kind = type(f.default)
+        kind = type(default)
         try:
-            given[f.name] = as_int(value, f.name) if kind is int else as_float(value, f.name)
+            given[name] = as_int(value, name) if kind is int else as_float(value, name)
         except (ValueError, OverflowError) as exc:
             noun = "an integer" if kind is int else "a number"
             raise HarnessError(
-                f"{config_path}: {f.name} must be {noun}, got {value!r}"
+                f"{config_path}: {name} must be {noun}, got {value!r}"
             ) from exc
     # null regimes, like none, stands for the default regimes.
     if raw.get("regimes") is not None:
@@ -328,8 +327,12 @@ class Analysis:
 
     @cached_property
     def gold(self) -> dict:
-        """{qa_id: gold answer} of the test split, the questions runs answer."""
-        return {p.qa_id: p.gold_answer for p in self.pairs.values() if p.split == "test"}
+        """{qa_id: gold answer} of the test split, the questions runs answer
+        and retrieve serves; a QA file without one leaves them nothing."""
+        gold = {p.qa_id: p.gold_answer for p in self.pairs.values() if p.split == "test"}
+        if not gold:
+            raise HarnessError(f"{self.ws.qa}: holds no test-split question")
+        return gold
 
     @cached_property
     def run_set(self):

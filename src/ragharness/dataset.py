@@ -6,7 +6,7 @@ accepted and ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import HarnessError, as_id_list, as_int, as_str
 from .ingest import read_keyed
@@ -15,41 +15,44 @@ ANSWER_TYPES = ("exact", "normal")
 SPLITS = ("train", "eval", "test")
 
 
-@dataclass(frozen=True)
-class Chunk:
-    chunk_id: str
-    doc_id: str
-    text: str
+class Chunk(namedtuple("Chunk", "chunk_id doc_id text")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.chunk_id:
+    def __new__(cls, chunk_id: str, doc_id: str, text: str):
+        if not chunk_id:
             raise HarnessError("chunk_id must be nonempty")
-        if not self.text.strip():
-            raise HarnessError(f"chunk {self.chunk_id!r}: text is empty")
+        if not text.strip():
+            raise HarnessError(f"chunk {chunk_id!r}: text is empty")
+        return super().__new__(cls, chunk_id, doc_id, text)
 
 
-@dataclass(frozen=True)
-class QaPair:
-    qa_id: str
-    question: str
-    gold_answer: str
-    answer_type: str
-    split: str
-    supporting_chunk_ids: tuple[str, ...] | None = None
+class QaPair(
+    namedtuple("QaPair", "qa_id question gold_answer answer_type split supporting_chunk_ids")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.qa_id:
+    def __new__(
+        cls,
+        qa_id: str,
+        question: str,
+        gold_answer: str,
+        answer_type: str,
+        split: str,
+        supporting_chunk_ids: tuple[str, ...] | None = None,
+    ):
+        if not qa_id:
             raise HarnessError("qa_id must be nonempty")
-        if not self.question.strip():
-            raise HarnessError(f"qa {self.qa_id!r}: question is empty")
-        if not self.gold_answer.strip():
-            raise HarnessError(f"qa {self.qa_id!r}: gold_answer is empty")
-        if self.answer_type not in ANSWER_TYPES:
-            raise HarnessError(
-                f"qa {self.qa_id!r}: unknown answer_type {self.answer_type!r}"
-            )
-        if self.split not in SPLITS:
-            raise HarnessError(f"qa {self.qa_id!r}: unknown split {self.split!r}")
+        if not question.strip():
+            raise HarnessError(f"qa {qa_id!r}: question is empty")
+        if not gold_answer.strip():
+            raise HarnessError(f"qa {qa_id!r}: gold_answer is empty")
+        if answer_type not in ANSWER_TYPES:
+            raise HarnessError(f"qa {qa_id!r}: unknown answer_type {answer_type!r}")
+        if split not in SPLITS:
+            raise HarnessError(f"qa {qa_id!r}: unknown split {split!r}")
+        return super().__new__(
+            cls, qa_id, question, gold_answer, answer_type, split, supporting_chunk_ids
+        )
 
 
 def _chunk(rec: dict) -> Chunk:

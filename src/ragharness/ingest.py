@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import HarnessError, _reject_stray, as_file_id, as_float, as_id_list, as_int, as_str
@@ -27,74 +27,104 @@ def _check_judge(name: str, val: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class CostProfile:
-    config_id: str
-    inference_vram: float | None = None
-    training_time: float | None = None
-    training_vram: float | None = None
-    # Optional per-regime overrides of peak inference VRAM.
-    inference_vram_by_regime: dict = field(default_factory=dict, compare=False)
+class CostProfile(
+    namedtuple(
+        "CostProfile",
+        "config_id inference_vram training_time training_vram inference_vram_by_regime",
+    )
+):
+    """A config's costs. `inference_vram_by_regime` holds optional
+    per-regime overrides of peak inference VRAM, a new dict when not
+    given."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        config_id: str,
+        inference_vram: float | None = None,
+        training_time: float | None = None,
+        training_vram: float | None = None,
+        inference_vram_by_regime: dict | None = None,
+    ):
+        if inference_vram_by_regime is None:
+            inference_vram_by_regime = {}
         costs = {
-            name: getattr(self, name)
-            for name in ("inference_vram", "training_time", "training_vram")
+            "inference_vram": inference_vram,
+            "training_time": training_time,
+            "training_vram": training_vram,
         }
         costs.update(
             (f"inference_vram for regime {regime_id!r}", val)
-            for regime_id, val in self.inference_vram_by_regime.items()
+            for regime_id, val in inference_vram_by_regime.items()
         )
         for name, val in costs.items():
             if val is not None and not (math.isfinite(val) and val >= 0):
                 raise HarnessError(
-                    f"{self.config_id}: {name} must be finite and >= 0, got {val!r}"
+                    f"{config_id}: {name} must be finite and >= 0, got {val!r}"
                 )
+        return super().__new__(
+            cls, config_id, inference_vram, training_time, training_vram, inference_vram_by_regime
+        )
 
     def inference_vram_for(self, regime_id: str) -> float | None:
         return self.inference_vram_by_regime.get(regime_id, self.inference_vram)
 
 
-@dataclass(frozen=True)
-class ErrorLabel:
-    qa_id: str
-    config_id: str
-    error_class: str
+class ErrorLabel(namedtuple("ErrorLabel", "qa_id config_id error_class")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.error_class not in ERROR_CLASSES:
-            raise HarnessError(f"unknown error class {self.error_class!r}")
+    def __new__(cls, qa_id: str, config_id: str, error_class: str):
+        if error_class not in ERROR_CLASSES:
+            raise HarnessError(f"unknown error class {error_class!r}")
+        return super().__new__(cls, qa_id, config_id, error_class)
 
 
-@dataclass
 class Run:
     """The records of one (config, regime) as columns, each in record order:
     the order of the run files in the manifest, then of the lines in each.
     Every record of one qa_id, in any run, holds the same str object.
     `correctness` and `groundedness` hold None where no judge row matched;
     `f1s` and `exact` hold each answer's scores when the run set was loaded
-    scored, and stay empty otherwise. No answer is kept."""
+    scored, and stay empty otherwise. No answer is kept. A column not given
+    starts as a new empty list; `len` counts the records, and two runs are
+    equal when their ids, top-k and columns are."""
 
-    config_id: str
-    regime_id: str
-    eval_top_k: int
-    qa_ids: list[str] = field(default_factory=list)
-    latencies: list[float] = field(default_factory=list)
-    correctness: list[int | None] = field(default_factory=list)
-    groundedness: list[int | None] = field(default_factory=list)
-    f1s: list[float] = field(default_factory=list)
-    exact: list[bool] = field(default_factory=list)
+    def __init__(
+        self,
+        config_id: str,
+        regime_id: str,
+        eval_top_k: int,
+        qa_ids: list[str] | None = None,
+        latencies: list[float] | None = None,
+        correctness: list[int | None] | None = None,
+        groundedness: list[int | None] | None = None,
+        f1s: list[float] | None = None,
+        exact: list[bool] | None = None,
+    ):
+        self.config_id, self.regime_id, self.eval_top_k = config_id, regime_id, eval_top_k
+        self.qa_ids = [] if qa_ids is None else qa_ids
+        self.latencies = [] if latencies is None else latencies
+        self.correctness = [] if correctness is None else correctness
+        self.groundedness = [] if groundedness is None else groundedness
+        self.f1s = [] if f1s is None else f1s
+        self.exact = [] if exact is None else exact
 
     def __len__(self) -> int:
         return len(self.qa_ids)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
-@dataclass
-class RunSet:
-    # regime_id -> config_id -> Run, both levels in ascending id order.
-    runs: dict[str, dict[str, Run]]
-    # The number of judge rows that match no record.
-    unmatched_scores: int = 0
+
+class RunSet(namedtuple("RunSet", "runs unmatched_scores", defaults=(0,))):
+    """`runs` maps regime_id -> config_id -> Run, both levels in ascending
+    id order; `unmatched_scores` counts the judge rows that match no
+    record. The tuple is fixed; the runs in it are not."""
+
+    __slots__ = ()
 
     def n_records(self) -> int:
         return sum(len(run) for by_config in self.runs.values() for run in by_config.values())

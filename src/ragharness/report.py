@@ -5,8 +5,7 @@ plot-ready front data."""
 from __future__ import annotations
 
 import csv
-from collections import Counter
-from dataclasses import astuple, dataclass, fields
+from collections import Counter, namedtuple
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -20,26 +19,24 @@ if TYPE_CHECKING:
     from .stats import ResamplePlan
 
 
-@dataclass(frozen=True, kw_only=True)
-class RegimeRow:
+_REGIME_COLUMNS = (
+    "config n f1 f1_lo f1_hi em grnd_pass grnd_lo grnd_hi corr_pass corr_lo corr_hi "
+    "latency inference_vram"
+)
+
+
+class RegimeRow(namedtuple("RegimeRow", _REGIME_COLUMNS, defaults=(0,) + (None,) * 12)):
     """One row of a regime table, its fields the columns of stats_<regime>.csv
     and regime_<regime>.csv in order. A pass rate and its interval ends are
-    None when no record of the config is judged."""
+    None when no record of the config is judged. Built by keyword alone,
+    since a positional row would put its values under the wrong columns:
+    config, f1 and latency are required, n defaults to 0 and every other
+    cell to None."""
 
-    config: str
-    n: int = 0
-    f1: float
-    f1_lo: float | None = None
-    f1_hi: float | None = None
-    em: float | None = None
-    grnd_pass: float | None = None
-    grnd_lo: float | None = None
-    grnd_hi: float | None = None
-    corr_pass: float | None = None
-    corr_lo: float | None = None
-    corr_hi: float | None = None
-    latency: float
-    inference_vram: float | None = None
+    __slots__ = ()
+
+    def __new__(cls, *, config: str, f1: float, latency: float, **cells):
+        return super().__new__(cls, config=config, f1=f1, latency=latency, **cells)
 
 
 def regime_table(
@@ -191,7 +188,7 @@ def write_csv(path, header, rows) -> None:
 def write_regime_table(path, rows: list[RegimeRow]) -> None:
     """Write a regime table as stats_<regime>.csv and regime_<regime>.csv
     hold it: one column per RegimeRow field, in field order."""
-    write_csv(path, [f.name for f in fields(RegimeRow)], map(astuple, rows))
+    write_csv(path, RegimeRow._fields, rows)
 
 
 def _cell(value):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -81,25 +81,23 @@ def _strip(word: str) -> str:
     return word.strip(_EDGE).rstrip(_KEEP)
 
 
-@dataclass
-class SparseIndex:
+class SparseIndex(
+    namedtuple("SparseIndex", "chunk_ids term_ids start doc_pos tf idf length_norm")
+):
     """BM25 inverted index of the terms of a set of queries, as flat arrays.
 
-    ``term_ids`` holds the queries' tokens alone, in order of first
-    appearance. ``chunk_ids`` is sorted ascending, so a chunk's position is
-    its tie rank. The postings of term id ``t`` are
-    ``doc_pos[start[t]:start[t + 1]]`` (ascending positions) with term
-    frequencies ``tf`` at the same offsets; a query term that no chunk holds
-    has none. Chunk lengths count every token, asked for or not.
+    ``term_ids`` maps each of the queries' tokens alone to its id, in order
+    of first appearance. ``chunk_ids`` is sorted ascending, so a chunk's
+    position is its tie rank. ``start`` holds the CSR offsets into
+    ``doc_pos`` and ``tf``, one per term id plus one: the postings of term id
+    ``t`` are ``doc_pos[start[t]:start[t + 1]]`` (ascending positions) with
+    term frequencies ``tf`` at the same offsets; a query term that no chunk
+    holds has none. ``idf`` is per term id and ``length_norm``, k1 * (1 - b
+    + b * dl / avgdl), per position. Chunk lengths count every token, asked
+    for or not.
     """
 
-    chunk_ids: list  # sorted ascending
-    term_ids: dict  # query term -> term id
-    start: np.ndarray  # CSR offsets into doc_pos/tf, one per term id plus one
-    doc_pos: np.ndarray
-    tf: np.ndarray
-    idf: np.ndarray  # per term id
-    length_norm: np.ndarray  # k1 * (1 - b + b * dl / avgdl) per position
+    __slots__ = ()
 
 
 # The word id of a word that strips to nothing, and of a token no query holds.
@@ -218,7 +216,6 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, 
     return list(zip(ids, scores[top].tolist()))
 
 
-@dataclass
 class EmbeddingTable:
     """Chunk embeddings sharing one dimension; query vectors live elsewhere.
 
@@ -227,16 +224,12 @@ class EmbeddingTable:
     row per entry of the ascending ``chunk_ids``.
     """
 
-    vectors: InitVar[dict]
-    dim: int
-    chunk_ids: list = field(init=False, repr=False)
-    unit: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, vectors):
+    def __init__(self, vectors: dict, dim: int):
         import numpy as np
 
+        self.dim = dim
         self.chunk_ids = sorted(vectors)
-        self.unit = np.empty((len(self.chunk_ids), self.dim))
+        self.unit = np.empty((len(self.chunk_ids), dim))
         # Row by row: a norm taken along an axis of the matrix may round
         # differently from np.linalg.norm of one vector.
         for row, cid in zip(self.unit, self.chunk_ids):

@@ -28,8 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -63,30 +62,25 @@ _U32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: float
-    hi: float
+class Interval(namedtuple("Interval", "lo hi")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise HarnessError(f"interval lo {self.lo} > hi {self.hi}")
-
-
-@dataclass(frozen=True)
-class DeltaEstimate:
-    delta: float
-    interval: Interval
-    significant: bool
+    def __new__(cls, lo: float, hi: float):
+        if lo > hi:
+            raise HarnessError(f"interval lo {lo} > hi {hi}")
+        return super().__new__(cls, lo, hi)
 
 
-@dataclass(frozen=True)
-class ResamplePlan:
+class DeltaEstimate(namedtuple("DeltaEstimate", "delta interval significant")):
+    __slots__ = ()
+
+
+class ResamplePlan(
+    namedtuple("ResamplePlan", "n_resamples level master_seed", defaults=(1000, 0.95, 0))
+):
     # `analysis.WorkspaceConfig` checks the knobs: n_resamples >= 1, level in
     # (0, 1) and master_seed in 0..2**64 - 1.
-    n_resamples: int = 1000
-    level: float = 0.95
-    master_seed: int = 0
+    __slots__ = ()
 
 
 def subseed(master_seed: int, replicate: int) -> int:

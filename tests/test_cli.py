@@ -5,7 +5,6 @@ import random
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -136,6 +135,18 @@ def test_workspace_config_defaults(workspace):
     assert ws.plan().n_resamples == 1000
     # WorkspaceConfig's default is the one fuse_rrf takes from retrieval.
     assert analysis.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
+    # Every path and knob of a workspace.json that gives none, in the order
+    # they are resolved and checked.
+    assert list(vars(analysis.WorkspaceConfig(workspace)).items()) == [
+        ("root", workspace), ("corpus", workspace / "corpus.jsonl"),
+        ("qa", workspace / "qa.jsonl"), ("out", workspace / "out"), ("embeddings", None),
+        ("rerank_scores", None), ("runs", None), ("judge_scores", None), ("costs", None),
+        ("labels", None), ("retrieve_top_n", 20), ("eval_top_k", 2), ("k_rrf", 60.0),
+        ("resamples", 1000), ("level", 0.95), ("pass_threshold", 4), ("seed", 0),
+        ("regimes", [("01_base__neutral", "base")]),
+    ]
+    with pytest.raises(TypeError, match="unknown fields"):
+        analysis.WorkspaceConfig(workspace, top_k=2)
     for regimes in ({}, {"regimes": None}):
         (workspace / "workspace.json").write_text(json.dumps(regimes), encoding="utf-8")
         assert load_workspace(workspace).regimes == [("01_base__neutral", "base")]
@@ -320,7 +331,7 @@ def test_regime_csv_columns_are_the_regime_row_fields(workspace):
     RegimeRow field, in field order."""
     assert run(workspace, "stats") == 0
     assert run(workspace, "report") == 0
-    columns = [f.name for f in fields(RegimeRow)]
+    columns = list(RegimeRow._fields)
     for name in ("stats_01_base__neutral.csv", "regime_01_base__neutral.csv"):
         with open(workspace / "out" / name, encoding="utf-8", newline="") as fh:
             assert next(csv.reader(fh)) == columns
@@ -801,6 +812,17 @@ def _all(*mutations):
             mutate(workspace)
 
     return write
+
+
+# Every question is of the train split, and workspace.json names no run set,
+# so no record is rejected for a question outside the test split.
+_no_test_split = _all(
+    _edit_rows("qa.jsonl", lambda rows: [row.update(split="train") for row in rows]),
+    _edit_json(
+        "workspace.json",
+        lambda c: [c.pop(key, None) for key in ("runs", "judge_scores", "costs", "labels")],
+    ),
+)
 
 
 # The QA file's checksum under a misspelt key, which would leave the edited
@@ -1592,6 +1614,10 @@ SHA256_NOT_STRING = (
             )
             for command in ("validate", "retrieve")
         ),
+        *(
+            (_no_test_split, [command], "qa.jsonl: holds no test-split question")
+            for command in ("validate", "retrieve")
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1689,6 +1715,7 @@ SHA256_NOT_STRING = (
         "seed_string_validate", "level_string_stats", "latency_string_validate",
         "judge_correctness_string_validate", "cost_string_stats", "embeddings_dim_string_retrieve",
         "embeddings_no_chunk_vector_validate", "embeddings_no_chunk_vector_retrieve",
+        "no_test_split_validate", "no_test_split_retrieve",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -1890,7 +1917,8 @@ def test_input_left_out_of_workspace_json_is_not_used(workspace):
 
 MODULES_LOADED = (
     "import sys; from ragharness.cli import main; code = main(sys.argv[1:]); "
-    "print('loaded:', *sorted({'numpy', 'numpy.random', '_hashlib', 'ragharness.analysis', "
+    "print('loaded:', *sorted({'numpy', 'numpy.random', '_hashlib', 'dataclasses', 'inspect', "
+    "'ragharness.analysis', "
     "'ragharness.report', 'ragharness.pareto', 'ragharness.lora_grid', 'ragharness.metrics', "
     "'ragharness.dataset', 'ragharness.ingest', 'ragharness.retrieval'} "
     "& set(sys.modules))); "
@@ -1906,7 +1934,10 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     `report`, `pareto` or `lora_grid` either, and validate none of `report`,
     `pareto` or `metrics`. OpenSSL (`_hashlib`) loads in the commands that
     verify the run manifest, and never in grid or retrieve. No command loads
-    `numpy.random`: the bootstrap draws its resample indices itself."""
+    `numpy.random`: the bootstrap draws its resample indices itself. No
+    command loads `dataclasses`, whose import and generated methods cost
+    more than most commands' work; grid, score and validate load no
+    `inspect` either, which numpy loads in the others."""
     _labels('{"qa_id": "qa000", "config": "3B baseline", "class": "overclaiming"}\n')(
         workspace
     )
@@ -1937,6 +1968,7 @@ def test_commands_without_arrays_never_import_numpy(workspace):
     bootstrapped = [stats] + [loaded("--workspace", str(workspace), c) for c in ("pareto", "report")]
     assert all("numpy" in modules for modules in bootstrapped)
     assert not any("numpy.random" in modules for modules in [retrieve, *bootstrapped])
+    assert not any("dataclasses" in modules for modules in [retrieve, *bootstrapped])
 
 
 def test_validate_runs_under_cprofile(workspace, tmp_path):

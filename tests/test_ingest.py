@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from ragharness.dataset import load_corpus, load_qa
+from ragharness.dataset import Chunk, QaPair, load_corpus, load_qa
 from ragharness.errors import HarnessError, as_float, as_int
 from ragharness.ingest import (
     CostProfile,
     ErrorLabel,
+    Run,
     load_cost_profile,
     load_labels,
     load_runs,
@@ -15,6 +16,8 @@ from ragharness.ingest import (
     read_rows,
 )
 from ragharness.metrics import exact_match, token_f1
+from ragharness.report import RegimeRow
+from ragharness.stats import DeltaEstimate, Interval, ResamplePlan
 from tests.conftest import file_checksum
 
 
@@ -383,6 +386,52 @@ def test_cost_profile_regime_override():
             CostProfile(config_id="a", inference_vram=bad)
         with pytest.raises(HarnessError, match="inference_vram for regime 'r'"):
             CostProfile(config_id="a", inference_vram_by_regime={"r": bad})
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        Interval(0.1, 0.2),
+        DeltaEstimate(0.1, Interval(0.0, 0.2), True),
+        ResamplePlan(),
+        RegimeRow(config="c", f1=0.5, latency=0.6),
+        Chunk("c1", "d1", "text"),
+        QaPair("q1", "question?", "answer", "exact", "test"),
+        CostProfile("c"),
+        ErrorLabel("q1", "c", "overclaiming"),
+    ],
+    ids=lambda record: type(record).__name__,
+)
+def test_records_refuse_attribute_assignment(record):
+    first = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, first, None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+def test_error_labels_are_hashable():
+    """load_labels finds a duplicate label by keying a dict on it."""
+    label = ErrorLabel("q1", "c", "overclaiming")
+    assert {label: 1}[ErrorLabel("q1", "c", "overclaiming")] == 1
+
+
+def test_cost_profiles_never_share_an_override_dict():
+    a, b = CostProfile("a"), CostProfile("b")
+    assert a.inference_vram_by_regime == b.inference_vram_by_regime == {}
+    assert a.inference_vram_by_regime is not b.inference_vram_by_regime
+
+
+def test_run_counts_records_and_equals_a_run_of_the_same_columns():
+    run = Run("c", "r", 2, qa_ids=["q1", "q2"], latencies=[0.5, 0.6])
+    assert len(run) == 2 and len(Run("c", "r", 2)) == 0
+    assert run == Run("c", "r", 2, qa_ids=["q1", "q2"], latencies=[0.5, 0.6])
+    assert run != Run("c", "r", 2, qa_ids=["q1", "q2"], latencies=[0.5, 0.7])
+    assert run != Run("c", "r", 3, qa_ids=["q1", "q2"], latencies=[0.5, 0.6])
+    # A column not given is a new list in each run.
+    a, b = Run("c", "r", 2), Run("c", "r", 2)
+    a.f1s.append(1.0)
+    assert b.f1s == []
 
 
 def test_error_label_enum_closed():

@@ -162,6 +162,28 @@ def test_ablation_summary_reorder_invariance(regime_tables):
     assert ablation_summary(shuffled) == ablation_summary(regime_tables)
 
 
+def test_regime_row_fields_are_the_regime_csv_columns_in_order():
+    assert RegimeRow._fields == (
+        "config", "n", "f1", "f1_lo", "f1_hi", "em", "grnd_pass", "grnd_lo", "grnd_hi",
+        "corr_pass", "corr_lo", "corr_hi", "latency", "inference_vram",
+    )
+    row = RegimeRow(config="c", f1=0.5, latency=0.6)
+    assert row == ("c", 0, 0.5, None, None, None, None, None, None, None, None, None, 0.6, None)
+
+
+def test_regime_row_is_built_by_keyword_alone():
+    """A positional row would put its values under the wrong columns."""
+    with pytest.raises(TypeError):
+        RegimeRow("c", 3, 0.5)
+    for required in ("config", "f1", "latency"):
+        cells = {"config": "c", "f1": 0.5, "latency": 0.6}
+        del cells[required]
+        with pytest.raises(TypeError, match=required):
+            RegimeRow(**cells)
+    with pytest.raises(TypeError):
+        RegimeRow(config="c", f1=0.5, latency=0.6, f2=0.1)
+
+
 def test_ablation_summary_singleton():
     row = RegimeRow(config="only", f1=0.5, latency=0.6, grnd_pass=0.7)
     assert ablation_summary({"r": [row]}) == [["r", "only", 0.5, "only", 0.7, 1]]
