@@ -10,8 +10,9 @@ for SEED (default 1), on a copy of the ``ragged_coverage`` workspace
 whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times),
 and on copies of the smoke workspace with one fault of FAULTS each; three
 of those faults (a negative VRAM cost, an unknown answer type and a chunk
-text of whitespace alone) are each rejected by a record type's own check, so
-the wording and exit codes of those checks are compared in every command
+text of whitespace alone) are each rejected by a record type's own check,
+and one (a supporting chunk id of no corpus chunk) by `Analysis.supporting`,
+so the wording and exit codes of those checks are compared in every command
 line. The out/ directory is emptied before each command. The
 exit codes, stdout, stderr (the workspace path masked) and the sha256 of
 every file the command leaves under out/ must match. The script prints one
@@ -46,7 +47,8 @@ COMMANDS = (
 # Workspaces beyond the workloads: name -> (workload, the resamples it sets).
 RESAMPLED = {"ragged_coverage_r1000": ("ragged_coverage", 1000)}
 # Smoke copies with one fault each, which the checks where the workspace is
-# read reject before retrieval sees it (retrieve reads no cost profile):
+# read reject before retrieval sees it (retrieve reads no cost profile and
+# no supporting chunk id):
 # name -> {file: an edit of its JSON, or of its list of rows for a JSON-lines
 # file}.
 FAULTS = {
@@ -64,6 +66,9 @@ FAULTS = {
     "smoke_cost_vram_negative": {"costs.jsonl": lambda rows: rows[0].update(inf_vram_gb=-1.0)},
     "smoke_answer_type_unknown": {"qa.jsonl": lambda rows: rows[0].update(answer_type="fuzzy")},
     "smoke_chunk_text_blank": {"corpus.jsonl": lambda rows: rows[0].update(text=" \t ")},
+    "smoke_supporting_chunk_ghost": {
+        "qa.jsonl": lambda rows: rows[0].update(supporting_chunk_ids=["ghost"]),
+    },
 }
 
 

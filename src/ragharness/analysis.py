@@ -135,8 +135,8 @@ class WorkspaceConfig:
 def load_workspace(root) -> WorkspaceConfig:
     """The workspace config of `root`: each path or knob workspace.json
     gives, checked, and WorkspaceConfig's default for each it leaves out.
-    An output directory, or the nearest of its ancestors that exists, that
-    is not a directory fails here, before any command writes."""
+    An output directory (or its nearest existing ancestor) that is not a
+    directory, or a regime id too long for an output name, fails here."""
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.is_file():
@@ -172,6 +172,7 @@ def load_workspace(root) -> WorkspaceConfig:
     out = _nearest_existing(ws.out)
     if not out.is_dir():
         raise HarnessError(f"out is not a directory: {out}")
+    _check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
     return ws
 
 
@@ -197,8 +198,8 @@ def _nearest_existing(path: Path) -> Path:
 
 
 # The name of each output that a regime id becomes part of. A front's name
-# grows with its axes: the benchmarked pair stands for them in every
-# command's check of name lengths, and pareto checks its own axes too.
+# grows with its axes: the benchmarked pair stands for them where each list
+# of regime ids is read, and pareto checks its own axes too.
 _REGIME_FILE_NAMES = {
     "contexts": "contexts_{}.jsonl",
     "stats": "stats_{}.csv",
@@ -302,9 +303,9 @@ def _by_qa_id(run) -> list[int]:
 
 class Analysis:
     """The inputs of one workspace and what the commands build from them,
-    each part read or built on first use and kept. The run set is loaded
-    with the judge scores joined and each record scored as it is read, but
-    unjudged for score and unscored for validate, which also checks the
+    each part read, checked and built on first use and kept. The run set is
+    loaded with the judge scores joined and each record scored as it is read,
+    but unjudged for score and unscored for validate, which also checks the
     corpus checksum and has run_set None when workspace.json names none."""
 
     def __init__(self, ws: WorkspaceConfig, judged: bool = True, scored: bool = True):
@@ -335,9 +336,23 @@ class Analysis:
         return gold
 
     @cached_property
+    def supporting(self) -> dict:
+        """{qa_id: supporting chunk ids} of the QA pairs that list them, in
+        file order, each id a corpus chunk's. Only validate reads it."""
+        supporting = {
+            q: p.supporting_chunk_ids for q, p in self.pairs.items() if p.supporting_chunk_ids
+        }
+        chunks = self.chunks
+        bad = [q for q, ids in supporting.items() if any(c not in chunks for c in ids)]
+        if bad:
+            raise HarnessError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
+        return supporting
+
+    @cached_property
     def run_set(self):
-        """The run set, each record of a test-split question, and each
-        dataset file it is read against matching the manifest's checksum."""
+        """The run set, each record of a test-split question, each dataset
+        file it is read against matching the manifest's checksum, and each
+        regime id fit for an output name."""
         gold = self.gold
         path = _input(self.ws, "runs")
         if path is None and not self.scored:
@@ -348,7 +363,9 @@ class Analysis:
         datasets = {"corpus": self.ws.corpus, "qa": self.ws.qa}
         if self.scored:  # the scoring commands read no corpus
             del datasets["corpus"]
-        return ingest.load_runs(path, gold, judge, datasets, self.scored)
+        run_set = ingest.load_runs(path, gold, judge, datasets, self.scored)
+        _check_regime_ids(self.ws, run_set.runs)
+        return run_set
 
     @cached_property
     def costs(self) -> dict:
@@ -425,12 +442,10 @@ class Analysis:
     @cached_property
     def tables(self) -> dict:
         """{regime_id: regime table}, one per regime of the run set, in
-        regime order, once every output name of those regimes is checked."""
+        regime order."""
         from . import report
 
-        runs = self.run_set.runs
-        _check_regime_ids(self.ws, runs)
-        costs, plan = self.costs, self.ws.plan()
+        runs, costs, plan = self.run_set.runs, self.costs, self.ws.plan()
         return {
             regime_id: report.regime_table(by_config, costs, plan, self.ws.pass_threshold)
             for regime_id, by_config in runs.items()

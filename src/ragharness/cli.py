@@ -77,25 +77,19 @@ def _write_jsonl(path: Path, rows) -> None:
 
 
 def cmd_validate(ws: WorkspaceConfig, args) -> int:
-    """Read every part of an unscored analysis, with the checks of the
-    commands that read it, and stop at the first fault; nothing is scored
-    and numpy is not loaded."""
-    from . import analysis, dataset
+    """Read every part of an unscored analysis, each checked as it is read,
+    as in every command that reads it, and stop at the first fault; validate
+    holds no check of its own, scores nothing and loads no numpy."""
+    from . import analysis
 
     an = analysis.Analysis(ws, scored=False)
-    chunks, pairs = an.chunks, an.pairs
-    bad = dataset.check_supporting_ids(pairs, chunks)
-    if bad:
-        raise HarnessError(f"unresolved supporting_chunk_ids for: {bad[:5]}")
-    run_set = an.run_set
-    analysis._check_regime_ids(
-        ws, [*(regime_id for regime_id, _ in ws.regimes), *(run_set.runs if run_set else ())]
-    )
     # As stats does, `matched` checks that every config id parses and that
     # each pair covers the same qa_ids.
-    for part in ("matched", "costs", "embeddings", "rerank", "labels"):
+    for part in ("chunks", "pairs", "supporting", "run_set", "matched",
+                 "costs", "embeddings", "rerank", "labels"):
         getattr(an, part)
-    print(f"validate: ok ({len(chunks)} chunks, {len(pairs)} QA rows, test={len(an.gold)})")
+    print(f"validate: ok ({len(an.chunks)} chunks, {len(an.pairs)} QA rows, test={len(an.gold)})")
+    run_set = an.run_set
     if run_set is not None:
         unscored = sum(
             run.groundedness.count(None) for runs in run_set.runs.values() for run in runs.values()
@@ -111,9 +105,8 @@ def cmd_validate(ws: WorkspaceConfig, args) -> int:
 def cmd_retrieve(ws: WorkspaceConfig, args) -> int:
     from . import analysis, retrieval
 
-    # validate's checks of the output names and the channels run before
-    # anything is written.
-    analysis._check_regime_ids(ws, [regime_id for regime_id, _ in ws.regimes])
+    # Every output name was checked with the regimes (`load_workspace`), and
+    # each part below is checked as it is read, before anything is written.
     variants = [variant for _, variant in ws.regimes]
     fused = {name for v in variants for name in retrieval.VARIANTS[v][0]}
     an = analysis.Analysis(ws)

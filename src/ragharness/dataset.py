@@ -92,13 +92,3 @@ def load_qa(path) -> dict[str, QaPair]:
     The file exists (`analysis._input` checks it)."""
     return read_keyed(path, _qa_pair, lambda pair: pair.qa_id, "qa_id")
 
-
-def check_supporting_ids(pairs: dict[str, QaPair], chunks: dict[str, Chunk]) -> list[str]:
-    """Return qa_ids whose supporting_chunk_ids reference missing chunks."""
-    bad = []
-    for pair in pairs.values():
-        if pair.supporting_chunk_ids and any(
-            cid not in chunks for cid in pair.supporting_chunk_ids
-        ):
-            bad.append(pair.qa_id)
-    return bad

@@ -1618,6 +1618,13 @@ SHA256_NOT_STRING = (
             (_no_test_split, [command], "qa.jsonl: holds no test-split question")
             for command in ("validate", "retrieve")
         ),
+        (
+            _first_qa_support(["ghost"]),
+            ["validate"],
+            "unresolved supporting_chunk_ids for: ['qa000']",
+        ),
+        (_regime_id("r" * 300), ["stats"], TOO_LONG_FOR_CONTEXTS),
+        (_run_regime_too_long, ["score"], TOO_LONG_FOR_CONTEXTS),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1716,6 +1723,7 @@ SHA256_NOT_STRING = (
         "judge_correctness_string_validate", "cost_string_stats", "embeddings_dim_string_retrieve",
         "embeddings_no_chunk_vector_validate", "embeddings_no_chunk_vector_retrieve",
         "no_test_split_validate", "no_test_split_retrieve",
+        "supporting_ghost_validate", "regime_id_too_long_stats", "run_regime_too_long_score",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):

@@ -3,12 +3,7 @@ import json
 import pytest
 
 from ragharness.analysis import Analysis, WorkspaceConfig
-from ragharness.dataset import (
-    Chunk,
-    check_supporting_ids,
-    load_corpus,
-    load_qa,
-)
+from ragharness.dataset import Chunk, load_corpus, load_qa
 from ragharness.errors import HarnessError
 
 
@@ -98,14 +93,29 @@ def test_load_qa_rejects_duplicate_qa_id(tmp_path):
 
 
 def test_check_supporting_ids(tmp_path):
-    corpus_path = tmp_path / "corpus.jsonl"
-    qa_path = tmp_path / "qa.jsonl"
-    write_jsonl(corpus_path, CHUNKS[:1])
-    bad_qa = dict(QA[0], qa_id="q3", supporting_chunk_ids=["missing"])
-    write_jsonl(qa_path, [QA[0], bad_qa])
-    chunks = load_corpus(corpus_path)
-    pairs = load_qa(qa_path)
-    assert check_supporting_ids(pairs, chunks) == ["q3"]
+    """`Analysis.supporting` maps each QA pair that lists supporting chunk
+    ids to them once every id names a corpus chunk, and otherwise names the
+    first five pairs that list one that does not, in file order."""
+    write_jsonl(tmp_path / "corpus.jsonl", CHUNKS[:1])
+
+    def supporting(rows):
+        write_jsonl(tmp_path / "qa.jsonl", rows)
+        return Analysis(WorkspaceConfig(root=tmp_path), scored=False).supporting
+
+    empty = dict(QA[1], qa_id="q3", supporting_chunk_ids=[])
+    assert supporting([QA[1], QA[0], empty]) == {"q1": ("c1",)}
+    with pytest.raises(HarnessError) as excinfo:
+        supporting([QA[0], dict(QA[0], qa_id="q3", supporting_chunk_ids=["missing"])])
+    assert str(excinfo.value) == "unresolved supporting_chunk_ids for: ['q3']"
+    bad = [
+        dict(QA[0], qa_id=f"b{i}", supporting_chunk_ids=["c1", f"missing{i}"])
+        for i in (6, 2, 9, 0, 4, 7, 1)
+    ]
+    with pytest.raises(HarnessError) as excinfo:
+        supporting([QA[1], *bad[:3], QA[0], *bad[3:]])
+    assert str(excinfo.value) == (
+        "unresolved supporting_chunk_ids for: ['b6', 'b2', 'b9', 'b0', 'b4']"
+    )
 
 
 def test_missing_file(tmp_path):
