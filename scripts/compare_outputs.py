@@ -11,7 +11,9 @@ whose ``resamples`` is the paper's 1000 (each workload bootstraps 30 times),
 and on copies of the smoke workspace with one fault of FAULTS each; three
 of those faults (a negative VRAM cost, an unknown answer type and a chunk
 text of whitespace alone) are each rejected by a record type's own check,
-and one (a supporting chunk id of no corpus chunk) by `Analysis.supporting`,
+one (a supporting chunk id of no corpus chunk) by `Analysis.supporting`,
+and three (a knob given as a string, a path given as a number and a level
+of 1) by the knob type, path type and range checks of `load_workspace`,
 so the wording and exit codes of those checks are compared in every command
 line. The out/ directory is emptied before each command. The
 exit codes, stdout, stderr (the workspace path masked) and the sha256 of
@@ -69,6 +71,10 @@ FAULTS = {
     "smoke_supporting_chunk_ghost": {
         "qa.jsonl": lambda rows: rows[0].update(supporting_chunk_ids=["ghost"]),
     },
+    # One fault per branch of `load_workspace`'s pass over workspace.json.
+    "smoke_resamples_string": {"workspace.json": lambda c: c.update(resamples="30")},
+    "smoke_qa_number": {"workspace.json": lambda c: c.update(qa=5)},
+    "smoke_level_one": {"workspace.json": lambda c: c.update(level=1)},
 }
 
 

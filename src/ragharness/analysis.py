@@ -54,8 +54,8 @@ def _parse_regimes(config_path: Path, specs):
 
 
 # The paths and knobs of workspace.json, with their defaults, in the order
-# they are resolved and checked. An optional input defaults to None, which
-# leaves it out.
+# they are read and checked. Each path defaults to one, or to None for an
+# optional input, which leaves it out; each knob defaults to a number.
 _DEFAULTS = {
     "corpus": Path("corpus.jsonl"),
     "qa": Path("qa.jsonl"),
@@ -76,53 +76,12 @@ _DEFAULTS = {
 }
 
 
-def _is_path(default) -> bool:
-    """Whether a `_DEFAULTS` entry is a path, which is the case exactly when
-    its default is one or None; every knob defaults to a number."""
-    return default is None or isinstance(default, Path)
-
-
 class WorkspaceConfig:
-    """A workspace's inputs, output directory and knobs, with the defaults
-    of workspace.json (`_DEFAULTS`). Each path is taken relative to `root`
-    on construction; an optional input left as None is not used. `regimes`
-    holds the (id, variant) of each regime spec of workspace.json, in its
-    order; without any, one regime of the base variant."""
-
-    def __init__(self, root: Path, *, regimes: list | None = None, **given):
-        self.root = root
-        for name, default in _DEFAULTS.items():
-            value = given.pop(name, default)
-            if _is_path(default) and value is not None:
-                path = root / value
-                # A path the system cannot look up at all (a name too long,
-                # a directory without search permission) fails here, so that
-                # no later existence check raises.
-                try:
-                    path.exists()
-                except OSError as exc:
-                    raise HarnessError(f"{name}: cannot look up {path}: {exc.strerror}") from exc
-                value = path
-            setattr(self, name, value)
-        if given:
-            raise TypeError(f"WorkspaceConfig got unknown fields {sorted(given)}")
-        self.regimes = [("01_base__neutral", "base")] if regimes is None else regimes
-        if self.retrieve_top_n < 1 or self.eval_top_k < 1:
-            raise HarnessError("retrieve_top_n and eval_top_k must be positive")
-        if self.eval_top_k > self.retrieve_top_n:
-            raise HarnessError("eval_top_k must not exceed retrieve_top_n")
-        if not (math.isfinite(self.k_rrf) and self.k_rrf > 0):
-            raise HarnessError(f"k_rrf must be positive and finite, got {self.k_rrf!r}")
-        if not 0.0 < self.level < 1.0:
-            raise HarnessError("level must be in (0, 1)")
-        if self.resamples < 1:
-            raise HarnessError(f"resamples must be >= 1, got {self.resamples}")
-        if not 1 <= self.pass_threshold <= 5:
-            raise HarnessError(
-                f"pass_threshold must be in 1..5, got {self.pass_threshold}"
-            )
-        if not 0 <= self.seed <= _SEED_MAX:
-            raise HarnessError(f"seed must be in 0..{_SEED_MAX}, got {self.seed}")
+    """A workspace's inputs, output directory and knobs, as `load_workspace`
+    reads them: one attribute per key of `_DEFAULTS`, in its order, each path
+    taken relative to the workspace and an optional input left out as None,
+    then `regimes`, the (id, variant) of each regime spec of workspace.json,
+    in its order, or one regime of the base variant without any."""
 
     def plan(self) -> ResamplePlan:
         from .stats import ResamplePlan
@@ -133,10 +92,11 @@ class WorkspaceConfig:
 
 
 def load_workspace(root) -> WorkspaceConfig:
-    """The workspace config of `root`: each path or knob workspace.json
-    gives, checked, and WorkspaceConfig's default for each it leaves out.
-    An output directory (or its nearest existing ancestor) that is not a
-    directory, or a regime id too long for an output name, fails here."""
+    """The workspace config of `root`, read in one pass over `_DEFAULTS`:
+    each path or knob workspace.json gives, checked, and the default for
+    each it leaves out; then the regimes, and the knobs' ranges. An output
+    directory (or its nearest existing ancestor) that is not a directory,
+    or a regime id too long for an output name, fails here."""
     root = Path(root)
     config_path = root / "workspace.json"
     if not config_path.is_file():
@@ -144,31 +104,53 @@ def load_workspace(root) -> WorkspaceConfig:
     raw = ingest.read_json(config_path)
     # The root is where workspace.json lies, never a key of it.
     _reject_stray(str(config_path), raw, (*_DEFAULTS, "regimes"))
-    given = {}
+    ws = WorkspaceConfig()
     for name, default in _DEFAULTS.items():
-        if name not in raw:
-            continue
-        value = raw[name]
-        if _is_path(default):
-            # null leaves out an optional input; a required one needs a path.
-            if not (isinstance(value, str) or (value is None and default is None)):
+        value = raw.get(name, default)
+        kind = type(default)
+        if kind in (int, float):
+            try:
+                value = as_int(value, name) if kind is int else as_float(value, name)
+            except (ValueError, OverflowError) as exc:
+                noun = "an integer" if kind is int else "a number"
+                raise HarnessError(
+                    f"{config_path}: {name} must be {noun}, got {value!r}"
+                ) from exc
+        elif value is not None or default is not None:
+            # null leaves out an optional input; a required one needs a path
+            # string, or keeps its default path.
+            if not isinstance(value, (str, Path)):
                 raise HarnessError(
                     f"{config_path}: {name} must be a path string, got {value!r}"
                 )
-            given[name] = value
-            continue
-        kind = type(default)
-        try:
-            given[name] = as_int(value, name) if kind is int else as_float(value, name)
-        except (ValueError, OverflowError) as exc:
-            noun = "an integer" if kind is int else "a number"
-            raise HarnessError(
-                f"{config_path}: {name} must be {noun}, got {value!r}"
-            ) from exc
+            value = root / value
+            # A path the system cannot look up at all (a name too long, a
+            # directory without search permission) fails here, so that no
+            # later existence check raises.
+            try:
+                value.exists()
+            except OSError as exc:
+                raise HarnessError(f"{name}: cannot look up {value}: {exc.strerror}") from exc
+        setattr(ws, name, value)
     # null regimes, like none, stands for the default regimes.
-    if raw.get("regimes") is not None:
-        given["regimes"] = _parse_regimes(config_path, raw["regimes"])
-    ws = WorkspaceConfig(root=root, **given)
+    specs = raw.get("regimes")
+    ws.regimes = (
+        [("01_base__neutral", "base")] if specs is None else _parse_regimes(config_path, specs)
+    )
+    if ws.retrieve_top_n < 1 or ws.eval_top_k < 1:
+        raise HarnessError("retrieve_top_n and eval_top_k must be positive")
+    if ws.eval_top_k > ws.retrieve_top_n:
+        raise HarnessError("eval_top_k must not exceed retrieve_top_n")
+    if not (math.isfinite(ws.k_rrf) and ws.k_rrf > 0):
+        raise HarnessError(f"k_rrf must be positive and finite, got {ws.k_rrf!r}")
+    if not 0.0 < ws.level < 1.0:
+        raise HarnessError("level must be in (0, 1)")
+    if ws.resamples < 1:
+        raise HarnessError(f"resamples must be >= 1, got {ws.resamples}")
+    if not 1 <= ws.pass_threshold <= 5:
+        raise HarnessError(f"pass_threshold must be in 1..5, got {ws.pass_threshold}")
+    if not 0 <= ws.seed <= _SEED_MAX:
+        raise HarnessError(f"seed must be in 0..{_SEED_MAX}, got {ws.seed}")
     out = _nearest_existing(ws.out)
     if not out.is_dir():
         raise HarnessError(f"out is not a directory: {out}")

@@ -290,8 +290,10 @@ def cmd_report(ws: WorkspaceConfig, args) -> int:
 
     an = analysis.Analysis(ws)
     # Whatever can reject the inputs (a config id without a scheme, a label
-    # that matches no record) fails here, before any file is written.
-    tables, labels = an.tables, an.labels
+    # that matches no record) fails here, before any file is written:
+    # `matched` parses every config id, as in validate and stats, not only
+    # the winners' that `scheme_wins` reads.
+    tables, labels, _ = an.tables, an.labels, an.matched
     summary = report.ablation_summary(tables)
     wins = report.scheme_wins(summary)
     error_counts = report.error_counts(labels) if labels is not None else None

@@ -12,7 +12,7 @@ A ranked list is a plain ``[(chunk_id, score)]`` in rank order, with unique
 chunk ids and non-increasing scores, and a regime is named by its variant,
 a key of `VARIANTS`. The inputs are checked where they are read, so
 nothing here checks them again: the vectors by ``analysis._read_embeddings``,
-the knobs by ``analysis.WorkspaceConfig``, the channels each question has
+the knobs by ``analysis.load_workspace``, the channels each question has
 for its regimes by ``Analysis.embeddings`` and the corpus BM25 indexes by
 ``Analysis.chunks``.
 
@@ -191,7 +191,7 @@ def score_sparse(index: SparseIndex, query: str, limit: int) -> list[tuple[str, 
     token, repeats included, adds its term's contribution in query order
     with the same operations as a per-chunk loop, so scores are the same
     floats; ties break by ascending chunk_id. `limit` is at least 1
-    (`WorkspaceConfig` checks ``retrieve_top_n``).
+    (`analysis.load_workspace` checks ``retrieve_top_n``).
     """
     import numpy as np
 
@@ -273,7 +273,7 @@ def score_dense(table: EmbeddingTable, query_vector, limit: int) -> list[tuple[s
 
 def fuse_rrf(lists: list, k_rrf: float = DEFAULT_K_RRF) -> list[tuple[str, float]]:
     """Merge ranked lists: fused score = sum over lists of 1/(k_rrf + rank).
-    `k_rrf` is positive and finite (`WorkspaceConfig` checks it)."""
+    `k_rrf` is positive and finite (`analysis.load_workspace` checks it)."""
     ranks: dict[str, list[int]] = {}
     for ranked in lists:
         for rank, (cid, _) in enumerate(ranked, start=1):

@@ -78,7 +78,7 @@ class DeltaEstimate(namedtuple("DeltaEstimate", "delta interval significant")):
 class ResamplePlan(
     namedtuple("ResamplePlan", "n_resamples level master_seed", defaults=(1000, 0.95, 0))
 ):
-    # `analysis.WorkspaceConfig` checks the knobs: n_resamples >= 1, level in
+    # `analysis.load_workspace` checks the knobs: n_resamples >= 1, level in
     # (0, 1) and master_seed in 0..2**64 - 1.
     __slots__ = ()
 

@@ -133,23 +133,22 @@ def test_workspace_config_defaults(workspace):
     assert ws.eval_top_k == 2
     assert ws.k_rrf == 60.0
     assert ws.plan().n_resamples == 1000
-    # WorkspaceConfig's default is the one fuse_rrf takes from retrieval.
-    assert analysis.WorkspaceConfig(workspace).k_rrf == retrieval.DEFAULT_K_RRF
     # Every path and knob of a workspace.json that gives none, in the order
-    # they are resolved and checked.
-    assert list(vars(analysis.WorkspaceConfig(workspace)).items()) == [
-        ("root", workspace), ("corpus", workspace / "corpus.jsonl"),
-        ("qa", workspace / "qa.jsonl"), ("out", workspace / "out"), ("embeddings", None),
-        ("rerank_scores", None), ("runs", None), ("judge_scores", None), ("costs", None),
-        ("labels", None), ("retrieve_top_n", 20), ("eval_top_k", 2), ("k_rrf", 60.0),
-        ("resamples", 1000), ("level", 0.95), ("pass_threshold", 4), ("seed", 0),
-        ("regimes", [("01_base__neutral", "base")]),
-    ]
-    with pytest.raises(TypeError, match="unknown fields"):
-        analysis.WorkspaceConfig(workspace, top_k=2)
-    for regimes in ({}, {"regimes": None}):
-        (workspace / "workspace.json").write_text(json.dumps(regimes), encoding="utf-8")
-        assert load_workspace(workspace).regimes == [("01_base__neutral", "base")]
+    # they are read and checked, then the default regimes; null regimes,
+    # like none, stands for them.
+    for given in ({}, {"regimes": None}):
+        (workspace / "workspace.json").write_text(json.dumps(given), encoding="utf-8")
+        ws = load_workspace(workspace)
+        # The default is the one fuse_rrf takes from retrieval.
+        assert ws.k_rrf == retrieval.DEFAULT_K_RRF
+        assert list(vars(ws).items()) == [
+            ("corpus", workspace / "corpus.jsonl"),
+            ("qa", workspace / "qa.jsonl"), ("out", workspace / "out"), ("embeddings", None),
+            ("rerank_scores", None), ("runs", None), ("judge_scores", None), ("costs", None),
+            ("labels", None), ("retrieve_top_n", 20), ("eval_top_k", 2), ("k_rrf", 60.0),
+            ("resamples", 1000), ("level", 0.95), ("pass_threshold", 4), ("seed", 0),
+            ("regimes", [("01_base__neutral", "base")]),
+        ]
 
 
 def test_retrieve_writes_contexts(workspace):
@@ -1625,6 +1624,12 @@ SHA256_NOT_STRING = (
         ),
         (_regime_id("r" * 300), ["stats"], TOO_LONG_FOR_CONTEXTS),
         (_run_regime_too_long, ["score"], TOO_LONG_FOR_CONTEXTS),
+        # Not a winner's config id: report parses every one, as stats does.
+        (
+            _rename_config("3B baseline", "3B-weird"),
+            ["report"],
+            "cannot parse scheme from config id '3B-weird'",
+        ),
     ],
     ids=[
         "absent_cost_axis", "inf_latency_validate", "inf_latency_pareto",
@@ -1724,6 +1729,7 @@ SHA256_NOT_STRING = (
         "embeddings_no_chunk_vector_validate", "embeddings_no_chunk_vector_retrieve",
         "no_test_split_validate", "no_test_split_retrieve",
         "supporting_ghost_validate", "regime_id_too_long_stats", "run_regime_too_long_score",
+        "config_id_unparseable_report",
     ],
 )
 def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, message):
@@ -1740,7 +1746,7 @@ def test_bad_inputs_exit_1_with_one_line(workspace, capsys, mutate, argv, messag
 
 @pytest.mark.parametrize("level", [0.0, 1.0])
 def test_level_outside_the_open_unit_interval_exits_1(workspace, capsys, level):
-    """`WorkspaceConfig` holds the one check of the interval level; the
+    """`load_workspace` holds the one check of the interval level; the
     bootstrap takes the level as given."""
     _edit_json("workspace.json", lambda c: c.update(level=level))(workspace)
     assert run(workspace, "stats") == 1

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ragharness.analysis import Analysis, WorkspaceConfig
+from ragharness.analysis import Analysis, load_workspace
 from ragharness.dataset import Chunk, load_corpus, load_qa
 from ragharness.errors import HarnessError
 
@@ -97,10 +97,11 @@ def test_check_supporting_ids(tmp_path):
     ids to them once every id names a corpus chunk, and otherwise names the
     first five pairs that list one that does not, in file order."""
     write_jsonl(tmp_path / "corpus.jsonl", CHUNKS[:1])
+    (tmp_path / "workspace.json").write_text("{}", encoding="utf-8")
 
     def supporting(rows):
         write_jsonl(tmp_path / "qa.jsonl", rows)
-        return Analysis(WorkspaceConfig(root=tmp_path), scored=False).supporting
+        return Analysis(load_workspace(tmp_path), scored=False).supporting
 
     empty = dict(QA[1], qa_id="q3", supporting_chunk_ids=[])
     assert supporting([QA[1], QA[0], empty]) == {"q1": ("c1",)}
@@ -121,7 +122,8 @@ def test_check_supporting_ids(tmp_path):
 def test_missing_file(tmp_path):
     """A corpus or QA file that is not there is an error naming it, which
     `analysis._input` raises before either loader opens the file."""
+    (tmp_path / "workspace.json").write_text("{}", encoding="utf-8")
     for part, key in (("chunks", "corpus"), ("pairs", "qa")):
         with pytest.raises(HarnessError) as excinfo:
-            getattr(Analysis(WorkspaceConfig(root=tmp_path)), part)
+            getattr(Analysis(load_workspace(tmp_path)), part)
         assert str(excinfo.value) == f"{key} not found: {tmp_path / key}.jsonl"
